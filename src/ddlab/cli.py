@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -28,10 +29,6 @@ from .derivations import (
 )
 from .elements import AlgebraContext, UnsupportedBaseRing, membership_with_witness
 from .groebner import BudgetExceeded, DEFAULT_BUDGET, MonomialOrder, elimination_ideal
-
-
-def _order_from_args(args):
-    return MonomialOrder.lex() if args.order == "lex" else MonomialOrder.grevlex()
 from .laurent import LaurentForm
 from .isomorphisms import (
     IsoData,
@@ -62,6 +59,19 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
+
+
+def _order_from_args(args):
+    return MonomialOrder.lex() if args.order == "lex" else MonomialOrder.grevlex()
+
+
+def _budget(args, default: int) -> int:
+    return default if args.budget is None else args.budget
+
+
+def _pool_size(jobs: int, inputs: int, cpus: int | None) -> int:
+    """Worker processes for a batch: never more than inputs or CPUs; 1 means serial."""
+    return max(1, min(jobs, inputs, cpus or 1))
 
 
 def _read_json(path: str):
@@ -120,7 +130,7 @@ def _run_invariants(path: str, args):
 
 def _run_omega3(path: str, args):
     p = _load_presentation(path)
-    report = omega3_check(p, budget=args.budget or DEFAULT_BUDGET, order=_order_from_args(args))
+    report = omega3_check(p, budget=_budget(args, DEFAULT_BUDGET), order=_order_from_args(args))
     payload = _report_payload("omega3", path, {"report": report.to_json()})
     lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
     lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
@@ -181,7 +191,7 @@ def _run_fiber(path: str, args):
     rel1 = x ** p.d * ctx.var("Y") - p.P.transfer(ctx)
     rel2 = x ** p.e * ctx.var("T") - p.Q.transfer(ctx)
     keep = {"Z"} | set(base)
-    gens = elimination_ideal([x, rel1, rel2], keep, budget=args.budget or DEFAULT_BUDGET)
+    gens = elimination_ideal([x, rel1, rel2], keep, budget=_budget(args, DEFAULT_BUDGET))
     payload = _report_payload("fiber", path, {"generators": [str(g) for g in gens]})
     named = ", ".join(str(g) for g in gens) if gens else "0"
     return EXIT_PASS, payload, [f"x*B intersected with R[z] is generated by: {named}"]
@@ -201,7 +211,7 @@ def _run_member(path: str, args):
         raise InputError(f"bad --element: {exc}") from exc
     form = LaurentForm(actx.coeff_ctx, coeffs)
     try:
-        result = membership_with_witness(form, actx, args.budget or DEFAULT_BUDGET)
+        result = membership_with_witness(form, actx, _budget(args, DEFAULT_BUDGET))
     except UnsupportedBaseRing as exc:
         raise InputError(str(exc)) from exc
     payload = _report_payload(
@@ -300,7 +310,7 @@ def _run_distinguish(path: str, args):
 
 def _run_cancel_cert(path: str, args):
     p = _load_presentation(path)
-    cert = cancellation_certificate(p, budget=args.budget or PIPELINE_BUDGET, cap=args.cap)
+    cert = cancellation_certificate(p, budget=_budget(args, PIPELINE_BUDGET), cap=args.cap)
     payload = cert.to_json()
     payload["input"] = path
     lines = [f"{'ok' if c.passed else 'FAIL'}: {c.name}" + (f" ({c.detail})" if c.detail and not c.passed else "")
@@ -412,12 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        print(f"error: --budget must be at least 1, got {args.budget}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.cap < 0:
+        print(f"error: --cap must be at least 0, got {args.cap}", file=sys.stderr)
+        return EXIT_INPUT
     paths = args.inputs
     args_dict = {k: v for k, v in vars(args).items() if k not in ("inputs", "command")}
     items = [(args.command, path, args_dict) for path in paths]
 
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(items), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, items))
     else:
         results = [_worker(item) for item in items]

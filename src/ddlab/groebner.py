@@ -9,12 +9,22 @@ queue (lcm degree, then index), so bases are reproducible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add as _add_op
+from functools import lru_cache
+from operator import add as _add_op, itemgetter, le as _le_op, sub as _sub_op
 from typing import Iterable, Sequence
 
-from .poly import Context, ContextMismatch, Exponents, Polynomial, coeff_div, grevlex_key
+from .poly import (
+    Context,
+    ContextMismatch,
+    Exponents,
+    Polynomial,
+    _scaled_int_terms,
+    coeff_div,
+    grevlex_key,
+    norm_coeff,
+)
 
 DEFAULT_BUDGET = 100_000
 
@@ -27,14 +37,12 @@ class BudgetExceeded(RuntimeError):
 class MonomialOrder:
     """A monomial order on a fixed context.
 
-    kind is one of "grevlex", "lex", "elim", "blocks".  For "elim",
-    `elim_indices` lists the context positions of the variables to be
-    eliminated (they dominate).  For "blocks", `blocks` is an ordered
-    partition of all context positions, compared blockwise by grevlex.
+    kind is one of "grevlex", "lex", "blocks".  For "blocks", `blocks` is an
+    ordered partition of all context positions, compared blockwise by
+    grevlex; an elimination order is two blocks.
     """
 
     kind: str
-    elim_indices: tuple[int, ...] = ()
     blocks: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
@@ -47,8 +55,10 @@ class MonomialOrder:
 
     @staticmethod
     def elim(ctx: Context, eliminate: Iterable[str]) -> "MonomialOrder":
-        idx = tuple(sorted(ctx.index(n) for n in eliminate))
-        return MonomialOrder("elim", idx)
+        """The eliminated variables dominate: blocks (eliminated, rest)."""
+        idx = tuple(sorted({ctx.index(n) for n in eliminate}))
+        rest = tuple(i for i in range(len(ctx.names)) if i not in idx)
+        return MonomialOrder("blocks", blocks=(idx, rest))
 
     @staticmethod
     def block_sequence(ctx: Context, groups: Iterable[Iterable[str]]) -> "MonomialOrder":
@@ -65,11 +75,6 @@ class MonomialOrder:
             return grevlex_key(exps)
         if self.kind == "lex":
             return exps
-        if self.kind == "elim":
-            block = set(self.elim_indices)
-            first = tuple(e for i, e in enumerate(exps) if i in block)
-            rest = tuple(e for i, e in enumerate(exps) if i not in block)
-            return (grevlex_key(first), grevlex_key(rest))
         if self.kind == "blocks":
             return tuple(
                 grevlex_key(tuple(exps[i] for i in blk)) for blk in self.blocks
@@ -77,15 +82,45 @@ class MonomialOrder:
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "elim_indices": list(self.elim_indices),
-            "blocks": [list(b) for b in self.blocks],
-        }
+        return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
+
+
+@lru_cache(maxsize=None)
+def _neg_key(order: MonomialOrder, nvars: int):
+    """Flat negated order key on exponent vectors of length nvars.
+
+    The smallest neg_key is the order's largest monomial, so a min-heap of
+    (neg_key, exps) tuples pops in decreasing order.  Grevlex is one block;
+    a block contributes minus its degree, then its exponents reversed.
+    """
+    if order.kind == "lex":
+        return lambda exps: tuple([-e for e in exps])
+    if order.kind == "grevlex":
+        blocks = (tuple(range(nvars)),)
+    elif order.kind == "blocks":
+        blocks = order.blocks
+    else:
+        raise ValueError(f"unknown order kind {order.kind!r}")
+    perm = [i for blk in blocks for i in reversed(blk)]
+    take = itemgetter(*perm) if len(perm) > 1 else tuple
+    bounds, start = [], 0
+    for blk in blocks:
+        bounds.append((start, start + len(blk)))
+        start += len(blk)
+
+    def neg_key(exps: Exponents) -> tuple:
+        flat = take(exps)
+        out = ()
+        for a, b in bounds:
+            part = flat[a:b]
+            out += (-sum(part),) + part
+        return out
+
+    return neg_key
 
 
 def _leading(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    lm = max(p.terms, key=order.key)
+    lm = min(p.terms, key=_neg_key(order, len(p.ctx.names)))
     return lm, p.terms[lm]
 
 
@@ -116,17 +151,35 @@ class _Budget:
             )
 
 
-class _HeapEntry:
-    """Max-heap adapter for monomial order keys (heapq is a min-heap)."""
+class _Divisors(list):
+    """Basis polynomials with what division by them needs, kept in step.
 
-    __slots__ = ("key", "exps")
+    For each element: its leading (monomial, coefficient), the `_neg_key` of
+    the leading monomial under `order`, and its tail, the other terms as
+    (exponents, neg_key, negated coefficient) triples.  `integral` is true
+    while every element is monic with integer coefficients.
+    """
 
-    def __init__(self, key, exps):
-        self.key = key
-        self.exps = exps
+    __slots__ = ("order", "leads", "lead_keys", "tails", "integral")
 
-    def __lt__(self, other):
-        return self.key > other.key
+    def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = (), leads: Iterable[tuple] = ()):
+        super().__init__()
+        self.order = order
+        self.leads: list[tuple[Exponents, Fraction]] = []
+        self.lead_keys: list[tuple] = []
+        self.tails: list[list[tuple[Exponents, tuple, object]]] = []
+        self.integral = True
+        for p, lead in zip(polys, leads):
+            self.push(p, lead)
+
+    def push(self, p: Polynomial, lead: tuple[Exponents, Fraction]):
+        lm, lc = lead
+        neg_key = _neg_key(self.order, len(lm))
+        self.append(p)
+        self.leads.append(lead)
+        self.lead_keys.append(neg_key(lm))
+        self.tails.append([(e, neg_key(e), -c) for e, c in p.terms.items() if e != lm])
+        self.integral = self.integral and lc == 1 and all(type(c) is int for c in p.terms.values())
 
 
 def _normal_form(
@@ -138,56 +191,69 @@ def _normal_form(
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Multivariate division, deterministic (first divisor in basis order).
 
-    Works on an in-place term dict with a lazy max-heap of candidate lead
-    monomials; every reduction step consumes budget.
+    Works on an in-place term dict with a lazy min-heap of (neg_key, exps)
+    tuples; every reduction step consumes budget.  The key is linear in the
+    exponents, so a new term's key is the quotient's key plus the tail
+    term's.  When the basis is monic with integer coefficients, f is scaled
+    to integers once, the loop runs on native ints, and remainder and
+    cofactors are divided by the scale at the end.  `basis` may be a
+    `_Divisors` for `order`, whose leads, keys and tails are then reused.
     """
     ctx = f.ctx
-    key = order.key
-    cofs: list[dict] = [{} for _ in basis]
-    rem: dict = {}
-    work = dict(f.terms)
-    heap = [_HeapEntry(key(e), e) for e in work]
+    if not isinstance(basis, _Divisors) or basis.order is not order:
+        basis = _Divisors(order, basis, leads)
+    lms = [lm for lm, _ in basis.leads]
+    lcs = [norm_coeff(lc) for _, lc in basis.leads]
+    lead_keys, tails = basis.lead_keys, basis.tails
+    if basis.integral:
+        work, den = _scaled_int_terms(f.terms)
+        if den == 1:
+            work = dict(work)
+    else:
+        work, den = dict(f.terms), 1
+    neg_key = _neg_key(order, len(ctx.names))
+    heap = [(neg_key(e), e) for e in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    get = work.get
+    cofs: list[dict] = [{} for _ in lms]
+    rem: dict = {}
     while heap:
-        entry = heapq.heappop(heap)
-        e = entry.exps
-        c = work.get(e)
+        k, e = heappop(heap)
+        c = work.pop(e, None)
         if c is None:
             continue  # stale entry
-        for i, (lm_g, lc_g) in enumerate(leads):
-            if _divides(lm_g, e):
+        for i, lm in enumerate(lms):
+            if all(map(_le_op, lm, e)):
                 budget.tick()
-                q_exp = _sub_exp(e, lm_g)
-                q_coeff = coeff_div(c, lc_g)
-                del work[e]
-                for eg, cg in basis[i].terms.items():
-                    if eg == lm_g:
-                        continue
+                q_exp = tuple(map(_sub_op, e, lm))
+                q_key = tuple(map(_sub_op, k, lead_keys[i]))
+                lc = lcs[i]
+                q = c if lc == 1 else coeff_div(c, lc)
+                for eg, kg, ncg in tails[i]:
                     ee = tuple(map(_add_op, q_exp, eg))
-                    cur = work.get(ee)
+                    cur = get(ee)
                     if cur is None:
-                        work[ee] = -q_coeff * cg
-                        heapq.heappush(heap, _HeapEntry(key(ee), ee))
+                        work[ee] = q * ncg
+                        heappush(heap, (tuple(map(_add_op, q_key, kg)), ee))
                     else:
-                        s = cur - q_coeff * cg
+                        s = cur + q * ncg
                         if s:
                             work[ee] = s
                         else:
                             del work[ee]
                 cof = cofs[i]
-                cur = cof.get(q_exp)
-                if cur is None:
-                    cof[q_exp] = q_coeff
+                s = cof.get(q_exp, 0) + q
+                if s:
+                    cof[q_exp] = s
                 else:
-                    s = cur + q_coeff
-                    if s:
-                        cof[q_exp] = s
-                    else:
-                        del cof[q_exp]
+                    del cof[q_exp]
                 break
         else:
             rem[e] = c
-            del work[e]
+    if den != 1:
+        rem = {e: norm_coeff(Fraction(c, den)) for e, c in rem.items()}
+        cofs = [{e: norm_coeff(Fraction(c, den)) for e, c in cof.items()} for cof in cofs]
     return (
         Polynomial._raw(ctx, rem),
         [Polynomial._raw(ctx, c) for c in cofs],
@@ -203,6 +269,11 @@ class GroebnerBasis:
     polys: tuple[Polynomial, ...]
     gens: tuple[Polynomial, ...]
     cofactors: tuple[tuple[Polynomial, ...], ...]  # polys[i] = sum_j cofactors[i][j]*gens[j]
+    _divisors: _Divisors = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        leads = [_leading(g, self.order) for g in self.polys]
+        object.__setattr__(self, "_divisors", _Divisors(self.order, self.polys, leads))
 
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant() and not self.polys[0].is_zero()
@@ -214,8 +285,8 @@ class GroebnerBasis:
         """Remainder of f modulo the basis plus cofactors on the basis elements."""
         if f.ctx != self.ctx:
             raise ContextMismatch("polynomial context differs from basis context")
-        leads = [_leading(g, self.order) for g in self.polys]
-        return _normal_form(f, self.polys, leads, self.order, _Budget(budget))
+        div = self._divisors
+        return _normal_form(f, div, div.leads, self.order, _Budget(budget))
 
     def reduce_to_gens(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, list[Polynomial]]:
         """Remainder of f plus cofactors on the original input generators."""
@@ -237,7 +308,6 @@ def buchberger(
     gens: Sequence[Polynomial],
     order: MonomialOrder | None = None,
     budget: int = DEFAULT_BUDGET,
-    post_check: bool = True,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -256,15 +326,14 @@ def buchberger(
         order = MonomialOrder.grevlex()
     budget_box = _Budget(budget)
 
-    basis: list[Polynomial] = []
+    basis = _Divisors(order)
+    leads = basis.leads
     rows: list[list[Polynomial]] = []  # basis[i] = sum_j rows[i][j]*gens[j]
-    leads: list[tuple[Exponents, Fraction]] = []
 
     def push(p: Polynomial, row: list[Polynomial]):
         lm, lc = _leading(p, order)
-        basis.append(Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in p.terms.items()}))
+        basis.push(Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in p.terms.items()}), (lm, 1))
         rows.append([c.scale(Fraction(1) / lc) for c in row])
-        leads.append((lm, Fraction(1)))
 
     pending: set[tuple[int, int]] = set()
     pair_heap: list[tuple[tuple, int, int]] = []
@@ -361,7 +430,8 @@ def buchberger(
         new_row = [c.scale(Fraction(1) / lc) for c in new_row]
         reduced.append((rem, new_row))
 
-    reduced.sort(key=lambda pr: order.key(_leading(pr[0], order)[0]), reverse=True)
+    neg_key = _neg_key(order, len(ctx.names))
+    reduced.sort(key=lambda pr: neg_key(_leading(pr[0], order)[0]))
     polys = tuple(p for p, _ in reduced)
     cof_matrix = tuple(tuple(r) for _, r in reduced)
     gb = GroebnerBasis(ctx, order, polys, tuple(gens), cof_matrix)
@@ -373,7 +443,8 @@ def buchberger(
 def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
     """Post-run checks: every S-polynomial reduces to zero; cofactor rows are exact."""
     order = gb.order
-    leads = [_leading(g, order) for g in gb.polys]
+    div = gb._divisors
+    leads = div.leads
     ctx = gb.ctx
     for i in range(len(gb.polys)):
         for j in range(i + 1, len(gb.polys)):
@@ -385,7 +456,7 @@ def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
             s = qi.scale(coeff_div(1, leads[i][1])) * gb.polys[i] - qj.scale(coeff_div(1, leads[j][1])) * gb.polys[j]
             if s.is_zero():
                 continue
-            rem, _ = _normal_form(s, gb.polys, leads, order, budget_box)
+            rem, _ = _normal_form(s, div, leads, order, budget_box)
             if not rem.is_zero():
                 raise AssertionError("S-polynomial of returned basis does not reduce to zero")
     for p, row in zip(gb.polys, gb.cofactors):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .poly import Context, ContextMismatch, Polynomial, norm_coeff
+from .poly import Context, ContextMismatch, Polynomial, eval_at_forms, norm_coeff
 
 
 class LaurentForm:
@@ -204,27 +204,11 @@ def eval_poly_at_laurent(
     Variables of p not in `images` must exist in the target coefficient
     context and map to themselves (at x-exponent 0).
     """
-    out = LaurentForm.zero(target)
-    powers: dict[str, list[LaurentForm]] = {}
 
-    def power(name: str, k: int) -> LaurentForm:
-        lst = powers.get(name)
-        if lst is None:
-            base = images.get(name)
-            if base is None:
-                base = LaurentForm.from_poly(target.var(name))
-            elif base.ctx != target:
-                raise ContextMismatch("image context differs from target")
-            lst = powers[name] = [LaurentForm.const(target, 1), base]
-        while len(lst) <= k:
-            lst.append(lst[-1] * lst[1])
-        return lst[k]
+    def form_of(image: LaurentForm) -> dict:
+        if image.ctx != target:
+            raise ContextMismatch("image context differs from target")
+        return {n: q.terms for n, q in image.coeffs.items()}
 
-    names = p.ctx.names
-    for exps, coeff in p.terms.items():
-        term = LaurentForm.const(target, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * power(names[i], e)
-        out = out + term
-    return out
+    out = eval_at_forms(p, images, target, form_of)
+    return LaurentForm._raw(target, {n: Polynomial._raw(target, t) for n, t in out.items()})

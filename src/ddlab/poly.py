@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add as _add_op
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
@@ -51,15 +52,28 @@ def coeff_div(a, b):
     return int(q) if q.denominator == 1 else q
 
 
+# A form is a map x-exponent -> term dict: a Laurent polynomial in x, or a
+# polynomial when its only x-exponent is 0.
+
+
+def _scaled_int_form(form: dict) -> tuple[dict, int]:
+    """Rewrite a form over one common denominator; all values become int."""
+    den = 1
+    for terms in form.values():
+        for c in terms.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    if den == 1:
+        return form, 1
+    return {n: {e: int(c * den) for e, c in terms.items()} for n, terms in form.items()}, den
+
+
 def _scaled_int_terms(terms: dict) -> tuple[dict, int]:
     """Rewrite a term dict over a common denominator; all values become int."""
-    from math import gcd
-
     den = 1
     for c in terms.values():
         if type(c) is not int:
-            d = c.denominator
-            den = den // gcd(den, d) * d
+            den = lcm(den, c.denominator)
     if den == 1:
         return terms, 1
     out = {}
@@ -67,6 +81,131 @@ def _scaled_int_terms(terms: dict) -> tuple[dict, int]:
         cc = c * den
         out[e] = cc if type(cc) is int else int(cc)
     return out, den
+
+
+def _form_mul_into(out: dict, a: dict, b: dict) -> None:
+    """out += a*b on forms, in place; empty term dicts may be left in out."""
+    for n1, t1 in a.items():
+        t1 = list(t1.items())
+        for n2, t2 in b.items():
+            acc = out.get(n1 + n2)
+            if acc is None:
+                acc = out[n1 + n2] = {}
+            get = acc.get
+            for e2, c2 in t2.items():
+                for e1, c1 in t1:
+                    e = tuple(map(_add_op, e1, e2))
+                    prod = c1 * c2
+                    cur = get(e)
+                    if cur is None:
+                        acc[e] = prod
+                    else:
+                        s = cur + prod
+                        if s:
+                            acc[e] = s
+                        else:
+                            del acc[e]
+
+
+def _form_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    _form_mul_into(out, a, b)
+    return {n: t for n, t in out.items() if t}
+
+
+def eval_at_forms(
+    p: "Polynomial", images: Mapping, target: "Context", form_of: Callable[[object], dict]
+) -> dict:
+    """Evaluate p at variable images; the result is a form over target.
+
+    `form_of` turns an image into a form.  Unmapped variables map to
+    themselves at x-exponent 0 and must exist in target.  Monomial images
+    (one term, like X -> x or an unmapped variable) are applied by exponent
+    arithmetic.  The terms of p are grouped by their exponents in the other,
+    general, variables; each group's cofactor is multiplied once by the
+    product of cached powers of the general images.  All products run on
+    native ints over one common denominator, divided out at the end.
+    """
+    terms = p.terms
+    names = p.ctx.names
+    zero = (0,) * len(target.names)
+    one = {0: {zero: 1}}
+    monos = []  # (position, x-exponent, ((target position, exponent), ...), coefficient)
+    general = []  # (position, cached integral powers of the image, its denominator)
+    for i, column in enumerate(zip(*terms)):
+        if not any(column):
+            continue
+        image = images.get(names[i])
+        if image is None:
+            monos.append((i, 0, ((target.index(names[i]), 1),), 1))
+            continue
+        form = form_of(image)
+        if len(form) == 1:
+            ((n, t),) = form.items()
+            if len(t) == 1:
+                ((e, c),) = t.items()
+                monos.append((i, n, tuple((j, k) for j, k in enumerate(e) if k), c))
+                continue
+        form, den = _scaled_int_form(form)
+        general.append((i, [one, form], den))
+
+    gpos = [i for i, _, _ in general]
+    groups: dict = {}
+    for exps, c in terms.items():
+        n = 0
+        z = list(zero)
+        for i, xn, eps, ci in monos:
+            k = exps[i]
+            if k:
+                n += xn * k
+                for j, m in eps:
+                    z[j] += m * k
+                if ci != 1:
+                    c = c * ci ** k
+        key = tuple([exps[i] for i in gpos])
+        cof = groups.get(key)
+        if cof is None:
+            cof = groups[key] = {}
+        acc = cof.get(n)
+        if acc is None:
+            acc = cof[n] = {}
+        z = tuple(z)
+        cur = acc.get(z)
+        if cur is None:
+            acc[z] = c
+        else:
+            s = cur + c
+            if s:
+                acc[z] = s
+            else:
+                del acc[z]
+
+    scaled = []
+    den = 1
+    for key, cof in groups.items():
+        cof, dc = _scaled_int_form(cof)
+        factor, dg = one, 1
+        for (_, powers, d), k in zip(general, key):
+            if k:
+                while len(powers) <= k:
+                    powers.append(_form_mul(powers[-1], powers[1]))
+                factor = powers[k] if factor is one else _form_mul(factor, powers[k])
+                dg *= d ** k
+        scaled.append((cof, factor, dc * dg))
+        den = lcm(den, dc * dg)
+    out: dict = {}
+    for cof, factor, d in scaled:
+        m = den // d
+        if m != 1:
+            cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
+        _form_mul_into(out, cof, factor)
+    if den == 1:
+        return {n: t for n, t in out.items() if t}
+    return {
+        n: {e: norm_coeff(Fraction(c, den)) for e, c in t.items()}
+        for n, t in out.items()
+        if t
+    }
 
 
 class Context:
@@ -366,28 +505,8 @@ class Polynomial:
         for img in images.values():
             if img.ctx != target:
                 raise ContextMismatch("substitution images in mixed contexts")
-        powers: dict[str, list[Polynomial]] = {}
-
-        def power(name: str, k: int) -> Polynomial:
-            lst = powers.get(name)
-            if lst is None:
-                base = images.get(name)
-                if base is None:
-                    base = target.var(name)
-                lst = powers[name] = [target.one(), base]
-            while len(lst) <= k:
-                lst.append(lst[-1] * lst[1])
-            return lst[k]
-
-        out = target.zero()
-        names = self.ctx.names
-        for exps, coeff in self.terms.items():
-            term = target.const(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(names[i], e)
-            out = out + term
-        return out
+        out = eval_at_forms(self, images, target, lambda image: {0: image.terms})
+        return Polynomial._raw(target, out.get(0, {}))
 
     def taylor_shift(self, name: str, shift: "Polynomial") -> "Polynomial":
         """Substitute name -> name + shift, exactly."""

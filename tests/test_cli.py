@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ddlab.cli import main
+from ddlab.cli import _pool_size, main
 
 
 @pytest.fixture()
@@ -178,3 +178,41 @@ class TestOutputModes:
         assert main(["invariants", dd1_file, dd2_file, "--out", str(out_file)]) == 0
         report = json.loads(out_file.read_text())
         assert isinstance(report, list) and len(report) == 2
+
+
+class TestLimits:
+    @pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--cap", "-1"]])
+    def test_out_of_range_rejected_with_one_line(self, dd1_file, flags, capsys):
+        assert main(["omega3", dd1_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flags[0]} must be at least")
+
+    def test_budget_is_used_as_given(self, dd1_file, capsys):
+        assert main(["cancel-cert", dd1_file, "--budget", "1"]) == 1
+        assert "budget of 1 reductions exceeded" in capsys.readouterr().out
+        assert main(["cancel-cert", dd1_file]) == 0
+
+    def test_cap_zero_accepted(self, dd1_file, capsys):
+        assert main(["lnd", dd1_file, "--cap", "0"]) == 1
+        assert "cap exceeded" in capsys.readouterr().out
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "jobs, inputs, cpus, expected",
+        [
+            (4, 7, 2, 2),
+            (8, 3, 16, 3),
+            (2, 7, 8, 2),
+            (1, 5, 8, 1),
+            (0, 5, 8, 1),
+            (-2, 5, 8, 1),
+            (4, 1, 8, 1),
+            (4, 5, None, 1),
+            (10**6, 10**6, 2, 2),
+        ],
+    )
+    def test_clamped_to_inputs_and_cpus(self, jobs, inputs, cpus, expected):
+        assert _pool_size(jobs, inputs, cpus) == expected

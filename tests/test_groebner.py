@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab.groebner import (
     BudgetExceeded,
     MonomialOrder,
+    _Budget,
+    _Divisors,
+    _normal_form,
     buchberger,
     elimination_ideal,
     is_unit_ideal,
@@ -118,6 +123,106 @@ class TestNormalForm:
         for c, g in zip(cofs, gens):
             acc = acc + c * g
         assert acc == ZCTX.one()
+
+
+XYZ = Context(("X", "Y", "Z"))
+ORDERS = [
+    MonomialOrder.grevlex(),
+    MonomialOrder.lex(),
+    MonomialOrder.elim(XYZ, ["Y", "Z"]),
+    MonomialOrder.block_sequence(XYZ, [["Z"], ["X"]]),
+]
+
+_exps = st.tuples(*[st.integers(0, 2)] * 3)
+_ints = st.integers(-4, 4).filter(bool)
+_rationals = st.builds(Fraction, _ints, st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _division_case(draw):
+    """A polynomial f and a basis that is integral monic, rational monic or non-monic."""
+    order = draw(st.sampled_from(ORDERS))
+    kind = draw(st.sampled_from(["integral", "rational", "non-monic"]))
+    coeffs = _ints if kind == "integral" else _rationals
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(_exps, coeffs, min_size=1, max_size=3))
+        lm = max(terms, key=order.key)
+        terms[lm] = draw(_rationals) if kind == "non-monic" else 1
+        basis.append(Polynomial(XYZ, terms))
+    f = Polynomial(XYZ, draw(st.dictionaries(_exps, _rationals, max_size=5)))
+    return order, basis, f
+
+
+def _reference_division(f, basis, order):
+    """Textbook division: reduce the largest term by the first divisor whose lead divides it."""
+    leads = [max(g.terms, key=order.key) for g in basis]
+    work = {e: Fraction(c) for e, c in f.terms.items()}
+    rem, quots, steps = {}, [{} for _ in basis], 0
+    while work:
+        e = max(work, key=order.key)
+        c = work[e]
+        for i, lm in enumerate(leads):
+            if all(a <= b for a, b in zip(lm, e)):
+                steps += 1
+                q = c / basis[i].terms[lm]
+                qe = tuple(a - b for a, b in zip(e, lm))
+                for eg, cg in basis[i].terms.items():
+                    ee = tuple(a + b for a, b in zip(qe, eg))
+                    work[ee] = work.get(ee, 0) - q * cg
+                    if work[ee] == 0:
+                        del work[ee]
+                quots[i][qe] = quots[i].get(qe, 0) + q
+                if quots[i][qe] == 0:
+                    del quots[i][qe]
+                break
+        else:
+            rem[e] = c
+            del work[e]
+    return Polynomial(XYZ, rem), [Polynomial(XYZ, q) for q in quots], steps
+
+
+class TestNormalFormKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_division_case())
+    def test_matches_reference_division(self, case):
+        order, basis, f = case
+        leads = [(lm, g.terms[lm]) for g in basis for lm in [max(g.terms, key=order.key)]]
+        budget = _Budget(10_000)
+        rem, cofs = _normal_form(f, basis, leads, order, budget)
+        acc = rem
+        for q, g in zip(cofs, basis):
+            acc = acc + q * g
+        assert acc == f
+        for exps in rem.terms:
+            assert not any(all(a <= b for a, b in zip(lm, exps)) for lm, _ in leads)
+        ref_rem, ref_cofs, steps = _reference_division(f, basis, order)
+        assert budget.used == steps
+        assert (rem, cofs) == (ref_rem, ref_cofs)
+        # a prepared basis gives the same division
+        assert _normal_form(f, _Divisors(order, basis, leads), leads, order, _Budget(10_000)) == (rem, cofs)
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                _normal_form(f, basis, leads, order, _Budget(steps - 1))
+
+    def test_integral_path_divides_out_the_scale(self):
+        basis = [parse_poly("Z^2 - 1", ZCTX)]
+        rem, cofs = _normal_form(parse_poly("1/2*Z^3 + 1/3", ZCTX), basis, [((2,), 1)],
+                                 MonomialOrder.grevlex(), _Budget(10))
+        assert rem == parse_poly("1/2*Z + 1/3", ZCTX)
+        assert cofs == [parse_poly("1/2*Z", ZCTX)]
+
+
+class TestOrders:
+    def test_elim_is_two_blocks(self):
+        ctx = Context(("X", "Y", "T", "Z"))
+        order = MonomialOrder.elim(ctx, ["Z", "X", "X"])
+        assert order == MonomialOrder("blocks", blocks=((0, 3), (1, 2)))
+
+    def test_elim_dominates(self):
+        ctx = Context(("X", "Y", "Z"))
+        order = MonomialOrder.elim(ctx, ["Y"])
+        assert order.key((0, 1, 0)) > order.key((5, 0, 5))
 
 
 class TestUnitIdeal:
