@@ -20,7 +20,7 @@ from .poly import (
     ContextMismatch,
     Exponents,
     Polynomial,
-    _scaled_int_terms,
+    _scaled_int_form,
     coeff_div,
     grevlex_key,
     norm_coeff,
@@ -85,7 +85,7 @@ class MonomialOrder:
         return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _neg_key(order: MonomialOrder, nvars: int):
     """Flat negated order key on exponent vectors of length nvars.
 
@@ -206,9 +206,8 @@ def _normal_form(
     lcs = [norm_coeff(lc) for _, lc in basis.leads]
     lead_keys, tails = basis.lead_keys, basis.tails
     if basis.integral:
-        work, den = _scaled_int_terms(f.terms)
-        if den == 1:
-            work = dict(work)
+        scaled, den = _scaled_int_form({0: f.terms})
+        work = dict(scaled[0])
     else:
         work, den = dict(f.terms), 1
     neg_key = _neg_key(order, len(ctx.names))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .poly import Context, ContextMismatch, Polynomial, eval_at_forms, norm_coeff
+from .poly import Context, ContextMismatch, Polynomial, _form_product, eval_at_forms, norm_coeff
 
 
 class LaurentForm:
@@ -34,6 +34,13 @@ class LaurentForm:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
         return self
+
+    @classmethod
+    def _from_form(cls, ctx: Context, form: dict) -> "LaurentForm":
+        return cls._raw(ctx, {n: Polynomial._raw(ctx, t) for n, t in form.items()})
+
+    def _form(self) -> dict:
+        return {n: p.terms for n, p in self.coeffs.items()}
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentForm is immutable")
@@ -110,21 +117,7 @@ class LaurentForm:
 
     def __mul__(self, other: "LaurentForm") -> "LaurentForm":
         self._check(other)
-        out: dict[int, Polynomial] = {}
-        for n1, p1 in self.coeffs.items():
-            for n2, p2 in other.coeffs.items():
-                n = n1 + n2
-                prod = p1 * p2
-                cur = out.get(n)
-                if cur is None:
-                    out[n] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero():
-                        del out[n]
-                    else:
-                        out[n] = s
-        return LaurentForm._raw(self.ctx, out)
+        return LaurentForm._from_form(self.ctx, _form_product(self._form(), other._form()))
 
     def scale(self, q) -> "LaurentForm":
         q = norm_coeff(q)
@@ -208,7 +201,6 @@ def eval_poly_at_laurent(
     def form_of(image: LaurentForm) -> dict:
         if image.ctx != target:
             raise ContextMismatch("image context differs from target")
-        return {n: q.terms for n, q in image.coeffs.items()}
+        return image._form()
 
-    out = eval_at_forms(p, images, target, form_of)
-    return LaurentForm._raw(target, {n: Polynomial._raw(target, t) for n, t in out.items()})
+    return LaurentForm._from_form(target, eval_at_forms(p, images, target, form_of))

@@ -68,23 +68,18 @@ def _scaled_int_form(form: dict) -> tuple[dict, int]:
     return {n: {e: int(c * den) for e, c in terms.items()} for n, terms in form.items()}, den
 
 
-def _scaled_int_terms(terms: dict) -> tuple[dict, int]:
-    """Rewrite a term dict over a common denominator; all values become int."""
-    den = 1
-    for c in terms.values():
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
+def _unscale(form: dict, den: int) -> dict:
+    """Drop empty term dicts and divide every value by den."""
     if den == 1:
-        return terms, 1
-    out = {}
-    for e, c in terms.items():
-        cc = c * den
-        out[e] = cc if type(cc) is int else int(cc)
-    return out, den
+        return {n: t for n, t in form.items() if t}
+    return {n: {e: norm_coeff(Fraction(c, den)) for e, c in t.items()} for n, t in form.items() if t}
 
 
 def _form_mul_into(out: dict, a: dict, b: dict) -> None:
-    """out += a*b on forms, in place; empty term dicts may be left in out."""
+    """out += a*b on forms, in place; b's terms drive the outer loop.
+
+    Empty term dicts may be left in out.
+    """
     for n1, t1 in a.items():
         t1 = list(t1.items())
         for n2, t2 in b.items():
@@ -107,10 +102,14 @@ def _form_mul_into(out: dict, a: dict, b: dict) -> None:
                             del acc[e]
 
 
-def _form_mul(a: dict, b: dict) -> dict:
+def _form_product(a: dict, b: dict) -> dict:
+    """The product of two forms; denominators are cleared first, so the
+    inner loop runs on native ints."""
+    a, da = _scaled_int_form(a)
+    b, db = _scaled_int_form(b)
     out: dict = {}
     _form_mul_into(out, a, b)
-    return {n: t for n, t in out.items() if t}
+    return _unscale(out, da * db)
 
 
 def eval_at_forms(
@@ -188,8 +187,8 @@ def eval_at_forms(
         for (_, powers, d), k in zip(general, key):
             if k:
                 while len(powers) <= k:
-                    powers.append(_form_mul(powers[-1], powers[1]))
-                factor = powers[k] if factor is one else _form_mul(factor, powers[k])
+                    powers.append(_form_product(powers[-1], powers[1]))
+                factor = powers[k] if factor is one else _form_product(factor, powers[k])
                 dg *= d ** k
         scaled.append((cof, factor, dc * dg))
         den = lcm(den, dc * dg)
@@ -199,13 +198,7 @@ def eval_at_forms(
         if m != 1:
             cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
         _form_mul_into(out, cof, factor)
-    if den == 1:
-        return {n: t for n, t in out.items() if t}
-    return {
-        n: {e: norm_coeff(Fraction(c, den)) for e, c in t.items()}
-        for n, t in out.items()
-        if t
-    }
+    return _unscale(out, den)
 
 
 class Context:
@@ -407,31 +400,9 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        # clear denominators so the inner loop runs on native ints
-        a, da = _scaled_int_terms(a)
-        b, db = _scaled_int_terms(b)
-        out: dict = {}
-        get = out.get
-        b_items = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in b_items:
-                e = tuple(map(_add_op, e1, e2))
-                prod = c1 * c2
-                cur = get(e)
-                if cur is None:
-                    out[e] = prod
-                else:
-                    s = cur + prod
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        den = da * db
-        if den != 1:
-            out = {e: norm_coeff(Fraction(c, den)) for e, c in out.items()}
-        return Polynomial._raw(self.ctx, out)
+        if len(a) < len(b):
+            a, b = b, a  # the smaller factor drives the outer loop
+        return Polynomial._raw(self.ctx, _form_product({0: a}, {0: b}).get(0, {}))
 
     def mul_monomial(self, exps: Exponents, coeff) -> "Polynomial":
         """Multiply by a single term (trusted exponents)."""
