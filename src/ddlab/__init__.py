@@ -8,7 +8,7 @@ certificate pipeline, all over exact rational arithmetic.
 """
 
 from .poly import Context, ContextMismatch, ParseError, Polynomial, parse_poly
-from .laurent import LaurentForm, eval_poly_at_laurent, laurent_normalize
+from .laurent import LaurentForm, eval_poly_at_laurent
 from .groebner import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -17,7 +17,6 @@ from .groebner import (
     buchberger,
     elimination_ideal,
     is_unit_ideal,
-    normal_form_with_cofactors,
 )
 from .presentations import (
     BaseRingSpec,
@@ -40,7 +39,6 @@ from .elements import (
     NotInAlgebra,
     UnsupportedBaseRing,
     divide_by_x_power,
-    eq_elements,
     membership_with_witness,
 )
 from .derivations import (
@@ -64,7 +62,6 @@ from .isomorphisms import (
     NonIsoCertificate,
     RHomomorphism,
     TransportError,
-    build_hom,
     distinguish_by_invariants,
     transport_presentation,
     verify_hom,

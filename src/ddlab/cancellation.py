@@ -45,12 +45,11 @@ from .elements import (
 )
 from .groebner import BudgetExceeded, DEFAULT_BUDGET, buchberger
 from .laurent import LaurentForm
-from .poly import Context, Polynomial
-from .presentations import CheckItem, DDPresentation, Report, omega3_check
+from .poly import Polynomial
+from .presentations import CheckItem, DDPresentation, Report, omega3_check, unit_ideal_generators
 from .isomorphisms import (
     NonIsoCertificate,
     RHomomorphism,
-    build_hom,
     distinguish_by_invariants,
     verify_hom,
 )
@@ -238,7 +237,7 @@ def verify_E_iso(
     small = DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q)
     small.require_valid()
     small_ctx = AlgebraContext(small)
-    iota = build_hom(
+    iota = RHomomorphism(
         small_ctx,
         actx,
         {"X": actx.gen("X"), "Z": f, "Y": g, "T": h},
@@ -284,29 +283,18 @@ def build_complement_variable(
     by x; the defect is absorbed into powers of w via the chain
     c_(j+1) = D(c_j)/x, which terminates by local nilpotency.
     """
-    p = actx.presentation
-    base = p.base.variables
-
-    zctx = Context(("Z",) + base)
-    p0 = p.p_at_x0().transfer(zctx)
-    p0d = p.p_prime_at_x0().transfer(zctx)
-    gb1 = buchberger([p0, p0d], budget=budget)
+    gens1, gens2 = unit_ideal_generators(actx.presentation)
+    gb1 = buchberger(gens1, budget=budget)
     if not gb1.is_unit():
         raise PipelineError("build_complement_variable", "(P(0,Z), P'(0,Z)) is not the unit ideal")
-    _, cofs1 = gb1.reduce_to_gens(zctx.one(), budget)
-    b_poly = cofs1[1]
+    _, b_poly = gb1.reduce_to_gens(gb1.ctx.one(), 1, budget)
 
-    yzctx = Context(("Y", "Z") + base)
-    p0yz = p.p_at_x0().transfer(yzctx)
-    q0 = p.q_at_x0().transfer(yzctx)
-    q0d = p.q_prime_at_x0().transfer(yzctx)
-    gb2 = buchberger([p0yz, q0, q0d], budget=budget)
+    gb2 = buchberger(gens2, budget=budget)
     if not gb2.is_unit():
         raise PipelineError(
             "build_complement_variable", "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal"
         )
-    _, cofs2 = gb2.reduce_to_gens(yzctx.one(), budget)
-    m_poly = cofs2[2]
+    _, m_poly = gb2.reduce_to_gens(gb2.ctx.one(), 2, budget)
 
     ctx = actx.gen_ctx
     seed = b_poly.transfer(ctx) * m_poly.transfer(ctx) * ctx.var("T")
@@ -697,7 +685,7 @@ def cancellation_certificate(
         cert.old_generators = old_gens
         steps.append(CheckItem("old generators expressed over the smaller ring", True, ""))
 
-        forward = build_hom(
+        forward = RHomomorphism(
             small_w,
             actx,
             {
@@ -708,7 +696,7 @@ def cancellation_certificate(
                 ADJOINED_NAME: complement.element,
             },
         )
-        backward = build_hom(
+        backward = RHomomorphism(
             actx,
             small_w,
             {name: small_w.element(expr) for name, expr in old_gens.images.items()},

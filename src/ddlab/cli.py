@@ -32,8 +32,8 @@ from .groebner import BudgetExceeded, DEFAULT_BUDGET, MonomialOrder, elimination
 from .laurent import LaurentForm
 from .isomorphisms import (
     IsoData,
+    RHomomorphism,
     TransportError,
-    build_hom,
     distinguish_by_invariants,
     transport_presentation,
     verify_hom,
@@ -274,7 +274,7 @@ def _load_hom(path: str, source: AlgebraContext, target: AlgebraContext):
         }
     except ParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return build_hom(source, target, images)
+    return RHomomorphism(source, target, images)
 
 
 def _run_iso_verify(path: str, args):
@@ -357,11 +357,8 @@ def _worker(item):
     command, path, args_dict = item
     ns = argparse.Namespace(**args_dict)
     try:
-        code, payload, lines = _HANDLERS[command](path, ns)
-        return code, payload, lines
-    except InputError as exc:
-        return EXIT_INPUT, {"schema": SCHEMA, "kind": "error", "input": path, "error": str(exc)}, [f"error: {exc}"]
-    except (InvalidPresentation, ParseError, BudgetExceeded) as exc:
+        return _HANDLERS[command](path, ns)
+    except (InputError, InvalidPresentation, ParseError, BudgetExceeded) as exc:
         return EXIT_INPUT, {"schema": SCHEMA, "kind": "error", "input": path, "error": str(exc)}, [f"error: {exc}"]
 
 

@@ -184,10 +184,6 @@ class BElement:
     def __hash__(self):
         return hash((self.actx, self.laurent))
 
-    def _combine(self, other: "BElement", expr, laurent) -> "BElement":
-        gen = expr if (self.gen is not None and other.gen is not None) else None
-        return BElement(self.actx, gen, laurent)
-
     def __add__(self, other: "BElement") -> "BElement":
         self._check(other)
         expr = self.gen + other.gen if self.gen is not None and other.gen is not None else None
@@ -225,12 +221,6 @@ class BElement:
         return f"<element {self} of {self.actx!r}>"
 
 
-def eq_elements(a: BElement, b: BElement) -> bool:
-    """Equality in the quotient algebra (identical Laurent forms)."""
-    a._check(b)
-    return a.laurent == b.laurent
-
-
 class MembershipResult:
     """Outcome of a membership test, with witness or retained basis certificate."""
 
@@ -266,11 +256,11 @@ def membership_with_witness(
         witness = g
     else:
         gb = actx._membership_basis(n, budget)
-        rem, cofs = gb.reduce_to_gens(g, budget)
+        rem, cof = gb.reduce_to_gens(g, 0, budget)
         if not rem.is_zero():
             return MembershipResult(False, None, [str(p) for p in gb.polys])
         # the cofactor of X^n is a witness; canonicalize it modulo the relations
-        witness = actx.reduce_witness(cofs[0], budget)
+        witness = actx.reduce_witness(cof, budget)
     if actx.to_laurent(witness) != f:
         raise AssertionError("membership witness does not reproduce the input form")
     return MembershipResult(True, witness, [])

@@ -154,40 +154,37 @@ class _Budget:
 class _Divisors(list):
     """Basis polynomials with what division by them needs, kept in step.
 
-    For each element: its leading (monomial, coefficient), the `_neg_key` of
-    the leading monomial under `order`, and its tail, the other terms as
-    (exponents, neg_key, negated coefficient) triples.  `integral` is true
-    while every element is monic with integer coefficients.
+    For each nonzero element: its leading (monomial, coefficient) under
+    `order`, the `_neg_key` of that monomial, and its tail, the other terms in
+    `p.terms` order as (exponents, neg_key, negated coefficient) triples.
+    `integral` is true while every element is monic with integer coefficients.
     """
 
     __slots__ = ("order", "leads", "lead_keys", "tails", "integral")
 
-    def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = (), leads: Iterable[tuple] = ()):
+    def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
         super().__init__()
         self.order = order
         self.leads: list[tuple[Exponents, Fraction]] = []
         self.lead_keys: list[tuple] = []
         self.tails: list[list[tuple[Exponents, tuple, object]]] = []
         self.integral = True
-        for p, lead in zip(polys, leads):
-            self.push(p, lead)
+        for p in polys:
+            self.push(p)
 
-    def push(self, p: Polynomial, lead: tuple[Exponents, Fraction]):
-        lm, lc = lead
-        neg_key = _neg_key(self.order, len(lm))
+    def push(self, p: Polynomial):
+        neg_key = _neg_key(self.order, len(p.ctx.names))
+        keyed = [(e, neg_key(e), c) for e, c in p.terms.items()]
+        lm, lead_key, lc = min(keyed, key=itemgetter(1))
         self.append(p)
-        self.leads.append(lead)
-        self.lead_keys.append(neg_key(lm))
-        self.tails.append([(e, neg_key(e), -c) for e, c in p.terms.items() if e != lm])
+        self.leads.append((lm, lc))
+        self.lead_keys.append(lead_key)
+        self.tails.append([(e, k, -c) for e, k, c in keyed if e != lm])
         self.integral = self.integral and lc == 1 and all(type(c) is int for c in p.terms.values())
 
 
 def _normal_form(
-    f: Polynomial,
-    basis: Sequence[Polynomial],
-    leads: Sequence[tuple[Exponents, Fraction]],
-    order: MonomialOrder,
-    budget: _Budget,
+    f: Polynomial, basis: _Divisors, budget: _Budget
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Multivariate division, deterministic (first divisor in basis order).
 
@@ -196,12 +193,9 @@ def _normal_form(
     exponents, so a new term's key is the quotient's key plus the tail
     term's.  When the basis is monic with integer coefficients, f is scaled
     to integers once, the loop runs on native ints, and remainder and
-    cofactors are divided by the scale at the end.  `basis` may be a
-    `_Divisors` for `order`, whose leads, keys and tails are then reused.
+    cofactors are divided by the scale at the end.
     """
     ctx = f.ctx
-    if not isinstance(basis, _Divisors) or basis.order is not order:
-        basis = _Divisors(order, basis, leads)
     lms = [lm for lm, _ in basis.leads]
     lcs = [norm_coeff(lc) for _, lc in basis.leads]
     lead_keys, tails = basis.lead_keys, basis.tails
@@ -210,7 +204,7 @@ def _normal_form(
         work = dict(scaled[0])
     else:
         work, den = dict(f.terms), 1
-    neg_key = _neg_key(order, len(ctx.names))
+    neg_key = _neg_key(basis.order, len(ctx.names))
     heap = [(neg_key(e), e) for e in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -271,8 +265,7 @@ class GroebnerBasis:
     _divisors: _Divisors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        leads = [_leading(g, self.order) for g in self.polys]
-        object.__setattr__(self, "_divisors", _Divisors(self.order, self.polys, leads))
+        object.__setattr__(self, "_divisors", _Divisors(self.order, self.polys))
 
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant() and not self.polys[0].is_zero()
@@ -284,23 +277,16 @@ class GroebnerBasis:
         """Remainder of f modulo the basis plus cofactors on the basis elements."""
         if f.ctx != self.ctx:
             raise ContextMismatch("polynomial context differs from basis context")
-        div = self._divisors
-        return _normal_form(f, div, div.leads, self.order, _Budget(budget))
+        return _normal_form(f, self._divisors, _Budget(budget))
 
-    def reduce_to_gens(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, list[Polynomial]]:
-        """Remainder of f plus cofactors on the original input generators."""
+    def reduce_to_gens(self, f: Polynomial, j: int, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, Polynomial]:
+        """Remainder of f plus its cofactor on the input generator gens[j]."""
         rem, cofs = self.normal_form(f, budget)
-        out = [self.ctx.zero() for _ in self.gens]
-        for i, c in enumerate(cofs):
-            if c.is_zero():
-                continue
-            for j, m in enumerate(self.cofactors[i]):
-                if not m.is_zero():
-                    out[j] = out[j] + c * m
+        out = self.ctx.zero()
+        for c, row in zip(cofs, self.cofactors):
+            if not c.is_zero() and not row[j].is_zero():
+                out = out + c * row[j]
         return rem, out
-
-    def contains(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.normal_form(f, budget)[0].is_zero()
 
 
 def buchberger(
@@ -330,8 +316,8 @@ def buchberger(
     rows: list[list[Polynomial]] = []  # basis[i] = sum_j rows[i][j]*gens[j]
 
     def push(p: Polynomial, row: list[Polynomial]):
-        lm, lc = _leading(p, order)
-        basis.push(Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in p.terms.items()}), (lm, 1))
+        _, lc = _leading(p, order)
+        basis.push(Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in p.terms.items()}))
         rows.append([c.scale(Fraction(1) / lc) for c in row])
 
     pending: set[tuple[int, int]] = set()
@@ -385,7 +371,7 @@ def buchberger(
         srow = [qi * a - qj * b for a, b in zip(rows[i], rows[j])]
         if s.is_zero():
             continue
-        rem, cofs = _normal_form(s, basis, leads, order, budget_box)
+        rem, cofs = _normal_form(s, basis, budget_box)
         if rem.is_zero():
             continue
         row = srow
@@ -418,13 +404,12 @@ def buchberger(
     for i, (p, row) in enumerate(minimal):
         others = [q for k, (q, _) in enumerate(minimal) if k != i]
         other_rows = [r for k, (_, r) in enumerate(minimal) if k != i]
-        other_leads = [_leading(q, order) for q in others]
-        rem, cofs = _normal_form(p, others, other_leads, order, budget_box)
+        rem, cofs = _normal_form(p, _Divisors(order, others), budget_box)
         new_row = row
         for t, c in enumerate(cofs):
             if not c.is_zero():
                 new_row = [a - c * b for a, b in zip(new_row, other_rows[t])]
-        lm, lc = _leading(rem, order)
+        _, lc = _leading(rem, order)
         rem = Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in rem.terms.items()})
         new_row = [c.scale(Fraction(1) / lc) for c in new_row]
         reduced.append((rem, new_row))
@@ -441,7 +426,6 @@ def buchberger(
 
 def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
     """Post-run checks: every S-polynomial reduces to zero; cofactor rows are exact."""
-    order = gb.order
     div = gb._divisors
     leads = div.leads
     ctx = gb.ctx
@@ -455,7 +439,7 @@ def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
             s = qi.scale(coeff_div(1, leads[i][1])) * gb.polys[i] - qj.scale(coeff_div(1, leads[j][1])) * gb.polys[j]
             if s.is_zero():
                 continue
-            rem, _ = _normal_form(s, div, leads, order, budget_box)
+            rem, _ = _normal_form(s, div, budget_box)
             if not rem.is_zero():
                 raise AssertionError("S-polynomial of returned basis does not reduce to zero")
     for p, row in zip(gb.polys, gb.cofactors):
@@ -464,13 +448,6 @@ def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
             acc = acc + c * g
         if acc != p:
             raise AssertionError("cofactor row does not reproduce basis element")
-
-
-def normal_form_with_cofactors(
-    f: Polynomial, gb: GroebnerBasis, budget: int = DEFAULT_BUDGET
-) -> tuple[Polynomial, list[Polynomial]]:
-    """Division of f by the basis: f = sum(cofactor_i*basis_i) + remainder."""
-    return gb.normal_form(f, budget)
 
 
 def is_unit_ideal(

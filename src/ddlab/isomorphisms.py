@@ -59,24 +59,13 @@ class RHomomorphism:
         """Image of a source generator expression (base variables are fixed).
 
         Evaluation happens at the Laurent level, so the result carries no
-        generator witness; use apply_expr_witness when one is required.
+        generator witness.
         """
         if expr.ctx != self.source.gen_ctx:
             expr = expr.transfer(self.source.gen_ctx)
         laurent_images = {n: el.laurent for n, el in self.images.items()}
         out = eval_poly_at_laurent(expr, laurent_images, self.target.coeff_ctx)
         return BElement(self.target, None, out)
-
-    def apply_expr_witness(self, expr: Polynomial) -> BElement:
-        """Image with a composed generator witness (slower; rarely needed)."""
-        if expr.ctx != self.source.gen_ctx:
-            expr = expr.transfer(self.source.gen_ctx)
-        target_ctx = self.target.gen_ctx
-        witness_images = {
-            n: el.gen if el.gen.ctx == target_ctx else el.gen.transfer(target_ctx)
-            for n, el in self.images.items()
-        }
-        return self.target.element(expr.substitute(witness_images))
 
     def apply(self, a: BElement) -> BElement:
         if a.actx != self.source:
@@ -87,11 +76,6 @@ class RHomomorphism:
 
     def to_json(self):
         return {n: str(el) for n, el in self.images.items()}
-
-
-def build_hom(source: AlgebraContext, target: AlgebraContext, images) -> RHomomorphism:
-    """Unverified homomorphism record from generator images."""
-    return RHomomorphism(source, target, images)
 
 
 def verify_hom(h: RHomomorphism) -> bool:
@@ -235,7 +219,7 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
     rho_t = t.scale(lam ** src.e / g2) - g1.substitute(
         {"X": rho_x, "Y": rho_y, "Z": rho_z}
     ).scale(1 / g2)
-    forward = build_hom(
+    forward = RHomomorphism(
         src_ctx,
         tgt_ctx,
         {
@@ -251,7 +235,7 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
     sig_z = z.scale(mu) + delta1
     sig_y = y.scale(beta) + alpha1
     sig_t = (t.scale(g2) + g1).scale(Fraction(1) / lam ** src.e)
-    backward = build_hom(
+    backward = RHomomorphism(
         tgt_ctx,
         src_ctx,
         {

@@ -75,9 +75,6 @@ class LaurentForm:
         """Smallest x-exponent with nonzero coefficient; 0 for the zero form."""
         return min(self.coeffs, default=0)
 
-    def max_exp(self) -> int:
-        return max(self.coeffs, default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentForm)
@@ -182,11 +179,6 @@ class LaurentForm:
 
     def to_json(self) -> dict:
         return {str(n): str(p) for n, p in sorted(self.coeffs.items())}
-
-
-def laurent_normalize(ctx: Context, raw: Mapping[int, Polynomial]) -> LaurentForm:
-    """Canonicalize a raw exponent map: drop zero entries."""
-    return LaurentForm(ctx, raw)
 
 
 def eval_poly_at_laurent(

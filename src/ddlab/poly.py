@@ -404,15 +404,6 @@ class Polynomial:
             a, b = b, a  # the smaller factor drives the outer loop
         return Polynomial._raw(self.ctx, _form_product({0: a}, {0: b}).get(0, {}))
 
-    def mul_monomial(self, exps: Exponents, coeff) -> "Polynomial":
-        """Multiply by a single term (trusted exponents)."""
-        if coeff == 0:
-            return self.ctx.zero()
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(map(_add_op, e, exps))] = c * coeff
-        return Polynomial._raw(self.ctx, out)
-
     def scale(self, q) -> "Polynomial":
         q = norm_coeff(q)
         if q == 0:

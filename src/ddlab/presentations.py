@@ -282,32 +282,27 @@ def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET, order=None) ->
     items.append(CheckItem("deg_Z P(0,Z) > 1", r > 1, f"r = {r}"))
     items.append(CheckItem("deg_Y Q > 1", s > 1, f"s = {s}"))
 
+    names = ("(P(0,Z), P'(0,Z)) = R[Z]", "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) = R[Y,Z]")
+    for name, gens in zip(names, unit_ideal_generators(p)):
+        unit = is_unit_ideal(gens, order=order, budget=budget)
+        items.append(CheckItem(name, unit, f"generators ({', '.join(map(str, gens))})"))
+    return Report(tuple(items), {"r": r, "s": s})
+
+
+def unit_ideal_generators(p: DDPresentation) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Generators of the two unit-ideal conditions of the certified subfamily.
+
+    [P(0,Z), P'(0,Z)] in R[Z] and [P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)] in R[Y,Z],
+    where ' is d/dZ for P and d/dY for Q.
+    """
     base = p.base.variables
     zctx = Context(("Z",) + base)
-    p0 = p.p_at_x0().transfer(zctx)
-    p0d = p.p_prime_at_x0().transfer(zctx)
-    unit1 = is_unit_ideal([p0, p0d], order=order, budget=budget)
-    items.append(
-        CheckItem(
-            "(P(0,Z), P'(0,Z)) = R[Z]",
-            unit1,
-            f"generators ({p0}, {p0d})",
-        )
-    )
-
     yzctx = Context(("Y", "Z") + base)
-    q0 = p.q_at_x0().transfer(yzctx)
-    q0d = p.q_prime_at_x0().transfer(yzctx)
-    p0yz = p.p_at_x0().transfer(yzctx)
-    unit2 = is_unit_ideal([p0yz, q0, q0d], order=order, budget=budget)
-    items.append(
-        CheckItem(
-            "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) = R[Y,Z]",
-            unit2,
-            f"generators ({p0yz}, {q0}, {q0d})",
-        )
+    p0 = p.p_at_x0()
+    return (
+        [p0.transfer(zctx), p.p_prime_at_x0().transfer(zctx)],
+        [p0.transfer(yzctx), p.q_at_x0().transfer(yzctx), p.q_prime_at_x0().transfer(yzctx)],
     )
-    return Report(tuple(items), {"r": r, "s": s})
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from ddlab.elements import AlgebraContext, membership_with_witness
 from ddlab.groebner import BudgetExceeded, buchberger, elimination_ideal, is_unit_ideal
 from ddlab.isomorphisms import (
     IsoData,
-    build_hom,
+    RHomomorphism,
     transport_presentation,
     verify_hom,
     verify_iso_pair,
@@ -242,10 +242,10 @@ def test_criterion_7_isomorphism_round_trips(dd1, dd3):
 
     dd1p = DDPresentation.make([], 1, 2, "Z^2 - 1 + X", "(Y - 1)^2 + Z")
     a1, ap = AlgebraContext(dd1), AlgebraContext(dd1p)
-    h = build_hom(ap, a1, {"X": a1.gen("X"), "Z": a1.gen("Z"),
-                           "Y": a1.element("Y + 1"), "T": a1.gen("T")})
-    hinv = build_hom(a1, ap, {"X": ap.gen("X"), "Z": ap.gen("Z"),
-                              "Y": ap.element("Y - 1"), "T": ap.gen("T")})
+    h = RHomomorphism(ap, a1, {"X": a1.gen("X"), "Z": a1.gen("Z"),
+                               "Y": a1.element("Y + 1"), "T": a1.gen("T")})
+    hinv = RHomomorphism(a1, ap, {"X": ap.gen("X"), "Z": ap.gen("Z"),
+                                  "Y": ap.element("Y - 1"), "T": ap.gen("T")})
     ok = ok and verify_hom(h) and verify_hom(hinv) and verify_iso_pair(h, hinv)
     report(7, "50 random transports verify and preserve invariants; explicit pair verifies", ok)
 

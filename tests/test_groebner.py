@@ -14,7 +14,6 @@ from ddlab.groebner import (
     buchberger,
     elimination_ideal,
     is_unit_ideal,
-    normal_form_with_cofactors,
 )
 from ddlab.poly import Context, Polynomial, parse_poly
 
@@ -75,19 +74,19 @@ class TestBuchberger:
 class TestNormalForm:
     def test_generator_itself(self):
         gb = buchberger([zp("Z^2 - 1")])
-        rem, cofs = normal_form_with_cofactors(zp("Z^2 - 1"), gb)
+        rem, cofs = gb.normal_form(zp("Z^2 - 1"))
         assert rem.is_zero()
         assert cofs == [ZCTX.one()]
 
     def test_cubic_example(self):
         gb = buchberger([zp("Z^2 - 1")])
-        rem, cofs = normal_form_with_cofactors(zp("Z^3"), gb)
+        rem, cofs = gb.normal_form(zp("Z^3"))
         assert rem == zp("Z")
         assert cofs == [zp("Z")]
 
     def test_unit_ideal_absorbs_everything(self):
         gb = buchberger([zp("Z^2 - 1"), zp("2*Z")])
-        rem, cofs = normal_form_with_cofactors(ZCTX.one(), gb)
+        rem, cofs = gb.normal_form(ZCTX.one())
         assert rem.is_zero()
         assert cofs == [ZCTX.one()]
 
@@ -117,12 +116,33 @@ class TestNormalForm:
     def test_reduce_to_gens_expresses_in_inputs(self):
         gens = [zp("Z^2 - 1"), zp("2*Z")]
         gb = buchberger(gens)
-        rem, cofs = gb.reduce_to_gens(ZCTX.one())
-        assert rem.is_zero()
+        cofs = []
+        for j in range(len(gens)):
+            rem, cof = gb.reduce_to_gens(ZCTX.one(), j)
+            assert rem.is_zero()
+            cofs.append(cof)
         acc = ZCTX.zero()
         for c, g in zip(cofs, gens):
             acc = acc + c * g
         assert acc == ZCTX.one()
+
+    def test_reduce_to_gens_reads_each_column(self):
+        ctx = Context(("X", "Y", "Z"))
+        gens = [parse_poly(t, ctx) for t in ("X^2 - Y*Z", "Y^2 - X*Z", "X*Y - Z^2")]
+        gb = buchberger(gens)
+        assert not gb.is_unit()
+        rng = random.Random(7)
+        for trial in range(20):
+            f = random_polynomial(rng, ctx, max_terms=3, max_exp=2) if trial % 2 else ctx.zero()
+            for g in gens:
+                f = f + random_polynomial(rng, ctx, max_terms=3, max_exp=2) * g
+            acc = ctx.zero()
+            for j, g in enumerate(gens):
+                rem, cof = gb.reduce_to_gens(f, j)
+                acc = acc + cof * g
+            assert acc + rem == f
+            if trial % 2 == 0:
+                assert rem.is_zero()
 
 
 XYZ = Context(("X", "Y", "Z"))
@@ -188,8 +208,10 @@ class TestNormalFormKernel:
     def test_matches_reference_division(self, case):
         order, basis, f = case
         leads = [(lm, g.terms[lm]) for g in basis for lm in [max(g.terms, key=order.key)]]
+        divisors = _Divisors(order, basis)
+        assert divisors.leads == leads
         budget = _Budget(10_000)
-        rem, cofs = _normal_form(f, basis, leads, order, budget)
+        rem, cofs = _normal_form(f, divisors, budget)
         acc = rem
         for q, g in zip(cofs, basis):
             acc = acc + q * g
@@ -199,16 +221,16 @@ class TestNormalFormKernel:
         ref_rem, ref_cofs, steps = _reference_division(f, basis, order)
         assert budget.used == steps
         assert (rem, cofs) == (ref_rem, ref_cofs)
-        # a prepared basis gives the same division
-        assert _normal_form(f, _Divisors(order, basis, leads), leads, order, _Budget(10_000)) == (rem, cofs)
+        # a shared _Divisors is left as it was: a second division agrees
+        assert _normal_form(f, divisors, _Budget(10_000)) == (rem, cofs)
         if steps:
             with pytest.raises(BudgetExceeded):
-                _normal_form(f, basis, leads, order, _Budget(steps - 1))
+                _normal_form(f, divisors, _Budget(steps - 1))
 
     def test_integral_path_divides_out_the_scale(self):
         basis = [parse_poly("Z^2 - 1", ZCTX)]
-        rem, cofs = _normal_form(parse_poly("1/2*Z^3 + 1/3", ZCTX), basis, [((2,), 1)],
-                                 MonomialOrder.grevlex(), _Budget(10))
+        rem, cofs = _normal_form(parse_poly("1/2*Z^3 + 1/3", ZCTX),
+                                 _Divisors(MonomialOrder.grevlex(), basis), _Budget(10))
         assert rem == parse_poly("1/2*Z + 1/3", ZCTX)
         assert cofs == [parse_poly("1/2*Z", ZCTX)]
 

@@ -6,8 +6,8 @@ import pytest
 from ddlab.elements import AlgebraContext
 from ddlab.isomorphisms import (
     IsoData,
+    RHomomorphism,
     TransportError,
-    build_hom,
     distinguish_by_invariants,
     transport_presentation,
     verify_hom,
@@ -38,13 +38,13 @@ def dd1p():
 class TestVerifyHom:
     def test_identity(self, dd1, dd1_ctx):
         images = {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()}
-        h = build_hom(dd1_ctx, dd1_ctx, images)
+        h = RHomomorphism(dd1_ctx, dd1_ctx, images)
         assert verify_hom(h)
         assert h.verified
 
     def test_explicit_shift_pair(self, dd1, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
-        h = build_hom(
+        h = RHomomorphism(
             actx_p,
             dd1_ctx,
             {
@@ -58,7 +58,7 @@ class TestVerifyHom:
 
     def test_x_to_zero_fails(self, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
-        h = build_hom(
+        h = RHomomorphism(
             actx_p,
             dd1_ctx,
             {
@@ -74,18 +74,18 @@ class TestVerifyHom:
 class TestIsoPair:
     def test_identity_pair(self, dd1_ctx):
         images = {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()}
-        h = build_hom(dd1_ctx, dd1_ctx, images)
-        hinv = build_hom(dd1_ctx, dd1_ctx, dict(images))
+        h = RHomomorphism(dd1_ctx, dd1_ctx, images)
+        hinv = RHomomorphism(dd1_ctx, dd1_ctx, dict(images))
         assert verify_iso_pair(h, hinv)
 
     def test_shift_pair(self, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
-        h = build_hom(
+        h = RHomomorphism(
             actx_p, dd1_ctx,
             {"X": dd1_ctx.gen("X"), "Z": dd1_ctx.gen("Z"),
              "Y": dd1_ctx.element("Y + 1"), "T": dd1_ctx.gen("T")},
         )
-        hinv = build_hom(
+        hinv = RHomomorphism(
             dd1_ctx, actx_p,
             {"X": actx_p.gen("X"), "Z": actx_p.gen("Z"),
              "Y": actx_p.element("Y - 1"), "T": actx_p.gen("T")},
@@ -94,12 +94,12 @@ class TestIsoPair:
 
     def test_mismatched_pair(self, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
-        h = build_hom(
+        h = RHomomorphism(
             actx_p, dd1_ctx,
             {"X": dd1_ctx.gen("X"), "Z": dd1_ctx.gen("Z"),
              "Y": dd1_ctx.element("Y + 1"), "T": dd1_ctx.gen("T")},
         )
-        bad = build_hom(
+        bad = RHomomorphism(
             dd1_ctx, actx_p,
             {"X": actx_p.gen("X"), "Z": actx_p.gen("Z"),
              "Y": actx_p.element("Y"), "T": actx_p.gen("T")},
@@ -175,12 +175,12 @@ class TestDistinguish:
         # an explicit verified pair exists between dd1 and dd1p, so the
         # invariant route must not claim non-isomorphism
         actx1, actxp = AlgebraContext(dd1), AlgebraContext(dd1p)
-        h = build_hom(
+        h = RHomomorphism(
             actxp, actx1,
             {"X": actx1.gen("X"), "Z": actx1.gen("Z"),
              "Y": actx1.element("Y + 1"), "T": actx1.gen("T")},
         )
-        hinv = build_hom(
+        hinv = RHomomorphism(
             actx1, actxp,
             {"X": actxp.gen("X"), "Z": actxp.gen("Z"),
              "Y": actxp.element("Y - 1"), "T": actxp.gen("T")},
