@@ -208,10 +208,6 @@ class BElement:
             self.laurent.scale(q),
         )
 
-    def __pow__(self, n: int) -> "BElement":
-        expr = self.gen ** n if self.gen is not None else None
-        return BElement(self.actx, expr, self.laurent ** n)
-
     def __str__(self):
         if self.gen is not None:
             return str(self.gen)

@@ -81,9 +81,6 @@ class MonomialOrder:
             )
         raise ValueError(f"unknown order kind {self.kind!r}")
 
-    def to_json(self):
-        return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
-
 
 @lru_cache(maxsize=128)
 def _neg_key(order: MonomialOrder, nvars: int):
@@ -119,11 +116,6 @@ def _neg_key(order: MonomialOrder, nvars: int):
     return neg_key
 
 
-def _leading(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    lm = min(p.terms, key=_neg_key(order, len(p.ctx.names)))
-    return lm, p.terms[lm]
-
-
 def _divides(a: Exponents, b: Exponents) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -132,8 +124,18 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _sub_exp(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+def _s_pair(ctx: Context, lm_i: Exponents, lm_j: Exponents):
+    """The S-pair of two leading monomials: None when they are coprime (the
+    product criterion: such a pair never yields a new element), otherwise
+    their lcm and the monomials that lift lm_i and lm_j to it."""
+    lcm = _lcm(lm_i, lm_j)
+    if lcm == tuple(map(_add_op, lm_i, lm_j)):
+        return None
+    return (
+        lcm,
+        Polynomial._raw(ctx, {tuple(map(_sub_op, lcm, lm_i)): 1}),
+        Polynomial._raw(ctx, {tuple(map(_sub_op, lcm, lm_j)): 1}),
+    )
 
 
 class _Budget:
@@ -152,20 +154,21 @@ class _Budget:
 
 
 class _Divisors(list):
-    """Basis polynomials with what division by them needs, kept in step.
+    """Monic basis polynomials with what division by them needs, kept in step.
 
-    For each nonzero element: its leading (monomial, coefficient) under
-    `order`, the `_neg_key` of that monomial, and its tail, the other terms in
-    `p.terms` order as (exponents, neg_key, negated coefficient) triples.
-    `integral` is true while every element is monic with integer coefficients.
+    `push` divides each nonzero element by its leading coefficient under
+    `order` and records its leading monomial (`lms`), the `_neg_key` of that
+    monomial, and its tail, the other terms in `p.terms` order as
+    (exponents, neg_key, negated coefficient) triples.  `integral` is true
+    while every element has integer coefficients.
     """
 
-    __slots__ = ("order", "leads", "lead_keys", "tails", "integral")
+    __slots__ = ("order", "lms", "lead_keys", "tails", "integral")
 
     def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
         super().__init__()
         self.order = order
-        self.leads: list[tuple[Exponents, Fraction]] = []
+        self.lms: list[Exponents] = []
         self.lead_keys: list[tuple] = []
         self.tails: list[list[tuple[Exponents, tuple, object]]] = []
         self.integral = True
@@ -173,32 +176,36 @@ class _Divisors(list):
             self.push(p)
 
     def push(self, p: Polynomial):
+        """Append p made monic; return the leading coefficient it was divided by."""
         neg_key = _neg_key(self.order, len(p.ctx.names))
         keyed = [(e, neg_key(e), c) for e, c in p.terms.items()]
         lm, lead_key, lc = min(keyed, key=itemgetter(1))
+        if lc != 1:
+            keyed = [(e, k, coeff_div(c, lc)) for e, k, c in keyed]
+            p = Polynomial._raw(p.ctx, {e: c for e, _, c in keyed})
         self.append(p)
-        self.leads.append((lm, lc))
+        self.lms.append(lm)
         self.lead_keys.append(lead_key)
         self.tails.append([(e, k, -c) for e, k, c in keyed if e != lm])
-        self.integral = self.integral and lc == 1 and all(type(c) is int for c in p.terms.values())
+        self.integral = self.integral and all(type(c) is int for _, _, c in keyed)
+        return lc
 
 
 def _normal_form(
     f: Polynomial, basis: _Divisors, budget: _Budget
 ) -> tuple[Polynomial, list[Polynomial]]:
-    """Multivariate division, deterministic (first divisor in basis order).
+    """Multivariate division by a monic basis, deterministic (first divisor in
+    basis order).
 
     Works on an in-place term dict with a lazy min-heap of (neg_key, exps)
     tuples; every reduction step consumes budget.  The key is linear in the
     exponents, so a new term's key is the quotient's key plus the tail
-    term's.  When the basis is monic with integer coefficients, f is scaled
+    term's.  When the basis has integer coefficients, f is scaled
     to integers once, the loop runs on native ints, and remainder and
     cofactors are divided by the scale at the end.
     """
     ctx = f.ctx
-    lms = [lm for lm, _ in basis.leads]
-    lcs = [norm_coeff(lc) for _, lc in basis.leads]
-    lead_keys, tails = basis.lead_keys, basis.tails
+    lms, lead_keys, tails = basis.lms, basis.lead_keys, basis.tails
     if basis.integral:
         scaled, den = _scaled_int_form({0: f.terms})
         work = dict(scaled[0])
@@ -221,29 +228,27 @@ def _normal_form(
                 budget.tick()
                 q_exp = tuple(map(_sub_op, e, lm))
                 q_key = tuple(map(_sub_op, k, lead_keys[i]))
-                lc = lcs[i]
-                q = c if lc == 1 else coeff_div(c, lc)
                 for eg, kg, ncg in tails[i]:
                     ee = tuple(map(_add_op, q_exp, eg))
                     cur = get(ee)
                     if cur is None:
-                        work[ee] = q * ncg
+                        work[ee] = c * ncg
                         heappush(heap, (tuple(map(_add_op, q_key, kg)), ee))
                     else:
-                        s = cur + q * ncg
+                        s = cur + c * ncg
                         if s:
                             work[ee] = s
                         else:
                             del work[ee]
                 cof = cofs[i]
-                s = cof.get(q_exp, 0) + q
+                s = cof.get(q_exp, 0) + c
                 if s:
                     cof[q_exp] = s
                 else:
                     del cof[q_exp]
                 break
         else:
-            rem[e] = c
+            rem[e] = norm_coeff(c)  # Fraction arithmetic leaves integers as Fraction(n, 1)
     if den != 1:
         rem = {e: norm_coeff(Fraction(c, den)) for e, c in rem.items()}
         cofs = [{e: norm_coeff(Fraction(c, den)) for e, c in cof.items()} for cof in cofs]
@@ -304,121 +309,89 @@ def buchberger(
     if not gens:
         raise ValueError("buchberger requires at least one generator")
     ctx = gens[0].ctx
-    for g in gens:
-        if g.ctx != ctx:
-            raise ContextMismatch("generators in mixed contexts")
+    if any(g.ctx != ctx for g in gens):
+        raise ContextMismatch("generators in mixed contexts")
     if order is None:
         order = MonomialOrder.grevlex()
     budget_box = _Budget(budget)
 
     basis = _Divisors(order)
-    leads = basis.leads
+    lms = basis.lms
     rows: list[list[Polynomial]] = []  # basis[i] = sum_j rows[i][j]*gens[j]
 
-    def push(p: Polynomial, row: list[Polynomial]):
-        _, lc = _leading(p, order)
-        basis.push(Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in p.terms.items()}))
-        rows.append([c.scale(Fraction(1) / lc) for c in row])
-
+    # each pair is pushed once and popped once, so the heap holds exactly
+    # the pending pairs; the chain criterion reads the set
     pending: set[tuple[int, int]] = set()
-    pair_heap: list[tuple[tuple, int, int]] = []
+    pair_heap: list[tuple[int, int, int]] = []
 
-    def add_pair(i: int, j: int):
-        pending.add((i, j))
-        key = (sum(_lcm(leads[i][0], leads[j][0])), i, j)
-        heapq.heappush(pair_heap, (key, i, j))
+    def push(p: Polynomial, row: list[Polynomial]):
+        lc = basis.push(p)
+        rows.append([c.scale(Fraction(1) / lc) for c in row])
+        j = len(basis) - 1
+        for i in range(j):
+            pending.add((i, j))
+            heapq.heappush(pair_heap, (sum(_lcm(lms[i], lms[j])), i, j))
 
     for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        row = [ctx.one() if k == j else ctx.zero() for k in range(len(gens))]
-        new_index = len(basis)
-        push(g, row)
-        for i in range(new_index):
-            add_pair(i, new_index)
+        if not g.is_zero():
+            push(g, [ctx.one() if k == j else ctx.zero() for k in range(len(gens))])
 
     if not basis:
         return GroebnerBasis(ctx, order, (), tuple(gens), ())
 
-    while pending:
-        while True:
-            _, i, j = heapq.heappop(pair_heap)
-            if (i, j) in pending:
-                break
+    while pair_heap:
+        _, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
-        lm_i, lm_j = leads[i][0], leads[j][0]
-        lcm_ij = _lcm(lm_i, lm_j)
-        # product criterion: coprime leading monomials never yield new elements
-        if lcm_ij == tuple(a + b for a, b in zip(lm_i, lm_j)):
+        pair = _s_pair(ctx, lms[i], lms[j])
+        if pair is None:
             continue
+        lcm_ij, qi, qj = pair
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                _divides(leads[k][0], lcm_ij)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                skip = True
-                break
-        if skip:
+        if any(
+            k not in (i, j)
+            and _divides(lms[k], lcm_ij)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
             continue
-        qi = Polynomial(ctx, {_sub_exp(lcm_ij, lm_i): Fraction(1)})
-        qj = Polynomial(ctx, {_sub_exp(lcm_ij, lm_j): Fraction(1)})
         s = qi * basis[i] - qj * basis[j]
-        srow = [qi * a - qj * b for a, b in zip(rows[i], rows[j])]
         if s.is_zero():
             continue
         rem, cofs = _normal_form(s, basis, budget_box)
         if rem.is_zero():
             continue
-        row = srow
+        row = [qi * a - qj * b for a, b in zip(rows[i], rows[j])]
         for t, c in enumerate(cofs):
             if not c.is_zero():
                 row = [a - c * b for a, b in zip(row, rows[t])]
-        new_index = len(basis)
         push(rem, row)
-        for t in range(new_index):
-            add_pair(t, new_index)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
-    keep = []
-    for i in range(len(basis)):
-        lm_i = leads[i][0]
-        dominated = False
-        for k in range(len(basis)):
-            if k == i:
-                continue
-            lm_k = leads[k][0]
-            if _divides(lm_k, lm_i) and (lm_k != lm_i or k < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [(basis[i], rows[i]) for i in keep]
+    keep = [
+        i for i in range(len(basis))
+        if not any(
+            k != i and _divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
+            for k in range(len(basis))
+        )
+    ]
 
-    # tail-reduce each survivor against the others
-    reduced: list[tuple[Polynomial, list[Polynomial]]] = []
-    for i, (p, row) in enumerate(minimal):
-        others = [q for k, (q, _) in enumerate(minimal) if k != i]
-        other_rows = [r for k, (_, r) in enumerate(minimal) if k != i]
-        rem, cofs = _normal_form(p, _Divisors(order, others), budget_box)
-        new_row = row
-        for t, c in enumerate(cofs):
+    # tail-reduce each survivor against the others, in basis order; the lead
+    # of a survivor is divisible by no other lead, so it stays, still monic
+    reduced: list[tuple[tuple, Polynomial, list[Polynomial]]] = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        rem, cofs = _normal_form(basis[i], _Divisors(order, [basis[k] for k in others]), budget_box)
+        row = rows[i]
+        for k, c in zip(others, cofs):
             if not c.is_zero():
-                new_row = [a - c * b for a, b in zip(new_row, other_rows[t])]
-        _, lc = _leading(rem, order)
-        rem = Polynomial._raw(ctx, {e: coeff_div(c, lc) for e, c in rem.terms.items()})
-        new_row = [c.scale(Fraction(1) / lc) for c in new_row]
-        reduced.append((rem, new_row))
+                row = [a - c * b for a, b in zip(row, rows[k])]
+        reduced.append((basis.lead_keys[i], rem, row))
 
-    neg_key = _neg_key(order, len(ctx.names))
-    reduced.sort(key=lambda pr: neg_key(_leading(pr[0], order)[0]))
-    polys = tuple(p for p, _ in reduced)
-    cof_matrix = tuple(tuple(r) for _, r in reduced)
-    gb = GroebnerBasis(ctx, order, polys, tuple(gens), cof_matrix)
+    reduced.sort(key=itemgetter(0))
+    gb = GroebnerBasis(
+        ctx, order, tuple(p for _, p, _ in reduced), tuple(gens), tuple(tuple(r) for _, _, r in reduced)
+    )
 
     _assert_basis_sound(gb, budget_box)
     return gb
@@ -427,26 +400,21 @@ def buchberger(
 def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
     """Post-run checks: every S-polynomial reduces to zero; cofactor rows are exact."""
     div = gb._divisors
-    leads = div.leads
     ctx = gb.ctx
-    for i in range(len(gb.polys)):
-        for j in range(i + 1, len(gb.polys)):
-            lcm_ij = _lcm(leads[i][0], leads[j][0])
-            if lcm_ij == tuple(a + b for a, b in zip(leads[i][0], leads[j][0])):
+    for i in range(len(div)):
+        for j in range(i + 1, len(div)):
+            pair = _s_pair(ctx, div.lms[i], div.lms[j])
+            if pair is None:
                 continue  # coprime leads: the S-polynomial reduces to zero by theory
-            qi = Polynomial(ctx, {_sub_exp(lcm_ij, leads[i][0]): Fraction(1)})
-            qj = Polynomial(ctx, {_sub_exp(lcm_ij, leads[j][0]): Fraction(1)})
-            s = qi.scale(coeff_div(1, leads[i][1])) * gb.polys[i] - qj.scale(coeff_div(1, leads[j][1])) * gb.polys[j]
+            _, qi, qj = pair
+            s = qi * div[i] - qj * div[j]
             if s.is_zero():
                 continue
             rem, _ = _normal_form(s, div, budget_box)
             if not rem.is_zero():
                 raise AssertionError("S-polynomial of returned basis does not reduce to zero")
     for p, row in zip(gb.polys, gb.cofactors):
-        acc = ctx.zero()
-        for c, g in zip(row, gb.gens):
-            acc = acc + c * g
-        if acc != p:
+        if sum((c * g for c, g in zip(row, gb.gens)), ctx.zero()) != p:
             raise AssertionError("cofactor row does not reproduce basis element")
 
 

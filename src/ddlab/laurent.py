@@ -126,18 +126,6 @@ class LaurentForm:
         """Multiply by x^k."""
         return LaurentForm._raw(self.ctx, {n + k: p for n, p in self.coeffs.items()})
 
-    def __pow__(self, n: int) -> "LaurentForm":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"Laurent power must be a nonnegative integer, got {n}")
-        result = LaurentForm.const(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- conversions --------------------------------------------------------
 
     def transfer(self, new_ctx: Context) -> "LaurentForm":

@@ -330,10 +330,6 @@ class Polynomial:
                     used.add(names[i])
         return used
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def deg_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         i = self.ctx.index(name)
@@ -549,11 +545,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parentheses and signs nest at most this deep: a level of parentheses costs
+# four stack frames, which keeps parsing well below the recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ctx: Context):
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -620,14 +622,19 @@ class _Parser:
             if val not in self.ctx:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return self.ctx.var(val)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val, pos = self.take()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", pos)
+        if kind == "op" and val in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses and signs nested more than {MAX_NESTING} deep", pos)
+            if val == "(":
+                inner = self.expr()
+                kind, val, pos = self.take()
+                if not (kind == "op" and val == ")"):
+                    raise ParseError("expected ')'", pos)
+            else:
+                inner = -self.atom()
+            self.depth -= 1
             return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
 

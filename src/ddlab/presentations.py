@@ -181,14 +181,23 @@ def load_presentation(data) -> DDPresentation:
     """Build a presentation from the flat record {base_vars, d, e, P, Q}."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise InvalidPresentation(f"malformed presentation record: expected an object, got {type(data).__name__}")
     try:
         base_vars = data.get("base_vars", [])
-        d = int(data["d"])
-        e = int(data["e"])
-        p_text = data["P"]
-        q_text = data["Q"]
-    except (KeyError, TypeError, ValueError) as exc:
+        d, e, p_text, q_text = data["d"], data["e"], data["P"], data["Q"]
+    except KeyError as exc:
         raise InvalidPresentation(f"malformed presentation record: {exc}") from exc
+    names_ok = isinstance(base_vars, list) and all(isinstance(v, str) for v in base_vars)
+    for name, value, ok, want in (
+        ("base_vars", base_vars, names_ok, "a list of strings"),
+        ("d", d, type(d) is int, "an integer"),
+        ("e", e, type(e) is int, "an integer"),
+        ("P", p_text, isinstance(p_text, str), "a string"),
+        ("Q", q_text, isinstance(q_text, str), "a string"),
+    ):
+        if not ok:
+            raise InvalidPresentation(f"malformed presentation record: {name} must be {want}, got {value!r}")
     return DDPresentation.make(base_vars, d, e, p_text, q_text)
 
 

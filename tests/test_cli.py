@@ -216,3 +216,35 @@ class TestPoolSize:
     )
     def test_clamped_to_inputs_and_cpus(self, jobs, inputs, cpus, expected):
         assert _pool_size(jobs, inputs, cpus) == expected
+
+
+DD1 = {"base_vars": [], "d": 1, "e": 2, "P": "Z^2 - 1", "Q": "Y^2 + Z"}
+
+
+class TestMalformedInput:
+    """Bad records and expressions exit 2 with one error line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([DD1], "expected an object, got list"),
+            ({**DD1, "Q": 5}, "Q must be a string, got 5"),
+            ({**DD1, "base_vars": [5]}, "base_vars must be a list of strings, got [5]"),
+            ({**DD1, "base_vars": "ab"}, "base_vars must be a list of strings, got 'ab'"),
+            ({**DD1, "d": 2.7}, "d must be an integer, got 2.7"),
+            ({**DD1, "d": True}, "d must be an integer, got True"),
+            ({**DD1, "P": "(" * 3000 + "Z" + ")" * 3000}, "nested more than 100 deep"),
+            ({**DD1, "P": "Z*" + "-" * 3000 + "Z"}, "nested more than 100 deep"),
+        ],
+        ids=["list", "Q-int", "base_vars-int", "base_vars-str", "d-float", "d-bool",
+             "parentheses", "signs"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "invariants"])
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, record, message, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert "Traceback" not in captured.err

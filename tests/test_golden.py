@@ -4,14 +4,19 @@ The digest pins every byte of `json.dumps(cert.to_json())` over the grid, so a
 change to the Groebner, Laurent or polynomial kernels that alters any
 certificate, even only in how a coefficient is printed, fails here.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
-failing cells and two monomial orders.
+failing cells and two monomial orders.  A third pins the reduced Groebner bases
+and their cofactor rows over four monomial orders, since certificates read
+complement variables off cofactor columns.
 """
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 from ddlab.cancellation import cancellation_certificate
-from ddlab.groebner import MonomialOrder
+from ddlab.groebner import MonomialOrder, buchberger
+from ddlab.poly import Context, Polynomial, parse_poly
 from ddlab.presentations import DDPresentation, omega3_check
 
 # (d, e, P, Q): r, s <= 3, and one cell with a rational constant
@@ -61,3 +66,53 @@ def test_golden_omega3_reports_are_byte_identical():
             h.update(json.dumps(report.to_json()).encode())
     assert verdicts == [True] * 6 + [False] * 12 + [True] * 2
     assert h.hexdigest() == OMEGA3_DIGEST
+
+
+# 32 seeded generator lists over Q[X, Y, Z]: the kind (integer coefficients,
+# rational ones, or rational ones with the lex-largest term's coefficient set
+# to a non-unit) cycles with period 3 and the order with period 4, so every
+# pairing occurs; the bases have 1 to 6 elements
+GB_CTX = Context(("X", "Y", "Z"))
+GB_ORDERS = [
+    MonomialOrder.grevlex(),
+    MonomialOrder.lex(),
+    MonomialOrder.elim(GB_CTX, ["X"]),
+    MonomialOrder.block_sequence(GB_CTX, [["Z"], ["Y"]]),
+]
+# (order index, generators) whose basis tail-reduces a term that two leading
+# monomials divide, so the cofactor rows depend on the order of the divisors
+GB_TAIL_CASES = [
+    (0, ["X - 1", "Y - 2", "Z^3 - X*Y"]),
+    (1, ["2*Y - 1", "3*Z + 1/2", "X - 5*Y*Z"]),
+    (2, ["X*Z - 1", "Y - 2/3", "X^2 + X*Y*Z"]),
+    (3, ["Y - 1/2", "X - 3", "Z^2 + X*Y*Z"]),
+]
+GB_DIGEST = "3976677bc9fcfd940a1cbf923d02cd93f9346d20f5beb5b49f7ab97e2d0d5571"
+
+
+def _gb_generators(rng, kind):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(3))
+            num = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[exps] = Fraction(num, 1 if kind == "integral" else rng.choice([1, 2, 3]))
+        if kind == "non-monic":
+            terms[max(terms)] = Fraction(rng.choice([2, 3, -5]), rng.choice([1, 7]))
+        gens.append(Polynomial(GB_CTX, terms))
+    return gens
+
+
+def test_golden_groebner_bases_are_byte_identical():
+    rng = random.Random(2718)
+    h = hashlib.sha256()
+    cases = [(GB_ORDERS[i % 4], _gb_generators(rng, ("integral", "rational", "non-monic")[i % 3]))
+             for i in range(32)]
+    cases += [(GB_ORDERS[k], [parse_poly(t, GB_CTX) for t in texts]) for k, texts in GB_TAIL_CASES]
+    for order, gens in cases:
+        gb = buchberger(gens, order)
+        h.update(str([str(p) for p in gb.polys]).encode())
+        for row in gb.cofactors:
+            h.update(str([str(c) for c in row]).encode())
+    assert h.hexdigest() == GB_DIGEST

@@ -207,20 +207,24 @@ class TestNormalFormKernel:
     @given(_division_case())
     def test_matches_reference_division(self, case):
         order, basis, f = case
-        leads = [(lm, g.terms[lm]) for g in basis for lm in [max(g.terms, key=order.key)]]
+        lms = [max(g.terms, key=order.key) for g in basis]
+        lcs = [g.terms[lm] for g, lm in zip(basis, lms)]
         divisors = _Divisors(order, basis)
-        assert divisors.leads == leads
+        assert divisors.lms == lms
+        # the divisors are stored monic
+        assert list(divisors) == [g.scale(Fraction(1) / lc) for g, lc in zip(basis, lcs)]
         budget = _Budget(10_000)
         rem, cofs = _normal_form(f, divisors, budget)
         acc = rem
-        for q, g in zip(cofs, basis):
+        for q, g in zip(cofs, divisors):
             acc = acc + q * g
         assert acc == f
         for exps in rem.terms:
-            assert not any(all(a <= b for a, b in zip(lm, exps)) for lm, _ in leads)
+            assert not any(all(a <= b for a, b in zip(lm, exps)) for lm in lms)
         ref_rem, ref_cofs, steps = _reference_division(f, basis, order)
         assert budget.used == steps
-        assert (rem, cofs) == (ref_rem, ref_cofs)
+        # cofactors on the monic divisors are the reference quotients times each lead coefficient
+        assert (rem, cofs) == (ref_rem, [q.scale(lc) for q, lc in zip(ref_cofs, lcs)])
         # a shared _Divisors is left as it was: a second division agrees
         assert _normal_form(f, divisors, _Budget(10_000)) == (rem, cofs)
         if steps:

@@ -57,6 +57,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="trailing"):
             P("Z Z")
 
+    @pytest.mark.parametrize(
+        "text", ["(" * 3000 + "Z" + ")" * 3000, "Z*" + "-" * 3000 + "Z"], ids=["parentheses", "signs"]
+    )
+    def test_deep_nesting_rejected(self, text):
+        with pytest.raises(ParseError, match="nested more than"):
+            P(text)
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert P("(" * 100 + "Z" + ")" * 100) == P("Z")
+        assert P("Z*" + "-" * 100 + "Z") == P("Z^2")
+
 
 class TestRingOps:
     def test_difference_of_squares(self):
