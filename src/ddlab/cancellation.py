@@ -96,7 +96,6 @@ def build_phi_extension(
     the corresponding Q quotient, with both division steps carrying
     membership witnesses.
     """
-    p.require_valid()
     actx = AlgebraContext(p, (ADJOINED_NAME,))
     d_can = canonical_lnd(actx)
     items = [CheckItem("canonical derivation well defined",
@@ -235,7 +234,6 @@ def verify_E_iso(
     """
     p = actx.presentation
     small = DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q)
-    small.require_valid()
     small_ctx = AlgebraContext(small)
     iota = RHomomorphism(
         small_ctx,

@@ -28,9 +28,10 @@ from .derivations import (
     nilpotency_index,
 )
 from .elements import AlgebraContext, UnsupportedBaseRing, membership_with_witness
-from .groebner import BudgetExceeded, DEFAULT_BUDGET, MonomialOrder, elimination_ideal
+from .groebner import BudgetExceeded, DEFAULT_BUDGET, elimination_ideal
 from .laurent import LaurentForm
 from .isomorphisms import (
+    HomomorphismError,
     IsoData,
     RHomomorphism,
     TransportError,
@@ -61,10 +62,6 @@ class InputError(Exception):
     pass
 
 
-def _order_from_args(args):
-    return MonomialOrder.lex() if args.order == "lex" else MonomialOrder.grevlex()
-
-
 def _budget(args, default: int) -> int:
     return default if args.budget is None else args.budget
 
@@ -72,6 +69,12 @@ def _budget(args, default: int) -> int:
 def _pool_size(jobs: int, inputs: int, cpus: int | None) -> int:
     """Worker processes for a batch: never more than inputs or CPUs; 1 means serial."""
     return max(1, min(jobs, inputs, cpus or 1))
+
+
+def _expect(ok: bool, what: str, want: str, value) -> None:
+    """Reject a JSON value of the wrong type as an input error."""
+    if not ok:
+        raise InputError(f"{what} must be {want}, got {type(value).__name__}")
 
 
 def _read_json(path: str):
@@ -130,7 +133,7 @@ def _run_invariants(path: str, args):
 
 def _run_omega3(path: str, args):
     p = _load_presentation(path)
-    report = omega3_check(p, budget=_budget(args, DEFAULT_BUDGET), order=_order_from_args(args))
+    report = omega3_check(p, budget=_budget(args, DEFAULT_BUDGET))
     payload = _report_payload("omega3", path, {"report": report.to_json()})
     lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
     lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
@@ -139,7 +142,6 @@ def _run_omega3(path: str, args):
 
 def _run_lnd(path: str, args):
     p = _load_presentation(path)
-    p.require_valid()
     actx = AlgebraContext(p)
     d = canonical_lnd(actx)
     ok = check_derivation_well_defined(d)
@@ -169,7 +171,6 @@ def _run_lnd(path: str, args):
 
 def _run_exp(path: str, args):
     p = _load_presentation(path)
-    p.require_valid()
     actx = AlgebraContext(p)
     d = canonical_lnd(actx)
     phi = exp_map(d, args.cap)
@@ -199,13 +200,15 @@ def _run_fiber(path: str, args):
 
 def _run_member(path: str, args):
     p = _load_presentation(path)
-    p.require_valid()
     adjoined = tuple(n for n in (args.adjoin or "").split(",") if n)
     actx = AlgebraContext(p, adjoined)
     if args.element is None:
         raise InputError("member requires --element with a JSON map exponent -> polynomial")
     try:
         raw = json.loads(args.element)
+        _expect(isinstance(raw, dict), "--element", "a JSON object", raw)
+        for v in raw.values():
+            _expect(isinstance(v, str), "each --element coefficient", "a string", v)
         coeffs = {int(k): parse_poly(v, actx.coeff_ctx) for k, v in raw.items()}
     except (json.JSONDecodeError, ValueError, ParseError) as exc:
         raise InputError(f"bad --element: {exc}") from exc
@@ -232,17 +235,22 @@ def _run_member(path: str, args):
 
 
 def _parse_iso_data(data, ctx) -> IsoData:
+    units = ("lambda1", "mu1", "beta1_tilde", "g2_prime")
+    polys = ("delta1", "alpha1_tilde", "g1_prime")
+    _expect(isinstance(data, dict), "isomorphism data", "a JSON object", data)
+    for key in units:
+        if key in data:
+            _expect(type(data[key]) in (str, int, float), f"isomorphism data: {key}",
+                    "a number or a string", data[key])
+    for key in polys:
+        if key in data:
+            _expect(isinstance(data[key], str), f"isomorphism data: {key}", "a string", data[key])
     try:
         return IsoData(
-            Fraction(data["lambda1"]),
-            Fraction(data["mu1"]),
-            Fraction(data["beta1_tilde"]),
-            Fraction(data["g2_prime"]),
-            parse_poly(data.get("delta1", "0"), ctx),
-            parse_poly(data.get("alpha1_tilde", "0"), ctx),
-            parse_poly(data.get("g1_prime", "0"), ctx),
+            *(Fraction(data[key]) for key in units),
+            *(parse_poly(data.get(key, "0"), ctx) for key in polys),
         )
-    except (KeyError, ValueError, ParseError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, ParseError) as exc:
         raise InputError(f"bad isomorphism data: {exc}") from exc
 
 
@@ -266,15 +274,19 @@ def _run_iso_transport(path: str, args):
 
 def _load_hom(path: str, source: AlgebraContext, target: AlgebraContext):
     data = _read_json(path)
+    _expect(isinstance(data, dict), path, "a JSON object", data)
     images_raw = data.get("images", data)
+    _expect(isinstance(images_raw, dict), f"{path}: images", "a JSON object", images_raw)
+    for text in images_raw.values():
+        _expect(isinstance(text, str), f"{path}: each image", "a string", text)
     try:
         images = {
             name: target.element(parse_poly(text, target.gen_ctx))
             for name, text in images_raw.items()
         }
-    except ParseError as exc:
+        return RHomomorphism(source, target, images)
+    except (ParseError, HomomorphismError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return RHomomorphism(source, target, images)
 
 
 def _run_iso_verify(path: str, args):
@@ -369,67 +381,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, multi_input=True):
+    def add(name, help, multi_input=True, budget=False, cap=False):
+        """A subcommand with the flags its handler reads."""
+        sp = sub.add_parser(name, help=help)
         if multi_input:
             sp.add_argument("inputs", nargs="+", help="presentation file(s)")
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="parallelize across multiple input files")
         else:
             sp.add_argument("inputs", nargs=1, help="presentation file")
-        sp.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
-                        help="monomial order for reported Groebner bases")
-        sp.add_argument("--budget", type=int, default=None,
-                        help="Groebner reduction-step budget")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="iteration cap for nilpotency and chains")
+        if budget:
+            sp.add_argument("--budget", type=int, default=None,
+                            help="Groebner reduction-step budget")
+        if cap:
+            sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                            help="iteration cap for nilpotency and chains")
         sp.add_argument("--json", action="store_true", help="emit structured JSON")
         sp.add_argument("--out", default=None, help="also write the JSON report to a file")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallelize across multiple input files")
+        return sp
 
-    common(sub.add_parser("validate", help="check the presentation invariants"))
-    common(sub.add_parser("invariants", help="print (d, e, r, s)"))
-    common(sub.add_parser("omega3", help="unit-ideal family conditions"))
-    common(sub.add_parser("lnd", help="canonical derivation, well-definedness, nilpotency"))
-    common(sub.add_parser("exp", help="exponential map of the canonical derivation"))
-    common(sub.add_parser("fiber", help="generators of x*B intersected with R[z]"))
+    add("validate", "check the presentation invariants")
+    add("invariants", "print (d, e, r, s)")
+    add("omega3", "unit-ideal family conditions", budget=True)
+    add("lnd", "canonical derivation, well-definedness, nilpotency", cap=True)
+    add("exp", "exponential map of the canonical derivation", cap=True)
+    add("fiber", "generators of x*B intersected with R[z]", budget=True)
 
-    sp = sub.add_parser("member", help="Laurent-form membership with witness")
-    common(sp, multi_input=False)
+    sp = add("member", "Laurent-form membership with witness", multi_input=False, budget=True)
     sp.add_argument("--element", help='JSON map of x-exponent to polynomial, e.g. {"-1": "Z^2 - 1"}')
     sp.add_argument("--adjoin", default="", help="comma-separated adjoined variables")
 
-    sp = sub.add_parser("iso-transport", help="transport a presentation along unit data")
-    common(sp, multi_input=False)
+    sp = add("iso-transport", "transport a presentation along unit data", multi_input=False)
     sp.add_argument("--data", required=True, help="isomorphism data file")
 
-    sp = sub.add_parser("iso-verify", help="verify homomorphism files")
-    common(sp, multi_input=False)
+    sp = add("iso-verify", "verify homomorphism files", multi_input=False)
     sp.add_argument("--target", required=True, help="target presentation file")
     sp.add_argument("--forward", required=True, help="generator-image file source -> target")
     sp.add_argument("--backward", default=None, help="generator-image file target -> source")
 
-    sp = sub.add_parser("distinguish", help="invariant-based non-isomorphism certificate")
-    common(sp, multi_input=False)
+    sp = add("distinguish", "invariant-based non-isomorphism certificate", multi_input=False)
     sp.add_argument("--other", required=True, help="second presentation file")
 
-    common(sub.add_parser("cancel-cert", help="full stable-isomorphism certificate"))
-    common(sub.add_parser("danielewski-reduce", help="eliminate Y when deg_Y Q = 1"))
+    add("cancel-cert", "full stable-isomorphism certificate", budget=True, cap=True)
+    add("danielewski-reduce", "eliminate Y when deg_Y Q = 1")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is not None and args.budget < 1:
-        print(f"error: --budget must be at least 1, got {args.budget}", file=sys.stderr)
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 1:
+        print(f"error: --budget must be at least 1, got {budget}", file=sys.stderr)
         return EXIT_INPUT
-    if args.cap < 0:
-        print(f"error: --cap must be at least 0, got {args.cap}", file=sys.stderr)
+    cap = getattr(args, "cap", 0)
+    if cap < 0:
+        print(f"error: --cap must be at least 0, got {cap}", file=sys.stderr)
         return EXIT_INPUT
     paths = args.inputs
     args_dict = {k: v for k, v in vars(args).items() if k not in ("inputs", "command")}
     items = [(args.command, path, args_dict) for path in paths]
 
-    workers = _pool_size(args.jobs, len(items), os.cpu_count())
+    workers = _pool_size(getattr(args, "jobs", 1), len(items), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, items))

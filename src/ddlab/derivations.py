@@ -157,26 +157,26 @@ class ExponentialMap:
     def extended_ctx(self, *params: str) -> Context:
         return self.actx.coeff_ctx.extend(*params)
 
+    def image_exprs(self, param: str) -> dict[str, Polynomial]:
+        """Each generator's image sum_i c_i.gen * param^i, over gen_ctx with param appended."""
+        ctx = self.actx.gen_ctx.extend(param)
+        return {
+            name: Polynomial(ctx, {e + (i,): q for i, c in enumerate(lst) for e, q in c.gen.terms.items()})
+            for name, lst in self.coeffs.items()
+        }
+
     def images_laurent(self, param: str, target: Context | None = None) -> dict[str, LaurentForm]:
         """Generator images as Laurent forms over the coefficient ring with `param` adjoined."""
         if target is None:
             target = self.extended_ctx(param)
         cached = self._img_cache.get((param, target))
-        if cached is not None:
-            return cached
-        u = LaurentForm.from_poly(target.var(param))
-        images = {}
-        for name, lst in self.coeffs.items():
-            acc = LaurentForm.zero(target)
-            u_pow = LaurentForm.const(target, 1)
-            for i, el in enumerate(lst):
-                if i > 0:
-                    u_pow = u_pow * u
-                if not el.is_zero():
-                    acc = acc + el.laurent.transfer(target) * u_pow
-            images[name] = acc
-        self._img_cache[(param, target)] = images
-        return images
+        if cached is None:
+            gens = {n: f.transfer(target) for n, f in self.actx.generator_images().items()}
+            cached = self._img_cache[(param, target)] = {
+                name: eval_poly_at_laurent(expr, gens, target)
+                for name, expr in self.image_exprs(param).items()
+            }
+        return cached
 
     def apply_expr(self, expr: Polynomial, param: str, target: Context | None = None) -> LaurentForm:
         """Evaluate a generator expression under the map, into B[w..][param]."""
@@ -242,26 +242,16 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
     )
     items.append(CheckItem("defining relations map to zero", rel_ok, ""))
 
+    # lhs: the U-expressions at the images under delta_V, U fixed;
+    # rhs: the U-expressions at the generator images, with U -> U + V
     ctx_uv = delta.extended_ctx("U", "V")
-    u = LaurentForm.from_poly(ctx_uv.var("U"))
-    v = LaurentForm.from_poly(ctx_uv.var("V"))
+    at_v = delta.images_laurent("V", ctx_uv)
+    shifted = {n: f.transfer(ctx_uv) for n, f in actx.generator_images().items()}
+    shifted["U"] = LaurentForm.from_poly(ctx_uv.var("U") + ctx_uv.var("V"))
     cocycle_ok = True
     detail = ""
-    for name in actx.generator_names():
-        lst = delta.coeffs[name]
-        lhs = LaurentForm.zero(ctx_uv)
-        u_pow = LaurentForm.const(ctx_uv, 1)
-        for i, c in enumerate(lst):
-            if i > 0:
-                u_pow = u_pow * u
-            lhs = lhs + delta.apply_element(c, "V", ctx_uv) * u_pow
-        rhs = LaurentForm.zero(ctx_uv)
-        uv_pow = LaurentForm.const(ctx_uv, 1)
-        for i, c in enumerate(lst):
-            if i > 0:
-                uv_pow = uv_pow * (u + v)
-            rhs = rhs + c.laurent.transfer(ctx_uv) * uv_pow
-        if lhs != rhs:
+    for name, expr in delta.image_exprs("U").items():
+        if eval_poly_at_laurent(expr, at_v, ctx_uv) != eval_poly_at_laurent(expr, shifted, ctx_uv):
             cocycle_ok = False
             detail = f"composition mismatch on generator {name}"
             break

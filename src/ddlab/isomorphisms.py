@@ -212,20 +212,17 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
     src_ctx = AlgebraContext(src)
     tgt_ctx = AlgebraContext(target)
 
-    # forward rho: source -> target
-    rho_x = x.scale(1 / lam)
-    rho_z = z.scale(1 / mu) - delta1.substitute({"X": rho_x}).scale(1 / mu)
-    rho_y = (y - alpha1.substitute({"X": rho_x, "Z": rho_z})).scale(1 / beta)
+    # forward rho: source -> target; on X, Z and Y it is the inverse substitution
     rho_t = t.scale(lam ** src.e / g2) - g1.substitute(
-        {"X": rho_x, "Y": rho_y, "Z": rho_z}
+        {"X": x_inv, "Y": y_inv, "Z": z_inv}
     ).scale(1 / g2)
     forward = RHomomorphism(
         src_ctx,
         tgt_ctx,
         {
-            "X": tgt_ctx.element(rho_x),
-            "Y": tgt_ctx.element(rho_y),
-            "Z": tgt_ctx.element(rho_z),
+            "X": tgt_ctx.element(x_inv),
+            "Y": tgt_ctx.element(y_inv),
+            "Z": tgt_ctx.element(z_inv),
             "T": tgt_ctx.element(rho_t),
         },
     )

@@ -61,11 +61,6 @@ class LaurentForm:
     def x_power(cls, ctx: Context, exponent: int) -> "LaurentForm":
         return cls._raw(ctx, {exponent: ctx.one()})
 
-    @classmethod
-    def const(cls, ctx: Context, value) -> "LaurentForm":
-        p = ctx.const(value)
-        return cls._raw(ctx, {} if p.is_zero() else {0: p})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -124,12 +124,6 @@ class DDPresentation:
     def poly_ctx(self) -> Context:
         return self.P.ctx
 
-    def allowed_p_vars(self) -> set[str]:
-        return {"X", "Z"} | set(self.base.variables)
-
-    def allowed_q_vars(self) -> set[str]:
-        return {"X", "Y", "Z"} | set(self.base.variables)
-
     @property
     def r(self) -> int:
         """deg_Z P(0, Z); -1 when P(0,Z) = 0."""
@@ -140,20 +134,8 @@ class DDPresentation:
         """deg_Y Q; -1 when Q = 0."""
         return self.Q.deg_in("Y")
 
-    def leading_y_coefficient(self) -> Polynomial:
-        return self.Q.coefficient_of("Y", max(self.s, 0))
-
     def p_at_x0(self) -> Polynomial:
         return self.P.eval_zero("X")
-
-    def q_at_x0(self) -> Polynomial:
-        return self.Q.eval_zero("X")
-
-    def p_prime_at_x0(self) -> Polynomial:
-        return self.P.partial("Z").eval_zero("X")
-
-    def q_prime_at_x0(self) -> Polynomial:
-        return self.Q.partial("Y").eval_zero("X")
 
     def require_valid(self):
         report = validate_presentation(self)
@@ -207,7 +189,8 @@ def validate_presentation(p: DDPresentation) -> Report:
     items.append(CheckItem("d >= 1", p.d >= 1, f"d = {p.d}"))
     items.append(CheckItem("e >= 1", p.e >= 1, f"e = {p.e}"))
 
-    p_extra = p.P.support_vars() - p.allowed_p_vars()
+    base = set(p.base.variables)
+    p_extra = p.P.support_vars() - {"X", "Z"} - base
     items.append(
         CheckItem(
             "P in R[X,Z]",
@@ -215,7 +198,7 @@ def validate_presentation(p: DDPresentation) -> Report:
             "ok" if not p_extra else f"P uses {sorted(p_extra)}",
         )
     )
-    q_extra = p.Q.support_vars() - p.allowed_q_vars()
+    q_extra = p.Q.support_vars() - {"X", "Y", "Z"} - base
     items.append(
         CheckItem(
             "Q in R[X,Y,Z]",
@@ -230,8 +213,8 @@ def validate_presentation(p: DDPresentation) -> Report:
     items.append(CheckItem("deg_Y Q >= 1", s >= 1, f"s = {s}"))
 
     if s >= 1:
-        lead = p.leading_y_coefficient()
-        ok = not lead.is_zero() and lead.support_vars() <= set(p.base.variables)
+        lead = p.Q.coefficient_of("Y", s)
+        ok = not lead.is_zero() and lead.support_vars() <= base
         detail = f"coefficient of Y^{s} is {lead}"
         items.append(CheckItem("Q monic in Y over Frac(R)", ok, detail))
     else:
@@ -309,8 +292,12 @@ def unit_ideal_generators(p: DDPresentation) -> tuple[list[Polynomial], list[Pol
     yzctx = Context(("Y", "Z") + base)
     p0 = p.p_at_x0()
     return (
-        [p0.transfer(zctx), p.p_prime_at_x0().transfer(zctx)],
-        [p0.transfer(yzctx), p.q_at_x0().transfer(yzctx), p.q_prime_at_x0().transfer(yzctx)],
+        [p0.transfer(zctx), p.P.partial("Z").eval_zero("X").transfer(zctx)],
+        [
+            p0.transfer(yzctx),
+            p.Q.eval_zero("X").transfer(yzctx),
+            p.Q.partial("Y").eval_zero("X").transfer(yzctx),
+        ],
     )
 
 

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from ddlab.cli import _pool_size, main
+from ddlab.cli import _pool_size, build_parser, main
 
 
 @pytest.fixture()
@@ -183,7 +184,8 @@ class TestOutputModes:
 class TestLimits:
     @pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--cap", "-1"]])
     def test_out_of_range_rejected_with_one_line(self, dd1_file, flags, capsys):
-        assert main(["omega3", dd1_file, *flags]) == 2
+        command = {"--budget": "omega3", "--cap": "lnd"}[flags[0]]
+        assert main([command, dd1_file, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -197,6 +199,44 @@ class TestLimits:
     def test_cap_zero_accepted(self, dd1_file, capsys):
         assert main(["lnd", dd1_file, "--cap", "0"]) == 1
         assert "cap exceeded" in capsys.readouterr().out
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags its handler reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--budget", "3"],
+            ["validate", "--cap", "2"],
+            ["omega3", "--order", "lex"],
+            ["omega3", "--cap", "2"],
+            ["lnd", "--budget", "3"],
+            ["exp", "--budget", "3"],
+            ["fiber", "--cap", "2"],
+            ["member", "--jobs", "2"],
+            ["invariants", "--order", "lex"],
+            ["danielewski-reduce", "--cap", "2"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]),
+    )
+    def test_removed_flag_exits_two(self, dd1_file, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], dd1_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_flag_count(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: sorted(o for a in sp._actions for o in a.option_strings if o.startswith("--"))
+                 for name, sp in sub.choices.items()}
+        settable = {"--order", "--budget", "--cap", "--jobs", "--json", "--out"}
+        assert sum(len(settable.intersection(f)) for f in flags.values()) == 39
+        assert [n for n, f in flags.items() if "--budget" in f] == ["omega3", "fiber", "member", "cancel-cert"]
+        assert [n for n, f in flags.items() if "--cap" in f] == ["lnd", "exp", "cancel-cert"]
+        assert [n for n, f in flags.items() if "--jobs" in f] == [
+            "validate", "invariants", "omega3", "lnd", "exp", "fiber", "cancel-cert", "danielewski-reduce"]
 
 
 class TestPoolSize:
@@ -248,3 +288,59 @@ class TestMalformedInput:
         lines = captured.out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
         assert "Traceback" not in captured.err
+
+
+ISO_UNITS = {"lambda1": "1", "mu1": "1", "beta1_tilde": "1", "g2_prime": "1"}
+
+
+class TestMalformedJsonArguments:
+    """Bad --element, --data and --forward contents exit 2 with one error line."""
+
+    def _assert_one_error_line(self, capsys, message):
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            ("[1]", "--element must be a JSON object, got list"),
+            ('{"1": 5}', "each --element coefficient must be a string, got int"),
+        ],
+        ids=["list", "int-coefficient"],
+    )
+    def test_member_element(self, dd1_file, capsys, element, message):
+        assert main(["member", dd1_file, "--element", element]) == 2
+        self._assert_one_error_line(capsys, message)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "isomorphism data must be a JSON object, got list"),
+            ({**ISO_UNITS, "lambda1": [1]}, "lambda1 must be a number or a string, got list"),
+            ({**ISO_UNITS, "delta1": 3}, "delta1 must be a string, got int"),
+            ({**ISO_UNITS, "lambda1": "1/0"}, "bad isomorphism data: Fraction(1, 0)"),
+        ],
+        ids=["list", "lambda1-list", "delta1-int", "lambda1-zero-denominator"],
+    )
+    def test_iso_transport_data(self, dd1_file, tmp_path, capsys, data, message):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data))
+        assert main(["iso-transport", dd1_file, "--data", str(path)]) == 2
+        self._assert_one_error_line(capsys, message)
+
+    @pytest.mark.parametrize(
+        "forward, message",
+        [
+            ([1], "must be a JSON object, got list"),
+            ({"images": {"X": 5}}, "each image must be a string, got int"),
+            ({"images": {"X": "X"}}, "missing images for generators ['Y', 'Z', 'T']"),
+        ],
+        ids=["list", "int-image", "missing-images"],
+    )
+    def test_iso_verify_forward(self, dd1_file, tmp_path, capsys, forward, message):
+        path = tmp_path / "fwd.json"
+        path.write_text(json.dumps(forward))
+        assert main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", str(path)]) == 2
+        self._assert_one_error_line(capsys, message)

@@ -124,6 +124,32 @@ class TestExponentialMap:
         names = [c.name for c in report.failed_items()]
         assert any("delta_(U+V)" in n for n in names)
 
+    def test_every_single_coefficient_corruption_fails(self, dd1_ctx, dd3_ctx):
+        for actx in (dd1_ctx, dd3_ctx):
+            coeffs = exp_map(canonical_lnd(actx)).coeffs
+            corrupted = []
+            for name, lst in coeffs.items():
+                for i, c in enumerate(lst):
+                    for bad in (c + actx.const(1), c.scale(2)):
+                        corrupted.append((name, lst[:i] + [bad] + lst[i + 1:]))
+                if len(lst) > 1:
+                    corrupted.append((name, lst[:-1]))
+            assert len(corrupted) > 20
+            for name, lst in corrupted:
+                phi = ExponentialMap(actx, {**coeffs, name: lst})
+                assert not check_exp_axioms(phi).passed, (actx, name, [str(c) for c in lst])
+
+    def test_map_at_u_squared_fails_only_the_cocycle(self, dd1_ctx, dd3_ctx):
+        # exp(D) evaluated at U^2 is a ring map that is the identity at U = 0,
+        # but delta_V(delta_U(g)) has V^2 + U^2 where (U + V)^2 is needed
+        for actx in (dd1_ctx, dd3_ctx):
+            zero = actx.zero()
+            coeffs = {name: [c for a in lst for c in (a, zero)]
+                      for name, lst in exp_map(canonical_lnd(actx)).coeffs.items()}
+            report = check_exp_axioms(ExponentialMap(actx, coeffs))
+            assert [c.passed for c in report.items] == [True, True, False]
+            assert report.items[2].detail == "composition mismatch on generator Y"
+
     def test_shift_identity_behind_the_stable_iso(self):
         # exp of the canonical derivation applied to y equals the shifted P
         # divided by x^d, as Laurent forms

@@ -6,7 +6,9 @@ certificate, even only in how a coefficient is printed, fails here.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
 failing cells and two monomial orders.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
-complement variables off cofactor columns.
+complement variables off cofactor columns.  A fourth pins the exponential
+map of the canonical derivation: its generator images over B[U] and its axiom
+report.
 """
 
 import hashlib
@@ -15,9 +17,13 @@ import random
 from fractions import Fraction
 
 from ddlab.cancellation import cancellation_certificate
+from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
+from ddlab.elements import AlgebraContext
 from ddlab.groebner import MonomialOrder, buchberger
 from ddlab.poly import Context, Polynomial, parse_poly
 from ddlab.presentations import DDPresentation, omega3_check
+
+from conftest import random_valid_presentation
 
 # (d, e, P, Q): r, s <= 3, and one cell with a rational constant
 GRID = [
@@ -116,3 +122,22 @@ def test_golden_groebner_bases_are_byte_identical():
         for row in gb.cofactors:
             h.update(str([str(c) for c in row]).encode())
     assert h.hexdigest() == GB_DIGEST
+
+
+EXP_DIGEST = "3f3d565b1a61315cf721705d547885ad7673038cd85a9e6f64e66694a43c4c71"
+
+
+def test_golden_exp_maps_are_byte_identical():
+    # one seeded presentation per (d, e) in {1,2,3}^2, the last one with W1 adjoined
+    rng = random.Random(4142)
+    h = hashlib.sha256()
+    cells = [(d, e) for d in (1, 2, 3) for e in (1, 2, 3)]
+    for k, (d, e) in enumerate(cells):
+        pres = random_valid_presentation(rng, d, e, max_r=3, max_s=3, constant_lead_p=False)
+        actx = AlgebraContext(pres, ("W1",) if k == len(cells) - 1 else ())
+        phi = exp_map(canonical_lnd(actx))
+        report = check_exp_axioms(phi)
+        assert report.passed
+        h.update(str(phi.images_laurent("U")).encode())
+        h.update(json.dumps(report.to_json()).encode())
+    assert h.hexdigest() == EXP_DIGEST
