@@ -3,7 +3,8 @@
 Subcommands consume presentation files (JSON records with base_vars, d, e and
 the polynomial strings P, Q) and emit human-readable lines or, with --json,
 a versioned structured report.  Exit codes: 0 for pass/success, 1 for failed
-checks, 2 for input errors.
+checks, 2 for input errors; a reader that closes stdout early (`| head`) cuts
+the output short without a traceback and does not change the exit code.
 """
 
 from __future__ import annotations
@@ -449,14 +450,18 @@ def main(argv=None) -> int:
     else:
         results = [_worker(item) for item in items]
 
-    worst = EXIT_PASS
-    payloads = []
-    for (code, payload, lines), path in zip(results, paths):
-        if len(paths) > 1 and not args.json:
-            print(f"== {path} ==")
-        _emit(payload, lines, args)
-        payloads.append(payload)
-        worst = max(worst, code)
+    worst = max((code for code, _, _ in results), default=EXIT_PASS)
+    payloads = [payload for _, payload, _ in results]
+    try:
+        for (_, payload, lines), path in zip(results, paths):
+            if len(paths) > 1 and not args.json:
+                print(f"== {path} ==")
+            _emit(payload, lines, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): print nothing more, and point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.out:
         report = payloads[0] if len(payloads) == 1 else payloads
         Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")

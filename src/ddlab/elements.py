@@ -5,9 +5,15 @@ y maps to P(x,z)*x^-d and t to Q(x,y,z)*x^-e.  A BElement carries an optional
 generator-expression witness plus its Laurent form; the Laurent form is the
 source of truth for equality.
 
-Membership of a Laurent form in B[w..] is decided by ideal membership
-g in (X^N) + (relations) over Q, with the witness read off the X^N cofactor.
-This route is restricted to base ring R = Q.
+Membership of a Laurent form in B[w..] is first tried by division along the
+x-adic filtration: y has lowest term P(0,z)*x^-d and t has lowest term
+a*P(0,z)^s*x^-(d*s+e), so each negative level of the form is cleared by one
+exact division in z by the lowest coefficient of some y^j*t^l.  When a
+coefficient does not divide, the division refuses; a refusal is not a "no".
+The input then goes to ideal membership g in (X^N) + (relations) over Q, with
+the witness read off the X^N cofactor, and only that route answers "no",
+with its Groebner basis as the certificate.  Both routes are restricted to
+base ring R = Q.
 """
 
 from __future__ import annotations
@@ -15,9 +21,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .groebner import DEFAULT_BUDGET, GroebnerBasis, MonomialOrder, buchberger
+from .groebner import (
+    DEFAULT_BUDGET,
+    GroebnerBasis,
+    MonomialOrder,
+    _Budget,
+    _Divisors,
+    _normal_form,
+    buchberger,
+)
 from .laurent import LaurentForm, eval_poly_at_laurent
-from .poly import Context, ContextMismatch, Polynomial, parse_poly
+from .poly import Context, ContextMismatch, Polynomial, coeff_div, parse_poly
 from .presentations import DDPresentation, GENERATOR_NAMES
 
 
@@ -149,6 +163,18 @@ class AlgebraContext:
             self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
         return self._nf_cache["rel"]
 
+    def _x_adic_divisor(self, j: int, l: int) -> tuple[LaurentForm, _Divisors, object]:
+        """The Laurent form of Y^j*T^l, its lowest coefficient made monic as a
+        divisor, and the factor that turns a quotient by the monic divisor
+        into one by the lowest coefficient."""
+        key = ("x-adic", j, l)
+        if key not in self._nf_cache:
+            form = self.to_laurent(self.gen_ctx.monomial({"Y": j, "T": l}))
+            divisor = _Divisors(MonomialOrder.grevlex())
+            lc = divisor.push(form.coeffs[form.min_exp()])
+            self._nf_cache[key] = (form, divisor, coeff_div(1, lc))
+        return self._nf_cache[key]
+
     def reduce_witness(self, expr: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
         """Canonical small representative of expr modulo the defining relations."""
         rem, _ = self._relation_basis(budget).normal_form(expr, budget)
@@ -233,9 +259,12 @@ def membership_with_witness(
 ) -> MembershipResult:
     """Decide whether a Laurent form lies in B[w..]; return a generator witness.
 
-    Restricted to base ring R = Q.  When the answer is positive the witness h
-    satisfies to_laurent(h) = f (asserted).  When negative, the reduced basis
-    of (X^N) + relations is retained as the certificate.
+    Restricted to base ring R = Q.  Division along the x-adic filtration runs
+    first; when it refuses, the Groebner route decides.  A refusal is never
+    reported as non-membership: a negative answer comes only from the
+    Groebner route and carries the reduced basis of (X^N) + relations as its
+    certificate.  When the answer is positive the witness h is reduced modulo
+    the relations and satisfies to_laurent(h) = f (asserted).
     """
     if not actx.presentation.base.is_rational():
         raise UnsupportedBaseRing(
@@ -246,20 +275,67 @@ def membership_with_witness(
     if f.is_zero():
         return MembershipResult(True, actx.gen_ctx.zero(), [])
 
-    n = max(0, -f.min_exp())
-    g = f.shift(n).as_poly(actx.gen_ctx, "X")
-    if n == 0:
-        witness = g
+    if f.min_exp() >= 0:
+        witness = f.as_poly(actx.gen_ctx, "X")
     else:
-        gb = actx._membership_basis(n, budget)
-        rem, cof = gb.reduce_to_gens(g, 0, budget)
-        if not rem.is_zero():
-            return MembershipResult(False, None, [str(p) for p in gb.polys])
-        # the cofactor of X^n is a witness; canonicalize it modulo the relations
-        witness = actx.reduce_witness(cof, budget)
+        witness = _x_adic_witness(f, actx, _Budget(budget))
+        if witness is None:
+            result = _groebner_membership(f, actx, budget)
+            if not result.member:
+                return result
+            witness = result.witness
+        witness = actx.reduce_witness(witness, budget)
     if actx.to_laurent(witness) != f:
         raise AssertionError("membership witness does not reproduce the input form")
     return MembershipResult(True, witness, [])
+
+
+def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Polynomial | None:
+    """A generator expression for f found level by level, lowest first, or
+    None when a coefficient does not divide.
+
+    Let J = j + s*l.  The lowest term of y^j*t^l sits at level -(d*J + e*l),
+    so level -m of f is cleared by q*x^i*y^j*t^l with the least J that
+    reaches it, i = d*J + e*l - m, and q the exact quotient of the level's
+    coefficient by the lowest coefficient of y^j*t^l.  What is left at levels
+    >= 0 is a polynomial in x, z and w..; anything left below is dropped,
+    which the caller's to_laurent check would catch.
+    """
+    p = actx.presentation
+    ctx = actx.gen_ctx
+    witness = ctx.zero()
+    for m in range(-f.min_exp(), 0, -1):
+        c = f.coeffs.get(-m)
+        if c is None:
+            continue
+        big_j = 1
+        while p.d * big_j + p.e * (big_j // p.s) < m:
+            big_j += 1
+        j, l = big_j % p.s, big_j // p.s
+        form, divisor, inverse_lc = actx._x_adic_divisor(j, l)
+        i = -form.min_exp() - m
+        rem, (q,) = _normal_form(c, divisor, budget)
+        if not rem.is_zero():
+            return None
+        q = q.scale(inverse_lc)
+        f = f - LaurentForm.from_poly(q, i) * form
+        witness = witness + q.transfer(ctx) * ctx.monomial({"X": i, "Y": j, "T": l})
+    rest = LaurentForm._raw(f.ctx, {k: coeff for k, coeff in f.coeffs.items() if k >= 0})
+    return witness + rest.as_poly(ctx, "X")
+
+
+def _groebner_membership(f: LaurentForm, actx: AlgebraContext, budget: int) -> MembershipResult:
+    """Ideal membership of x^n*f in (X^n) + relations, n = -min_exp(f) > 0.
+
+    The witness is the unreduced cofactor of X^n; a negative answer carries
+    the reduced basis as its certificate.
+    """
+    n = -f.min_exp()
+    gb = actx._membership_basis(n, budget)
+    rem, cof = gb.reduce_to_gens(f.shift(n).as_poly(actx.gen_ctx, "X"), 0, budget)
+    if not rem.is_zero():
+        return MembershipResult(False, None, [str(p) for p in gb.polys])
+    return MembershipResult(True, cof, [])
 
 
 def divide_by_x_power(a: BElement, n: int, budget: int = DEFAULT_BUDGET) -> BElement:

@@ -406,7 +406,7 @@ class Polynomial:
             return self.ctx.zero()
         if q == 1:
             return self
-        return Polynomial._raw(self.ctx, {e: c * q for e, c in self.terms.items()})
+        return Polynomial._raw(self.ctx, {e: norm_coeff(c * q) for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -548,6 +548,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Parentheses and signs nest at most this deep: a level of parentheses costs
 # four stack frames, which keeps parsing well below the recursion limit.
 MAX_NESTING = 100
+# A power or product has total degree at most this, checked before it is
+# formed: (Z+1)^1000 has 1001 terms and costs about 10^6 coefficient products.
+MAX_DEGREE = 1000
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}", pos)
+
+
+def _total_degree(p: Polynomial) -> int:
+    return max(map(sum, p.terms), default=0)
 
 
 class _Parser:
@@ -588,10 +600,12 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                result = result * self.factor()
+                rhs = self.factor()
+                _check_degree(_total_degree(result) + _total_degree(rhs), pos)
+                result = result * rhs
             else:
                 return result
 
@@ -606,6 +620,7 @@ class _Parser:
             if kind != "num" or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.take()
+            _check_degree(_total_degree(base) * int(val), pos)
             return base ** int(val)
         return base
 

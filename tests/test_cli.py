@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddlab
 from ddlab.cli import _pool_size, build_parser, main
 
 
@@ -180,6 +185,30 @@ class TestOutputModes:
         report = json.loads(out_file.read_text())
         assert isinstance(report, list) and len(report) == 2
 
+    def test_closed_stdout_ends_quietly(self, dd1_file, tmp_path):
+        # as `ddlab cancel-cert a.json b.json --json | head -c 5`, with the
+        # reader gone before the first write
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps({**DD1, "P": "Z^3 - 1"}))
+        out_file = tmp_path / "report.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ddlab.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ddlab.cli", "cancel-cert", dd1_file, str(second),
+                 "--json", "--out", str(out_file)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == 0
+        assert len(json.loads(out_file.read_text())) == 2
+
 
 class TestLimits:
     @pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--cap", "-1"]])
@@ -275,9 +304,10 @@ class TestMalformedInput:
             ({**DD1, "d": True}, "d must be an integer, got True"),
             ({**DD1, "P": "(" * 3000 + "Z" + ")" * 3000}, "nested more than 100 deep"),
             ({**DD1, "P": "Z*" + "-" * 3000 + "Z"}, "nested more than 100 deep"),
+            ({**DD1, "P": "(Z+1)^200000"}, "degree 200000 exceeds the limit of 1000"),
         ],
         ids=["list", "Q-int", "base_vars-int", "base_vars-str", "d-float", "d-bool",
-             "parentheses", "signs"],
+             "parentheses", "signs", "power"],
     )
     @pytest.mark.parametrize("command", ["validate", "invariants"])
     def test_exits_two_with_one_error_line(self, tmp_path, capsys, record, message, command):

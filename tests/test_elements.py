@@ -1,19 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddlab import elements
 from ddlab.elements import (
     AlgebraContext,
     NotInAlgebra,
     UnsupportedBaseRing,
+    _groebner_membership,
+    _x_adic_witness,
     divide_by_x_power,
     membership_with_witness,
 )
+from ddlab.groebner import DEFAULT_BUDGET, _Budget, _normal_form
 from ddlab.laurent import LaurentForm
 from ddlab.poly import ContextMismatch, parse_poly
 from ddlab.presentations import DDPresentation
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_valid_presentation
 
 
 class TestLaurentEmbedding:
@@ -106,6 +112,106 @@ class TestMembership:
         form = LaurentForm(actx.coeff_ctx, {0: actx.coeff_ctx.var("Z")})
         with pytest.raises(UnsupportedBaseRing):
             membership_with_witness(form, actx)
+
+
+def _drawn_case(seed):
+    """A seeded algebra (X-terms allowed in P and Q, sometimes W1 adjoined)
+    and a form: a member of shift 1 to 3, x^-k*h(Z) with deg h < r, or
+    their sum."""
+    rng = random.Random(seed)
+    pres = random_valid_presentation(rng, rng.randint(1, 2), rng.randint(1, 2), max_r=3, max_s=2,
+                                     constant_lead_p=False)
+    actx = AlgebraContext(pres, ("W1",) if rng.random() < 0.3 else ())
+    form = actx.to_laurent(random_polynomial(rng, actx.gen_ctx, max_terms=3, max_exp=2))
+    while not 1 <= -form.min_exp() <= 3:
+        form = actx.to_laurent(random_polynomial(rng, actx.gen_ctx, max_terms=3, max_exp=2))
+    kind = rng.randrange(3)
+    if kind:
+        z = actx.coeff_ctx.var("Z")
+        h = sum(((z ** i).scale(rng.randint(-3, 3)) for i in range(pres.r)), actx.coeff_ctx.zero())
+        h = h if not h.is_zero() else actx.coeff_ctx.one()
+        extra = LaurentForm(actx.coeff_ctx, {-rng.randint(1, 2): h})
+        form = extra if kind == 1 else form + extra
+    return actx, form
+
+
+class TestDivisionAgainstGroebner:
+    """The x-adic division against the Groebner route as the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_same_answer_and_normal_form(self, seed):
+        actx, form = _drawn_case(seed)
+        reference = _groebner_membership(form, actx, DEFAULT_BUDGET)
+        result = membership_with_witness(form, actx)
+        assert result.member == reference.member
+        if reference.member:
+            assert result.witness == actx.reduce_witness(reference.witness)
+        else:
+            assert result.witness is None and result.certificate == reference.certificate
+        divided = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        if divided is None:
+            return  # refused: the answer above is the Groebner route's
+        assert reference.member
+        assert actx.reduce_witness(divided) == result.witness
+
+    def test_refusal_is_not_a_no(self, dd1_ctx):
+        # y + x^-1*(z - 1): z^2 + z - 2 at level -1 is not a multiple of
+        # P(0,z) = z^2 - 1, so the division refuses; the form is not in B
+        # either, and only the Groebner route says so
+        cctx = dd1_ctx.coeff_ctx
+        form = dd1_ctx.gen("Y").laurent + LaurentForm(cctx, {-1: parse_poly("Z - 1", cctx)})
+        assert _x_adic_witness(form, dd1_ctx, _Budget(DEFAULT_BUDGET)) is None
+        result = membership_with_witness(form, dd1_ctx)
+        assert not result.member and result.certificate
+        assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
+
+    def test_division_charges_the_budget(self, dd1_ctx):
+        form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
+        budget = _Budget(DEFAULT_BUDGET)
+        assert _x_adic_witness(form, dd1_ctx, budget) is not None
+        assert budget.used > 0
+
+
+def _corrupt_quotients(monkeypatch):
+    """Make every division step return its quotient with the constant coefficient plus 1."""
+    calls = []
+
+    def corrupted(f, divisors, budget):
+        rem, (q,) = _normal_form(f, divisors, budget)
+        calls.append(q)
+        return rem, [q + q.ctx.one()]
+
+    monkeypatch.setattr(elements, "_normal_form", corrupted)
+    return calls
+
+
+class TestDivisionFaults:
+    # forms with one negative level: its one division step is corrupted, and
+    # no later step is left to refuse and hand the form to the Groebner route
+    @pytest.mark.parametrize("text", ["Y", "Z*Y - 2*Y", "X*Y^2 + Y", "X^3*T + Z"])
+    def test_corrupted_quotient_is_caught(self, dd1_ctx, monkeypatch, text):
+        form = dd1_ctx.element(text).laurent
+        calls = _corrupt_quotients(monkeypatch)
+        with pytest.raises(AssertionError, match="does not reproduce the input form"):
+            membership_with_witness(form, dd1_ctx)
+        assert calls
+
+    def test_corrupted_quotient_never_gives_a_wrong_answer(self, monkeypatch):
+        cases = [_drawn_case(seed) for seed in range(40)]
+        expected = [_groebner_membership(form, actx, DEFAULT_BUDGET).member for actx, form in cases]
+        calls = _corrupt_quotients(monkeypatch)
+        caught = 0
+        for (actx, form), member in zip(cases, expected):
+            try:
+                result = membership_with_witness(form, actx)
+            except AssertionError:
+                caught += 1
+                continue
+            assert result.member == member
+            if member:
+                assert actx.to_laurent(result.witness) == form
+        assert calls and caught
 
 
 class TestDivision:

@@ -8,7 +8,8 @@ failing cells and two monomial orders.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
 complement variables off cofactor columns.  A fourth pins the exponential
 map of the canonical derivation: its generator images over B[U] and its axiom
-report.
+report.  A fifth pins membership answers: every witness and every
+non-membership certificate over seeded members and non-members.
 """
 
 import hashlib
@@ -18,12 +19,13 @@ from fractions import Fraction
 
 from ddlab.cancellation import cancellation_certificate
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
-from ddlab.elements import AlgebraContext
+from ddlab.elements import AlgebraContext, membership_with_witness
 from ddlab.groebner import MonomialOrder, buchberger
+from ddlab.laurent import LaurentForm
 from ddlab.poly import Context, Polynomial, parse_poly
 from ddlab.presentations import DDPresentation, omega3_check
 
-from conftest import random_valid_presentation
+from conftest import random_polynomial, random_valid_presentation
 
 # (d, e, P, Q): r, s <= 3, and one cell with a rational constant
 GRID = [
@@ -141,3 +143,46 @@ def test_golden_exp_maps_are_byte_identical():
         h.update(str(phi.images_laurent("U")).encode())
         h.update(json.dumps(report.to_json()).encode())
     assert h.hexdigest() == EXP_DIGEST
+
+
+MEMBER_DIGEST = "fb98e46c1b5745cfc9f1694f04a58499d0f3a8e30ec7e5d5aaf38dc59f554e1d"
+
+
+def membership_cases():
+    """Seeded (algebra, Laurent form) pairs: three members with shift 1 to 3
+    per presentation, then x^-1*h(Z) with deg h < r, and a member plus it.
+
+    Each presentation has X-terms in P and in Q; every third one has W1
+    adjoined.
+    """
+    rng = random.Random(1618)
+    for k in range(8):
+        d, e = 1 + k % 2, 1 + (k // 2) % 2
+        pres = random_valid_presentation(rng, d, e, max_r=3, max_s=2, constant_lead_p=False)
+        while pres.P.deg_in("X") < 1 or pres.Q.deg_in("X") < 1:
+            pres = random_valid_presentation(rng, d, e, max_r=3, max_s=2, constant_lead_p=False)
+        actx = AlgebraContext(pres, ("W1",) if k % 3 == 2 else ())
+        cctx = actx.coeff_ctx
+        members = 0
+        while members < 3:
+            form = actx.to_laurent(random_polynomial(rng, actx.gen_ctx, max_terms=3, max_exp=2))
+            if 1 <= -form.min_exp() <= 3:
+                members += 1
+                yield actx, form
+        z = cctx.var("Z")
+        h = sum(((z ** i).scale(rng.randint(-3, 3)) for i in range(pres.r)), cctx.zero())
+        if h.is_zero():
+            h = cctx.one()
+        yield actx, LaurentForm(cctx, {-1: h})
+        yield actx, form + LaurentForm(cctx, {-1: h})
+
+
+def test_golden_membership_answers_are_byte_identical():
+    h = hashlib.sha256()
+    answers = []
+    for actx, form in membership_cases():
+        result = membership_with_witness(form, actx)
+        answers.append(result.member)
+        h.update(str([result.member, str(result.witness), result.certificate]).encode())
+    assert answers == [True, True, True, False, False] * 8
+    assert h.hexdigest() == MEMBER_DIGEST

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ddlab.laurent import LaurentForm
-from ddlab.poly import Context, ContextMismatch, ParseError, parse_poly
+from ddlab.poly import MAX_DEGREE, Context, ContextMismatch, ParseError, parse_poly
 
 from conftest import random_polynomial
 
@@ -68,10 +68,29 @@ class TestParsing:
         assert P("(" * 100 + "Z" + ")" * 100) == P("Z")
         assert P("Z*" + "-" * 100 + "Z") == P("Z^2")
 
+    @pytest.mark.parametrize(
+        "text, degree",
+        [("(Z+1)^200000", 200000), ("(X*Z)^501", 1002), ("Z^600*Z^401", 1001)],
+        ids=["power", "power-of-product", "product"],
+    )
+    def test_degree_over_the_limit_rejected(self, text, degree):
+        with pytest.raises(ParseError, match=f"degree {degree} exceeds the limit of {MAX_DEGREE}"):
+            P(text)
+
+    def test_degree_up_to_the_limit_parses(self):
+        assert P("(X*Z)^500") == CTX.monomial({"X": 500, "Z": 500})
+        assert P("Z^600*Z^400") == P("Z^1000")
+        assert P("2^40*Z") == CTX.monomial({"Z": 1}, 2 ** 40)
+
 
 class TestRingOps:
     def test_difference_of_squares(self):
         assert P("(Z-1)*(Z+1)") == P("Z^2 - 1")
+
+    def test_scale_keeps_integral_coefficients_int(self):
+        halved = P("4*X*Z - 2*Y + 6").scale(Fraction(1, 2))
+        assert halved == P("2*X*Z - Y + 3")
+        assert all(type(c) is int for c in halved.terms.values())
 
     def test_additive_identity(self):
         p = P("3*X*Y - Z")
