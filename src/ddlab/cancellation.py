@@ -44,7 +44,7 @@ from .elements import (
     membership_with_witness,
 )
 from .groebner import BudgetExceeded, DEFAULT_BUDGET, buchberger
-from .laurent import LaurentForm
+from .laurent import LaurentForm, eval_poly_at_laurent
 from .poly import Polynomial
 from .presentations import CheckItem, DDPresentation, Report, omega3_check, unit_ideal_generators
 from .isomorphisms import (
@@ -365,9 +365,12 @@ def express_old_generators(
 
     z and y also receive the closed-form identities z = f - x^(d+e-1)*w and
     y = g + (P(x, f - x^(d+e-1)*w) - P(x, f))/x^d (each checked by Laurent
-    equality).  The images of y and t over the smaller ring are produced by
-    membership division of P and Q, the images of w and z from the invariant
-    combinations w + x*sigma and z - x^(d+e)*sigma.
+    equality).  The images of w and z over the smaller ring come from the
+    invariant combinations w + x*sigma and z - x^(d+e)*sigma.  The images of
+    y and t are found by dividing the Laurent forms of P(x, psi_z) and
+    Q(x, psi_y, psi_z) by x^d and x^e; those forms are evaluated at the
+    Laurent forms of psi_z and psi_y, which equals expanding P and Q over
+    the generators first because the Laurent embedding is a ring map.
     """
     p = actx.presentation
     n1 = p.d + p.e - 1
@@ -397,13 +400,14 @@ def express_old_generators(
     small_w = AlgebraContext(small_actx.presentation, (ADJOINED_NAME,))
     ctx_w = small_w.gen_ctx
 
+    # z -> z - x^(d+e-1)*w; one object, so its powers are cached across calls
+    z_img = LaurentForm.from_poly(actx.coeff_ctx.var("Z")) - LaurentForm.from_poly(
+        actx.coeff_ctx.var(ADJOINED_NAME)
+    ).shift(n1)
+
     def coord(elem: BElement, label: str) -> Polynomial:
         """Express an invariant element in the generators of the smaller algebra."""
-        lf = elem.laurent
-        z_img = LaurentForm.from_poly(actx.coeff_ctx.var("Z")) - LaurentForm.from_poly(
-            actx.coeff_ctx.var(ADJOINED_NAME)
-        ).shift(n1)
-        shifted = lf.substitute({"Z": z_img}, actx.coeff_ctx)
+        shifted = elem.laurent.substitute({"Z": z_img}, actx.coeff_ctx)
         for poly in shifted.coeffs.values():
             if poly.deg_in(ADJOINED_NAME) > 0:
                 raise PipelineError(
@@ -433,13 +437,16 @@ def express_old_generators(
     psi_z = pz.transfer(ctx_w) + ctx_w.var("X") ** (p.d + p.e) * ctx_w.var(ADJOINED_NAME)
     checks.append(CheckItem("z - x^(d+e)*sigma lies in the invariant subring", True, f"{pz}"))
 
-    p_small = p.P.transfer(ctx_w).substitute({"Z": psi_z})
-    psi_y_elem = divide_by_x_power(small_w.element(p_small), p.d, budget)
+    cctx_w = small_w.coeff_ctx
+    at_psi = {"X": small_w.generator_images()["X"], "Z": small_w.to_laurent(psi_z)}
+    p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx_w)
+    psi_y_elem = divide_by_x_power(BElement(small_w, None, p_small), p.d, budget)
     psi_y = psi_y_elem.gen
     checks.append(CheckItem("image of y divides out x^d", True, f"{psi_y}"))
 
-    q_small = p.Q.transfer(ctx_w).substitute({"Y": psi_y, "Z": psi_z})
-    psi_t_elem = divide_by_x_power(small_w.element(q_small), p.e, budget)
+    at_psi["Y"] = psi_y_elem.laurent
+    q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx_w)
+    psi_t_elem = divide_by_x_power(BElement(small_w, None, q_small), p.e, budget)
     psi_t = psi_t_elem.gen
     checks.append(CheckItem("image of t divides out x^e", True, f"{psi_t}"))
 

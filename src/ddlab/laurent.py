@@ -10,13 +10,22 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .poly import Context, ContextMismatch, Polynomial, _form_product, eval_at_forms, norm_coeff
+from .poly import Context, ContextMismatch, Polynomial, eval_at_forms, norm_coeff
+from .poly import _form_product, _image_entry
 
 
 class LaurentForm:
-    """Finitely supported map x-exponent -> coefficient polynomial."""
+    """Finitely supported map x-exponent -> coefficient polynomial.
 
-    __slots__ = ("ctx", "coeffs")
+    `_powers` is None until the form is first used as a variable image in
+    `eval_poly_at_laurent`.  It then holds the form's image entry: its
+    monomial data, or its integer-scaled form, denominator and the growing
+    list of its integral powers, which later evaluations at the same image
+    object reuse.  The forms in it are never mutated, and the entry dies
+    with the image object.
+    """
+
+    __slots__ = ("ctx", "coeffs", "_powers")
 
     def __init__(self, ctx: Context, coeffs: Mapping[int, Polynomial]):
         clean = {}
@@ -27,12 +36,14 @@ class LaurentForm:
                 clean[int(n)] = p
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_powers", None)
 
     @classmethod
     def _raw(cls, ctx: Context, coeffs: dict) -> "LaurentForm":
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_powers", None)
         return self
 
     @classmethod
@@ -170,12 +181,17 @@ def eval_poly_at_laurent(
     """Evaluate a polynomial at Laurent images.
 
     Variables of p not in `images` must exist in the target coefficient
-    context and map to themselves (at x-exponent 0).
+    context and map to themselves (at x-exponent 0).  Each image's entry is
+    cached on the image the first time it is used (see LaurentForm), after
+    its context is checked against the target.
     """
+    width = len(target.names)
 
-    def form_of(image: LaurentForm) -> dict:
+    def entry_of(image: LaurentForm) -> tuple:
         if image.ctx != target:
             raise ContextMismatch("image context differs from target")
-        return image._form()
+        if image._powers is None:
+            object.__setattr__(image, "_powers", _image_entry(image._form(), width))
+        return image._powers
 
-    return LaurentForm._from_form(target, eval_at_forms(p, images, target, form_of))
+    return LaurentForm._from_form(target, eval_at_forms(p, images, target, entry_of))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 from operator import add as _add_op
 from typing import Callable, Iterable, Mapping
 
@@ -57,22 +57,36 @@ def coeff_div(a, b):
 
 
 def _scaled_int_form(form: dict) -> tuple[dict, int]:
-    """Rewrite a form over one common denominator; all values become int."""
-    den = 1
+    """Rewrite a form over one common denominator; all values become int.
+
+    A form whose values are all int is returned as it is; any other value,
+    Fraction(n, 1) included, makes a rescaled copy.
+    """
+    den = 0  # 0 while every value seen is int
     for terms in form.values():
         for c in terms.values():
             if type(c) is not int:
-                den = lcm(den, c.denominator)
-    if den == 1:
+                den = lcm(den, c.denominator) if den else c.denominator
+    if not den:
         return form, 1
-    return {n: {e: int(c * den) for e, c in terms.items()} for n, terms in form.items()}, den
+    return {
+        n: {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        for n, terms in form.items()
+    }, den
 
 
 def _unscale(form: dict, den: int) -> dict:
-    """Drop empty term dicts and divide every value by den."""
+    """Drop empty term dicts and divide every int value by den."""
     if den == 1:
         return {n: t for n, t in form.items() if t}
-    return {n: {e: norm_coeff(Fraction(c, den)) for e, c in t.items()} for n, t in form.items() if t}
+    return {
+        n: {
+            e: c // den if (g := gcd(c, den)) == den else Fraction(c // g, den // g)
+            for e, c in t.items()
+        }
+        for n, t in form.items()
+        if t
+    }
 
 
 def _form_mul_into(out: dict, a: dict, b: dict) -> None:
@@ -112,25 +126,46 @@ def _form_product(a: dict, b: dict) -> dict:
     return _unscale(out, da * db)
 
 
+def _image_entry(form: dict, width: int) -> tuple:
+    """What eval_at_forms reads of one variable image, given as a form over
+    a target of `width` variables.
+
+    A monomial image (one term, like X -> x or an unmapped variable) gives
+    (x-exponent, ((target position, exponent), ...), coefficient), None, 1.
+    Any other image gives None, the list of its integral powers, and its
+    denominator: the list starts as [1, image * denominator] and
+    eval_at_forms appends higher powers as it needs them.
+    """
+    if len(form) == 1:
+        ((n, t),) = form.items()
+        if len(t) == 1:
+            ((e, c),) = t.items()
+            return (n, tuple((j, k) for j, k in enumerate(e) if k), c), None, 1
+    form, den = _scaled_int_form(form)
+    return None, [{0: {(0,) * width: 1}}, form], den
+
+
 def eval_at_forms(
-    p: "Polynomial", images: Mapping, target: "Context", form_of: Callable[[object], dict]
+    p: "Polynomial", images: Mapping, target: "Context", entry_of: Callable[[object], tuple]
 ) -> dict:
     """Evaluate p at variable images; the result is a form over target.
 
-    `form_of` turns an image into a form.  Unmapped variables map to
-    themselves at x-exponent 0 and must exist in target.  Monomial images
-    (one term, like X -> x or an unmapped variable) are applied by exponent
+    `entry_of` turns an image into its `_image_entry`; it may hand out the
+    same entry on every call, and the power list in it then keeps growing
+    across calls.  Unmapped variables map to themselves at x-exponent 0 and
+    must exist in target.  Monomial images are applied by exponent
     arithmetic.  The terms of p are grouped by their exponents in the other,
     general, variables; each group's cofactor is multiplied once by the
-    product of cached powers of the general images.  All products run on
-    native ints over one common denominator, divided out at the end.
+    product of the general images' powers.  All products run on native ints
+    over one common denominator, divided out at the end.
     """
     terms = p.terms
     names = p.ctx.names
     zero = (0,) * len(target.names)
     one = {0: {zero: 1}}
     monos = []  # (position, x-exponent, ((target position, exponent), ...), coefficient)
-    general = []  # (position, cached integral powers of the image, its denominator)
+    general = []  # (integral powers of the image, its denominator)
+    gpos = []  # the positions of the general images
     for i, column in enumerate(zip(*terms)):
         if not any(column):
             continue
@@ -138,17 +173,13 @@ def eval_at_forms(
         if image is None:
             monos.append((i, 0, ((target.index(names[i]), 1),), 1))
             continue
-        form = form_of(image)
-        if len(form) == 1:
-            ((n, t),) = form.items()
-            if len(t) == 1:
-                ((e, c),) = t.items()
-                monos.append((i, n, tuple((j, k) for j, k in enumerate(e) if k), c))
-                continue
-        form, den = _scaled_int_form(form)
-        general.append((i, [one, form], den))
+        mono, powers, den = entry_of(image)
+        if mono is not None:
+            monos.append((i, *mono))
+        else:
+            general.append((powers, den))
+            gpos.append(i)
 
-    gpos = [i for i, _, _ in general]
     groups: dict = {}
     for exps, c in terms.items():
         n = 0
@@ -184,7 +215,7 @@ def eval_at_forms(
     for key, cof in groups.items():
         cof, dc = _scaled_int_form(cof)
         factor, dg = one, 1
-        for (_, powers, d), k in zip(general, key):
+        for (powers, d), k in zip(general, key):
             if k:
                 while len(powers) <= k:
                     powers.append(_form_product(powers[-1], powers[1]))
@@ -463,7 +494,8 @@ class Polynomial:
         for img in images.values():
             if img.ctx != target:
                 raise ContextMismatch("substitution images in mixed contexts")
-        out = eval_at_forms(self, images, target, lambda image: {0: image.terms})
+        width = len(target.names)
+        out = eval_at_forms(self, images, target, lambda image: _image_entry({0: image.terms}, width))
         return Polynomial._raw(target, out.get(0, {}))
 
     def taylor_shift(self, name: str, shift: "Polynomial") -> "Polynomial":
@@ -549,8 +581,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # four stack frames, which keeps parsing well below the recursion limit.
 MAX_NESTING = 100
 # A power or product has total degree at most this, checked before it is
-# formed: (Z+1)^1000 has 1001 terms and costs about 10^6 coefficient products.
+# formed: (Z+1)^1000 has 1001 terms.
 MAX_DEGREE = 1000
+# No product that the parser forms, the squarings and multiplications of a
+# power included, multiplies more term pairs than this, checked before it is
+# formed: (Z+1)^1000 needs at most 489*513, (X+Y+Z+T+1)^40 would need
+# 58905*495.
+MAX_TERM_PRODUCTS = 10 ** 6
 
 
 def _check_degree(degree: int, pos: int) -> None:
@@ -558,8 +595,40 @@ def _check_degree(degree: int, pos: int) -> None:
         raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}", pos)
 
 
+def _check_term_products(count: int, pos: int) -> None:
+    if count > MAX_TERM_PRODUCTS:
+        raise ParseError(f"{count} term products exceed the limit of {MAX_TERM_PRODUCTS}", pos)
+
+
 def _total_degree(p: Polynomial) -> int:
     return max(map(sum, p.terms), default=0)
+
+
+def _power_term_products(p: Polynomial, n: int) -> int:
+    """An upper bound on the term pairs of the largest product that p ** n
+    forms, following the squarings of Polynomial.__pow__.
+
+    p^m has at most C(t+m-1, m) terms (multisets of m of p's t terms) and
+    at most C(m*D+v, v) (monomials of degree <= m*D in p's v variables).
+    """
+    t = len(p.terms)
+    if t < 2:
+        return t
+    degree, v = _total_degree(p), len(p.support_vars())
+
+    def terms(m: int) -> int:
+        return 1 if m == 0 else min(comb(t + m - 1, m), comb(m * degree + v, v))
+
+    worst, done, step = 0, 0, 1
+    while n:
+        if n & 1:
+            worst = max(worst, terms(done) * terms(step))
+            done += step
+        if n > 1:
+            worst = max(worst, terms(step) ** 2)
+            step *= 2
+        n >>= 1
+    return worst
 
 
 class _Parser:
@@ -605,6 +674,7 @@ class _Parser:
                 self.take()
                 rhs = self.factor()
                 _check_degree(_total_degree(result) + _total_degree(rhs), pos)
+                _check_term_products(len(result.terms) * len(rhs.terms), pos)
                 result = result * rhs
             else:
                 return result
@@ -621,6 +691,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.take()
             _check_degree(_total_degree(base) * int(val), pos)
+            _check_term_products(_power_term_products(base, int(val)), pos)
             return base ** int(val)
         return base
 

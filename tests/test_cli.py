@@ -305,9 +305,10 @@ class TestMalformedInput:
             ({**DD1, "P": "(" * 3000 + "Z" + ")" * 3000}, "nested more than 100 deep"),
             ({**DD1, "P": "Z*" + "-" * 3000 + "Z"}, "nested more than 100 deep"),
             ({**DD1, "P": "(Z+1)^200000"}, "degree 200000 exceeds the limit of 1000"),
+            ({**DD1, "P": "(X+Y+Z+T+1)^40"}, "term products exceed the limit of 1000000"),
         ],
         ids=["list", "Q-int", "base_vars-int", "base_vars-str", "d-float", "d-bool",
-             "parentheses", "signs", "power"],
+             "parentheses", "signs", "power", "power-terms"],
     )
     @pytest.mark.parametrize("command", ["validate", "invariants"])
     def test_exits_two_with_one_error_line(self, tmp_path, capsys, record, message, command):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from ddlab.elements import (
     membership_with_witness,
 )
 from ddlab.groebner import DEFAULT_BUDGET, _Budget, _normal_form
-from ddlab.laurent import LaurentForm
-from ddlab.poly import ContextMismatch, parse_poly
+from ddlab.laurent import LaurentForm, eval_poly_at_laurent
+from ddlab.poly import Context, ContextMismatch, parse_poly
 from ddlab.presentations import DDPresentation
 
 from conftest import random_polynomial, random_valid_presentation
@@ -56,6 +57,36 @@ class TestLaurentEmbedding:
             b = random_polynomial(rng, ctx, max_terms=3, max_exp=2)
             assert dd1_ctx.to_laurent(a * b) == dd1_ctx.to_laurent(a) * dd1_ctx.to_laurent(b)
             assert dd1_ctx.to_laurent(a + b) == dd1_ctx.to_laurent(a) + dd1_ctx.to_laurent(b)
+
+
+class TestImageCache:
+    """Laurent images keep their integral powers from one evaluation to the next."""
+
+    def test_cached_powers_are_reused_and_never_mutated(self, dd3):
+        actx = AlgebraContext(dd3)
+        images = actx.generator_images()
+        first = actx.to_laurent(parse_poly("Y^3*T^2 + Y*Z - X", actx.gen_ctx))
+        mono, powers, den = images["Y"]._powers
+        assert mono is None and len(powers) == 4
+        assert images["X"]._powers[1] is None  # a monomial image keeps no powers
+        kept, snapshot = list(powers), copy.deepcopy(powers)
+        again = actx.to_laurent(parse_poly("Y^5 + Y^3*T^2 + Y*Z - X", actx.gen_ctx))
+        assert images["Y"]._powers[1] is powers and len(powers) == 6
+        assert all(a is b for a, b in zip(powers, kept)) and powers[:4] == snapshot
+        fresh = {k: LaurentForm(v.ctx, v.coeffs) for k, v in images.items()}
+        assert fresh["Y"]._powers is None
+        target = actx.coeff_ctx
+        assert first == eval_poly_at_laurent(
+            parse_poly("Y^3*T^2 + Y*Z - X", actx.gen_ctx), fresh, target)
+        assert again - first == eval_poly_at_laurent(parse_poly("Y^5", actx.gen_ctx), fresh, target)
+
+    def test_cached_image_still_checks_the_target_context(self, dd1):
+        actx = AlgebraContext(dd1)
+        expr = parse_poly("Y^2*T + Z", actx.gen_ctx)
+        actx.to_laurent(expr)
+        assert actx.generator_images()["Y"]._powers is not None
+        with pytest.raises(ContextMismatch):
+            eval_poly_at_laurent(expr, actx.generator_images(), Context(("Z", "W1")))
 
 
 class TestEquality:

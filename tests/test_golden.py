@@ -9,7 +9,9 @@ and their cofactor rows over four monomial orders, since certificates read
 complement variables off cofactor columns.  A fourth pins the exponential
 map of the canonical derivation: its generator images over B[U] and its axiom
 report.  A fifth pins membership answers: every witness and every
-non-membership certificate over seeded members and non-members.
+non-membership certificate over seeded members and non-members.  A sixth pins
+the Laurent evaluator on seeded polynomials at generator images with
+integer, half-integer and third constants.
 """
 
 import hashlib
@@ -21,9 +23,9 @@ from ddlab.cancellation import cancellation_certificate
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
 from ddlab.elements import AlgebraContext, membership_with_witness
 from ddlab.groebner import MonomialOrder, buchberger
-from ddlab.laurent import LaurentForm
+from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import Context, Polynomial, parse_poly
-from ddlab.presentations import DDPresentation, omega3_check
+from ddlab.presentations import BaseRingSpec, DDPresentation, omega3_check
 
 from conftest import random_polynomial, random_valid_presentation
 
@@ -186,3 +188,54 @@ def test_golden_membership_answers_are_byte_identical():
         h.update(str([result.member, str(result.witness), result.certificate]).encode())
     assert answers == [True, True, True, False, False] * 8
     assert h.hexdigest() == MEMBER_DIGEST
+
+
+EVAL_DIGEST = "c228ae464fb458097af9d81141405af84bc73ac352da197b2bdcd3585a29f444"
+
+
+def evaluation_cases():
+    """Seeded (polynomial, images, target) triples for the Laurent evaluator.
+
+    Nine presentations with P = a*Z^r + b*X*Z + c and Q = Y^s + X*Y^(s-1) + Z + c',
+    where the constants c cycle through integers, halves and thirds; every
+    third one has W1 adjoined, and there Z is also sent to z - x^2*W1.
+    Each image set evaluates four seeded nonzero polynomials.
+    """
+    rng = random.Random(3141)
+    ctx = Context(("X", "Y", "Z", "T"))
+    for k in range(9):
+        den = (1, 2, 3)[k % 3]
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+        p = (ctx.monomial({"Z": r}, rng.choice([1, 2, -1]))
+             + ctx.monomial({"X": 1, "Z": 1}, rng.randint(-2, 2)) + ctx.const(c))
+        q = (ctx.monomial({"Y": s}) + ctx.monomial({"X": 1, "Y": s - 1}, rng.randint(-2, 2))
+             + ctx.var("Z") + ctx.const(Fraction(rng.randint(-3, 3), den)))
+        pres = DDPresentation(BaseRingSpec(()), 1 + k % 3, 1 + (k // 3) % 3, p, q)
+        actx = AlgebraContext(pres, ("W1",) if k % 3 == 2 else ())
+        cctx = actx.coeff_ctx
+        image_sets = [dict(actx.generator_images())]
+        if actx.adjoined:
+            moved = dict(image_sets[0])
+            moved["Z"] = LaurentForm.from_poly(cctx.var("Z")) - LaurentForm.from_poly(
+                cctx.var("W1"), 2)
+            image_sets.append(moved)
+        for images in image_sets:
+            for _ in range(4):
+                poly = actx.gen_ctx.zero()
+                while poly.is_zero():
+                    poly = random_polynomial(rng, actx.gen_ctx, max_terms=4, max_exp=3)
+                yield poly, images, cctx
+
+
+def test_golden_laurent_evaluations_are_byte_identical():
+    # each case runs twice at the same image objects, so the second run reads
+    # the powers cached on them, and once at fresh copies
+    h = hashlib.sha256()
+    for poly, images, target in evaluation_cases():
+        first = eval_poly_at_laurent(poly, images, target)
+        again = eval_poly_at_laurent(poly, images, target)
+        fresh = {k: LaurentForm(v.ctx, v.coeffs) for k, v in images.items()}
+        assert again == first == eval_poly_at_laurent(poly, fresh, target)
+        h.update(str(first).encode())
+    assert h.hexdigest() == EVAL_DIGEST

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from ddlab.laurent import LaurentForm
-from ddlab.poly import MAX_DEGREE, Context, ContextMismatch, ParseError, parse_poly
+from ddlab.laurent import LaurentForm, eval_poly_at_laurent
+from ddlab.poly import (
+    MAX_DEGREE,
+    MAX_TERM_PRODUCTS,
+    Context,
+    ContextMismatch,
+    ParseError,
+    Polynomial,
+    parse_poly,
+)
 
 from conftest import random_polynomial
 
@@ -82,6 +90,20 @@ class TestParsing:
         assert P("Z^600*Z^400") == P("Z^1000")
         assert P("2^40*Z") == CTX.monomial({"Z": 1}, 2 ** 40)
 
+    @pytest.mark.parametrize(
+        "text", ["(X+Y+Z+T+1)^40", "(X+Y+Z+T+W+U+1)^16", "(X+Y+Z+T+1)^10*(X+Y+Z+T+2)^10"],
+        ids=["power", "power-of-seven-terms", "product"],
+    )
+    def test_term_products_over_the_limit_rejected(self, text):
+        with pytest.raises(ParseError, match=f"exceed the limit of {MAX_TERM_PRODUCTS}"):
+            P(text)
+
+    def test_term_products_up_to_the_limit_parse(self):
+        # (Z+1)^1000 makes at most 489*513 term products, (X+Y+Z+T+1)^20 at most 70*4845
+        assert len(P("(Z+1)^1000").terms) == 1001
+        assert len(P("(X+Y+Z+T+1)^20").terms) == math.comb(24, 4)
+        assert P("(X+Y+Z+T+1)^5*(X+Y+Z+T+1)^5") == P("(X+Y+Z+T+1)^10")
+
 
 class TestRingOps:
     def test_difference_of_squares(self):
@@ -108,6 +130,21 @@ class TestRingOps:
     def test_pow_rejects_negative(self):
         with pytest.raises(ValueError):
             P("Z") ** -1
+
+    def test_integral_fractions_leave_the_kernel_as_int(self):
+        # sums can leave Fraction(n, 1) values in a polynomial; products and
+        # evaluations must still return ints or non-integral Fractions
+        a = Polynomial._raw(CTX, {(1, 0, 0, 0, 0, 0): Fraction(4, 1), (0, 0, 1, 0, 0, 0): 3})
+        b = P("X*Z + 1/2")
+        cctx = Context(("Z", "W"))
+        y_img = LaurentForm._raw(cctx, {-1: Polynomial._raw(cctx, {(1, 0): Fraction(4, 1)})})
+        images = {"X": LaurentForm.x_power(cctx, 1), "Y": y_img}
+        values = list((a * b).terms.values()) + list((a * a).terms.values())
+        for poly in (a, a * b, a + P("Y^2")):
+            form = eval_poly_at_laurent(poly, images, cctx)
+            values += [c for q in form.coeffs.values() for c in q.terms.values()]
+        assert values
+        assert all(type(c) is int or c.denominator != 1 for c in values)
 
 
 class TestCalculus:
