@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .derivations import (
     DEFAULT_CAP,
-    Derivation,
     DerivationError,
     ExponentialMap,
     canonical_lnd,
@@ -119,8 +118,8 @@ def build_phi_extension(
     ctx_u = actx_u.gen_ctx
     shifted_z = ctx_u.var("Z") + ctx_u.var("X") ** n * ctx_u.var("U")
     p_shift = p.P.transfer(ctx_u).substitute({"Z": shifted_z})
-    y_elem = divide_by_x_power(actx_u.element(p_shift), p.d, budget)
-    phi_y = phi.apply_element(actx.gen("Y"), "U", actx_u.coeff_ctx)
+    y_elem = divide_by_x_power(actx_u.to_laurent(p_shift), actx_u, p.d, budget)
+    phi_y = phi.apply_element(actx.gen("Y"))
     items.append(
         CheckItem(
             "image of y equals the shifted-P quotient",
@@ -129,8 +128,8 @@ def build_phi_extension(
         )
     )
     q_shift = p.Q.transfer(ctx_u).substitute({"Y": y_elem.gen, "Z": shifted_z})
-    t_elem = divide_by_x_power(actx_u.element(q_shift), p.e, budget)
-    phi_t = phi.apply_element(actx.gen("T"), "U", actx_u.coeff_ctx)
+    t_elem = divide_by_x_power(actx_u.to_laurent(q_shift), actx_u, p.e, budget)
+    phi_t = phi.apply_element(actx.gen("T"))
     items.append(
         CheckItem(
             "image of t equals the shifted-Q quotient",
@@ -155,14 +154,14 @@ def compute_slice_f(actx: AlgebraContext, phi: ExponentialMap) -> BElement:
 def compute_g_h(
     actx: AlgebraContext,
     f: BElement,
-    phi: ExponentialMap | None = None,
+    phi: ExponentialMap,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[BElement, BElement, Report]:
     """g with x^d*g = P(x,f) and h with x^(e-1)*h = Q(x,g,f).
 
     Witnesses are built by expanding around (y, z) and dividing monomial-wise;
     the independent membership-division route must agree (checked), and both
-    elements must be invariant under the map when one is supplied.
+    elements must be invariant under the map (checked).
     """
     p = actx.presentation
     if p.e <= 1:
@@ -171,37 +170,36 @@ def compute_g_h(
     p_poly = p.P.transfer(ctx)
     q_poly = p.Q.transfer(ctx)
 
-    p_at_f = p_poly.substitute({"Z": f.gen})
-    g_expr = ctx.var("Y") + _divide_x_monomials(p_at_f - p_poly, p.d)
+    p_at_f = actx.element(p_poly.substitute({"Z": f.gen}))
+    g_expr = ctx.var("Y") + _divide_x_monomials(p_at_f.gen - p_poly, p.d)
     g = actx.element(g_expr)
     items = []
     x = ctx.var("X")
     items.append(
         CheckItem(
             "x^d * g = P(x, f)",
-            actx.element(x ** p.d * g_expr) == actx.element(p_at_f),
+            actx.element(x ** p.d * g_expr) == p_at_f,
             f"g = {g_expr}",
         )
     )
-    g_div = divide_by_x_power(actx.element(p_at_f), p.d, budget)
+    g_div = divide_by_x_power(p_at_f.laurent, actx, p.d, budget)
     items.append(CheckItem("membership route agrees on g", g_div == g, ""))
 
-    q_at_gf = q_poly.substitute({"Y": g_expr, "Z": f.gen})
-    h_expr = x * ctx.var("T") + _divide_x_monomials(q_at_gf - q_poly, p.e - 1)
+    q_at_gf = actx.element(q_poly.substitute({"Y": g_expr, "Z": f.gen}))
+    h_expr = x * ctx.var("T") + _divide_x_monomials(q_at_gf.gen - q_poly, p.e - 1)
     h = actx.element(h_expr)
     items.append(
         CheckItem(
             "x^(e-1) * h = Q(x, g, f)",
-            actx.element(x ** (p.e - 1) * h_expr) == actx.element(q_at_gf),
+            actx.element(x ** (p.e - 1) * h_expr) == q_at_gf,
             f"h = {h_expr}",
         )
     )
-    h_div = divide_by_x_power(actx.element(q_at_gf), p.e - 1, budget)
+    h_div = divide_by_x_power(q_at_gf.laurent, actx, p.e - 1, budget)
     items.append(CheckItem("membership route agrees on h", h_div == h, ""))
 
-    if phi is not None:
-        items.append(CheckItem("map fixes g", phi.fixes(g), ""))
-        items.append(CheckItem("map fixes h", phi.fixes(h), ""))
+    items.append(CheckItem("map fixes g", phi.fixes(g), ""))
+    items.append(CheckItem("map fixes h", phi.fixes(h), ""))
     return g, h, Report(tuple(items))
 
 
@@ -269,12 +267,12 @@ class ComplementVariable:
 
 def build_complement_variable(
     actx: AlgebraContext,
-    derivation: Derivation,
     phi: ExponentialMap,
     cap: int = DEFAULT_CAP,
     budget: int = DEFAULT_BUDGET,
 ) -> ComplementVariable:
-    """Construct sigma with D(sigma) = 1, so the map sends sigma to sigma + U.
+    """Construct sigma with D(sigma) = 1 for the canonical derivation D, so
+    the map sends sigma to sigma + U.
 
     Starting from sigma0 = b(z)*m(y,z)*t, where b and m are the cofactors of
     dP/dZ and dQ/dY in the unit-ideal certificates, D(sigma0) - 1 is divisible
@@ -294,13 +292,14 @@ def build_complement_variable(
         )
     _, m_poly = gb2.reduce_to_gens(gb2.ctx.one(), 2, budget)
 
+    derivation = canonical_lnd(actx)
     ctx = actx.gen_ctx
     seed = b_poly.transfer(ctx) * m_poly.transfer(ctx) * ctx.var("T")
     sigma_expr = seed
     one = actx.const(1)
     defect = derivation.apply_expr(seed) - one
     try:
-        c = divide_by_x_power(defect, 1, budget)
+        c = divide_by_x_power(defect.laurent, actx, 1, budget)
     except NotInAlgebra as exc:
         raise PipelineError(
             "build_complement_variable", f"initial defect not divisible by x: {exc}"
@@ -314,7 +313,7 @@ def build_complement_variable(
             )
         sigma_expr = sigma_expr + w ** j * c.gen.scale(Fraction(1, math.factorial(j)))
         try:
-            c = divide_by_x_power(derivation.apply(c), 1, budget)
+            c = divide_by_x_power(derivation.apply(c).laurent, actx, 1, budget)
         except NotInAlgebra as exc:
             raise PipelineError(
                 "build_complement_variable",
@@ -326,9 +325,9 @@ def build_complement_variable(
     items = [
         CheckItem("D(sigma) = 1", derivation.apply(sigma) == one, ""),
     ]
-    ext = phi.extended_ctx("U")
-    image = phi.apply_element(sigma, "U", ext)
-    expected = sigma.laurent.transfer(ext) + LaurentForm.from_poly(ext.var("U"))
+    ctx_u = phi.ctx_u
+    expected = sigma.laurent.transfer(ctx_u) + LaurentForm.from_poly(ctx_u.var("U"))
+    image = phi.apply_element(sigma)
     items.append(CheckItem("map sends sigma to sigma + U", image == expected, ""))
     report = Report(tuple(items))
     if not report.passed:
@@ -357,7 +356,6 @@ def express_old_generators(
     small_iso: SmallAlgebraIso,
     f: BElement,
     g: BElement,
-    h: BElement,
     complement: ComplementVariable,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[OldGeneratorWitnesses, AlgebraContext]:
@@ -422,7 +420,7 @@ def express_old_generators(
                 f"{label} does not lie in the smaller algebra",
             )
         back = small_iso.inclusion.apply_expr(result.witness)
-        if back != elem:
+        if back != elem.laurent:
             raise PipelineError(
                 "express_old_generators", f"round trip failed for {label}"
             )
@@ -440,14 +438,13 @@ def express_old_generators(
     cctx_w = small_w.coeff_ctx
     at_psi = {"X": small_w.generator_images()["X"], "Z": small_w.to_laurent(psi_z)}
     p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx_w)
-    psi_y_elem = divide_by_x_power(BElement(small_w, None, p_small), p.d, budget)
+    psi_y_elem = divide_by_x_power(p_small, small_w, p.d, budget)
     psi_y = psi_y_elem.gen
     checks.append(CheckItem("image of y divides out x^d", True, f"{psi_y}"))
 
     at_psi["Y"] = psi_y_elem.laurent
     q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx_w)
-    psi_t_elem = divide_by_x_power(BElement(small_w, None, q_small), p.e, budget)
-    psi_t = psi_t_elem.gen
+    psi_t = divide_by_x_power(q_small, small_w, p.e, budget).gen
     checks.append(CheckItem("image of t divides out x^e", True, f"{psi_t}"))
 
     images = {"X": ctx_w.var("X"), "Y": psi_y, "Z": psi_z, "T": psi_t, ADJOINED_NAME: psi_w}
@@ -464,7 +461,6 @@ def verify_pair_structured(
     backward: RHomomorphism,
     f: BElement,
     g: BElement,
-    h: BElement,
 ) -> Report:
     """Verify the homomorphism pair is mutually inverse on every generator.
 
@@ -475,7 +471,6 @@ def verify_pair_structured(
     that the Laurent model is a domain with x invertible (so an identity may
     be checked after clearing a power of x).
     """
-    p = actx.presentation
     items = []
 
     ok_fwd = verify_hom(forward)
@@ -486,9 +481,15 @@ def verify_pair_structured(
         return Report(tuple(items))
 
     # composite on the smaller ring's generators
-    items.append(CheckItem("round trip fixes x'", backward.apply(forward.images["X"]) == small_w.gen("X"), ""))
-    items.append(CheckItem("round trip sends f back to z'", backward.apply(f) == small_w.gen("Z"), ""))
-    items.append(CheckItem("round trip sends g back to y'", backward.apply(g) == small_w.gen("Y"), ""))
+    def back_to(elem: BElement, name: str) -> bool:
+        return backward.apply(elem) == small_w.gen(name).laurent
+
+    def forward_fixes(name: str) -> bool:
+        return forward.apply(backward.images[name]) == actx.gen(name).laurent
+
+    items.append(CheckItem("round trip fixes x'", back_to(forward.images["X"], "X"), ""))
+    items.append(CheckItem("round trip sends f back to z'", back_to(f, "Z"), ""))
+    items.append(CheckItem("round trip sends g back to y'", back_to(g, "Y"), ""))
     items.append(
         CheckItem(
             "round trip sends h back to t'",
@@ -508,10 +509,10 @@ def verify_pair_structured(
     )
 
     # composite on the generators of B[w]
-    items.append(CheckItem("round trip fixes x", forward.apply(backward.images["X"]) == actx.gen("X"), ""))
-    z_ok = forward.apply(backward.images["Z"]) == actx.gen("Z")
+    items.append(CheckItem("round trip fixes x", forward_fixes("X"), ""))
+    z_ok = forward_fixes("Z")
     items.append(CheckItem("round trip fixes z", z_ok, ""))
-    items.append(CheckItem("round trip fixes w", forward.apply(backward.images[ADJOINED_NAME]) == actx.gen(ADJOINED_NAME), ""))
+    items.append(CheckItem("round trip fixes w", forward_fixes(ADJOINED_NAME), ""))
     items.append(
         CheckItem(
             "round trip fixes y",
@@ -595,7 +596,7 @@ class CancellationCertificate:
 def _element_json(el: BElement | None):
     if el is None:
         return None
-    return {"expr": str(el.gen) if el.gen is not None else None, "laurent": el.laurent.to_json()}
+    return {"expr": str(el.gen), "laurent": el.laurent.to_json()}
 
 
 NORMALIZATION_NOTES = (
@@ -673,8 +674,7 @@ def cancellation_certificate(
             return fail("verify_E_iso", "relations of the smaller algebra failed")
         steps.append(CheckItem("smaller-algebra relations verified at (x, f, g, h)", True, ""))
 
-        d_can = canonical_lnd(actx)
-        complement = build_complement_variable(actx, d_can, phi, cap, budget)
+        complement = build_complement_variable(actx, phi, cap, budget)
         cert.complement = complement
         steps.append(
             CheckItem(
@@ -684,9 +684,7 @@ def cancellation_certificate(
             )
         )
 
-        old_gens, small_w = express_old_generators(
-            actx, small_iso, f, g, h, complement, budget
-        )
+        old_gens, small_w = express_old_generators(actx, small_iso, f, g, complement, budget)
         cert.old_generators = old_gens
         steps.append(CheckItem("old generators expressed over the smaller ring", True, ""))
 
@@ -708,7 +706,7 @@ def cancellation_certificate(
         )
         cert.forward = forward
         cert.backward = backward
-        pair_report = verify_pair_structured(actx, small_w, forward, backward, f, g, h)
+        pair_report = verify_pair_structured(actx, small_w, forward, backward, f, g)
         cert.pair_checks = pair_report
         cert.pair_verified = pair_report.passed
         if not pair_report.passed:

@@ -21,6 +21,7 @@ from .cancellation import PIPELINE_BUDGET, cancellation_certificate
 from .derivations import (
     CAP_EXCEEDED,
     DEFAULT_CAP,
+    DerivationError,
     canonical_lnd,
     check_derivation_well_defined,
     check_exp_axioms,
@@ -201,8 +202,12 @@ def _run_fiber(path: str, args):
 
 def _run_member(path: str, args):
     p = _load_presentation(path)
+    p.require_valid()
     adjoined = tuple(n for n in (args.adjoin or "").split(",") if n)
-    actx = AlgebraContext(p, adjoined)
+    try:
+        actx = AlgebraContext(p, adjoined)
+    except ValueError as exc:  # a name that is taken or not a variable name
+        raise InputError(f"bad --adjoin: {exc}") from exc
     if args.element is None:
         raise InputError("member requires --element with a JSON map exponent -> polynomial")
     try:
@@ -371,7 +376,7 @@ def _worker(item):
     ns = argparse.Namespace(**args_dict)
     try:
         return _HANDLERS[command](path, ns)
-    except (InputError, InvalidPresentation, ParseError, BudgetExceeded) as exc:
+    except (InputError, InvalidPresentation, ParseError, BudgetExceeded, DerivationError) as exc:
         return EXIT_INPUT, {"schema": SCHEMA, "kind": "error", "input": path, "error": str(exc)}, [f"error: {exc}"]
 
 

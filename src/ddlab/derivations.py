@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .elements import AlgebraContext, BElement
 from .laurent import LaurentForm, eval_poly_at_laurent
-from .poly import Context, Polynomial
+from .poly import Polynomial
 from .presentations import CheckItem, DDPresentation, Report, validate_presentation
 
 DEFAULT_CAP = 64
@@ -52,8 +52,6 @@ class Derivation:
         for name, el in images.items():
             if el.actx != actx:
                 raise DerivationError(f"image of {name} lives in a different algebra")
-            if el.gen is None:
-                raise DerivationError(f"image of {name} has no generator witness")
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "images", {n: images[n] for n in names})
 
@@ -75,8 +73,6 @@ class Derivation:
     def apply(self, a: BElement) -> BElement:
         if a.actx != self.actx:
             raise DerivationError("element belongs to a different algebra")
-        if a.gen is None:
-            raise DerivationError("cannot differentiate an element without a generator witness")
         return self.apply_expr(a.gen)
 
     def to_json(self):
@@ -125,9 +121,13 @@ def nilpotency_index(d: Derivation, a: BElement, cap: int = DEFAULT_CAP):
 
 
 class ExponentialMap:
-    """Images of the generators in B[w..][U], stored as U-coefficient lists."""
+    """Images of the generators in B[w..][U], stored as U-coefficient lists.
 
-    __slots__ = ("actx", "coeffs", "_img_cache")
+    `ctx_u` is the coefficient context of the Laurent model with U appended;
+    every image and every evaluation under the map lives there.
+    """
+
+    __slots__ = ("actx", "coeffs", "ctx_u", "_images")
 
     def __init__(self, actx: AlgebraContext, coeffs: Mapping[str, list[BElement]]):
         names = actx.generator_names()
@@ -142,59 +142,48 @@ class ExponentialMap:
             for el in lst:
                 if el.actx != actx:
                     raise DerivationError("coefficient in a different algebra")
-                if el.gen is None:
-                    raise DerivationError("coefficient without a generator witness")
             while len(lst) > 1 and lst[-1].is_zero():
                 lst.pop()
             store[name] = lst
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "coeffs", store)
-        object.__setattr__(self, "_img_cache", {})
+        object.__setattr__(self, "ctx_u", actx.coeff_ctx.extend("U"))
+        object.__setattr__(self, "_images", None)
 
     def __setattr__(self, *args):
         raise AttributeError("ExponentialMap is immutable")
 
-    def extended_ctx(self, *params: str) -> Context:
-        return self.actx.coeff_ctx.extend(*params)
-
-    def image_exprs(self, param: str) -> dict[str, Polynomial]:
-        """Each generator's image sum_i c_i.gen * param^i, over gen_ctx with param appended."""
-        ctx = self.actx.gen_ctx.extend(param)
+    def image_exprs(self) -> dict[str, Polynomial]:
+        """Each generator's image sum_i c_i.gen * U^i, over gen_ctx with U appended."""
+        ctx = self.actx.gen_ctx.extend("U")
         return {
             name: Polynomial(ctx, {e + (i,): q for i, c in enumerate(lst) for e, q in c.gen.terms.items()})
             for name, lst in self.coeffs.items()
         }
 
-    def images_laurent(self, param: str, target: Context | None = None) -> dict[str, LaurentForm]:
-        """Generator images as Laurent forms over the coefficient ring with `param` adjoined."""
-        if target is None:
-            target = self.extended_ctx(param)
-        cached = self._img_cache.get((param, target))
-        if cached is None:
+    def images_laurent(self) -> dict[str, LaurentForm]:
+        """Generator images as Laurent forms over ctx_u."""
+        if self._images is None:
+            target = self.ctx_u
             gens = {n: f.transfer(target) for n, f in self.actx.generator_images().items()}
-            cached = self._img_cache[(param, target)] = {
+            object.__setattr__(self, "_images", {
                 name: eval_poly_at_laurent(expr, gens, target)
-                for name, expr in self.image_exprs(param).items()
-            }
-        return cached
+                for name, expr in self.image_exprs().items()
+            })
+        return self._images
 
-    def apply_expr(self, expr: Polynomial, param: str, target: Context | None = None) -> LaurentForm:
-        """Evaluate a generator expression under the map, into B[w..][param]."""
-        if target is None:
-            target = self.extended_ctx(param)
+    def apply_expr(self, expr: Polynomial) -> LaurentForm:
+        """Evaluate a generator expression under the map, into B[w..][U]."""
         if expr.ctx != self.actx.gen_ctx:
             expr = expr.transfer(self.actx.gen_ctx)
-        return eval_poly_at_laurent(expr, self.images_laurent(param, target), target)
+        return eval_poly_at_laurent(expr, self.images_laurent(), self.ctx_u)
 
-    def apply_element(self, a: BElement, param: str, target: Context | None = None) -> LaurentForm:
-        if a.gen is None:
-            raise DerivationError("cannot apply the map to an element without a witness")
-        return self.apply_expr(a.gen, param, target)
+    def apply_element(self, a: BElement) -> LaurentForm:
+        return self.apply_expr(a.gen)
 
-    def fixes(self, a: BElement, param: str = "U") -> bool:
+    def fixes(self, a: BElement) -> bool:
         """True iff the element is invariant (image equals the element itself)."""
-        target = self.extended_ctx(param)
-        return self.apply_element(a, param, target) == a.laurent.transfer(target)
+        return self.apply_element(a) == a.laurent.transfer(self.ctx_u)
 
     def to_json(self):
         return {name: [str(c) for c in lst] for name, lst in self.coeffs.items()}
@@ -235,22 +224,21 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
                            "constant coefficient equals the generator"))
 
     rel1, rel2 = actx.relations()
-    ctx_u = delta.extended_ctx("U")
-    rel_ok = (
-        delta.apply_expr(rel1, "U", ctx_u).is_zero()
-        and delta.apply_expr(rel2, "U", ctx_u).is_zero()
-    )
+    rel_ok = delta.apply_expr(rel1).is_zero() and delta.apply_expr(rel2).is_zero()
     items.append(CheckItem("defining relations map to zero", rel_ok, ""))
 
-    # lhs: the U-expressions at the images under delta_V, U fixed;
+    # lhs: the U-expressions at the images under delta_V, U fixed, where
+    # delta_V evaluates the U-expressions with U -> V;
     # rhs: the U-expressions at the generator images, with U -> U + V
-    ctx_uv = delta.extended_ctx("U", "V")
-    at_v = delta.images_laurent("V", ctx_uv)
-    shifted = {n: f.transfer(ctx_uv) for n, f in actx.generator_images().items()}
-    shifted["U"] = LaurentForm.from_poly(ctx_uv.var("U") + ctx_uv.var("V"))
+    ctx_uv = delta.ctx_u.extend("V")
+    gens = {n: f.transfer(ctx_uv) for n, f in actx.generator_images().items()}
+    v_gens = {**gens, "U": LaurentForm.from_poly(ctx_uv.var("V"))}
+    shifted = {**gens, "U": LaurentForm.from_poly(ctx_uv.var("U") + ctx_uv.var("V"))}
+    exprs = delta.image_exprs()
+    at_v = {name: eval_poly_at_laurent(expr, v_gens, ctx_uv) for name, expr in exprs.items()}
     cocycle_ok = True
     detail = ""
-    for name, expr in delta.image_exprs("U").items():
+    for name, expr in exprs.items():
         if eval_poly_at_laurent(expr, at_v, ctx_uv) != eval_poly_at_laurent(expr, shifted, ctx_uv):
             cocycle_ok = False
             detail = f"composition mismatch on generator {name}"
@@ -259,13 +247,11 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
     return Report(tuple(items))
 
 
-def deg_delta(delta: ExponentialMap, a: BElement, param: str = "U"):
+def deg_delta(delta: ExponentialMap, a: BElement):
     """U-degree of the image of a; NEG_INFINITY for the zero element."""
     if a.is_zero():
         return NEG_INFINITY
-    target = delta.extended_ctx(param)
-    image = delta.apply_element(a, param, target)
-    return max(p.deg_in(param) for p in image.coeffs.values())
+    return max(p.deg_in("U") for p in delta.apply_element(a).coeffs.values())
 
 
 @dataclass(frozen=True)

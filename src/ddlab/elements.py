@@ -1,9 +1,11 @@
 """Elements of B = R[X,Y,Z,T]/(X^d*Y - P, X^e*T - Q), possibly with adjoined variables.
 
 Equality in B is decided through the embedding B -> R[x, x^-1][z, w..]:
-y maps to P(x,z)*x^-d and t to Q(x,y,z)*x^-e.  A BElement carries an optional
-generator-expression witness plus its Laurent form; the Laurent form is the
-source of truth for equality.
+y maps to P(x,z)*x^-d and t to Q(x,y,z)*x^-e.  A BElement carries its
+generator expression, which witnesses that it lies in B[w..], and its Laurent
+form, the source of truth for equality.  A value computed only in the Laurent
+model, such as an image under a homomorphism, is a bare LaurentForm; it
+becomes an element when membership finds its witness (`divide_by_x_power`).
 
 Membership of a Laurent form in B[w..] is first tried by division along the
 x-adic filtration: y has lowest term P(0,z)*x^-d and t has lowest term
@@ -182,11 +184,11 @@ class AlgebraContext:
 
 
 class BElement:
-    """An element of B[w..]: optional generator expression plus Laurent form."""
+    """An element of B[w..]: generator expression plus its Laurent form."""
 
     __slots__ = ("actx", "gen", "laurent")
 
-    def __init__(self, actx: AlgebraContext, gen: Polynomial | None, laurent: LaurentForm):
+    def __init__(self, actx: AlgebraContext, gen: Polynomial, laurent: LaurentForm):
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "laurent", laurent)
@@ -212,32 +214,24 @@ class BElement:
 
     def __add__(self, other: "BElement") -> "BElement":
         self._check(other)
-        expr = self.gen + other.gen if self.gen is not None and other.gen is not None else None
-        return BElement(self.actx, expr, self.laurent + other.laurent)
+        return BElement(self.actx, self.gen + other.gen, self.laurent + other.laurent)
 
     def __neg__(self) -> "BElement":
-        return BElement(self.actx, -self.gen if self.gen is not None else None, -self.laurent)
+        return BElement(self.actx, -self.gen, -self.laurent)
 
     def __sub__(self, other: "BElement") -> "BElement":
         return self + (-other)
 
     def __mul__(self, other: "BElement") -> "BElement":
         self._check(other)
-        expr = self.gen * other.gen if self.gen is not None and other.gen is not None else None
-        return BElement(self.actx, expr, self.laurent * other.laurent)
+        return BElement(self.actx, self.gen * other.gen, self.laurent * other.laurent)
 
     def scale(self, q) -> "BElement":
         q = Fraction(q)
-        return BElement(
-            self.actx,
-            self.gen.scale(q) if self.gen is not None else None,
-            self.laurent.scale(q),
-        )
+        return BElement(self.actx, self.gen.scale(q), self.laurent.scale(q))
 
     def __str__(self):
-        if self.gen is not None:
-            return str(self.gen)
-        return str(self.laurent)
+        return str(self.gen)
 
     def __repr__(self):
         return f"<element {self} of {self.actx!r}>"
@@ -338,15 +332,17 @@ def _groebner_membership(f: LaurentForm, actx: AlgebraContext, budget: int) -> M
     return MembershipResult(True, cof, [])
 
 
-def divide_by_x_power(a: BElement, n: int, budget: int = DEFAULT_BUDGET) -> BElement:
-    """The quotient q with x^n * q = a, when it exists in B[w..]."""
+def divide_by_x_power(
+    form: LaurentForm, actx: AlgebraContext, n: int, budget: int = DEFAULT_BUDGET
+) -> BElement:
+    """The element q of B[w..] with x^n * q = form, when it exists."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    shifted = a.laurent.shift(-n)
-    result = membership_with_witness(shifted, a.actx, budget)
+    shifted = form.shift(-n)
+    result = membership_with_witness(shifted, actx, budget)
     if not result.member:
         raise NotInAlgebra(
             f"element is not divisible by X^{n} in the algebra",
             result.certificate,
         )
-    return BElement(a.actx, result.witness, shifted)
+    return BElement(actx, result.witness, shifted)

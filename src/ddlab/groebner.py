@@ -418,16 +418,12 @@ def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
             raise AssertionError("cofactor row does not reproduce basis element")
 
 
-def is_unit_ideal(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
+def is_unit_ideal(gens: Sequence[Polynomial], budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the ideal generated by gens is the whole ring (reduced basis {1})."""
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return False
-    return buchberger(nonzero, order, budget).is_unit()
+    return buchberger(nonzero, budget=budget).is_unit()
 
 
 def elimination_ideal(

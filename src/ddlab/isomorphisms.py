@@ -1,8 +1,10 @@
 """R-algebra homomorphisms between presentations, canonical transports,
 and invariant-based non-isomorphism certificates.
 
-A homomorphism is stored by generator images (with witnesses) and verified by
-checking that the source relations map to zero Laurent forms in the target.
+A homomorphism is stored by generator images, each a target element with its
+generator expression, and verified by checking that the source relations map
+to zero Laurent forms in the target.  Applying a homomorphism evaluates at the
+Laurent forms of the images, so its value is a Laurent form of the target.
 `transport_presentation` realizes the canonical isomorphism shape: given the
 unit/translation data it constructs the target presentation and the explicit
 mutually inverse pair.  `distinguish_by_invariants` certifies non-isomorphism
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import AlgebraContext, BElement
-from .laurent import eval_poly_at_laurent
+from .laurent import LaurentForm, eval_poly_at_laurent
 from .poly import ContextMismatch, Polynomial
 from .presentations import (
     CheckItem,
@@ -48,30 +50,22 @@ class RHomomorphism:
             el = images[name]
             if not isinstance(el, BElement) or el.actx != target:
                 raise HomomorphismError(f"image of {name} is not a target element")
-            if el.gen is None:
-                raise HomomorphismError(f"image of {name} has no generator witness")
         self.source = source
         self.target = target
         self.images = {n: images[n] for n in names}
         self.verified = False
 
-    def apply_expr(self, expr: Polynomial) -> BElement:
-        """Image of a source generator expression (base variables are fixed).
-
-        Evaluation happens at the Laurent level, so the result carries no
-        generator witness.
-        """
+    def apply_expr(self, expr: Polynomial) -> LaurentForm:
+        """Laurent form of the image of a source generator expression (base
+        variables are fixed)."""
         if expr.ctx != self.source.gen_ctx:
             expr = expr.transfer(self.source.gen_ctx)
         laurent_images = {n: el.laurent for n, el in self.images.items()}
-        out = eval_poly_at_laurent(expr, laurent_images, self.target.coeff_ctx)
-        return BElement(self.target, None, out)
+        return eval_poly_at_laurent(expr, laurent_images, self.target.coeff_ctx)
 
-    def apply(self, a: BElement) -> BElement:
+    def apply(self, a: BElement) -> LaurentForm:
         if a.actx != self.source:
             raise ContextMismatch("element does not belong to the source algebra")
-        if a.gen is None:
-            raise HomomorphismError("cannot map an element without a generator witness")
         return self.apply_expr(a.gen)
 
     def to_json(self):
@@ -95,10 +89,10 @@ def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> bool:
     if not hinv.verified and not verify_hom(hinv):
         return False
     for name in h.source.generator_names():
-        if hinv.apply(h.images[name]) != h.source.gen(name):
+        if hinv.apply(h.images[name]) != h.source.gen(name).laurent:
             return False
     for name in hinv.source.generator_names():
-        if h.apply(hinv.images[name]) != hinv.source.gen(name):
+        if h.apply(hinv.images[name]) != hinv.source.gen(name).laurent:
             return False
     return True
 

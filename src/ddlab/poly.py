@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
+VARIABLE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
 
 class ContextMismatch(ValueError):
     """Two values from different variable contexts were combined."""
@@ -242,7 +244,7 @@ class Context:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in context: {names}")
         for n in names:
-            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", n):
+            if not VARIABLE_NAME.fullmatch(n):
                 raise ValueError(f"invalid variable name: {n!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})

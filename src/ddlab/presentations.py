@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import DEFAULT_BUDGET, is_unit_ideal
-from .poly import Context, Polynomial, parse_poly
+from .poly import VARIABLE_NAME, Context, Polynomial, parse_poly
 
 GENERATOR_NAMES = ("X", "Y", "Z", "T")
 RESERVED_NAMES = {"X", "Y", "Z", "T", "U", "V"}
@@ -70,6 +70,8 @@ class BaseRingSpec:
     def __post_init__(self):
         seen = set()
         for name in self.variables:
+            if not VARIABLE_NAME.fullmatch(name):
+                raise InvalidPresentation(f"base variable {name!r} is not a variable name")
             if name in RESERVED_NAMES or _looks_adjoined(name):
                 raise InvalidPresentation(f"base variable {name!r} collides with a reserved name")
             if name in seen:
@@ -256,13 +258,12 @@ def cond_class(p: DDPresentation) -> str:
     return _cond_class_of(p.r, p.s, p.e)
 
 
-def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET, order=None) -> Report:
+def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET) -> Report:
     """Membership test for the certified subfamily.
 
     Requires deg_Z P(0,Z) > 1, deg_Y Q > 1 under the monicity convention, and
     the two unit-ideal conditions (P(0,Z), dP/dZ(0,Z)) = R[Z] and
-    (P(0,Z), Q(0,Y,Z), dQ/dY(0,Y,Z)) = R[Y,Z].  The verdict is independent of
-    the chosen monomial order; `order` only selects the basis computed.
+    (P(0,Z), Q(0,Y,Z), dQ/dY(0,Y,Z)) = R[Y,Z].
     """
     validation = validate_presentation(p)
     items = [CheckItem("presentation valid", validation.passed,
@@ -276,7 +277,7 @@ def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET, order=None) ->
 
     names = ("(P(0,Z), P'(0,Z)) = R[Z]", "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) = R[Y,Z]")
     for name, gens in zip(names, unit_ideal_generators(p)):
-        unit = is_unit_ideal(gens, order=order, budget=budget)
+        unit = is_unit_ideal(gens, budget=budget)
         items.append(CheckItem(name, unit, f"generators ({', '.join(map(str, gens))})"))
     return Report(tuple(items), {"r": r, "s": s})
 

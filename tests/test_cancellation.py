@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ddlab import cancellation
 from ddlab.cancellation import (
     build_complement_variable,
     build_phi_extension,
@@ -11,9 +12,11 @@ from ddlab.cancellation import (
     compute_g_h,
     compute_slice_f,
     verify_E_iso,
+    verify_pair_structured,
 )
 from ddlab.derivations import canonical_lnd
-from ddlab.isomorphisms import verify_iso_pair
+from ddlab.elements import MembershipResult
+from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
 from ddlab.presentations import DDPresentation
 
@@ -83,7 +86,7 @@ class TestInvariantElements:
     def test_complement_variable(self, dd1):
         actx, phi, _ = build_phi_extension(dd1)
         d = canonical_lnd(actx)
-        comp = build_complement_variable(actx, d, phi)
+        comp = build_complement_variable(actx, phi)
         assert comp.checks.passed
         assert d.apply(comp.element) == actx.const(1)
 
@@ -116,7 +119,7 @@ class TestCertificateDD1:
         forward = dd1_cert.forward
         actx = dd1_cert.f.actx
         t_image = backward.images["T"]
-        assert forward.apply(t_image) == actx.gen("T")
+        assert forward.apply(t_image) == actx.gen("T").laurent
         assert actx.gen("T").laurent.to_json() == {"-4": "Z^4 - 2*Z^2 + 1", "-2": "Z"}
 
     def test_non_isomorphism_part(self, dd1_cert):
@@ -137,6 +140,47 @@ class TestCertificateDD1:
         assert back["verdict"] == "non-cancellation pair certified"
         assert back["f"]["expr"] == "X^2*W1 + Z"
         assert back["iso_pair"]["verified"] is True
+
+
+class TestFaultInjection:
+    """The checks that compare Laurent forms fail on a perturbed image or witness."""
+
+    @staticmethod
+    def _pair_report(cert, forward_images=(), backward_images=()):
+        small_w, actx = cert.forward.source, cert.forward.target
+        forward = RHomomorphism(small_w, actx, {**cert.forward.images, **dict(forward_images)})
+        backward = RHomomorphism(actx, small_w, {**cert.backward.images, **dict(backward_images)})
+        report = verify_pair_structured(actx, small_w, forward, backward, cert.f, cert.g)
+        return [c.name for c in report.failed_items()]
+
+    def test_unperturbed_pair_passes(self, dd1_cert):
+        assert self._pair_report(dd1_cert) == []
+
+    def test_forward_w_image_plus_one(self, dd1_cert):
+        actx = dd1_cert.forward.target
+        sigma = dd1_cert.forward.images["W1"]
+        failed = self._pair_report(dd1_cert, forward_images={"W1": sigma + actx.const(1)})
+        assert "round trip fixes w" in failed
+
+    def test_backward_y_image_plus_one(self, dd1_cert):
+        small_w = dd1_cert.forward.source
+        psi_y = dd1_cert.backward.images["Y"]
+        failed = self._pair_report(dd1_cert, backward_images={"Y": psi_y + small_w.const(1)})
+        assert failed == ["map to the smaller ring sends the relations to zero"]
+
+    def test_membership_witness_plus_one(self, dd1, monkeypatch):
+        original = cancellation.membership_with_witness
+
+        def off_by_one(f, actx, budget):
+            result = original(f, actx, budget)
+            witness = result.witness + actx.gen_ctx.one()
+            return MembershipResult(result.member, witness, result.certificate)
+
+        monkeypatch.setattr(cancellation, "membership_with_witness", off_by_one)
+        cert = cancellation_certificate(dd1)
+        assert not cert.certified
+        assert cert.steps[-1].name == "express_old_generators"
+        assert "round trip failed" in cert.verdict
 
 
 class TestGuards:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddlab
 from ddlab.cli import _pool_size, build_parser, main
@@ -300,6 +304,7 @@ class TestMalformedInput:
             ({**DD1, "Q": 5}, "Q must be a string, got 5"),
             ({**DD1, "base_vars": [5]}, "base_vars must be a list of strings, got [5]"),
             ({**DD1, "base_vars": "ab"}, "base_vars must be a list of strings, got 'ab'"),
+            ({**DD1, "base_vars": ["1a"]}, "base variable '1a' is not a variable name"),
             ({**DD1, "d": 2.7}, "d must be an integer, got 2.7"),
             ({**DD1, "d": True}, "d must be an integer, got True"),
             ({**DD1, "P": "(" * 3000 + "Z" + ")" * 3000}, "nested more than 100 deep"),
@@ -307,7 +312,7 @@ class TestMalformedInput:
             ({**DD1, "P": "(Z+1)^200000"}, "degree 200000 exceeds the limit of 1000"),
             ({**DD1, "P": "(X+Y+Z+T+1)^40"}, "term products exceed the limit of 1000000"),
         ],
-        ids=["list", "Q-int", "base_vars-int", "base_vars-str", "d-float", "d-bool",
+        ids=["list", "Q-int", "base_vars-int", "base_vars-str", "base_vars-name", "d-float", "d-bool",
              "parentheses", "signs", "power", "power-terms"],
     )
     @pytest.mark.parametrize("command", ["validate", "invariants"])
@@ -375,3 +380,97 @@ class TestMalformedJsonArguments:
         path.write_text(json.dumps(forward))
         assert main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", str(path)]) == 2
         self._assert_one_error_line(capsys, message)
+
+
+class TestErrorsBecomeInputErrors:
+    """Errors raised below a handler on bad flag values exit 2 with one line."""
+
+    @pytest.mark.parametrize("cap", ["0", "2"])
+    def test_exp_cap_below_nilpotency(self, dd1_file, capsys, cap):
+        assert main(["exp", dd1_file, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: no nilpotency for generator")
+        assert f"within cap {cap}" in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "adjoin, message",
+        [
+            ("X", "adjoined variable 'X' is not fresh"),
+            ("1a", "invalid variable name: '1a'"),
+            ("W1,W1", "adjoined variable 'W1' is not fresh"),
+        ],
+        ids=["generator", "malformed", "repeated"],
+    )
+    def test_member_adjoin(self, dd1_file, capsys, adjoin, message):
+        argv = ["member", dd1_file, "--element", '{"-1": "Z^2 - 1"}', "--adjoin", adjoin]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0] == f"error: bad --adjoin: {message}"
+        assert "Traceback" not in captured.err
+
+
+_MISSING = object()
+# each field is valid three times in four, so most runs get past loading
+_DEGREES = (st.integers(1, 3), st.sampled_from([-1, 0, 1.0, 2.5, True, False, "1", "two"]))
+_P_TEXTS = (
+    st.sampled_from(["Z^2 - 1", "Z^3 + X", "Z^2 + 1/2", "2*Z^2 + X*Z - 1", "Z^2 - u", "Z", "X"]),
+    st.sampled_from(["Z +* 1", "(Z", "", "Z^", "W1*Z", 5, None, [1], 2.5]),
+)
+_Q_TEXTS = (
+    st.sampled_from(["Y^2 + Z", "Y^3 + X*Z + 1/2", "Y^2 + Z*Y + Z", "Y + Z", "Y^2", "Y^2 + u*Z", "2*Y"]),
+    st.sampled_from(["Y^^2", ")", "Y^2 + V", 7, None, {"Y": 1}]),
+)
+_BASE_VARS = (st.sampled_from([_MISSING, [], ["u"]]),
+              st.sampled_from(["u", [5], ["X"], ["1a"], ["u", "u"]]))
+_ELEMENTS = st.sampled_from(
+    [None, '{"-1": "Z^2 - 1"}', '{"-1": "Z"}', '{"-2": "Z + W1"}', '{"0": "Z"}', '{"0": "Y"}', "[1]"])
+
+
+def _mostly_valid(draw, field):
+    good, bad = field
+    return draw(bad) if draw(st.integers(0, 3)) == 0 else draw(good)
+
+
+@st.composite
+def _cli_runs(draw):
+    record = {name: _mostly_valid(draw, field)
+              for name, field in (("d", _DEGREES), ("e", _DEGREES), ("P", _P_TEXTS), ("Q", _Q_TEXTS))}
+    base_vars = _mostly_valid(draw, _BASE_VARS)
+    if base_vars is not _MISSING:
+        record["base_vars"] = base_vars
+    command = draw(st.sampled_from(
+        ["validate", "invariants", "danielewski-reduce", "omega3", "fiber", "lnd", "exp", "member"]))
+    flags = []
+    if command in ("omega3", "fiber"):
+        flags = ["--budget", "2000"]
+    elif command in ("lnd", "exp"):
+        flags = ["--cap", str(draw(st.integers(0, 6)))]
+    elif command == "member":
+        flags = ["--budget", "2000", "--adjoin", draw(st.sampled_from(["", "W1", "X", "1a", "W1,W1"]))]
+        element = draw(_ELEMENTS)
+        if element is not None:
+            flags += ["--element", element]
+    if draw(st.booleans()):
+        flags.append("--json")
+    return record, command, flags
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_cli_runs())
+def test_fuzzed_records_exit_cleanly(tmp_path_factory, run):
+    """Any record and any of these commands exits 0, 1 or 2 without a
+    traceback; without --json, exit 2 prints exactly one `error:` line."""
+    record, command, flags = run
+    path = tmp_path_factory.mktemp("fuzz") / "record.json"
+    path.write_text(json.dumps(record))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() and "Traceback" not in err.getvalue()
+    if code == 2 and "--json" not in flags:
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -159,8 +159,8 @@ class TestExponentialMap:
                 pres = random_valid_presentation(rng, d_exp, e_exp)
                 actx = AlgebraContext(pres)
                 phi = exp_map(canonical_lnd(actx))
-                ext = phi.extended_ctx("U")
-                image_y = phi.apply_element(actx.gen("Y"), "U", ext)
+                ext = phi.ctx_u
+                image_y = phi.apply_element(actx.gen("Y"))
                 n = pres.d + pres.e
                 shifted_z = LaurentForm.from_poly(ext.var("Z")) + LaurentForm.from_poly(
                     ext.var("U")
