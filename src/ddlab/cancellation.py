@@ -61,11 +61,8 @@ PIPELINE_BUDGET = 5_000_000
 
 
 class PipelineError(RuntimeError):
-    """A pipeline step failed; the message names the step."""
-
-    def __init__(self, step: str, message: str):
-        super().__init__(f"{step}: {message}")
-        self.step = step
+    """A pipeline check failed; `cancellation_certificate` names the stage
+    it was raised in, so the message says only what went wrong."""
 
 
 def _divide_x_monomials(poly: Polynomial, k: int) -> Polynomial:
@@ -140,22 +137,20 @@ def build_phi_extension(
     return actx, phi, Report(tuple(items))
 
 
-def compute_slice_f(actx: AlgebraContext, phi: ExponentialMap) -> BElement:
+def compute_slice_f(phi: ExponentialMap) -> BElement:
     """The invariant element f = x^(d+e-1)*w + z; its invariance is verified."""
+    actx = phi.actx
     p = actx.presentation
     ctx = actx.gen_ctx
     expr = ctx.var("X") ** (p.d + p.e - 1) * ctx.var(ADJOINED_NAME) + ctx.var("Z")
     f = actx.element(expr)
     if not phi.fixes(f):
-        raise PipelineError("compute_slice_f", "f is not invariant under the map")
+        raise PipelineError("f is not invariant under the map")
     return f
 
 
 def compute_g_h(
-    actx: AlgebraContext,
-    f: BElement,
-    phi: ExponentialMap,
-    budget: int = DEFAULT_BUDGET,
+    f: BElement, phi: ExponentialMap, budget: int = DEFAULT_BUDGET
 ) -> tuple[BElement, BElement, Report]:
     """g with x^d*g = P(x,f) and h with x^(e-1)*h = Q(x,g,f).
 
@@ -163,9 +158,10 @@ def compute_g_h(
     the independent membership-division route must agree (checked), and both
     elements must be invariant under the map (checked).
     """
+    actx = f.actx
     p = actx.presentation
     if p.e <= 1:
-        raise PipelineError("compute_g_h", f"requires e > 1, got e = {p.e}")
+        raise PipelineError(f"requires e > 1, got e = {p.e}")
     ctx = actx.gen_ctx
     p_poly = p.P.transfer(ctx)
     q_poly = p.Q.transfer(ctx)
@@ -221,15 +217,14 @@ class SmallAlgebraIso:
         }
 
 
-def verify_E_iso(
-    actx: AlgebraContext, f: BElement, g: BElement, h: BElement
-) -> SmallAlgebraIso:
+def verify_E_iso(f: BElement, g: BElement, h: BElement) -> SmallAlgebraIso:
     """Check that (x, f, g, h) satisfies the relations of B_{d,e-1}.
 
     Injectivity of the induced map is recorded as a structural argument: the
     substitution z -> z + x^(d+e-1)*w is invertible over R[x, 1/x][z, w], so
     the map extends to an automorphism of the Laurent model.
     """
+    actx = f.actx
     p = actx.presentation
     small = DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q)
     small_ctx = AlgebraContext(small)
@@ -266,10 +261,7 @@ class ComplementVariable:
 
 
 def build_complement_variable(
-    actx: AlgebraContext,
-    phi: ExponentialMap,
-    cap: int = DEFAULT_CAP,
-    budget: int = DEFAULT_BUDGET,
+    phi: ExponentialMap, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET
 ) -> ComplementVariable:
     """Construct sigma with D(sigma) = 1 for the canonical derivation D, so
     the map sends sigma to sigma + U.
@@ -279,17 +271,16 @@ def build_complement_variable(
     by x; the defect is absorbed into powers of w via the chain
     c_(j+1) = D(c_j)/x, which terminates by local nilpotency.
     """
+    actx = phi.actx
     gens1, gens2 = unit_ideal_generators(actx.presentation)
     gb1 = buchberger(gens1, budget=budget)
     if not gb1.is_unit():
-        raise PipelineError("build_complement_variable", "(P(0,Z), P'(0,Z)) is not the unit ideal")
+        raise PipelineError("(P(0,Z), P'(0,Z)) is not the unit ideal")
     _, b_poly = gb1.reduce_to_gens(gb1.ctx.one(), 1, budget)
 
     gb2 = buchberger(gens2, budget=budget)
     if not gb2.is_unit():
-        raise PipelineError(
-            "build_complement_variable", "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal"
-        )
+        raise PipelineError("(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal")
     _, m_poly = gb2.reduce_to_gens(gb2.ctx.one(), 2, budget)
 
     derivation = canonical_lnd(actx)
@@ -301,23 +292,18 @@ def build_complement_variable(
     try:
         c = divide_by_x_power(defect.laurent, actx, 1, budget)
     except NotInAlgebra as exc:
-        raise PipelineError(
-            "build_complement_variable", f"initial defect not divisible by x: {exc}"
-        ) from exc
+        raise PipelineError(f"initial defect not divisible by x: {exc}") from exc
     w = ctx.var(ADJOINED_NAME)
     j = 1
     while not c.is_zero():
         if j > cap:
-            raise PipelineError(
-                "build_complement_variable", f"correction chain did not terminate within {cap} steps"
-            )
+            raise PipelineError(f"correction chain did not terminate within {cap} steps")
         sigma_expr = sigma_expr + w ** j * c.gen.scale(Fraction(1, math.factorial(j)))
         try:
             c = divide_by_x_power(derivation.apply(c).laurent, actx, 1, budget)
         except NotInAlgebra as exc:
             raise PipelineError(
-                "build_complement_variable",
-                f"correction chain defect at step {j} not divisible by x: {exc}",
+                f"correction chain defect at step {j} not divisible by x: {exc}"
             ) from exc
         j += 1
 
@@ -331,15 +317,19 @@ def build_complement_variable(
     items.append(CheckItem("map sends sigma to sigma + U", image == expected, ""))
     report = Report(tuple(items))
     if not report.passed:
-        raise PipelineError("build_complement_variable", "constructed element failed verification")
+        raise PipelineError("constructed element failed verification")
     return ComplementVariable(sigma, seed, j - 1, report)
 
 
 @dataclass(frozen=True)
 class OldGeneratorWitnesses:
-    """Expressions of z, y, t, w over the smaller algebra with w' adjoined."""
+    """The images of x, z, y, t, w as elements of B_{d,e-1}[w'].
 
-    images: dict  # source generator name -> Polynomial over (X,Y,Z,T,W1)
+    Each image is the element its stage built, so its Laurent form is the one
+    that stage verified and later evaluations reuse its cached powers.
+    """
+
+    images: dict  # source generator name -> BElement of B_{d,e-1}[w']
     direct_identities: Report  # the two closed-form identities in E[w]
     checks: Report
 
@@ -352,30 +342,32 @@ class OldGeneratorWitnesses:
 
 
 def express_old_generators(
-    actx: AlgebraContext,
     small_iso: SmallAlgebraIso,
-    f: BElement,
-    g: BElement,
     complement: ComplementVariable,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[OldGeneratorWitnesses, AlgebraContext]:
-    """Polynomial expressions of the old generators over B_{d,e-1}[w'].
+    """The old generators as elements of B_{d,e-1}[w'], and that ring.
 
-    z and y also receive the closed-form identities z = f - x^(d+e-1)*w and
+    A, f and g are read off the inclusion x, z, y, t -> x, f, g, h.  z and y
+    also receive the closed-form identities z = f - x^(d+e-1)*w and
     y = g + (P(x, f - x^(d+e-1)*w) - P(x, f))/x^d (each checked by Laurent
     equality).  The images of w and z over the smaller ring come from the
-    invariant combinations w + x*sigma and z - x^(d+e)*sigma.  The images of
-    y and t are found by dividing the Laurent forms of P(x, psi_z) and
-    Q(x, psi_y, psi_z) by x^d and x^e; those forms are evaluated at the
-    Laurent forms of psi_z and psi_y, which equals expanding P and Q over
-    the generators first because the Laurent embedding is a ring map.
+    invariant combinations w + x*sigma and z - x^(d+e)*sigma, built by
+    element arithmetic on sigma and divided in B_{d,e-1}[w'], whose
+    coefficient ring is that of A.  The images of y and t are the quotients
+    of the Laurent forms of P(x, psi_z) and Q(x, psi_y, psi_z) by x^d and
+    x^e; those forms are evaluated at the Laurent forms of psi_z and psi_y,
+    which equals expanding P and Q over the generators first because the
+    Laurent embedding is a ring map.
     """
+    inclusion = small_iso.inclusion
+    actx = inclusion.target
+    f, g = inclusion.images["Z"], inclusion.images["Y"]
     p = actx.presentation
     n1 = p.d + p.e - 1
     ctx = actx.gen_ctx
     x = ctx.var("X")
     w = ctx.var(ADJOINED_NAME)
-    sigma = complement.element
 
     # closed-form identities inside A
     direct = []
@@ -394,83 +386,74 @@ def express_old_generators(
         )
     )
 
-    small_actx = small_iso.inclusion.source
-    small_w = AlgebraContext(small_actx.presentation, (ADJOINED_NAME,))
+    small_w = AlgebraContext(small_iso.presentation, (ADJOINED_NAME,))
     ctx_w = small_w.gen_ctx
+    cctx = actx.coeff_ctx
 
     # z -> z - x^(d+e-1)*w; one object, so its powers are cached across calls
-    z_img = LaurentForm.from_poly(actx.coeff_ctx.var("Z")) - LaurentForm.from_poly(
-        actx.coeff_ctx.var(ADJOINED_NAME)
+    z_img = LaurentForm.from_poly(cctx.var("Z")) - LaurentForm.from_poly(
+        cctx.var(ADJOINED_NAME)
     ).shift(n1)
 
-    def coord(elem: BElement, label: str) -> Polynomial:
+    def coord(elem: BElement, label: str) -> BElement:
         """Express an invariant element in the generators of the smaller algebra."""
-        shifted = elem.laurent.substitute({"Z": z_img}, actx.coeff_ctx)
+        shifted = elem.laurent.substitute({"Z": z_img}, cctx)
         for poly in shifted.coeffs.values():
             if poly.deg_in(ADJOINED_NAME) > 0:
                 raise PipelineError(
-                    "express_old_generators",
-                    f"{label} is not invariant: residual w after the coordinate change",
+                    f"{label} is not invariant: residual w after the coordinate change"
                 )
-        small_form = shifted.transfer(small_actx.coeff_ctx)
-        result = membership_with_witness(small_form, small_actx, budget)
+        result = membership_with_witness(shifted, small_w, budget)
         if not result.member:
-            raise PipelineError(
-                "express_old_generators",
-                f"{label} does not lie in the smaller algebra",
-            )
-        back = small_iso.inclusion.apply_expr(result.witness)
-        if back != elem.laurent:
-            raise PipelineError(
-                "express_old_generators", f"round trip failed for {label}"
-            )
-        return result.witness
+            raise PipelineError(f"{label} does not lie in the smaller algebra")
+        if inclusion.apply_expr(result.witness) != elem.laurent:
+            raise PipelineError(f"round trip failed for {label}")
+        return BElement(small_w, result.witness, shifted)
 
+    sigma = complement.element
+    x_new = small_w.gen("X")
+    w_new = small_w.gen(ADJOINED_NAME)
     checks = []
-    pw = coord(actx.element(w + x * sigma.gen), "w + x*sigma")
-    psi_w = pw.transfer(ctx_w) - ctx_w.var("X") * ctx_w.var(ADJOINED_NAME)
+    pw = coord(actx.gen(ADJOINED_NAME) + actx.gen("X") * sigma, "w + x*sigma")
+    psi_w = pw - x_new * w_new
     checks.append(CheckItem("w + x*sigma lies in the invariant subring", True, f"{pw}"))
 
-    pz = coord(actx.element(ctx.var("Z") - x ** (p.d + p.e) * sigma.gen), "z - x^(d+e)*sigma")
-    psi_z = pz.transfer(ctx_w) + ctx_w.var("X") ** (p.d + p.e) * ctx_w.var(ADJOINED_NAME)
+    x_n = x ** (p.d + p.e)
+    pz = coord(actx.gen("Z") - actx.element(x_n) * sigma, "z - x^(d+e)*sigma")
+    psi_z = pz + small_w.element(x_n) * w_new
     checks.append(CheckItem("z - x^(d+e)*sigma lies in the invariant subring", True, f"{pz}"))
 
-    cctx_w = small_w.coeff_ctx
-    at_psi = {"X": small_w.generator_images()["X"], "Z": small_w.to_laurent(psi_z)}
-    p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx_w)
-    psi_y_elem = divide_by_x_power(p_small, small_w, p.d, budget)
-    psi_y = psi_y_elem.gen
+    at_psi = {"X": x_new.laurent, "Z": psi_z.laurent}
+    p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx)
+    psi_y = divide_by_x_power(p_small, small_w, p.d, budget)
     checks.append(CheckItem("image of y divides out x^d", True, f"{psi_y}"))
 
-    at_psi["Y"] = psi_y_elem.laurent
-    q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx_w)
-    psi_t = divide_by_x_power(q_small, small_w, p.e, budget).gen
+    at_psi["Y"] = psi_y.laurent
+    q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx)
+    psi_t = divide_by_x_power(q_small, small_w, p.e, budget)
     checks.append(CheckItem("image of t divides out x^e", True, f"{psi_t}"))
 
-    images = {"X": ctx_w.var("X"), "Y": psi_y, "Z": psi_z, "T": psi_t, ADJOINED_NAME: psi_w}
+    images = {"X": x_new, "Y": psi_y, "Z": psi_z, "T": psi_t, ADJOINED_NAME: psi_w}
     witnesses = OldGeneratorWitnesses(images, Report(tuple(direct)), Report(tuple(checks)))
     if not witnesses.direct_identities.passed:
-        raise PipelineError("express_old_generators", "closed-form identity failed")
+        raise PipelineError("closed-form identity failed")
     return witnesses, small_w
 
 
-def verify_pair_structured(
-    actx: AlgebraContext,
-    small_w: AlgebraContext,
-    forward: RHomomorphism,
-    backward: RHomomorphism,
-    f: BElement,
-    g: BElement,
-) -> Report:
+def verify_pair_structured(forward: RHomomorphism, backward: RHomomorphism) -> Report:
     """Verify the homomorphism pair is mutually inverse on every generator.
 
-    Cheap legs are computed symbolically; expensive legs are entailed from
-    already-verified identities.  Each entailed item names its premises: the
-    entailments use only that both maps send the defining relations to zero,
-    that the division identities were verified as Laurent equalities, and
-    that the Laurent model is a domain with x invertible (so an identity may
-    be checked after clearing a power of x).
+    Both rings, f = image of z' and g = image of y' are read off `forward`,
+    the map from B_{d,e-1}[w'] to A.  Cheap legs are computed symbolically;
+    expensive legs are entailed from already-verified identities.  Each
+    entailed item names its premises: the entailments use only that both
+    maps send the defining relations to zero, that the division identities
+    were verified as Laurent equalities, and that the Laurent model is a
+    domain with x invertible (so an identity may be checked after clearing a
+    power of x).
     """
+    small_w, actx = forward.source, forward.target
+    f, g = forward.images["Z"], forward.images["Y"]
     items = []
 
     ok_fwd = verify_hom(forward)
@@ -618,10 +601,13 @@ def cancellation_certificate(
 ) -> CancellationCertificate:
     """Run the full pipeline and assemble the certificate.
 
-    Any failing sub-check produces a failed certificate naming the step; the
-    verdict is "non-cancellation pair certified" only when every sub-check
-    passes, including the mutually inverse homomorphism pair and the
-    invariant-based non-isomorphism of the two base algebras.
+    Any failing sub-check produces a failed certificate naming the stage it
+    failed in; an exception raised inside a stage (a `PipelineError`, a
+    refused membership, an exceeded budget, ...) is reported under that
+    stage with the exception's message.  The verdict is "non-cancellation
+    pair certified" only when every sub-check passes, including the mutually
+    inverse homomorphism pair and the invariant-based non-isomorphism of the
+    two base algebras.
     """
     cert = CancellationCertificate(p, notes=NORMALIZATION_NOTES)
     steps = cert.steps
@@ -631,12 +617,14 @@ def cancellation_certificate(
         cert.verdict = f"failed at {step}: {message}"
         return cert
 
+    stage = "guards"
     try:
         if not p.base.is_rational():
             return fail(
-                "guards",
+                stage,
                 "certificates require base ring R = Q (membership machinery restriction)",
             )
+        stage = "unit-ideal conditions"
         report = omega3_check(p, budget)
         cert.omega3 = report
         if p.e <= 1:
@@ -645,36 +633,41 @@ def cancellation_certificate(
             failed = "; ".join(
                 f"{c.name} ({c.detail})" for c in report.failed_items()
             )
-            return fail("unit-ideal conditions", failed)
+            return fail(stage, failed)
         steps.append(CheckItem("guards and unit-ideal conditions", True, ""))
 
+        stage = "build_phi_extension"
         actx, phi, phi_checks = build_phi_extension(p, cap, budget)
         cert.phi = phi
         cert.phi_checks = phi_checks
         if not phi_checks.passed:
-            return fail("build_phi_extension", "exponential-map checks failed")
+            return fail(stage, "exponential-map checks failed")
         steps.append(CheckItem("exponential map built and checked", True, ""))
 
-        f = compute_slice_f(actx, phi)
+        stage = "compute_slice_f"
+        f = compute_slice_f(phi)
         cert.f = f
         steps.append(CheckItem("invariant element f built and fixed by the map", True, str(f.gen)))
 
-        g, h, gh_checks = compute_g_h(actx, f, phi, budget)
+        stage = "compute_g_h"
+        g, h, gh_checks = compute_g_h(f, phi, budget)
         cert.g = g
         cert.h = h
         cert.gh_checks = gh_checks
         if not gh_checks.passed:
-            return fail("compute_g_h", "division checks failed")
+            return fail(stage, "division checks failed")
         steps.append(CheckItem("g and h built with verified divisions", True, ""))
 
-        small_iso = verify_E_iso(actx, f, g, h)
+        stage = "verify_E_iso"
+        small_iso = verify_E_iso(f, g, h)
         cert.small_iso = small_iso
         cert.small_presentation = small_iso.presentation
         if not small_iso.checks.passed:
-            return fail("verify_E_iso", "relations of the smaller algebra failed")
+            return fail(stage, "relations of the smaller algebra failed")
         steps.append(CheckItem("smaller-algebra relations verified at (x, f, g, h)", True, ""))
 
-        complement = build_complement_variable(actx, phi, cap, budget)
+        stage = "build_complement_variable"
+        complement = build_complement_variable(phi, cap, budget)
         cert.complement = complement
         steps.append(
             CheckItem(
@@ -684,41 +677,32 @@ def cancellation_certificate(
             )
         )
 
-        old_gens, small_w = express_old_generators(actx, small_iso, f, g, complement, budget)
+        stage = "express_old_generators"
+        old_gens, small_w = express_old_generators(small_iso, complement, budget)
         cert.old_generators = old_gens
         steps.append(CheckItem("old generators expressed over the smaller ring", True, ""))
 
+        stage = "verify_iso_pair"
         forward = RHomomorphism(
-            small_w,
-            actx,
-            {
-                "X": actx.gen("X"),
-                "Z": f,
-                "Y": g,
-                "T": h,
-                ADJOINED_NAME: complement.element,
-            },
+            small_w, actx, {**small_iso.inclusion.images, ADJOINED_NAME: complement.element}
         )
-        backward = RHomomorphism(
-            actx,
-            small_w,
-            {name: small_w.element(expr) for name, expr in old_gens.images.items()},
-        )
+        backward = RHomomorphism(actx, small_w, old_gens.images)
         cert.forward = forward
         cert.backward = backward
-        pair_report = verify_pair_structured(actx, small_w, forward, backward, f, g)
+        pair_report = verify_pair_structured(forward, backward)
         cert.pair_checks = pair_report
         cert.pair_verified = pair_report.passed
         if not pair_report.passed:
             failed = "; ".join(c.name for c in pair_report.failed_items())
-            return fail("verify_iso_pair", failed)
+            return fail(stage, failed)
         steps.append(CheckItem("mutually inverse homomorphism pair verified", True,
                                "computed legs plus entailed legs; see pair_checks"))
 
+        stage = "distinguish_by_invariants"
         non_iso = distinguish_by_invariants(p, small_iso.presentation)
         cert.non_iso = non_iso
         if not non_iso.not_isomorphic:
-            return fail("distinguish_by_invariants", non_iso.verdict)
+            return fail(stage, non_iso.verdict)
         steps.append(CheckItem("base algebras distinguished by invariants", True,
                                f"{non_iso.tuple1} vs {non_iso.tuple2}"))
 
@@ -732,5 +716,4 @@ def cancellation_certificate(
         DerivationError,
         AssertionError,
     ) as exc:
-        step = getattr(exc, "step", type(exc).__name__)
-        return fail(step, str(exc))
+        return fail(stage, str(exc))

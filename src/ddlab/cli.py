@@ -256,7 +256,7 @@ def _parse_iso_data(data, ctx) -> IsoData:
             *(Fraction(data[key]) for key in units),
             *(parse_poly(data.get(key, "0"), ctx) for key in polys),
         )
-    except (KeyError, ValueError, ZeroDivisionError, ParseError) as exc:
+    except (KeyError, ValueError, OverflowError, ZeroDivisionError, ParseError) as exc:
         raise InputError(f"bad isomorphism data: {exc}") from exc
 
 

@@ -294,18 +294,27 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Po
     coefficient by the lowest coefficient of y^j*t^l.  What is left at levels
     >= 0 is a polynomial in x, z and w..; anything left below is dropped,
     which the caller's to_laurent check would catch.
+
+    The search for J starts at floor(m*s/(d*s + e)), below which
+    d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  That lowest coefficient is
+    a*P(0,z)^J, of z-degree r*J, so a coefficient of lower z-degree is
+    refused before the Laurent form of y^j*t^l is built: at a large shift
+    that form is the dear part.
     """
     p = actx.presentation
+    d, e, r, s = p.d, p.e, p.r, p.s
     ctx = actx.gen_ctx
     witness = ctx.zero()
     for m in range(-f.min_exp(), 0, -1):
         c = f.coeffs.get(-m)
         if c is None:
             continue
-        big_j = 1
-        while p.d * big_j + p.e * (big_j // p.s) < m:
+        big_j = max(1, m * s // (d * s + e))
+        while d * big_j + e * (big_j // s) < m:
             big_j += 1
-        j, l = big_j % p.s, big_j // p.s
+        if c.deg_in("Z") < r * big_j:
+            return None
+        j, l = big_j % s, big_j // s
         form, divisor, inverse_lc = actx._x_adic_divisor(j, l)
         i = -form.min_exp() - m
         rem, (q,) = _normal_form(c, divisor, budget)

@@ -16,6 +16,7 @@ from ddlab.cancellation import (
 )
 from ddlab.derivations import canonical_lnd
 from ddlab.elements import MembershipResult
+from ddlab.groebner import BudgetExceeded
 from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
 from ddlab.presentations import DDPresentation
@@ -45,20 +46,20 @@ class TestPhiExtension:
 class TestInvariantElements:
     def test_f_formula(self, dd1):
         actx, phi, _ = build_phi_extension(dd1)
-        f = compute_slice_f(actx, phi)
+        f = compute_slice_f(phi)
         assert str(f.gen) == "X^2*W1 + Z"
 
     def test_f_exponent_one(self):
         # d = e = 1 gives exponent 1 (the e > 1 guard lives later, in g/h)
         p = DDPresentation.make([], 1, 1, "Z^2 - 1", "Y^2 + Z")
         actx, phi, _ = build_phi_extension(p)
-        f = compute_slice_f(actx, phi)
+        f = compute_slice_f(phi)
         assert str(f.gen) == "X*W1 + Z"
 
     def test_g_h_dd1(self, dd1):
         actx, phi, _ = build_phi_extension(dd1)
-        f = compute_slice_f(actx, phi)
-        g, h, report = compute_g_h(actx, f, phi)
+        f = compute_slice_f(phi)
+        g, h, report = compute_g_h(f, phi)
         assert report.passed
         assert g.gen == parse_poly("X^3*W1^2 + 2*X*Z*W1 + Y", actx.gen_ctx)
         expected_h = parse_poly(
@@ -70,15 +71,15 @@ class TestInvariantElements:
     def test_e_one_rejected(self):
         p = DDPresentation.make([], 1, 1, "Z^2 - 1", "Y^2 + Z")
         actx, phi, _ = build_phi_extension(p)
-        f = compute_slice_f(actx, phi)
+        f = compute_slice_f(phi)
         with pytest.raises(Exception, match="e > 1"):
-            compute_g_h(actx, f, phi)
+            compute_g_h(f, phi)
 
     def test_small_algebra_relations(self, dd1):
         actx, phi, _ = build_phi_extension(dd1)
-        f = compute_slice_f(actx, phi)
-        g, h, _ = compute_g_h(actx, f, phi)
-        small = verify_E_iso(actx, f, g, h)
+        f = compute_slice_f(phi)
+        g, h, _ = compute_g_h(f, phi)
+        small = verify_E_iso(f, g, h)
         assert small.checks.passed
         assert small.presentation.e == 1
         assert "injective" in small.injectivity_note
@@ -86,7 +87,7 @@ class TestInvariantElements:
     def test_complement_variable(self, dd1):
         actx, phi, _ = build_phi_extension(dd1)
         d = canonical_lnd(actx)
-        comp = build_complement_variable(actx, phi)
+        comp = build_complement_variable(phi)
         assert comp.checks.passed
         assert d.apply(comp.element) == actx.const(1)
 
@@ -150,7 +151,7 @@ class TestFaultInjection:
         small_w, actx = cert.forward.source, cert.forward.target
         forward = RHomomorphism(small_w, actx, {**cert.forward.images, **dict(forward_images)})
         backward = RHomomorphism(actx, small_w, {**cert.backward.images, **dict(backward_images)})
-        report = verify_pair_structured(actx, small_w, forward, backward, cert.f, cert.g)
+        report = verify_pair_structured(forward, backward)
         return [c.name for c in report.failed_items()]
 
     def test_unperturbed_pair_passes(self, dd1_cert):
@@ -180,7 +181,42 @@ class TestFaultInjection:
         cert = cancellation_certificate(dd1)
         assert not cert.certified
         assert cert.steps[-1].name == "express_old_generators"
-        assert "round trip failed" in cert.verdict
+        assert cert.verdict == "failed at express_old_generators: round trip failed for w + x*sigma"
+
+
+class TestStageNames:
+    """An exception raised inside a stage fails the certificate under that stage."""
+
+    def test_budget_exceeded_names_its_stage(self, dd1):
+        cert = cancellation_certificate(dd1, budget=1)
+        assert not cert.certified
+        assert cert.steps[-1].name == "build_phi_extension"
+        assert cert.verdict.startswith("failed at build_phi_extension: ")
+        assert "budget of 1" in cert.verdict
+
+    def test_budget_exceeded_in_membership_names_express_old_generators(self, dd1, monkeypatch):
+        def exceeded(f, actx, budget):
+            raise BudgetExceeded("injected")
+
+        monkeypatch.setattr(cancellation, "membership_with_witness", exceeded)
+        cert = cancellation_certificate(dd1)
+        assert not cert.certified
+        assert cert.steps[-1].name == "express_old_generators"
+        assert cert.verdict == "failed at express_old_generators: injected"
+
+
+class TestWitnessesReproduceTheirForms:
+    """Pipeline elements are handed on with the Laurent form their stage
+    built; each must still be the Laurent form of its printed witness."""
+
+    def test_pair_images_and_complement(self, dd1_cert):
+        elements = [
+            *dd1_cert.forward.images.values(),
+            *dd1_cert.backward.images.values(),
+            dd1_cert.complement.element,
+        ]
+        for el in elements:
+            assert el.actx.to_laurent(el.gen) == el.laurent, str(el)
 
 
 class TestGuards:

@@ -357,8 +357,10 @@ class TestMalformedJsonArguments:
             ({**ISO_UNITS, "lambda1": [1]}, "lambda1 must be a number or a string, got list"),
             ({**ISO_UNITS, "delta1": 3}, "delta1 must be a string, got int"),
             ({**ISO_UNITS, "lambda1": "1/0"}, "bad isomorphism data: Fraction(1, 0)"),
+            ({**ISO_UNITS, "lambda1": float("inf")},
+             "bad isomorphism data: cannot convert Infinity to integer ratio"),
         ],
-        ids=["list", "lambda1-list", "delta1-int", "lambda1-zero-denominator"],
+        ids=["list", "lambda1-list", "delta1-int", "lambda1-zero-denominator", "lambda1-infinity"],
     )
     def test_iso_transport_data(self, dd1_file, tmp_path, capsys, data, message):
         path = tmp_path / "data.json"

@@ -197,6 +197,21 @@ class TestDivisionAgainstGroebner:
         assert not result.member and result.certificate
         assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
 
+    def test_large_shift_refused_before_any_divisor_is_built(self, dd1_ctx, monkeypatch):
+        # Z at level -1000 has z-degree 1, below the z-degree r*J = 1000 of the
+        # lowest coefficient of T^250, the power that reaches that level: the
+        # division refuses without building T^250, and the Groebner route says no
+        def no_divisor(self, j, l):
+            raise RuntimeError(f"built the divisor of Y^{j}*T^{l}")
+
+        monkeypatch.setattr(AlgebraContext, "_x_adic_divisor", no_divisor)
+        cctx = dd1_ctx.coeff_ctx
+        form = LaurentForm(cctx, {-1000: cctx.var("Z")})
+        result = membership_with_witness(form, dd1_ctx)
+        assert not result.member and result.witness is None
+        assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
+        assert "X^1000" in result.certificate
+
     def test_division_charges_the_budget(self, dd1_ctx):
         form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
         budget = _Budget(DEFAULT_BUDGET)

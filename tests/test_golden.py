@@ -2,7 +2,9 @@
 
 The digest pins every byte of `json.dumps(cert.to_json())` over the grid, so a
 change to the Groebner, Laurent or polynomial kernels that alters any
-certificate, even only in how a coefficient is printed, fails here.  A second
+certificate, even only in how a coefficient is printed, fails here.  A
+companion digest pins the two certificates of the reference cell
+(d,e,r,s) = (2,2,4,3), whose images over the smaller ring are the largest.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
 failing cells.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
@@ -47,6 +49,24 @@ def test_golden_grid_certificates_are_byte_identical():
         assert cert.certified
         h.update(json.dumps(cert.to_json()).encode())
     assert h.hexdigest() == DIGEST
+
+
+# the reference cell (d,e,r,s) = (2,2,4,3), with an integer and a
+# half-integer constant: the largest images of y and t over the smaller ring
+REFERENCE_CELLS = [
+    (2, 2, "Z^4 - 1", "Y^3 + Z"),
+    (2, 2, "Z^4 + 1/2", "Y^3 + Z"),
+]
+REFERENCE_DIGEST = "115cfb2f09c98bc3ca24eb004ea711b6724b9b28f58ccc31dfdb27587d8e5078"
+
+
+def test_golden_reference_cell_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    for d, e, p, q in REFERENCE_CELLS:
+        cert = cancellation_certificate(DDPresentation.make([], d, e, p, q))
+        assert cert.certified
+        h.update(json.dumps(cert.to_json()).encode())
+    assert h.hexdigest() == REFERENCE_DIGEST
 
 
 # (base_vars, d, e, P, Q): three passing cells, one failing cell per check
