@@ -111,26 +111,24 @@ def build_phi_extension(
     items.append(CheckItem("image of w is w - x*U", phi.coeffs[ADJOINED_NAME] == w_expected, ""))
 
     # substitution route with membership witnesses, in B[w][U]
-    actx_u = AlgebraContext(p, (ADJOINED_NAME, "U"))
-    ctx_u = actx_u.gen_ctx
-    shifted_z = ctx_u.var("Z") + ctx_u.var("X") ** n * ctx_u.var("U")
-    p_shift = p.P.transfer(ctx_u).substitute({"Z": shifted_z})
-    y_elem = divide_by_x_power(actx_u.to_laurent(p_shift), actx_u, p.d, budget)
-    phi_y = phi.apply_element(actx.gen("Y"))
+    ext = phi.target
+    ext_ctx = ext.gen_ctx
+    shifted_z = ext_ctx.var("Z") + ext_ctx.var("X") ** n * ext_ctx.var("U")
+    p_shift = p.P.transfer(ext_ctx).substitute({"Z": shifted_z})
+    y_elem = divide_by_x_power(ext.to_laurent(p_shift), ext, p.d, budget)
     items.append(
         CheckItem(
             "image of y equals the shifted-P quotient",
-            y_elem.laurent == phi_y,
+            y_elem == phi.images["Y"],
             f"witness {y_elem.gen}",
         )
     )
-    q_shift = p.Q.transfer(ctx_u).substitute({"Y": y_elem.gen, "Z": shifted_z})
-    t_elem = divide_by_x_power(actx_u.to_laurent(q_shift), actx_u, p.e, budget)
-    phi_t = phi.apply_element(actx.gen("T"))
+    q_shift = p.Q.transfer(ext_ctx).substitute({"Y": y_elem.gen, "Z": shifted_z})
+    t_elem = divide_by_x_power(ext.to_laurent(q_shift), ext, p.e, budget)
     items.append(
         CheckItem(
             "image of t equals the shifted-Q quotient",
-            t_elem.laurent == phi_t,
+            t_elem == phi.images["T"],
             f"witness {t_elem.gen}",
         )
     )
@@ -139,7 +137,7 @@ def build_phi_extension(
 
 def compute_slice_f(phi: ExponentialMap) -> BElement:
     """The invariant element f = x^(d+e-1)*w + z; its invariance is verified."""
-    actx = phi.actx
+    actx = phi.source
     p = actx.presentation
     ctx = actx.gen_ctx
     expr = ctx.var("X") ** (p.d + p.e - 1) * ctx.var(ADJOINED_NAME) + ctx.var("Z")
@@ -271,7 +269,7 @@ def build_complement_variable(
     by x; the defect is absorbed into powers of w via the chain
     c_(j+1) = D(c_j)/x, which terminates by local nilpotency.
     """
-    actx = phi.actx
+    actx = phi.source
     gens1, gens2 = unit_ideal_generators(actx.presentation)
     gb1 = buchberger(gens1, budget=budget)
     if not gb1.is_unit():
@@ -311,10 +309,9 @@ def build_complement_variable(
     items = [
         CheckItem("D(sigma) = 1", derivation.apply(sigma) == one, ""),
     ]
-    ctx_u = phi.ctx_u
-    expected = sigma.laurent.transfer(ctx_u) + LaurentForm.from_poly(ctx_u.var("U"))
-    image = phi.apply_element(sigma)
-    items.append(CheckItem("map sends sigma to sigma + U", image == expected, ""))
+    u = phi.target.gen("U").laurent
+    image_ok = phi.apply(sigma) == sigma.laurent.transfer(u.ctx) + u
+    items.append(CheckItem("map sends sigma to sigma + U", image_ok, ""))
     report = Report(tuple(items))
     if not report.passed:
         raise PipelineError("constructed element failed verification")

@@ -3,8 +3,8 @@
 Subcommands consume presentation files (JSON records with base_vars, d, e and
 the polynomial strings P, Q) and emit human-readable lines or, with --json,
 a versioned structured report.  Exit codes: 0 for pass/success, 1 for failed
-checks, 2 for input errors; a reader that closes stdout early (`| head`) cuts
-the output short without a traceback and does not change the exit code.
+checks, 2 for input errors and an unwritable --out path; a reader that closes
+stdout early (`| head`) cuts the output short quietly and keeps the exit code.
 """
 
 from __future__ import annotations
@@ -469,7 +469,11 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.out:
         report = payloads[0] if len(payloads) == 1 else payloads
-        Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        try:
+            Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
     return worst
 
 

@@ -165,16 +165,25 @@ class AlgebraContext:
             self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
         return self._nf_cache["rel"]
 
-    def _x_adic_divisor(self, j: int, l: int) -> tuple[LaurentForm, _Divisors, object]:
-        """The Laurent form of Y^j*T^l, its lowest coefficient made monic as a
-        divisor, and the factor that turns a quotient by the monic divisor
-        into one by the lowest coefficient."""
+    def _x_adic_divisor(self, j: int, l: int) -> tuple[_Divisors, object]:
+        """The lowest coefficient b^l*P(0,z)^(j+s*l) of Y^j*T^l (b the Y^s
+        coefficient of Q, a rational) made monic as a divisor, and the factor
+        that turns a quotient by it into one by the lowest coefficient."""
         key = ("x-adic", j, l)
         if key not in self._nf_cache:
-            form = self.to_laurent(self.gen_ctx.monomial({"Y": j, "T": l}))
+            p = self.presentation
+            b = p.Q.coefficient_of("Y", p.s).constant_value()
+            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** (j + p.s * l)).scale(b ** l)
             divisor = _Divisors(MonomialOrder.grevlex())
-            lc = divisor.push(form.coeffs[form.min_exp()])
-            self._nf_cache[key] = (form, divisor, coeff_div(1, lc))
+            lc = divisor.push(lowest)
+            self._nf_cache[key] = (divisor, coeff_div(1, lc))
+        return self._nf_cache[key]
+
+    def _x_adic_power(self, j: int, l: int) -> LaurentForm:
+        """The Laurent form of Y^j*T^l."""
+        key = ("x-adic power", j, l)
+        if key not in self._nf_cache:
+            self._nf_cache[key] = self.to_laurent(self.gen_ctx.monomial({"Y": j, "T": l}))
         return self._nf_cache[key]
 
     def reduce_witness(self, expr: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
@@ -296,10 +305,10 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Po
     which the caller's to_laurent check would catch.
 
     The search for J starts at floor(m*s/(d*s + e)), below which
-    d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  That lowest coefficient is
-    a*P(0,z)^J, of z-degree r*J, so a coefficient of lower z-degree is
-    refused before the Laurent form of y^j*t^l is built: at a large shift
-    that form is the dear part.
+    d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  The division is by that lowest
+    coefficient's closed form b^l*P(0,z)^J, of z-degree r*J (b the Y^s
+    coefficient of Q), and the Laurent form of y^j*t^l, dear at a large
+    shift, is built only once the division is exact.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
@@ -315,13 +324,13 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Po
         if c.deg_in("Z") < r * big_j:
             return None
         j, l = big_j % s, big_j // s
-        form, divisor, inverse_lc = actx._x_adic_divisor(j, l)
-        i = -form.min_exp() - m
+        divisor, inverse_lc = actx._x_adic_divisor(j, l)
         rem, (q,) = _normal_form(c, divisor, budget)
         if not rem.is_zero():
             return None
         q = q.scale(inverse_lc)
-        f = f - LaurentForm.from_poly(q, i) * form
+        i = d * big_j + e * l - m
+        f = f - LaurentForm.from_poly(q, i) * actx._x_adic_power(j, l)
         witness = witness + q.transfer(ctx) * ctx.monomial({"X": i, "Y": j, "T": l})
     rest = LaurentForm._raw(f.ctx, {k: coeff for k, coeff in f.coeffs.items() if k >= 0})
     return witness + rest.as_poly(ctx, "X")

@@ -71,6 +71,7 @@ class MonomialOrder:
         return MonomialOrder("blocks", blocks=tuple(blocks))
 
     def key(self, exps: Exponents) -> tuple:
+        """The reference order of the tests and benchmarks; division uses `_neg_key`."""
         if self.kind == "grevlex":
             return grevlex_key(exps)
         if self.kind == "lex":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .groebner import DEFAULT_BUDGET, is_unit_ideal
@@ -139,11 +140,15 @@ class DDPresentation:
     def p_at_x0(self) -> Polynomial:
         return self.P.eval_zero("X")
 
-    def require_valid(self):
+    @cached_property
+    def _invalid_reasons(self) -> str:
+        """The failed checks of `validate_presentation`, "" when valid."""
         report = validate_presentation(self)
-        if not report.passed:
-            reasons = "; ".join(f"{c.name}: {c.detail}" for c in report.failed_items())
-            raise InvalidPresentation(reasons)
+        return "; ".join(f"{c.name}: {c.detail}" for c in report.failed_items())
+
+    def require_valid(self):
+        if self._invalid_reasons:
+            raise InvalidPresentation(self._invalid_reasons)
 
     def to_json(self):
         return {

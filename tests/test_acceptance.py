@@ -254,8 +254,8 @@ def test_criterion_8_exponential_shift_identity(derivation_grid):
     cells, _ = derivation_grid
     failures = 0
     for pres, actx, der, phi, well, indices, axioms in cells:
-        ext = phi.ctx_u
-        image_y = phi.apply_element(actx.gen("Y"))
+        ext = phi.target.coeff_ctx
+        image_y = phi.apply(actx.gen("Y"))
         n = pres.d + pres.e
         shifted_z = LaurentForm.from_poly(ext.var("Z")) + LaurentForm.from_poly(
             ext.var("U")

@@ -189,6 +189,15 @@ class TestOutputModes:
         report = json.loads(out_file.read_text())
         assert isinstance(report, list) and len(report) == 2
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_two_with_one_line(self, dd1_file, tmp_path, where, capsys):
+        out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        assert main(["validate", dd1_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --out {out}: ")
+
     def test_closed_stdout_ends_quietly(self, dd1_file, tmp_path):
         # as `ddlab cancel-cert a.json b.json --json | head -c 5`, with the
         # reader gone before the first write

@@ -107,6 +107,24 @@ class TestExponentialMap:
         assert [str(c) for c in phi.coeffs["Y"]] == ["Y", "2*X^2*Z", "X^5"]
         assert [str(c) for c in phi.coeffs["X"]] == ["X"]
 
+    def test_images_are_elements_of_the_u_ring(self, dd1, dd3):
+        # every image is an element of B[w..][U]: its generator expression
+        # reproduces its Laurent form there, and that form is sum_i c_i*U^i;
+        # with base variables U sits between the adjoined and the base
+        # variables, so a U exponent in the wrong slot fails the sum
+        with_base = DDPresentation.make(["a", "b"], 2, 1, "Z^2 + a*X*Z - b", "Y^2 + a*Y + b*Z + X")
+        for pres, adjoined in ((dd1, ()), (dd3, ()), (dd1, ("W1",)), (with_base, ("W1",))):
+            phi = exp_map(canonical_lnd(AlgebraContext(pres, adjoined)))
+            assert phi.target == AlgebraContext(pres, adjoined + ("U",))
+            cctx = phi.target.coeff_ctx
+            u = LaurentForm.from_poly(cctx.var("U"))
+            for name, el in phi.images.items():
+                assert phi.target.to_laurent(el.gen) == el.laurent, (pres, name)
+                expected = LaurentForm.zero(cctx)
+                for c in reversed(phi.coeffs[name]):
+                    expected = expected * u + c.laurent.transfer(cctx)
+                assert el.laurent == expected, (pres, name)
+
     def test_axioms_on_canonical(self, dd1_ctx, dd3_ctx):
         for actx in (dd1_ctx, dd3_ctx):
             report = check_exp_axioms(exp_map(canonical_lnd(actx)))
@@ -159,8 +177,8 @@ class TestExponentialMap:
                 pres = random_valid_presentation(rng, d_exp, e_exp)
                 actx = AlgebraContext(pres)
                 phi = exp_map(canonical_lnd(actx))
-                ext = phi.ctx_u
-                image_y = phi.apply_element(actx.gen("Y"))
+                ext = phi.target.coeff_ctx
+                image_y = phi.apply(actx.gen("Y"))
                 n = pres.d + pres.e
                 shifted_z = LaurentForm.from_poly(ext.var("Z")) + LaurentForm.from_poly(
                     ext.var("U")

@@ -15,7 +15,7 @@ from ddlab.elements import (
     divide_by_x_power,
     membership_with_witness,
 )
-from ddlab.groebner import DEFAULT_BUDGET, _Budget, _normal_form
+from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, _Budget, _normal_form
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import Context, ContextMismatch, parse_poly
 from ddlab.presentations import DDPresentation
@@ -211,6 +211,34 @@ class TestDivisionAgainstGroebner:
         assert not result.member and result.witness is None
         assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
         assert "X^1000" in result.certificate
+
+    def test_large_shift_member_route_builds_no_power(self, dd1_ctx, monkeypatch):
+        # Z^1000 at level -1000 reaches the z-degree r*J = 1000 of the lowest
+        # coefficient of T^250, so the division runs; it is not exact, and the
+        # refusal comes before the Laurent form of T^250 is built: the budget
+        # then stops the Groebner route
+        def no_power(self, j, l):
+            raise RuntimeError(f"built the Laurent form of Y^{j}*T^{l}")
+
+        monkeypatch.setattr(AlgebraContext, "_x_adic_power", no_power)
+        cctx = dd1_ctx.coeff_ctx
+        form = LaurentForm(cctx, {-1000: cctx.var("Z") ** 1000})
+        with pytest.raises(BudgetExceeded):
+            membership_with_witness(form, dd1_ctx, 2000)
+
+    def test_closed_form_divisor_is_the_lowest_coefficient(self):
+        # b^l*P(0,z)^(j+s*l) against the lowest coefficient of the built
+        # Laurent form of Y^j*T^l, with P and Q not monic and W1 adjoined
+        pres = DDPresentation.make([], 2, 3, "2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3")
+        actx = AlgebraContext(pres, ("W1",))
+        for j in range(pres.s):
+            for l in range(3):
+                form = actx._x_adic_power(j, l)
+                big_j = j + pres.s * l
+                assert form.min_exp() == -(pres.d * big_j + pres.e * l)
+                divisor, inverse_lc = actx._x_adic_divisor(j, l)
+                rem, (q,) = _normal_form(form.coeffs[form.min_exp()], divisor, _Budget(DEFAULT_BUDGET))
+                assert rem.is_zero() and q.scale(inverse_lc) == actx.coeff_ctx.one()
 
     def test_division_charges_the_budget(self, dd1_ctx):
         form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
