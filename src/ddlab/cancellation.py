@@ -251,7 +251,7 @@ class ComplementVariable:
 
     def to_json(self):
         return {
-            "element": str(self.element.gen),
+            "element": str(self.element),
             "seed": str(self.seed),
             "chain_length": self.chain_length,
             "checks": self.checks.to_json(),
@@ -576,7 +576,7 @@ class CancellationCertificate:
 def _element_json(el: BElement | None):
     if el is None:
         return None
-    return {"expr": str(el.gen), "laurent": el.laurent.to_json()}
+    return {"expr": str(el), "laurent": el.laurent.to_json()}
 
 
 NORMALIZATION_NOTES = (
@@ -644,7 +644,7 @@ def cancellation_certificate(
         stage = "compute_slice_f"
         f = compute_slice_f(phi)
         cert.f = f
-        steps.append(CheckItem("invariant element f built and fixed by the map", True, str(f.gen)))
+        steps.append(CheckItem("invariant element f built and fixed by the map", True, str(f)))
 
         stage = "compute_g_h"
         g, h, gh_checks = compute_g_h(f, phi, budget)

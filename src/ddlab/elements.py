@@ -21,6 +21,7 @@ base ring R = Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .groebner import (
@@ -33,7 +34,16 @@ from .groebner import (
     buchberger,
 )
 from .laurent import LaurentForm, eval_poly_at_laurent
-from .poly import Context, ContextMismatch, Polynomial, coeff_div, parse_poly
+from .poly import (
+    Context,
+    ContextMismatch,
+    Polynomial,
+    _form_mul_into,
+    _scaled_int_form,
+    _unscale_terms,
+    coeff_div,
+    parse_poly,
+)
 from .presentations import DDPresentation, GENERATOR_NAMES
 
 
@@ -165,26 +175,54 @@ class AlgebraContext:
             self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
         return self._nf_cache["rel"]
 
-    def _x_adic_divisor(self, j: int, l: int) -> tuple[_Divisors, object]:
+    def _x_adic_divisor(self, j: int, l: int, budget: _Budget) -> tuple[_Divisors, object]:
         """The lowest coefficient b^l*P(0,z)^(j+s*l) of Y^j*T^l (b the Y^s
         coefficient of Q, a rational) made monic as a divisor, and the factor
-        that turns a quotient by it into one by the lowest coefficient."""
+        that turns a quotient by it into one by the lowest coefficient.
+
+        Building it charges the budget r*(j+s*l) + 1, the number of terms it
+        can have; a cached divisor is free.
+        """
         key = ("x-adic", j, l)
         if key not in self._nf_cache:
             p = self.presentation
+            big_j = j + p.s * l
+            budget.tick(p.r * big_j + 1)
             b = p.Q.coefficient_of("Y", p.s).constant_value()
-            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** (j + p.s * l)).scale(b ** l)
+            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** big_j).scale(b ** l)
             divisor = _Divisors(MonomialOrder.grevlex())
             lc = divisor.push(lowest)
             self._nf_cache[key] = (divisor, coeff_div(1, lc))
         return self._nf_cache[key]
 
-    def _x_adic_power(self, j: int, l: int) -> LaurentForm:
-        """The Laurent form of Y^j*T^l."""
-        key = ("x-adic power", j, l)
-        if key not in self._nf_cache:
-            self._nf_cache[key] = self.to_laurent(self.gen_ctx.monomial({"Y": j, "T": l}))
-        return self._nf_cache[key]
+    def _x_adic_power(self, j: int, l: int, budget: _Budget) -> tuple[dict, int]:
+        """The Laurent form of Y^j*T^l as a form over one common denominator:
+        its integer-scaled form and that denominator.  Callers must not
+        mutate it.
+
+        It is built along y, y^2, .., y^j, y^j*t, .., y^j*t^l, one product
+        by the image of Y or T per step, and every power on the way is
+        cached.  Each built power charges the budget one step per term, so a
+        large shift runs out of budget after a few steps instead of building
+        the whole power first.
+        """
+        cache = self._nf_cache
+        power = cache.get(("x-adic power", j, l))
+        if power is not None:
+            return power
+        y, t = (_scaled_int_form(self.generator_images()[g]._form()) for g in "YT")
+        power = ({0: {(0,) * len(self.coeff_ctx.names): 1}}, 1)
+        path = [(i, 0, y) for i in range(1, j + 1)] + [(j, k, t) for k in range(1, l + 1)]
+        for i, k, (factor, df) in path:
+            key = ("x-adic power", i, k)
+            if key not in cache:
+                out: dict = {}
+                _form_mul_into(out, power[0], factor)
+                out = {n: terms for n, terms in out.items() if terms}
+                budget.tick(sum(map(len, out.values())))
+                cache[key] = (out, power[1] * df)
+            power = cache[key]
+        return power
 
     def reduce_witness(self, expr: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
         """Canonical small representative of expr modulo the defining relations."""
@@ -193,14 +231,19 @@ class AlgebraContext:
 
 
 class BElement:
-    """An element of B[w..]: generator expression plus its Laurent form."""
+    """An element of B[w..]: generator expression plus its Laurent form.
 
-    __slots__ = ("actx", "gen", "laurent")
+    `_text`, the printed generator expression, is made on the first `str`
+    and kept, since certificates print the same element several times.
+    """
+
+    __slots__ = ("actx", "gen", "laurent", "_text")
 
     def __init__(self, actx: AlgebraContext, gen: Polynomial, laurent: LaurentForm):
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "laurent", laurent)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, *args):
         raise AttributeError("BElement is immutable")
@@ -240,7 +283,9 @@ class BElement:
         return BElement(self.actx, self.gen.scale(q), self.laurent.scale(q))
 
     def __str__(self):
-        return str(self.gen)
+        if self._text is None:
+            object.__setattr__(self, "_text", str(self.gen))
+        return self._text
 
     def __repr__(self):
         return f"<element {self} of {self.actx!r}>"
@@ -309,31 +354,57 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Po
     coefficient's closed form b^l*P(0,z)^J, of z-degree r*J (b the Y^s
     coefficient of Q), and the Laurent form of y^j*t^l, dear at a large
     shift, is built only once the division is exact.
+
+    The division runs on one integer-scaled copy of f over a running
+    denominator: each level subtracts q*x^i*y^j*t^l from it in place, against
+    the cached integer-scaled form of y^j*t^l, and rescales the copy only
+    when the denominator of that product does not divide its own.  Neither f
+    nor the cached forms are mutated.  The witness is one term dict: the
+    parts q*X^i*Y^j*T^l of different levels differ in (i, j, l), and the rest
+    has no Y or T.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
-    ctx = actx.gen_ctx
-    witness = ctx.zero()
+    cctx = actx.coeff_ctx
+    scaled, den = _scaled_int_form(f._form())
+    work = {n: dict(t) for n, t in scaled.items()}
+    witness: dict = {}
     for m in range(-f.min_exp(), 0, -1):
-        c = f.coeffs.get(-m)
-        if c is None:
+        terms = work.get(-m)
+        if not terms:
             continue
+        c = Polynomial._raw(cctx, terms)
         big_j = max(1, m * s // (d * s + e))
         while d * big_j + e * (big_j // s) < m:
             big_j += 1
         if c.deg_in("Z") < r * big_j:
             return None
         j, l = big_j % s, big_j // s
-        divisor, inverse_lc = actx._x_adic_divisor(j, l)
+        divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
         rem, (q,) = _normal_form(c, divisor, budget)
         if not rem.is_zero():
             return None
-        q = q.scale(inverse_lc)
+        q = q.scale(Fraction(inverse_lc) / den)
         i = d * big_j + e * l - m
-        f = f - LaurentForm.from_poly(q, i) * actx._x_adic_power(j, l)
-        witness = witness + q.transfer(ctx) * ctx.monomial({"X": i, "Y": j, "T": l})
-    rest = LaurentForm._raw(f.ctx, {k: coeff for k, coeff in f.coeffs.items() if k >= 0})
-    return witness + rest.as_poly(ctx, "X")
+        # coeff_ctx is gen_ctx without X, Y and T
+        for ez, cz in q.terms.items():
+            witness[(i, j, ez[0], l) + ez[1:]] = cz
+        power, dp = actx._x_adic_power(j, l, budget)
+        scaled_q, dq = _scaled_int_form({i: q.terms})
+        new_den = lcm(den, dq * dp)
+        if new_den != den:
+            up = new_den // den
+            for t in work.values():
+                for ez in t:
+                    t[ez] *= up
+            den = new_den
+        k = -(den // (dq * dp))
+        _form_mul_into(work, {i: {ez: k * cz for ez, cz in scaled_q[i].items()}}, power)
+    for n, t in work.items():
+        if n >= 0:
+            for ez, cz in _unscale_terms(t, den).items():
+                witness[(n, 0, ez[0], 0) + ez[1:]] = cz
+    return Polynomial._raw(actx.gen_ctx, witness)
 
 
 def _groebner_membership(f: LaurentForm, actx: AlgebraContext, budget: int) -> MembershipResult:

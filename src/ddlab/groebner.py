@@ -12,6 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add as _add_op, itemgetter, le as _le_op, sub as _sub_op
 from typing import Iterable, Sequence
 
@@ -21,9 +22,9 @@ from .poly import (
     Exponents,
     Polynomial,
     _scaled_int_form,
+    _unscale_terms,
     coeff_div,
     grevlex_key,
-    norm_coeff,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -146,8 +147,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self):
-        self.used += 1
+    def tick(self, steps: int = 1):
+        self.used += steps
         if self.used > self.limit:
             raise BudgetExceeded(
                 f"Groebner step budget of {self.limit} reductions exceeded"
@@ -159,20 +160,20 @@ class _Divisors(list):
 
     `push` divides each nonzero element by its leading coefficient under
     `order` and records its leading monomial (`lms`), the `_neg_key` of that
-    monomial, and its tail, the other terms in `p.terms` order as
-    (exponents, neg_key, negated coefficient) triples.  `integral` is true
-    while every element has integer coefficients.
+    monomial, its denominator D_i, the least common denominator of its
+    coefficients (`dens`), and its tail, the other terms in `p.terms` order
+    as (exponents, neg_key, negated coefficient times D_i) triples, all int.
     """
 
-    __slots__ = ("order", "lms", "lead_keys", "tails", "integral")
+    __slots__ = ("order", "lms", "lead_keys", "dens", "tails")
 
     def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
         super().__init__()
         self.order = order
         self.lms: list[Exponents] = []
         self.lead_keys: list[tuple] = []
-        self.tails: list[list[tuple[Exponents, tuple, object]]] = []
-        self.integral = True
+        self.dens: list[int] = []
+        self.tails: list[list[tuple[Exponents, tuple, int]]] = []
         for p in polys:
             self.push(p)
 
@@ -184,11 +185,18 @@ class _Divisors(list):
         if lc != 1:
             keyed = [(e, k, coeff_div(c, lc)) for e, k, c in keyed]
             p = Polynomial._raw(p.ctx, {e: c for e, _, c in keyed})
+        den = 1
+        for _, _, c in keyed:
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
         self.append(p)
         self.lms.append(lm)
         self.lead_keys.append(lead_key)
-        self.tails.append([(e, k, -c) for e, k, c in keyed if e != lm])
-        self.integral = self.integral and all(type(c) is int for _, _, c in keyed)
+        self.dens.append(den)
+        self.tails.append([
+            (e, k, -c * den if type(c) is int else -c.numerator * (den // c.denominator))
+            for e, k, c in keyed if e != lm
+        ])
         return lc
 
 
@@ -201,17 +209,19 @@ def _normal_form(
     Works on an in-place term dict with a lazy min-heap of (neg_key, exps)
     tuples; every reduction step consumes budget.  The key is linear in the
     exponents, so a new term's key is the quotient's key plus the tail
-    term's.  When the basis has integer coefficients, f is scaled
-    to integers once, the loop runs on native ints, and remainder and
-    cofactors are divided by the scale at the end.
+    term's.  The loop is fraction-free: the work, the remainder and the
+    cofactors are native ints over one running denominator, which starts as
+    the common denominator of f.  A term of coefficient c is reduced by
+    divisor i, whose tail is stored times D_i, with the quotient c / D_i; when
+    D_i does not divide c, all three are first multiplied by
+    D_i / gcd(c, D_i).  Remainder and cofactors are divided by the
+    denominator at the end.  Over an integral basis every D_i is 1 and no
+    rescale happens.
     """
     ctx = f.ctx
-    lms, lead_keys, tails = basis.lms, basis.lead_keys, basis.tails
-    if basis.integral:
-        scaled, den = _scaled_int_form({0: f.terms})
-        work = dict(scaled[0])
-    else:
-        work, den = dict(f.terms), 1
+    lms, lead_keys, dens, tails = basis.lms, basis.lead_keys, basis.dens, basis.tails
+    scaled, den = _scaled_int_form({0: f.terms})
+    work = dict(scaled[0])
     neg_key = _neg_key(basis.order, len(ctx.names))
     heap = [(neg_key(e), e) for e in work]
     heapq.heapify(heap)
@@ -227,36 +237,40 @@ def _normal_form(
         for i, lm in enumerate(lms):
             if all(map(_le_op, lm, e)):
                 budget.tick()
+                q = c
+                d_i = dens[i]
+                if d_i != 1:
+                    m = d_i // gcd(c, d_i)
+                    if m != 1:
+                        den *= m
+                        c *= m
+                        for part in (work, rem, *cofs):
+                            for ee in part:
+                                part[ee] *= m
+                    q = c // d_i
                 q_exp = tuple(map(_sub_op, e, lm))
                 q_key = tuple(map(_sub_op, k, lead_keys[i]))
                 for eg, kg, ncg in tails[i]:
                     ee = tuple(map(_add_op, q_exp, eg))
                     cur = get(ee)
                     if cur is None:
-                        work[ee] = c * ncg
+                        work[ee] = q * ncg
                         heappush(heap, (tuple(map(_add_op, q_key, kg)), ee))
                     else:
-                        s = cur + c * ncg
+                        s = cur + q * ncg
                         if s:
                             work[ee] = s
                         else:
                             del work[ee]
-                cof = cofs[i]
-                s = cof.get(q_exp, 0) + c
-                if s:
-                    cof[q_exp] = s
-                else:
-                    del cof[q_exp]
+                # popped monomials strictly decrease, so each q_exp comes once
+                cofs[i][q_exp] = c
                 break
         else:
-            rem[e] = norm_coeff(c)  # Fraction arithmetic leaves integers as Fraction(n, 1)
+            rem[e] = c
     if den != 1:
-        rem = {e: norm_coeff(Fraction(c, den)) for e, c in rem.items()}
-        cofs = [{e: norm_coeff(Fraction(c, den)) for e, c in cof.items()} for cof in cofs]
-    return (
-        Polynomial._raw(ctx, rem),
-        [Polynomial._raw(ctx, c) for c in cofs],
-    )
+        rem = _unscale_terms(rem, den)
+        cofs = [_unscale_terms(cof, den) for cof in cofs]
+    return Polynomial._raw(ctx, rem), [Polynomial._raw(ctx, cof) for cof in cofs]
 
 
 @dataclass(frozen=True)

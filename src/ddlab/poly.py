@@ -77,18 +77,21 @@ def _scaled_int_form(form: dict) -> tuple[dict, int]:
     }, den
 
 
+def _unscale_terms(terms: dict, den: int) -> dict:
+    """Divide every int value of a term dict by den."""
+    if den == 1:
+        return terms
+    return {
+        e: c // den if (g := gcd(c, den)) == den else Fraction(c // g, den // g)
+        for e, c in terms.items()
+    }
+
+
 def _unscale(form: dict, den: int) -> dict:
     """Drop empty term dicts and divide every int value by den."""
     if den == 1:
         return {n: t for n, t in form.items() if t}
-    return {
-        n: {
-            e: c // den if (g := gcd(c, den)) == den else Fraction(c // g, den // g)
-            for e, c in t.items()
-        }
-        for n, t in form.items()
-        if t
-    }
+    return {n: _unscale_terms(t, den) for n, t in form.items() if t}
 
 
 def _form_mul_into(out: dict, a: dict, b: dict) -> None:

@@ -17,7 +17,7 @@ from ddlab.elements import (
 )
 from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, _Budget, _normal_form
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
-from ddlab.poly import Context, ContextMismatch, parse_poly
+from ddlab.poly import Context, ContextMismatch, _unscale, parse_poly
 from ddlab.presentations import DDPresentation
 
 from conftest import random_polynomial, random_valid_presentation
@@ -105,6 +105,10 @@ class TestEquality:
         out = a * b - b
         assert out.gen is not None
         assert dd1_ctx.to_laurent(out.gen) == out.laurent
+
+    def test_printed_once(self, dd1):
+        el = AlgebraContext(dd1, ("W1",)).element("W1*Y - 1/2*T")
+        assert str(el) == str(el.gen) and str(el) is str(el)
 
 
 class TestMembership:
@@ -201,7 +205,7 @@ class TestDivisionAgainstGroebner:
         # Z at level -1000 has z-degree 1, below the z-degree r*J = 1000 of the
         # lowest coefficient of T^250, the power that reaches that level: the
         # division refuses without building T^250, and the Groebner route says no
-        def no_divisor(self, j, l):
+        def no_divisor(self, j, l, budget):
             raise RuntimeError(f"built the divisor of Y^{j}*T^{l}")
 
         monkeypatch.setattr(AlgebraContext, "_x_adic_divisor", no_divisor)
@@ -217,7 +221,7 @@ class TestDivisionAgainstGroebner:
         # coefficient of T^250, so the division runs; it is not exact, and the
         # refusal comes before the Laurent form of T^250 is built: the budget
         # then stops the Groebner route
-        def no_power(self, j, l):
+        def no_power(self, j, l, budget):
             raise RuntimeError(f"built the Laurent form of Y^{j}*T^{l}")
 
         monkeypatch.setattr(AlgebraContext, "_x_adic_power", no_power)
@@ -231,20 +235,61 @@ class TestDivisionAgainstGroebner:
         # Laurent form of Y^j*T^l, with P and Q not monic and W1 adjoined
         pres = DDPresentation.make([], 2, 3, "2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3")
         actx = AlgebraContext(pres, ("W1",))
+        cctx = actx.coeff_ctx
         for j in range(pres.s):
             for l in range(3):
-                form = actx._x_adic_power(j, l)
+                budget = _Budget(DEFAULT_BUDGET)
+                scaled, den = actx._x_adic_power(j, l, budget)
+                form = LaurentForm._from_form(cctx, _unscale(scaled, den))
+                assert form == actx.element(f"Y^{j}*T^{l}").laurent
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
-                divisor, inverse_lc = actx._x_adic_divisor(j, l)
-                rem, (q,) = _normal_form(form.coeffs[form.min_exp()], divisor, _Budget(DEFAULT_BUDGET))
-                assert rem.is_zero() and q.scale(inverse_lc) == actx.coeff_ctx.one()
+                divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
+                rem, (q,) = _normal_form(form.coeffs[form.min_exp()], divisor, budget)
+                assert rem.is_zero() and q.scale(inverse_lc) == cctx.one()
 
     def test_division_charges_the_budget(self, dd1_ctx):
         form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
         budget = _Budget(DEFAULT_BUDGET)
         assert _x_adic_witness(form, dd1_ctx, budget) is not None
         assert budget.used > 0
+
+    def test_exact_large_shift_stops_inside_the_budget(self, dd1):
+        # (z^2 - 1)^500 at level -1000 is the lowest coefficient of T^250, so
+        # the division is exact; building T^250 charges the budget a power at
+        # a time and runs out after a few powers of t, not after T^250
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
+        form = LaurentForm(cctx, {-1000: parse_poly("Z^2 - 1", cctx) ** 500})
+        with pytest.raises(BudgetExceeded, match="budget of 2000 reductions"):
+            membership_with_witness(form, actx, 2000)
+        built = [key[2] for key in actx._nf_cache
+                 if isinstance(key, tuple) and key[0] == "x-adic power"]
+        assert built and max(built) < 30
+
+    @pytest.mark.parametrize("p_text", ["Z^2 - 1", "Z^2 + 1/2"])
+    def test_division_mutates_neither_input_nor_cached_powers(self, p_text):
+        actx = AlgebraContext(DDPresentation.make([], 1, 2, p_text, "Y^2 + Z"))
+        cctx = actx.coeff_ctx
+
+        def snapshot():
+            powers = {key: (LaurentForm._from_form(cctx, form).to_json(), den)
+                      for key, (form, den) in actx._nf_cache.items()
+                      if isinstance(key, tuple) and key[0] == "x-adic power"}
+            images = {g: v.to_json() for g, v in actx.generator_images().items()}
+            return powers, images
+
+        form = actx.element("Y*T^2*Z + 3*T^2 - 2*X*Y^2 + Z").laurent
+        before = form.to_json()
+        witness = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        assert form.to_json() == before
+        assert actx.to_laurent(witness) == form
+        cached = snapshot()
+        assert cached[0]
+        # the second run reads every power from the cache
+        assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == witness
+        assert form.to_json() == before
+        assert snapshot() == cached
 
 
 def _corrupt_quotients(monkeypatch):

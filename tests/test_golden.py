@@ -4,7 +4,8 @@ The digest pins every byte of `json.dumps(cert.to_json())` over the grid, so a
 change to the Groebner, Laurent or polynomial kernels that alters any
 certificate, even only in how a coefficient is printed, fails here.  A
 companion digest pins the two certificates of the reference cell
-(d,e,r,s) = (2,2,4,3), whose images over the smaller ring are the largest.  A second
+(d,e,r,s) = (2,2,4,3), whose images over the smaller ring are the largest,
+and another pins two cells with different denominators in P and Q.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
 failing cells.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
@@ -67,6 +68,25 @@ def test_golden_reference_cell_certificates_are_byte_identical():
         assert cert.certified
         h.update(json.dumps(cert.to_json()).encode())
     assert h.hexdigest() == REFERENCE_DIGEST
+
+
+# cells whose P(0,z) and Y^s coefficient of Q carry different denominators,
+# so the x-adic division meets thirds in its divisors and halves (or
+# thirds) in the powers of y and t
+DENOMINATOR_CELLS = [
+    (1, 2, "Z^3 + 2/3", "1/2*Y^2 + Z"),
+    (2, 2, "Z^2 - 3/2", "2/3*Y^3 + Z"),
+]
+DENOMINATOR_DIGEST = "2e482de53e2a5a35b3f604ec275b0b16bb3862976d3df1c5ffc4a0ea5df02f54"
+
+
+def test_golden_denominator_cell_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    for d, e, p, q in DENOMINATOR_CELLS:
+        cert = cancellation_certificate(DDPresentation.make([], d, e, p, q))
+        assert cert.certified
+        h.update(json.dumps(cert.to_json()).encode())
+    assert h.hexdigest() == DENOMINATOR_DIGEST
 
 
 # (base_vars, d, e, P, Q): three passing cells, one failing cell per check

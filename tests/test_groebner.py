@@ -160,12 +160,18 @@ _rationals = st.builds(Fraction, _ints, st.sampled_from([1, 2, 3]))
 
 @st.composite
 def _division_case(draw):
-    """A polynomial f and a basis that is integral monic, rational monic or non-monic."""
+    """A polynomial f and a basis that is integral monic, rational monic,
+    mixed (monic, one element over halves and one over thirds) or non-monic."""
     order = draw(st.sampled_from(ORDERS))
-    kind = draw(st.sampled_from(["integral", "rational", "non-monic"]))
-    coeffs = _ints if kind == "integral" else _rationals
+    kind = draw(st.sampled_from(["integral", "rational", "mixed", "non-monic"]))
     basis = []
-    for _ in range(draw(st.integers(1, 3))):
+    for k in range(draw(st.integers(2, 3) if kind == "mixed" else st.integers(1, 3))):
+        if kind == "integral":
+            coeffs = _ints
+        elif kind == "mixed":
+            coeffs = st.builds(Fraction, _ints, st.just((2, 3, 1)[k]))
+        else:
+            coeffs = _rationals
         terms = draw(st.dictionaries(_exps, coeffs, min_size=1, max_size=3))
         lm = max(terms, key=order.key)
         terms[lm] = draw(_rationals) if kind == "non-monic" else 1
@@ -231,12 +237,18 @@ class TestNormalFormKernel:
             with pytest.raises(BudgetExceeded):
                 _normal_form(f, divisors, _Budget(steps - 1))
 
-    def test_integral_path_divides_out_the_scale(self):
-        basis = [parse_poly("Z^2 - 1", ZCTX)]
-        rem, cofs = _normal_form(parse_poly("1/2*Z^3 + 1/3", ZCTX),
-                                 _Divisors(MonomialOrder.grevlex(), basis), _Budget(10))
-        assert rem == parse_poly("1/2*Z + 1/3", ZCTX)
-        assert cofs == [parse_poly("1/2*Z", ZCTX)]
+    def test_rescale_when_the_denominator_does_not_divide(self):
+        # 1/3*Z^3 + 1 runs as Z^3 + 3 over 3; the tail -1/2 of Z^2 - 1/2 is
+        # stored negated and times its denominator 2, as 1, and 2 does not
+        # divide the lead 1, so the loop rescales to 2*Z^3 + 6 over 6 before
+        # it reduces Z^3
+        divisors = _Divisors(MonomialOrder.grevlex(), [parse_poly("Z^2 - 1/2", ZCTX)])
+        assert divisors.dens == [2] and divisors.tails == [[((0,), (0, 0), 1)]]
+        budget = _Budget(10)
+        rem, cofs = _normal_form(parse_poly("1/3*Z^3 + 1", ZCTX), divisors, budget)
+        assert rem == parse_poly("1/6*Z + 1", ZCTX)
+        assert cofs == [parse_poly("1/3*Z", ZCTX)]
+        assert budget.used == 1
 
 
 class TestOrders:
