@@ -54,6 +54,7 @@ from .isomorphisms import (
 )
 
 ADJOINED_NAME = "W1"
+SCHEMA = "dd-lab/1"  # of every JSON report, the command line's included
 
 # Certificates reduce some large polynomials; the interactive Groebner default
 # is far too small for legitimate runs, so the pipeline uses its own budget.
@@ -544,7 +545,7 @@ class CancellationCertificate:
 
     def to_json(self):
         return {
-            "schema": "dd-lab/1",
+            "schema": SCHEMA,
             "kind": "cancellation-certificate",
             "presentation": self.presentation.to_json(),
             "small_presentation": self.small_presentation.to_json()

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .cancellation import PIPELINE_BUDGET, cancellation_certificate
+from .cancellation import PIPELINE_BUDGET, SCHEMA, cancellation_certificate
 from .derivations import (
     CAP_EXCEEDED,
     DEFAULT_CAP,
@@ -29,7 +29,7 @@ from .derivations import (
     ml_report,
     nilpotency_index,
 )
-from .elements import AlgebraContext, UnsupportedBaseRing, membership_with_witness
+from .elements import AlgebraContext, AlgebraError, membership_with_witness
 from .groebner import BudgetExceeded, DEFAULT_BUDGET, elimination_ideal
 from .laurent import LaurentForm
 from .isomorphisms import (
@@ -42,7 +42,7 @@ from .isomorphisms import (
     verify_hom,
     verify_iso_pair,
 )
-from .poly import Context, ParseError, parse_poly
+from .poly import ParseError, parse_poly
 from .presentations import (
     InvalidPresentation,
     cond_class,
@@ -52,8 +52,6 @@ from .presentations import (
     reduce_to_danielewski,
     validate_presentation,
 )
-
-SCHEMA = "dd-lab/1"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -100,6 +98,12 @@ def _report_payload(kind: str, path: str, body: dict) -> dict:
     return {"schema": SCHEMA, "kind": kind, "input": path, **body}
 
 
+def _report_lines(path: str, report) -> list[str]:
+    """The verdict on a report, then one line per check."""
+    lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
+    return lines + [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
+
+
 def _emit(payload: dict, lines: list[str], args) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=False))
@@ -115,9 +119,7 @@ def _run_validate(path: str, args):
     p = _load_presentation(path)
     report = validate_presentation(p)
     payload = _report_payload("validation", path, {"report": report.to_json()})
-    lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
-    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
-    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, _report_lines(path, report)
 
 
 def _run_invariants(path: str, args):
@@ -137,9 +139,7 @@ def _run_omega3(path: str, args):
     p = _load_presentation(path)
     report = omega3_check(p, budget=_budget(args, DEFAULT_BUDGET))
     payload = _report_payload("omega3", path, {"report": report.to_json()})
-    lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
-    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
-    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, _report_lines(path, report)
 
 
 def _run_lnd(path: str, args):
@@ -187,14 +187,9 @@ def _run_exp(path: str, args):
 
 def _run_fiber(path: str, args):
     p = _load_presentation(path)
-    p.require_valid()
-    base = p.base.variables
-    ctx = Context(("X", "Y", "T", "Z") + base)
-    x = ctx.var("X")
-    rel1 = x ** p.d * ctx.var("Y") - p.P.transfer(ctx)
-    rel2 = x ** p.e * ctx.var("T") - p.Q.transfer(ctx)
-    keep = {"Z"} | set(base)
-    gens = elimination_ideal([x, rel1, rel2], keep, budget=_budget(args, DEFAULT_BUDGET))
+    actx = AlgebraContext(p)
+    gens = elimination_ideal([actx.gen_ctx.var("X"), *actx.relations()], {"Z", *p.base.variables},
+                             budget=_budget(args, DEFAULT_BUDGET))
     payload = _report_payload("fiber", path, {"generators": [str(g) for g in gens]})
     named = ", ".join(str(g) for g in gens) if gens else "0"
     return EXIT_PASS, payload, [f"x*B intersected with R[z] is generated by: {named}"]
@@ -221,7 +216,7 @@ def _run_member(path: str, args):
     form = LaurentForm(actx.coeff_ctx, coeffs)
     try:
         result = membership_with_witness(form, actx, _budget(args, DEFAULT_BUDGET))
-    except UnsupportedBaseRing as exc:
+    except AlgebraError as exc:  # base variables, or a failed completeness report
         raise InputError(str(exc)) from exc
     payload = _report_payload(
         "membership",
@@ -230,14 +225,14 @@ def _run_member(path: str, args):
             "element": form.to_json(),
             "member": result.member,
             "witness": str(result.witness) if result.witness is not None else None,
-            "certificate_basis": result.certificate,
+            "certificate": result.certificate,
         },
     )
     if result.member:
-        lines = [f"member: witness {result.witness}"]
-    else:
-        lines = ["not a member", f"certificate basis: {result.certificate}"]
-    return (EXIT_PASS if result.member else EXIT_FAIL), payload, lines
+        return EXIT_PASS, payload, [f"member: witness {result.witness}"]
+    cert = result.certificate
+    return EXIT_FAIL, payload, ["not a member", f"level {cert['level']}: remainder "
+                                f"{cert['remainder']} modulo {cert['divisor']}"]
 
 
 def _parse_iso_data(data, ctx) -> IsoData:

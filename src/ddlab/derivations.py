@@ -259,10 +259,7 @@ def ml_report(p: DDPresentation) -> MLReport:
     conclusion, never as an independent computation.
     """
     validation = validate_presentation(p)
-    items = [
-        CheckItem("presentation valid", validation.passed,
-                  "; ".join(c.name for c in validation.failed_items()) or "ok"),
-    ]
+    items = [validation.as_check("presentation valid")]
     facts: list[str] = []
     if validation.passed:
         items.append(CheckItem("deg_Z P(0,Z) >= 1", p.r >= 1, f"r = {p.r}"))

@@ -7,22 +7,36 @@ form, the source of truth for equality.  A value computed only in the Laurent
 model, such as an image under a homomorphism, is a bare LaurentForm; it
 becomes an element when membership finds its witness (`divide_by_x_power`).
 
-Membership of a Laurent form in B[w..] is first tried by division along the
-x-adic filtration: y has lowest term P(0,z)*x^-d and t has lowest term
-a*P(0,z)^s*x^-(d*s+e), so each negative level of the form is cleared by one
-exact division in z by the lowest coefficient of some y^j*t^l.  When a
-coefficient does not divide, the division refuses; a refusal is not a "no".
-The input then goes to ideal membership g in (X^N) + (relations) over Q, with
-the witness read off the X^N cofactor, and only that route answers "no",
-with its Groebner basis as the certificate.  Both routes are restricted to
-base ring R = Q.
+Membership of a Laurent form in B[w..] is decided over R = Q by division
+along the x-adic filtration.  The lowest terms of x, z, w.., y and t are
+x, z, w.., P(0,z)*x^-d and b*P(0,z)^s*x^-(d*s+e), b the Y^s coefficient of Q;
+at level -m the algebra S they generate holds exactly the multiples of
+P(0,z)^J(m), J(m) the least J with d*J + e*floor(J/s) >= m, as y^j*t^l,
+J = j + s*l, has its lowest term at level -(d*J + e*l).  The division clears
+the lowest level of a form by an exact division in z by such a coefficient,
+a level at a time, until what is left is a polynomial.
+
+A coefficient that does not divide proves non-membership, since S is the
+initial algebra of B[w..] by the subalgebra-basis criterion (Robbiano and
+Sweedler, "Subalgebra bases", 1990) for the x-adic valuation:
+- the relations among the lowest terms are I0 = (X^d*Y - P(0,Z),
+  X^e*T - b*Y^s), the kernel once X is inverted, if I0 : X = I0;
+- they lift to elements of larger order: x^d*y - P(0,z) = P(x,z) - P(0,z)
+  has order >= 1 > 0, and x^e*t - b*y^s = sum_{k<s} q_k(x,z)*y^k has terms
+  of weight >= -d*(s-1) > -d*s;
+- the lifts have standard representations (no monomial of order below the
+  lift's): the first is a polynomial in x and z, the second divides to 0.
+So the least-weight part of a representation of a member below its order
+is a relation, which the lifts trade for terms of larger weight: the lowest
+coefficient of every member lies in S.  The completeness report computes
+the two premises, I0 : X = I0 and the division of x^e*t - b*y^s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .groebner import (
     DEFAULT_BUDGET,
@@ -32,19 +46,21 @@ from .groebner import (
     _Divisors,
     _normal_form,
     buchberger,
+    elimination_ideal,
 )
-from .laurent import LaurentForm, eval_poly_at_laurent
+from .laurent import LaurentForm, eval_poly_at_laurent, image_entry
 from .poly import (
     Context,
     ContextMismatch,
     Polynomial,
     _form_mul_into,
+    _form_product,
     _scaled_int_form,
     _unscale_terms,
     coeff_div,
     parse_poly,
 )
-from .presentations import DDPresentation, GENERATOR_NAMES
+from .presentations import CheckItem, DDPresentation, GENERATOR_NAMES, Report
 
 
 class AlgebraError(ValueError):
@@ -56,11 +72,11 @@ class UnsupportedBaseRing(AlgebraError):
 
 
 class NotInAlgebra(AlgebraError):
-    """A Laurent form is not an element of the algebra; carries the failing basis."""
+    """A Laurent form is not an element of the algebra; carries the non-member certificate."""
 
-    def __init__(self, message: str, certificate: list[str] | None = None):
+    def __init__(self, message: str, certificate: dict | None = None):
         super().__init__(message)
-        self.certificate = certificate or []
+        self.certificate = certificate
 
 
 class AlgebraContext:
@@ -151,18 +167,6 @@ class AlgebraContext:
 
     # -- membership ---------------------------------------------------------------
 
-    def _membership_basis(self, n: int, budget: int) -> GroebnerBasis:
-        # X gets lowest priority: the three generators then have pairwise
-        # coprime leading monomials and the basis stays tiny for every n
-        key = n
-        if key not in self._nf_cache:
-            ctx = self.gen_ctx
-            rel1, rel2 = self.relations()
-            gens = [ctx.var("X") ** n, rel1, rel2]
-            order = MonomialOrder.elim(ctx, [v for v in ctx.names if v != "X"])
-            self._nf_cache[key] = buchberger(gens, order, budget)
-        return self._nf_cache[key]
-
     def _relation_basis(self, budget: int) -> GroebnerBasis:
         """Basis of the defining ideal alone; used to canonicalize witnesses.
 
@@ -195,34 +199,30 @@ class AlgebraContext:
             self._nf_cache[key] = (divisor, coeff_div(1, lc))
         return self._nf_cache[key]
 
-    def _x_adic_power(self, j: int, l: int, budget: _Budget) -> tuple[dict, int]:
-        """The Laurent form of Y^j*T^l as a form over one common denominator:
-        its integer-scaled form and that denominator.  Callers must not
-        mutate it.
+    def _power(self, name: str, k: int, budget: _Budget) -> tuple[dict, int]:
+        """The k-th power of a generator image as an integral form (not to be
+        mutated) and its denominator, from the power list `to_laurent` grows
+        too.  Each power added charges the budget one step per term."""
+        _, powers, den = image_entry(self.generator_images()[name])
+        while len(powers) <= k:
+            powers.append(_form_product(powers[-1], powers[1]))
+            budget.tick(sum(map(len, powers[-1].values())))
+        return powers[k], den ** k
 
-        It is built along y, y^2, .., y^j, y^j*t, .., y^j*t^l, one product
-        by the image of Y or T per step, and every power on the way is
-        cached.  Each built power charges the budget one step per term, so a
-        large shift runs out of budget after a few steps instead of building
-        the whole power first.
-        """
-        cache = self._nf_cache
-        power = cache.get(("x-adic power", j, l))
-        if power is not None:
-            return power
-        y, t = (_scaled_int_form(self.generator_images()[g]._form()) for g in "YT")
-        power = ({0: {(0,) * len(self.coeff_ctx.names): 1}}, 1)
-        path = [(i, 0, y) for i in range(1, j + 1)] + [(j, k, t) for k in range(1, l + 1)]
-        for i, k, (factor, df) in path:
-            key = ("x-adic power", i, k)
-            if key not in cache:
-                out: dict = {}
-                _form_mul_into(out, power[0], factor)
-                out = {n: terms for n, terms in out.items() if terms}
-                budget.tick(sum(map(len, out.values())))
-                cache[key] = (out, power[1] * df)
-            power = cache[key]
-        return power
+    def completeness_report(self) -> Report:
+        """The computed premises of the completeness of the x-adic division (see
+        the module docstring), made once under the default budget and kept."""
+        if "completeness" not in self._nf_cache:
+            rels = _initial_relations(self.presentation, Context(("V",) + GENERATOR_NAMES))
+            lift = self.to_laurent(_initial_relations(self.presentation, self.gen_ctx)[1])
+            witness, refusal = _x_adic_witness(lift, self, _Budget(DEFAULT_BUDGET))
+            saturated = _x_is_nonzerodivisor(rels, DEFAULT_BUDGET)
+            self._nf_cache["completeness"] = Report((
+                CheckItem("I0 : X = I0", saturated, f"I0 = ({rels[0]}, {rels[1]})"),
+                CheckItem("x^e*t - b*y^s divides to 0", refusal is None and self.to_laurent(witness) == lift,
+                          f"witness {witness}" if refusal is None else f"refused at level {-refusal[0]}"),
+            ))
+        return self._nf_cache["completeness"]
 
     def reduce_witness(self, expr: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
         """Canonical small representative of expr modulo the defining relations."""
@@ -291,15 +291,14 @@ class BElement:
         return f"<element {self} of {self.actx!r}>"
 
 
-class MembershipResult:
-    """Outcome of a membership test, with witness or retained basis certificate."""
+class MembershipResult(NamedTuple):
+    """A member's witness, or a non-member's certificate: a JSON-ready dict of
+    the refused level, the divisor b^l*P(0,Z)^J as unexpanded text, the
+    nonzero remainder modulo it, and the completeness report."""
 
-    __slots__ = ("member", "witness", "certificate")
-
-    def __init__(self, member: bool, witness: Polynomial | None, certificate: list[str]):
-        self.member = member
-        self.witness = witness
-        self.certificate = certificate
+    member: bool
+    witness: Polynomial | None
+    certificate: dict | None
 
 
 def membership_with_witness(
@@ -307,12 +306,14 @@ def membership_with_witness(
 ) -> MembershipResult:
     """Decide whether a Laurent form lies in B[w..]; return a generator witness.
 
-    Restricted to base ring R = Q.  Division along the x-adic filtration runs
-    first; when it refuses, the Groebner route decides.  A refusal is never
-    reported as non-membership: a negative answer comes only from the
-    Groebner route and carries the reduced basis of (X^N) + relations as its
-    certificate.  When the answer is positive the witness h is reduced modulo
-    the relations and satisfies to_laurent(h) = f (asserted).
+    Restricted to base ring R = Q.  The x-adic division decides; a witness
+    h is reduced modulo the relations, and to_laurent(h) = f is asserted.
+    A refusal at level -m is a "no": the initial forms of the generators
+    generate the initial algebra of B[w..] (see the module docstring), so the
+    lowest coefficient of f minus the member built so far, not a multiple of
+    b^l*P(0,z)^J(m), is no member's.  That level and coefficient are checked
+    against the partial witness, and the completeness report must pass, or
+    AlgebraError is raised.
     """
     if not actx.presentation.base.is_rational():
         raise UnsupportedBaseRing(
@@ -321,47 +322,41 @@ def membership_with_witness(
     if f.ctx != actx.coeff_ctx:
         f = f.transfer(actx.coeff_ctx)
     if f.is_zero():
-        return MembershipResult(True, actx.gen_ctx.zero(), [])
+        return MembershipResult(True, actx.gen_ctx.zero(), None)
 
     if f.min_exp() >= 0:
         witness = f.as_poly(actx.gen_ctx, "X")
     else:
-        witness = _x_adic_witness(f, actx, _Budget(budget))
-        if witness is None:
-            result = _groebner_membership(f, actx, budget)
-            if not result.member:
-                return result
-            witness = result.witness
+        witness, refusal = _x_adic_witness(f, actx, _Budget(budget))
+        if refusal is not None:
+            m, coeff, certificate = refusal
+            residue = f - actx.to_laurent(witness)
+            if residue.min_exp() != -m or residue.coeffs[-m] != coeff:
+                raise AssertionError("refused coefficient is not the lowest one of the residue")
+            report = actx.completeness_report()
+            if not report.passed:
+                failed = "; ".join(c.name for c in report.failed_items())
+                raise AlgebraError(f"x-adic division not known to be complete ({failed}); no answer")
+            return MembershipResult(False, None, {**certificate, "completeness": report.to_json()})
         witness = actx.reduce_witness(witness, budget)
     if actx.to_laurent(witness) != f:
         raise AssertionError("membership witness does not reproduce the input form")
-    return MembershipResult(True, witness, [])
+    return MembershipResult(True, witness, None)
 
 
-def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Polynomial | None:
-    """A generator expression for f found level by level, lowest first, or
-    None when a coefficient does not divide.
+def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tuple[Polynomial, tuple | None]:
+    """A generator expression for f, lowest level first, and None; or, at
+    the first level -m whose coefficient c does not divide, the expression
+    for the levels cleared so far and (m, c, certificate without the report).
 
-    Let J = j + s*l.  The lowest term of y^j*t^l sits at level -(d*J + e*l),
-    so level -m of f is cleared by q*x^i*y^j*t^l with the least J that
-    reaches it, i = d*J + e*l - m, and q the exact quotient of the level's
-    coefficient by the lowest coefficient of y^j*t^l.  What is left at levels
-    >= 0 is a polynomial in x, z and w..; anything left below is dropped,
-    which the caller's to_laurent check would catch.
-
-    The search for J starts at floor(m*s/(d*s + e)), below which
-    d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  The division is by that lowest
-    coefficient's closed form b^l*P(0,z)^J, of z-degree r*J (b the Y^s
-    coefficient of Q), and the Laurent form of y^j*t^l, dear at a large
-    shift, is built only once the division is exact.
-
-    The division runs on one integer-scaled copy of f over a running
-    denominator: each level subtracts q*x^i*y^j*t^l from it in place, against
-    the cached integer-scaled form of y^j*t^l, and rescales the copy only
-    when the denominator of that product does not divide its own.  Neither f
-    nor the cached forms are mutated.  The witness is one term dict: the
-    parts q*X^i*Y^j*T^l of different levels differ in (i, j, l), and the rest
-    has no Y or T.
+    Level -m is cleared by q*x^i*y^j*t^l, j + s*l = J(m), i = d*J + e*l - m,
+    q = c/(b^l*P(0,z)^J), searching J up from floor(m*s/(d*s + e)), below
+    which d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  A c of z-degree below r*J
+    is refused before the divisor is built, and y^j and t^l, dear at a large
+    shift, are read from the image power lists only once q is exact.  The
+    work is one integer-scaled copy of f over a running denominator, changed
+    in place; neither f nor the cached powers are mutated.  The parts of
+    different levels differ in (i, j, l), and the rest has no Y or T.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
@@ -377,48 +372,58 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> Po
         big_j = max(1, m * s // (d * s + e))
         while d * big_j + e * (big_j // s) < m:
             big_j += 1
-        if c.deg_in("Z") < r * big_j:
-            return None
         j, l = big_j % s, big_j // s
-        divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
-        rem, (q,) = _normal_form(c, divisor, budget)
+        rem = c
+        if c.deg_in("Z") >= r * big_j:
+            divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
+            rem, (q,) = _normal_form(c, divisor, budget)
         if not rem.is_zero():
-            return None
+            b = str(p.Q.coefficient_of("Y", s))
+            divisor = f"({b})^{l}*({p.p_at_x0()})^{big_j}" if l and b != "1" else f"({p.p_at_x0()})^{big_j}"
+            certificate = {"level": -m, "divisor": divisor, "remainder": str(rem.scale(Fraction(1, den)))}
+            return Polynomial._raw(actx.gen_ctx, witness), (m, c.scale(Fraction(1, den)), certificate)
         q = q.scale(Fraction(inverse_lc) / den)
         i = d * big_j + e * l - m
         # coeff_ctx is gen_ctx without X, Y and T
         for ez, cz in q.terms.items():
             witness[(i, j, ez[0], l) + ez[1:]] = cz
-        power, dp = actx._x_adic_power(j, l, budget)
+        y_power, dy = actx._power("Y", j, budget)
+        t_power, dt = actx._power("T", l, budget)
         scaled_q, dq = _scaled_int_form({i: q.terms})
-        new_den = lcm(den, dq * dp)
+        dp = dq * dy * dt
+        new_den = lcm(den, dp)
         if new_den != den:
             up = new_den // den
             for t in work.values():
                 for ez in t:
                     t[ez] *= up
             den = new_den
-        k = -(den // (dq * dp))
-        _form_mul_into(work, {i: {ez: k * cz for ez, cz in scaled_q[i].items()}}, power)
+        k = -(den // dp)
+        factor = _form_product({i: {ez: k * cz for ez, cz in scaled_q[i].items()}}, y_power)
+        _form_mul_into(work, factor, t_power)
     for n, t in work.items():
         if n >= 0:
             for ez, cz in _unscale_terms(t, den).items():
                 witness[(n, 0, ez[0], 0) + ez[1:]] = cz
-    return Polynomial._raw(actx.gen_ctx, witness)
+    return Polynomial._raw(actx.gen_ctx, witness), None
 
 
-def _groebner_membership(f: LaurentForm, actx: AlgebraContext, budget: int) -> MembershipResult:
-    """Ideal membership of x^n*f in (X^n) + relations, n = -min_exp(f) > 0.
+def _initial_relations(p: DDPresentation, ctx: Context) -> list[Polynomial]:
+    """I0, the relations among the initial forms of x, y, z and t, in ctx."""
+    x, y, b = ctx.var("X"), ctx.var("Y"), p.Q.coefficient_of("Y", p.s).transfer(ctx)
+    return [x ** p.d * y - p.p_at_x0().transfer(ctx), x ** p.e * ctx.var("T") - b * y ** p.s]
 
-    The witness is the unreduced cofactor of X^n; a negative answer carries
-    the reduced basis as its certificate.
-    """
-    n = -f.min_exp()
-    gb = actx._membership_basis(n, budget)
-    rem, cof = gb.reduce_to_gens(f.shift(n).as_poly(actx.gen_ctx, "X"), 0, budget)
-    if not rem.is_zero():
-        return MembershipResult(False, None, [str(p) for p in gb.polys])
-    return MembershipResult(True, cof, [])
+
+def _x_is_nonzerodivisor(rels: list[Polynomial], budget: int) -> bool:
+    """Whether I : X = I for I = (rels), that is I : X^infinity = I: the
+    generators of the latter, V eliminated from I + (V*X - 1) with V the
+    first variable of the context, must reduce to 0 modulo I (Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, 4.4)."""
+    ctx = rels[0].ctx
+    inverse = ctx.var(ctx.names[0]) * ctx.var("X") - ctx.one()
+    saturation = elimination_ideal(rels + [inverse], ctx.names[1:], budget)
+    basis = buchberger(rels, budget=budget)
+    return all(basis.normal_form(g, budget)[0].is_zero() for g in saturation)
 
 
 def divide_by_x_power(
@@ -430,8 +435,5 @@ def divide_by_x_power(
     shifted = form.shift(-n)
     result = membership_with_witness(shifted, actx, budget)
     if not result.member:
-        raise NotInAlgebra(
-            f"element is not divisible by X^{n} in the algebra",
-            result.certificate,
-        )
+        raise NotInAlgebra(f"element is not divisible by X^{n} in the algebra", result.certificate)
     return BElement(actx, result.witness, shifted)

@@ -275,13 +275,9 @@ def distinguish_by_invariants(p1: DDPresentation, p2: DDPresentation) -> NonIsoC
     both have r > 1 under the monicity convention, and the tuples differ.
     Anything else is "inconclusive".
     """
-    items = []
     v1 = validate_presentation(p1)
     v2 = validate_presentation(p2)
-    items.append(CheckItem("first presentation valid", v1.passed,
-                           "; ".join(c.name for c in v1.failed_items()) or "ok"))
-    items.append(CheckItem("second presentation valid", v2.passed,
-                           "; ".join(c.name for c in v2.failed_items()) or "ok"))
+    items = [v1.as_check("first presentation valid"), v2.as_check("second presentation valid")]
     t1 = t2 = None
     if v1.passed and v2.passed:
         t1 = invariant_tuple(p1)

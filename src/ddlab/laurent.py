@@ -17,12 +17,12 @@ from .poly import _form_product, _image_entry
 class LaurentForm:
     """Finitely supported map x-exponent -> coefficient polynomial.
 
-    `_powers` is None until the form is first used as a variable image in
-    `eval_poly_at_laurent`.  It then holds the form's image entry: its
-    monomial data, or its integer-scaled form, denominator and the growing
-    list of its integral powers, which later evaluations at the same image
-    object reuse.  The forms in it are never mutated, and the entry dies
-    with the image object.
+    `_powers` is None until the form is first used as a variable image
+    (`image_entry`).  It then holds the form's image entry: its monomial
+    data if it is a monomial, its denominator, and the growing list of its
+    integral powers, which later evaluations at the same image object reuse.
+    The forms in it are never mutated, and the entry dies with the image
+    object.
     """
 
     __slots__ = ("ctx", "coeffs", "_powers")
@@ -182,16 +182,19 @@ def eval_poly_at_laurent(
 
     Variables of p not in `images` must exist in the target coefficient
     context and map to themselves (at x-exponent 0).  Each image's entry is
-    cached on the image the first time it is used (see LaurentForm), after
-    its context is checked against the target.
+    read with `image_entry`, after its context is checked against the target.
     """
-    width = len(target.names)
 
     def entry_of(image: LaurentForm) -> tuple:
         if image.ctx != target:
             raise ContextMismatch("image context differs from target")
-        if image._powers is None:
-            object.__setattr__(image, "_powers", _image_entry(image._form(), width))
-        return image._powers
+        return image_entry(image)
 
     return LaurentForm._from_form(target, eval_at_forms(p, images, target, entry_of))
+
+
+def image_entry(image: LaurentForm) -> tuple:
+    """The image entry of a form (see `_image_entry`), kept on the form."""
+    if image._powers is None:
+        object.__setattr__(image, "_powers", _image_entry(image._form(), len(image.ctx.names)))
+    return image._powers

@@ -135,19 +135,21 @@ def _image_entry(form: dict, width: int) -> tuple:
     """What eval_at_forms reads of one variable image, given as a form over
     a target of `width` variables.
 
-    A monomial image (one term, like X -> x or an unmapped variable) gives
-    (x-exponent, ((target position, exponent), ...), coefficient), None, 1.
-    Any other image gives None, the list of its integral powers, and its
-    denominator: the list starts as [1, image * denominator] and
-    eval_at_forms appends higher powers as it needs them.
+    The entry is the monomial data of a monomial image (one term, like
+    X -> x or an unmapped variable), (x-exponent, ((target position,
+    exponent), ...), coefficient), or None; the list of the image's integral
+    powers, [1, image * denominator] at first, to which eval_at_forms
+    appends the higher powers of a non-monomial image it needs; and the
+    denominator.
     """
+    mono = None
     if len(form) == 1:
         ((n, t),) = form.items()
         if len(t) == 1:
             ((e, c),) = t.items()
-            return (n, tuple((j, k) for j, k in enumerate(e) if k), c), None, 1
+            mono = (n, tuple((j, k) for j, k in enumerate(e) if k), c)
     form, den = _scaled_int_form(form)
-    return None, [{0: {(0,) * width: 1}}, form], den
+    return mono, [{0: {(0,) * width: 1}}, form], den
 
 
 def eval_at_forms(

@@ -54,6 +54,10 @@ class Report:
     def failed_items(self) -> list[CheckItem]:
         return [item for item in self.items if not item.passed]
 
+    def as_check(self, name: str) -> CheckItem:
+        """This report as one check, its failed checks named in the detail."""
+        return CheckItem(name, self.passed, "; ".join(c.name for c in self.failed_items()) or "ok")
+
     def to_json(self):
         return {
             "passed": self.passed,
@@ -271,8 +275,7 @@ def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET) -> Report:
     (P(0,Z), Q(0,Y,Z), dQ/dY(0,Y,Z)) = R[Y,Z].
     """
     validation = validate_presentation(p)
-    items = [CheckItem("presentation valid", validation.passed,
-                       "; ".join(c.name for c in validation.failed_items()) or "ok")]
+    items = [validation.as_check("presentation valid")]
     if not validation.passed:
         return Report(tuple(items), dict(validation.facts))
 

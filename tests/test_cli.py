@@ -92,6 +92,31 @@ class TestMember:
         assert code == 1
         out = capsys.readouterr().out
         assert "not a member" in out
+        assert "level -1: remainder Z - 1 modulo (Z^2 - 1)^1" in out
+
+    def test_easy_non_member_at_a_large_shift(self, dd1_file, capsys):
+        # refused at its lowest level -200, whose coefficient has z-degree 199
+        # < 200, the degree of the divisor (Z^2 - 1)^100, which is never built
+        code = main(["member", dd1_file, "--json", "--element", '{"-200": "(Z^2-1)^99*Z"}'])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["member"] is False and report["witness"] is None
+        cert = report["certificate"]
+        assert (cert["level"], cert["divisor"]) == (-200, "(Z^2 - 1)^100")
+        assert cert["completeness"]["passed"]
+
+    def test_incomplete_division_is_an_error_line(self, dd1_file, capsys, monkeypatch):
+        # with P(0,Z) dropped from I0 the completeness report fails: one
+        # error line and exit 2 instead of an answer
+        from ddlab import elements
+
+        original = elements._initial_relations
+        monkeypatch.setattr(elements, "_initial_relations", lambda p, ctx: [
+            rel + p.p_at_x0().transfer(ctx) if k == 0 else rel
+            for k, rel in enumerate(original(p, ctx))])
+        assert main(["member", dd1_file, "--element", '{"-1": "Z - 1"}']) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: x-adic division not known to be complete")
 
     def test_with_adjoined(self, dd1_file, capsys):
         code = main(["member", dd1_file, "--adjoin", "W1",

@@ -1,26 +1,30 @@
+import contextlib
 import copy
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ddlab import elements
 from ddlab.elements import (
     AlgebraContext,
+    AlgebraError,
     NotInAlgebra,
     UnsupportedBaseRing,
-    _groebner_membership,
     _x_adic_witness,
+    _x_is_nonzerodivisor,
     divide_by_x_power,
     membership_with_witness,
 )
 from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, _Budget, _normal_form
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
-from ddlab.poly import Context, ContextMismatch, _unscale, parse_poly
+from ddlab.poly import Context, ContextMismatch, _form_product, _unscale, parse_poly
 from ddlab.presentations import DDPresentation
 
 from conftest import random_polynomial, random_valid_presentation
+from membership_oracle import groebner_membership
 
 
 class TestLaurentEmbedding:
@@ -68,7 +72,8 @@ class TestImageCache:
         first = actx.to_laurent(parse_poly("Y^3*T^2 + Y*Z - X", actx.gen_ctx))
         mono, powers, den = images["Y"]._powers
         assert mono is None and len(powers) == 4
-        assert images["X"]._powers[1] is None  # a monomial image keeps no powers
+        # a monomial image is applied by exponent arithmetic: its powers are not grown
+        assert images["X"]._powers[0] is not None and len(images["X"]._powers[1]) == 2
         kept, snapshot = list(powers), copy.deepcopy(powers)
         again = actx.to_laurent(parse_poly("Y^5 + Y^3*T^2 + Y*Z - X", actx.gen_ctx))
         assert images["Y"]._powers[1] is powers and len(powers) == 6
@@ -123,7 +128,9 @@ class TestMembership:
         result = membership_with_witness(form, dd1_ctx)
         assert not result.member
         assert result.witness is None
-        assert result.certificate  # the reduced basis is retained
+        cert = result.certificate
+        assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1, "(Z^2 - 1)^1", "Z - 1")
+        assert cert["completeness"]["passed"]
 
     def test_polynomial_part_trivial(self, dd1_ctx):
         form = LaurentForm(dd1_ctx.coeff_ctx, {0: parse_poly("Z", dd1_ctx.coeff_ctx)})
@@ -170,41 +177,98 @@ def _drawn_case(seed):
     return actx, form
 
 
-class TestDivisionAgainstGroebner:
-    """The x-adic division against the Groebner route as the reference."""
+def _agreement_case(seed):
+    """A seeded algebra (X-terms allowed in P and Q, the Y^s coefficient b
+    of Q not always 1, sometimes W1 adjoined) and a form: a member of shift
+    1 to 6, x^-k*h with h a random polynomial in z (and w1) and k up to 8,
+    or a member of shift n >= 2 plus x^-k*h with k < n, perturbed above its
+    lowest level."""
+    rng = random.Random(seed)
+    pres = random_valid_presentation(rng, rng.randint(1, 3), rng.randint(1, 3), max_r=3, max_s=3,
+                                     constant_lead_p=False)
+    actx = AlgebraContext(pres, ("W1",) if rng.random() < 0.3 else ())
+    cctx = actx.coeff_ctx
+    h = random_polynomial(rng, cctx, max_terms=3, max_exp=4)
+    h = h if not h.is_zero() else cctx.one()
+    kind = rng.randrange(3)
+    if kind == 1:
+        return actx, LaurentForm(cctx, {-rng.randint(1, 8): h})
+    lowest = 2 if kind else 1
+    form = actx.to_laurent(random_polynomial(rng, actx.gen_ctx, max_terms=3, max_exp=2))
+    while not lowest <= -form.min_exp() <= 6:
+        form = actx.to_laurent(random_polynomial(rng, actx.gen_ctx, max_terms=3, max_exp=2))
+    if kind:
+        form = form + LaurentForm(cctx, {-rng.randint(1, -form.min_exp() - 1): h})
+    return actx, form
 
-    @settings(max_examples=60, deadline=None)
+
+class _OracleTooSlow(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise _OracleTooSlow in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise _OracleTooSlow
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDivisionAgainstGroebner:
+    """The x-adic division against the Groebner route, the reference oracle."""
+
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_same_answer_and_normal_form(self, seed):
-        actx, form = _drawn_case(seed)
-        reference = _groebner_membership(form, actx, DEFAULT_BUDGET)
+        # draws whose oracle runs past 20,000 steps or 2 s are skipped and
+        # counted as an event (--hypothesis-show-statistics)
+        actx, form = _agreement_case(seed)
+        try:
+            with _time_limit(2.0):
+                member, reference = groebner_membership(form, actx, 20_000)
+        except (BudgetExceeded, _OracleTooSlow):
+            event("oracle over budget, skipped")
+            return
+        event("member" if member else "non-member")
         result = membership_with_witness(form, actx)
-        assert result.member == reference.member
-        if reference.member:
-            assert result.witness == actx.reduce_witness(reference.witness)
+        assert result.member == member
+        divided, refusal = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        assert (refusal is None) == member
+        if member:
+            assert result.witness == actx.reduce_witness(reference)
+            assert actx.reduce_witness(divided) == result.witness
         else:
-            assert result.witness is None and result.certificate == reference.certificate
-        divided = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
-        if divided is None:
-            return  # refused: the answer above is the Groebner route's
-        assert reference.member
-        assert actx.reduce_witness(divided) == result.witness
+            assert result.witness is None and result.certificate["level"] == -refusal[0]
+            assert result.certificate["completeness"]["passed"]
+            if -refusal[0] > form.min_exp():
+                event("refused above the lowest level")
 
-    def test_refusal_is_not_a_no(self, dd1_ctx):
+    def test_refusal_is_a_no(self, dd1_ctx):
         # y + x^-1*(z - 1): z^2 + z - 2 at level -1 is not a multiple of
-        # P(0,z) = z^2 - 1, so the division refuses; the form is not in B
-        # either, and only the Groebner route says so
+        # P(0,z) = z^2 - 1, so the division refuses, and the refusal is the
+        # answer: the form is not in B
         cctx = dd1_ctx.coeff_ctx
         form = dd1_ctx.gen("Y").laurent + LaurentForm(cctx, {-1: parse_poly("Z - 1", cctx)})
-        assert _x_adic_witness(form, dd1_ctx, _Budget(DEFAULT_BUDGET)) is None
+        partial, refusal = _x_adic_witness(form, dd1_ctx, _Budget(DEFAULT_BUDGET))
+        assert partial.is_zero() and refusal[0] == 1
         result = membership_with_witness(form, dd1_ctx)
-        assert not result.member and result.certificate
-        assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
+        assert not result.member and result.witness is None
+        cert = result.certificate
+        assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1, "(Z^2 - 1)^1", "Z - 1")
+        assert groebner_membership(form, dd1_ctx) == (False, None)
 
     def test_large_shift_refused_before_any_divisor_is_built(self, dd1_ctx, monkeypatch):
         # Z at level -1000 has z-degree 1, below the z-degree r*J = 1000 of the
         # lowest coefficient of T^250, the power that reaches that level: the
-        # division refuses without building T^250, and the Groebner route says no
+        # division refuses without building T^250 or its lowest coefficient,
+        # which the certificate names unexpanded
         def no_divisor(self, j, l, budget):
             raise RuntimeError(f"built the divisor of Y^{j}*T^{l}")
 
@@ -213,34 +277,41 @@ class TestDivisionAgainstGroebner:
         form = LaurentForm(cctx, {-1000: cctx.var("Z")})
         result = membership_with_witness(form, dd1_ctx)
         assert not result.member and result.witness is None
-        assert result.certificate == _groebner_membership(form, dd1_ctx, DEFAULT_BUDGET).certificate
-        assert "X^1000" in result.certificate
+        cert = result.certificate
+        assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1000, "(Z^2 - 1)^500", "Z")
+        assert groebner_membership(form, dd1_ctx) == (False, None)
 
     def test_large_shift_member_route_builds_no_power(self, dd1_ctx, monkeypatch):
         # Z^1000 at level -1000 reaches the z-degree r*J = 1000 of the lowest
         # coefficient of T^250, so the division runs; it is not exact, and the
-        # refusal comes before the Laurent form of T^250 is built: the budget
-        # then stops the Groebner route
-        def no_power(self, j, l, budget):
-            raise RuntimeError(f"built the Laurent form of Y^{j}*T^{l}")
+        # refusal, the answer "no", comes before any power of y or t past
+        # the first is built
+        def no_power(self, name, k, budget):
+            if k > 1:
+                raise RuntimeError(f"built the power {name}^{k}")
+            return original(self, name, k, budget)
 
-        monkeypatch.setattr(AlgebraContext, "_x_adic_power", no_power)
+        original = AlgebraContext._power
+        monkeypatch.setattr(AlgebraContext, "_power", no_power)
         cctx = dd1_ctx.coeff_ctx
         form = LaurentForm(cctx, {-1000: cctx.var("Z") ** 1000})
-        with pytest.raises(BudgetExceeded):
-            membership_with_witness(form, dd1_ctx, 2000)
+        result = membership_with_witness(form, dd1_ctx, 2000)
+        assert not result.member
+        assert (result.certificate["level"], result.certificate["divisor"]) == (-1000, "(Z^2 - 1)^500")
 
     def test_closed_form_divisor_is_the_lowest_coefficient(self):
-        # b^l*P(0,z)^(j+s*l) against the lowest coefficient of the built
-        # Laurent form of Y^j*T^l, with P and Q not monic and W1 adjoined
+        # b^l*P(0,z)^(j+s*l) against the lowest coefficient of the Laurent
+        # form of Y^j*T^l built from the image powers, with P and Q not monic
+        # and W1 adjoined
         pres = DDPresentation.make([], 2, 3, "2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3")
         actx = AlgebraContext(pres, ("W1",))
         cctx = actx.coeff_ctx
         for j in range(pres.s):
             for l in range(3):
                 budget = _Budget(DEFAULT_BUDGET)
-                scaled, den = actx._x_adic_power(j, l, budget)
-                form = LaurentForm._from_form(cctx, _unscale(scaled, den))
+                y_power, dy = actx._power("Y", j, budget)
+                t_power, dt = actx._power("T", l, budget)
+                form = LaurentForm._from_form(cctx, _unscale(_form_product(y_power, t_power), dy * dt))
                 assert form == actx.element(f"Y^{j}*T^{l}").laurent
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
@@ -251,7 +322,7 @@ class TestDivisionAgainstGroebner:
     def test_division_charges_the_budget(self, dd1_ctx):
         form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
         budget = _Budget(DEFAULT_BUDGET)
-        assert _x_adic_witness(form, dd1_ctx, budget) is not None
+        assert _x_adic_witness(form, dd1_ctx, budget)[1] is None
         assert budget.used > 0
 
     def test_exact_large_shift_stops_inside_the_budget(self, dd1):
@@ -263,33 +334,105 @@ class TestDivisionAgainstGroebner:
         form = LaurentForm(cctx, {-1000: parse_poly("Z^2 - 1", cctx) ** 500})
         with pytest.raises(BudgetExceeded, match="budget of 2000 reductions"):
             membership_with_witness(form, actx, 2000)
-        built = [key[2] for key in actx._nf_cache
-                 if isinstance(key, tuple) and key[0] == "x-adic power"]
-        assert built and max(built) < 30
+        built = len(actx.generator_images()["T"]._powers[1])
+        assert 2 < built < 30
 
     @pytest.mark.parametrize("p_text", ["Z^2 - 1", "Z^2 + 1/2"])
     def test_division_mutates_neither_input_nor_cached_powers(self, p_text):
         actx = AlgebraContext(DDPresentation.make([], 1, 2, p_text, "Y^2 + Z"))
-        cctx = actx.coeff_ctx
 
         def snapshot():
-            powers = {key: (LaurentForm._from_form(cctx, form).to_json(), den)
-                      for key, (form, den) in actx._nf_cache.items()
-                      if isinstance(key, tuple) and key[0] == "x-adic power"}
-            images = {g: v.to_json() for g, v in actx.generator_images().items()}
-            return powers, images
+            return {g: (copy.deepcopy(v._powers), v.to_json()) for g, v in actx.generator_images().items()}
 
         form = actx.element("Y*T^2*Z + 3*T^2 - 2*X*Y^2 + Z").laurent
         before = form.to_json()
-        witness = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        witness, refusal = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        assert refusal is None
         assert form.to_json() == before
         assert actx.to_laurent(witness) == form
         cached = snapshot()
-        assert cached[0]
+        assert len(cached["T"][0][1]) > 2
         # the second run reads every power from the cache
-        assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == witness
+        assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == (witness, None)
         assert form.to_json() == before
         assert snapshot() == cached
+
+
+class TestCompleteness:
+    """The computed premises behind "a refusal proves non-membership"."""
+
+    def test_report_passes_on_valid_presentations(self, dd1, dd3):
+        rng = random.Random(12)
+        presentations = [dd1, dd3] + [
+            random_valid_presentation(rng, rng.randint(1, 3), rng.randint(1, 3), max_r=3, max_s=3,
+                                      constant_lead_p=False)
+            for _ in range(10)
+        ]
+        for pres in presentations:
+            report = AlgebraContext(pres).completeness_report()
+            assert report.passed, report.to_json()
+
+    def test_report_is_made_once_and_only_on_a_refusal(self, dd3):
+        actx = AlgebraContext(dd3)
+        assert membership_with_witness(actx.element("Y*T + Z").laurent, actx).member
+        assert "completeness" not in actx._nf_cache
+        form = LaurentForm(actx.coeff_ctx, {-1: actx.coeff_ctx.var("Z")})
+        assert not membership_with_witness(form, actx).member
+        report = actx._nf_cache["completeness"]
+        assert not membership_with_witness(form.shift(-1), actx).member
+        assert actx.completeness_report() is report
+
+    def test_nonzerodivisor_check_fails_on_a_zerodivisor(self):
+        # modulo (x*y - z, x*t - y*z), x*(t - y^2) vanishes and t - y^2 does not
+        ctx = Context(("V", "X", "Y", "Z", "T"))
+        rels = [parse_poly("X*Y - Z", ctx), parse_poly("X*T - Y*Z", ctx)]
+        assert not _x_is_nonzerodivisor(rels, DEFAULT_BUDGET)
+        assert _x_is_nonzerodivisor([parse_poly("X*Y - Z", ctx), parse_poly("X*T - Y^2", ctx)],
+                                    DEFAULT_BUDGET)
+
+    def test_broken_initial_relations_raise_instead_of_answering(self, dd1, monkeypatch):
+        # with P(0,Z) replaced by 0 in I0, x*y is a relation that x divides
+        # and y is not: X is a zerodivisor, the report fails, and a refusal
+        # is no longer an answer
+        original = elements._initial_relations
+
+        def without_p0(p, ctx):
+            rel1, rel2 = original(p, ctx)
+            return [rel1 + p.p_at_x0().transfer(ctx), rel2]
+
+        monkeypatch.setattr(elements, "_initial_relations", without_p0)
+        actx = AlgebraContext(dd1)
+        form = LaurentForm(actx.coeff_ctx, {-1: parse_poly("Z - 1", actx.coeff_ctx)})
+        with pytest.raises(AlgebraError, match="not known to be complete"):
+            membership_with_witness(form, actx)
+        report = actx.completeness_report()
+        assert [c.name for c in report.failed_items()] == ["I0 : X = I0"]
+        assert membership_with_witness(actx.gen("Y").laurent, actx).member
+
+    @pytest.mark.parametrize("fault", ["level", "coefficient", "witness"])
+    def test_refusal_is_checked_against_the_residue(self, dd1, monkeypatch, fault):
+        # y*t + x^-1*(z - 1) is refused at level -1, after levels -5 to -2
+        # are cleared; a refusal record that does not match f minus the
+        # partial witness is caught
+        original = elements._x_adic_witness
+
+        def tampered(f, actx, budget):
+            witness, (m, coeff, certificate) = original(f, actx, budget)
+            if fault == "level":
+                m += 1
+            elif fault == "coefficient":
+                coeff = coeff + coeff.ctx.one()
+            else:
+                witness = witness + actx.gen_ctx.var("Y")
+            return witness, (m, coeff, certificate)
+
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
+        form = actx.element("Y*T").laurent + LaurentForm(cctx, {-1: parse_poly("Z - 1", cctx)})
+        assert membership_with_witness(form, actx).certificate["level"] == -1
+        monkeypatch.setattr(elements, "_x_adic_witness", tampered)
+        with pytest.raises(AssertionError, match="refused coefficient"):
+            membership_with_witness(form, actx)
 
 
 def _corrupt_quotients(monkeypatch):
@@ -307,7 +450,7 @@ def _corrupt_quotients(monkeypatch):
 
 class TestDivisionFaults:
     # forms with one negative level: its one division step is corrupted, and
-    # no later step is left to refuse and hand the form to the Groebner route
+    # no later step is left to refuse
     @pytest.mark.parametrize("text", ["Y", "Z*Y - 2*Y", "X*Y^2 + Y", "X^3*T + Z"])
     def test_corrupted_quotient_is_caught(self, dd1_ctx, monkeypatch, text):
         form = dd1_ctx.element(text).laurent
@@ -318,13 +461,13 @@ class TestDivisionFaults:
 
     def test_corrupted_quotient_never_gives_a_wrong_answer(self, monkeypatch):
         cases = [_drawn_case(seed) for seed in range(40)]
-        expected = [_groebner_membership(form, actx, DEFAULT_BUDGET).member for actx, form in cases]
+        expected = [groebner_membership(form, actx)[0] for actx, form in cases]
         calls = _corrupt_quotients(monkeypatch)
         caught = 0
         for (actx, form), member in zip(cases, expected):
             try:
                 result = membership_with_witness(form, actx)
-            except AssertionError:
+            except (AssertionError, AlgebraError):  # a witness, a refusal or the report caught it
                 caught += 1
                 continue
             assert result.member == member
@@ -353,7 +496,7 @@ class TestDivision:
     def test_division_failure_reports_certificate(self, dd1_ctx):
         with pytest.raises(NotInAlgebra) as err:
             divide_by_x_power(dd1_ctx.element("Z").laurent, dd1_ctx, 1)
-        assert err.value.certificate
+        assert err.value.certificate["level"] == -1
 
     def test_zero_power_is_identity(self, dd1_ctx):
         a = dd1_ctx.element("Y + Z")

@@ -186,7 +186,7 @@ def test_golden_exp_maps_are_byte_identical():
     assert h.hexdigest() == EXP_DIGEST
 
 
-MEMBER_DIGEST = "fb98e46c1b5745cfc9f1694f04a58499d0f3a8e30ec7e5d5aaf38dc59f554e1d"
+MEMBER_DIGEST = "95b0791feb4a53ef062ff0137b9afd5ac0cf5eaca4b92534337d65e2ef09f93b"
 
 
 def membership_cases():
