@@ -37,13 +37,10 @@ from .elements import (
     BElement,
     MembershipResult,
     NotInAlgebra,
-    UnsupportedBaseRing,
     divide_by_x_power,
     membership_with_witness,
 )
 from .derivations import (
-    CAP_EXCEEDED,
-    CapExceeded,
     DEFAULT_CAP,
     Derivation,
     ExponentialMap,

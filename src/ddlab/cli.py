@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .cancellation import PIPELINE_BUDGET, SCHEMA, cancellation_certificate
 from .derivations import (
-    CAP_EXCEEDED,
     DEFAULT_CAP,
     DerivationError,
     canonical_lnd,
@@ -60,10 +59,6 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
-
-
-def _budget(args, default: int) -> int:
-    return default if args.budget is None else args.budget
 
 
 def _pool_size(jobs: int, inputs: int, cpus: int | None) -> int:
@@ -137,7 +132,7 @@ def _run_invariants(path: str, args):
 
 def _run_omega3(path: str, args):
     p = _load_presentation(path)
-    report = omega3_check(p, budget=_budget(args, DEFAULT_BUDGET))
+    report = omega3_check(p, budget=args.budget)
     payload = _report_payload("omega3", path, {"report": report.to_json()})
     return (EXIT_PASS if report.passed else EXIT_FAIL), payload, _report_lines(path, report)
 
@@ -147,10 +142,7 @@ def _run_lnd(path: str, args):
     actx = AlgebraContext(p)
     d = canonical_lnd(actx)
     ok = check_derivation_well_defined(d)
-    indices = {}
-    for name in actx.generator_names():
-        idx = nilpotency_index(d, actx.gen(name), args.cap)
-        indices[name] = None if idx is CAP_EXCEEDED else idx
+    indices = {name: nilpotency_index(d, actx.gen(name), args.cap) for name in actx.generator_names()}
     ml = ml_report(p)
     payload = _report_payload(
         "lnd",
@@ -189,7 +181,7 @@ def _run_fiber(path: str, args):
     p = _load_presentation(path)
     actx = AlgebraContext(p)
     gens = elimination_ideal([actx.gen_ctx.var("X"), *actx.relations()], {"Z", *p.base.variables},
-                             budget=_budget(args, DEFAULT_BUDGET))
+                             budget=args.budget)
     payload = _report_payload("fiber", path, {"generators": [str(g) for g in gens]})
     named = ", ".join(str(g) for g in gens) if gens else "0"
     return EXIT_PASS, payload, [f"x*B intersected with R[z] is generated by: {named}"]
@@ -215,7 +207,7 @@ def _run_member(path: str, args):
         raise InputError(f"bad --element: {exc}") from exc
     form = LaurentForm(actx.coeff_ctx, coeffs)
     try:
-        result = membership_with_witness(form, actx, _budget(args, DEFAULT_BUDGET))
+        result = membership_with_witness(form, actx, args.budget)
     except AlgebraError as exc:  # base variables, or a failed completeness report
         raise InputError(str(exc)) from exc
     payload = _report_payload(
@@ -323,7 +315,7 @@ def _run_distinguish(path: str, args):
 
 def _run_cancel_cert(path: str, args):
     p = _load_presentation(path)
-    cert = cancellation_certificate(p, budget=_budget(args, PIPELINE_BUDGET), cap=args.cap)
+    cert = cancellation_certificate(p, budget=args.budget, cap=args.cap)
     payload = cert.to_json()
     payload["input"] = path
     lines = [f"{'ok' if c.passed else 'FAIL'}: {c.name}" + (f" ({c.detail})" if c.detail and not c.passed else "")
@@ -382,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, multi_input=True, budget=False, cap=False):
-        """A subcommand with the flags its handler reads."""
+    def add(name, help, multi_input=True, budget=None, cap=False):
+        """A subcommand with the flags its handler reads; `budget` is the
+        default of its --budget flag, or None for no such flag."""
         sp = sub.add_parser(name, help=help)
         if multi_input:
             sp.add_argument("inputs", nargs="+", help="presentation file(s)")
@@ -391,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="parallelize across multiple input files")
         else:
             sp.add_argument("inputs", nargs=1, help="presentation file")
-        if budget:
-            sp.add_argument("--budget", type=int, default=None,
+        if budget is not None:
+            sp.add_argument("--budget", type=int, default=budget,
                             help="Groebner reduction-step budget")
         if cap:
             sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
@@ -403,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", "check the presentation invariants")
     add("invariants", "print (d, e, r, s)")
-    add("omega3", "unit-ideal family conditions", budget=True)
+    add("omega3", "unit-ideal family conditions", budget=DEFAULT_BUDGET)
     add("lnd", "canonical derivation, well-definedness, nilpotency", cap=True)
     add("exp", "exponential map of the canonical derivation", cap=True)
-    add("fiber", "generators of x*B intersected with R[z]", budget=True)
+    add("fiber", "generators of x*B intersected with R[z]", budget=DEFAULT_BUDGET)
 
-    sp = add("member", "Laurent-form membership with witness", multi_input=False, budget=True)
+    sp = add("member", "Laurent-form membership with witness", multi_input=False, budget=DEFAULT_BUDGET)
     sp.add_argument("--element", help='JSON map of x-exponent to polynomial, e.g. {"-1": "Z^2 - 1"}')
     sp.add_argument("--adjoin", default="", help="comma-separated adjoined variables")
 
@@ -423,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("distinguish", "invariant-based non-isomorphism certificate", multi_input=False)
     sp.add_argument("--other", required=True, help="second presentation file")
 
-    add("cancel-cert", "full stable-isomorphism certificate", budget=True, cap=True)
+    add("cancel-cert", "full stable-isomorphism certificate", budget=PIPELINE_BUDGET, cap=True)
     add("danielewski-reduce", "eliminate Y when deg_Y Q = 1")
     return parser
 

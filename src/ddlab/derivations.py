@@ -27,16 +27,6 @@ DEFAULT_CAP = 64
 NEG_INFINITY = float("-inf")
 
 
-class CapExceeded:
-    """Sentinel value: no power of the derivation vanished within the cap."""
-
-    def __repr__(self):
-        return "CapExceeded"
-
-
-CAP_EXCEEDED = CapExceeded()
-
-
 class DerivationError(ValueError):
     pass
 
@@ -106,8 +96,9 @@ def check_derivation_well_defined(d: Derivation) -> bool:
     return d.apply_expr(rel1).is_zero() and d.apply_expr(rel2).is_zero()
 
 
-def nilpotency_index(d: Derivation, a: BElement, cap: int = DEFAULT_CAP):
-    """Smallest n with D^n(a) != 0 and D^(n+1)(a) = 0; CAP_EXCEEDED if none found.
+def nilpotency_index(d: Derivation, a: BElement, cap: int = DEFAULT_CAP) -> int | None:
+    """Smallest n with D^n(a) != 0 and D^(n+1)(a) = 0; None if none is found
+    for n up to the cap.
 
     The zero element has index 0 by convention.
     """
@@ -119,7 +110,7 @@ def nilpotency_index(d: Derivation, a: BElement, cap: int = DEFAULT_CAP):
         if nxt.is_zero():
             return n
         current = nxt
-    return CAP_EXCEEDED
+    return None
 
 
 class ExponentialMap(RHomomorphism):

@@ -40,7 +40,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .groebner import (
     DEFAULT_BUDGET,
-    GroebnerBasis,
     MonomialOrder,
     _Budget,
     _Divisors,
@@ -65,10 +64,6 @@ from .presentations import CheckItem, DDPresentation, GENERATOR_NAMES, Report
 
 class AlgebraError(ValueError):
     """Problem manipulating elements of the quotient algebra."""
-
-
-class UnsupportedBaseRing(AlgebraError):
-    """The operation is only implemented over R = Q (no base variables)."""
 
 
 class NotInAlgebra(AlgebraError):
@@ -167,18 +162,6 @@ class AlgebraContext:
 
     # -- membership ---------------------------------------------------------------
 
-    def _relation_basis(self, budget: int) -> GroebnerBasis:
-        """Basis of the defining ideal alone; used to canonicalize witnesses.
-
-        T dominates, then Y: normal forms then carry the minimal possible
-        T-degree and Y-degree, which keeps the Laurent depth of witnesses and
-        the cost of substituting into them small.
-        """
-        if "rel" not in self._nf_cache:
-            order = MonomialOrder.block_sequence(self.gen_ctx, [["T"], ["Y"]])
-            self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
-        return self._nf_cache["rel"]
-
     def _x_adic_divisor(self, j: int, l: int, budget: _Budget) -> tuple[_Divisors, object]:
         """The lowest coefficient b^l*P(0,z)^(j+s*l) of Y^j*T^l (b the Y^s
         coefficient of Q, a rational) made monic as a divisor, and the factor
@@ -225,8 +208,17 @@ class AlgebraContext:
         return self._nf_cache["completeness"]
 
     def reduce_witness(self, expr: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
-        """Canonical small representative of expr modulo the defining relations."""
-        rem, _ = self._relation_basis(budget).normal_form(expr, budget)
+        """Canonical small representative of expr modulo the defining relations.
+
+        It is the normal form modulo a basis of the defining ideal alone,
+        made once and kept.  T dominates, then Y: normal forms then carry the
+        minimal possible T-degree and Y-degree, which keeps the Laurent depth
+        of witnesses and the cost of substituting into them small.
+        """
+        if "rel" not in self._nf_cache:
+            order = MonomialOrder.block_sequence(self.gen_ctx, [["T"], ["Y"]])
+            self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
+        rem, _ = self._nf_cache["rel"].normal_form(expr, budget)
         return rem
 
 
@@ -307,7 +299,10 @@ def membership_with_witness(
     """Decide whether a Laurent form lies in B[w..]; return a generator witness.
 
     Restricted to base ring R = Q.  The x-adic division decides; a witness
-    h is reduced modulo the relations, and to_laurent(h) = f is asserted.
+    h is reduced modulo the relations when f has a negative x-exponent, and
+    to_laurent(h) = f is asserted.  Otherwise h has no Y or T, and such a
+    polynomial is already reduced: every lead of a basis of the relations
+    holds Y or T, since the relations meet R[X, Z, W..] only in 0.
     A refusal at level -m is a "no": the initial forms of the generators
     generate the initial algebra of B[w..] (see the module docstring), so the
     lowest coefficient of f minus the member built so far, not a multiple of
@@ -316,28 +311,21 @@ def membership_with_witness(
     AlgebraError is raised.
     """
     if not actx.presentation.base.is_rational():
-        raise UnsupportedBaseRing(
-            "membership over R = Q[u..] with base variables is not supported"
-        )
+        raise AlgebraError("membership over R = Q[u..] with base variables is not supported")
     if f.ctx != actx.coeff_ctx:
         f = f.transfer(actx.coeff_ctx)
-    if f.is_zero():
-        return MembershipResult(True, actx.gen_ctx.zero(), None)
-
-    if f.min_exp() >= 0:
-        witness = f.as_poly(actx.gen_ctx, "X")
-    else:
-        witness, refusal = _x_adic_witness(f, actx, _Budget(budget))
-        if refusal is not None:
-            m, coeff, certificate = refusal
-            residue = f - actx.to_laurent(witness)
-            if residue.min_exp() != -m or residue.coeffs[-m] != coeff:
-                raise AssertionError("refused coefficient is not the lowest one of the residue")
-            report = actx.completeness_report()
-            if not report.passed:
-                failed = "; ".join(c.name for c in report.failed_items())
-                raise AlgebraError(f"x-adic division not known to be complete ({failed}); no answer")
-            return MembershipResult(False, None, {**certificate, "completeness": report.to_json()})
+    witness, refusal = _x_adic_witness(f, actx, _Budget(budget))
+    if refusal is not None:
+        m, coeff, certificate = refusal
+        residue = f - actx.to_laurent(witness)
+        if residue.min_exp() != -m or residue.coeffs[-m] != coeff:
+            raise AssertionError("refused coefficient is not the lowest one of the residue")
+        report = actx.completeness_report()
+        if not report.passed:
+            failed = "; ".join(c.name for c in report.failed_items())
+            raise AlgebraError(f"x-adic division not known to be complete ({failed}); no answer")
+        return MembershipResult(False, None, {**certificate, "completeness": report.to_json()})
+    if f.min_exp() < 0:
         witness = actx.reduce_witness(witness, budget)
     if actx.to_laurent(witness) != f:
         raise AssertionError("membership witness does not reproduce the input form")

@@ -38,28 +38,24 @@ class BudgetExceeded(RuntimeError):
 class MonomialOrder:
     """A monomial order on a fixed context.
 
-    kind is one of "grevlex", "lex", "blocks".  For "blocks", `blocks` is an
-    ordered partition of all context positions, compared blockwise by
-    grevlex; an elimination order is two blocks.
+    `blocks` is an ordered partition of all context positions, compared
+    blockwise by grevlex; no blocks is grevlex itself, an elimination order
+    is two blocks, and lex is one block per variable (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, 2.2 and 3.1).
     """
 
-    kind: str
     blocks: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
-        return MonomialOrder("grevlex")
-
-    @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex")
+        return MonomialOrder()
 
     @staticmethod
     def elim(ctx: Context, eliminate: Iterable[str]) -> "MonomialOrder":
         """The eliminated variables dominate: blocks (eliminated, rest)."""
         idx = tuple(sorted({ctx.index(n) for n in eliminate}))
         rest = tuple(i for i in range(len(ctx.names)) if i not in idx)
-        return MonomialOrder("blocks", blocks=(idx, rest))
+        return MonomialOrder((idx, rest))
 
     @staticmethod
     def block_sequence(ctx: Context, groups: Iterable[Iterable[str]]) -> "MonomialOrder":
@@ -69,19 +65,12 @@ class MonomialOrder:
         rest = tuple(i for i in range(len(ctx.names)) if i not in used)
         if rest:
             blocks.append(rest)
-        return MonomialOrder("blocks", blocks=tuple(blocks))
+        return MonomialOrder(tuple(blocks))
 
     def key(self, exps: Exponents) -> tuple:
         """The reference order of the tests and benchmarks; division uses `_neg_key`."""
-        if self.kind == "grevlex":
-            return grevlex_key(exps)
-        if self.kind == "lex":
-            return exps
-        if self.kind == "blocks":
-            return tuple(
-                grevlex_key(tuple(exps[i] for i in blk)) for blk in self.blocks
-            )
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        blocks = self.blocks or (range(len(exps)),)
+        return tuple(grevlex_key(tuple(exps[i] for i in blk)) for blk in blocks)
 
 
 @lru_cache(maxsize=128)
@@ -89,17 +78,10 @@ def _neg_key(order: MonomialOrder, nvars: int):
     """Flat negated order key on exponent vectors of length nvars.
 
     The smallest neg_key is the order's largest monomial, so a min-heap of
-    (neg_key, exps) tuples pops in decreasing order.  Grevlex is one block;
-    a block contributes minus its degree, then its exponents reversed.
+    (neg_key, exps) tuples pops in decreasing order.  A block contributes
+    minus its degree, then its exponents reversed.
     """
-    if order.kind == "lex":
-        return lambda exps: tuple([-e for e in exps])
-    if order.kind == "grevlex":
-        blocks = (tuple(range(nvars)),)
-    elif order.kind == "blocks":
-        blocks = order.blocks
-    else:
-        raise ValueError(f"unknown order kind {order.kind!r}")
+    blocks = order.blocks or (tuple(range(nvars)),)
     perm = [i for blk in blocks for i in reversed(blk)]
     take = itemgetter(*perm) if len(perm) > 1 else tuple
     bounds, start = [], 0
@@ -290,9 +272,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant() and not self.polys[0].is_zero()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.polys
-
     def normal_form(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, list[Polynomial]]:
         """Remainder of f modulo the basis plus cofactors on the basis elements."""
         if f.ctx != self.ctx:
@@ -316,9 +295,10 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Deterministic given the order.  Raises BudgetExceeded when the reduction
-    budget runs out.  After every run the S-polynomial zero-reduction
-    post-check is asserted.
+    Deterministic given the order.  Every reduction step costs one step of
+    the budget, and so does every term of a cofactor row that a division
+    updates; BudgetExceeded is raised when the budget runs out.  After every
+    run the S-polynomial zero-reduction post-check is asserted.
     """
     gens = list(gens)
     if not gens:
@@ -377,10 +357,7 @@ def buchberger(
         if rem.is_zero():
             continue
         row = [qi * a - qj * b for a, b in zip(rows[i], rows[j])]
-        for t, c in enumerate(cofs):
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, rows[t])]
-        push(rem, row)
+        push(rem, _minus_cofactors(row, cofs, rows, budget_box))
 
     # minimalize: drop elements whose leading monomial is divisible by another's
     keep = [
@@ -397,10 +374,7 @@ def buchberger(
     for i in keep:
         others = [k for k in keep if k != i]
         rem, cofs = _normal_form(basis[i], _Divisors(order, [basis[k] for k in others]), budget_box)
-        row = rows[i]
-        for k, c in zip(others, cofs):
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, rows[k])]
+        row = _minus_cofactors(rows[i], cofs, [rows[k] for k in others], budget_box)
         reduced.append((basis.lead_keys[i], rem, row))
 
     reduced.sort(key=itemgetter(0))
@@ -410,6 +384,16 @@ def buchberger(
 
     _assert_basis_sound(gb, budget_box)
     return gb
+
+
+def _minus_cofactors(row: list[Polynomial], cofs: list[Polynomial], rows: list[list[Polynomial]],
+                     budget_box: _Budget) -> list[Polynomial]:
+    """row - sum_t cofs[t]*rows[t]; each row built costs one step per term."""
+    for c, other in zip(cofs, rows):
+        if not c.is_zero():
+            row = [a - c * b for a, b in zip(row, other)]
+            budget_box.tick(sum(len(p.terms) for p in row))
+    return row
 
 
 def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):

@@ -146,20 +146,6 @@ class LaurentForm:
             out = out + eval_poly_at_laurent(p, images, target).shift(n)
         return out
 
-    def as_poly(self, target: Context, x_name: str) -> Polynomial:
-        """Convert to an ordinary polynomial with the x variable explicit.
-
-        Requires all exponents nonnegative and all coefficient variables
-        present in the target context.
-        """
-        if self.min_exp() < 0:
-            raise ValueError(f"negative x-exponent {self.min_exp()}; not a polynomial")
-        out = target.zero()
-        x = target.var(x_name)
-        for n, p in self.coeffs.items():
-            out = out + p.transfer(target) * x ** n
-        return out
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

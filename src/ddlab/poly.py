@@ -269,9 +269,6 @@ class Context:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def __len__(self) -> int:
-        return len(self.names)
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -504,11 +501,6 @@ class Polynomial:
         width = len(target.names)
         out = eval_at_forms(self, images, target, lambda image: _image_entry({0: image.terms}, width))
         return Polynomial._raw(target, out.get(0, {}))
-
-    def taylor_shift(self, name: str, shift: "Polynomial") -> "Polynomial":
-        """Substitute name -> name + shift, exactly."""
-        self._check(shift)
-        return self.substitute({name: self.ctx.var(name) + shift})
 
     def transfer(self, new_ctx: Context) -> "Polynomial":
         """Reinterpret in a different context containing all used variables."""

@@ -83,10 +83,6 @@ class BaseRingSpec:
                 raise InvalidPresentation(f"duplicate base variable {name!r}")
             seen.add(name)
 
-    @property
-    def k(self) -> int:
-        return len(self.variables)
-
     def is_rational(self) -> bool:
         return not self.variables
 

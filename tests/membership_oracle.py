@@ -18,6 +18,8 @@ def groebner_membership(f, actx, budget=DEFAULT_BUDGET):
     # X gets lowest priority: the three generators then have pairwise
     # coprime leading monomials and the basis stays tiny for every n
     order = MonomialOrder.elim(ctx, [v for v in ctx.names if v != "X"])
-    gb = buchberger([ctx.var("X") ** n, *actx.relations()], order, budget)
-    rem, cof = gb.reduce_to_gens(f.shift(n).as_poly(ctx, "X"), 0, budget)
+    x = ctx.var("X")
+    gb = buchberger([x ** n, *actx.relations()], order, budget)
+    lifted = sum((p.transfer(ctx) * x ** (k + n) for k, p in f.coeffs.items()), ctx.zero())
+    rem, cof = gb.reduce_to_gens(lifted, 0, budget)
     return (True, cof) if rem.is_zero() else (False, None)

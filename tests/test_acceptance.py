@@ -13,7 +13,6 @@ import pytest
 
 from ddlab.cancellation import cancellation_certificate
 from ddlab.derivations import (
-    CAP_EXCEEDED,
     canonical_lnd,
     check_derivation_well_defined,
     check_exp_axioms,
@@ -107,7 +106,7 @@ def test_criterion_2_canonical_derivation_grid(derivation_grid):
         if not well:
             failures.append((pres, "well-definedness"))
         for g, idx in indices.items():
-            if idx is CAP_EXCEEDED or idx > 32:
+            if idx is None or idx > 32:
                 failures.append((pres, f"nilpotency of {g}"))
         if not axioms:
             failures.append((pres, "exponential-map axioms"))
@@ -149,7 +148,7 @@ def test_criterion_4_groebner_sanity():
             gb = buchberger(gens, budget=200_000)
         except BudgetExceeded:
             continue
-        if gb.is_zero_ideal():
+        if not gb.polys:
             continue
         # independent S-polynomial zero-reduction check on the returned basis
         order = gb.order

@@ -14,12 +14,13 @@ from ddlab.cancellation import (
     verify_E_iso,
     verify_pair_structured,
 )
+from ddlab.cli import main
 from ddlab.derivations import canonical_lnd
-from ddlab.elements import MembershipResult
+from ddlab.elements import AlgebraContext, MembershipResult
 from ddlab.groebner import BudgetExceeded
 from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
-from ddlab.presentations import DDPresentation
+from ddlab.presentations import CheckItem, DDPresentation, Report
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,38 @@ class TestStageNames:
         assert not cert.certified
         assert cert.steps[-1].name == "express_old_generators"
         assert cert.verdict == "failed at express_old_generators: injected"
+
+
+class TestIncompleteDivision:
+    """A refused division whose completeness report fails raises AlgebraError
+    ("no answer"); the pipeline reports it under its stage."""
+
+    @pytest.fixture()
+    def incomplete(self, monkeypatch):
+        def failed_report(actx):
+            return Report((CheckItem("I0 : X = I0", False, "injected"),))
+
+        def one_too_many(form, actx, n, budget):
+            return original(form, actx, n + 1, budget)
+
+        original = cancellation.divide_by_x_power
+        monkeypatch.setattr(AlgebraContext, "completeness_report", failed_report)
+        monkeypatch.setattr(cancellation, "divide_by_x_power", one_too_many)
+
+    def test_certificate_names_the_stage(self, dd1, incomplete):
+        cert = cancellation_certificate(dd1)
+        assert not cert.certified
+        assert cert.steps[-1].name == "build_phi_extension"
+        assert cert.verdict == ("failed at build_phi_extension: x-adic division not known "
+                                "to be complete (I0 : X = I0); no answer")
+
+    def test_cli_prints_the_failed_stage(self, dd1, incomplete, tmp_path, capsys):
+        path = tmp_path / "dd1.json"
+        path.write_text(json.dumps(dd1.to_json()))
+        assert main(["cancel-cert", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: build_phi_extension (x-adic division not known to be complete" in out
+        assert "Traceback" not in out
 
 
 class TestWitnessesReproduceTheirForms:

@@ -12,7 +12,6 @@ from ddlab.elements import (
     AlgebraContext,
     AlgebraError,
     NotInAlgebra,
-    UnsupportedBaseRing,
     _x_adic_witness,
     _x_is_nonzerodivisor,
     divide_by_x_power,
@@ -138,6 +137,20 @@ class TestMembership:
         assert result.member
         assert str(result.witness) == "Z"
 
+    def test_zero_and_polynomial_forms_build_no_relation_basis(self, dd1, dd3):
+        # a form with no negative x-exponent is a polynomial in x, z and w..;
+        # it is its own witness, already reduced, so no basis of the
+        # relations is made
+        rng = random.Random(17)
+        for p in (dd1, dd3):
+            actx = AlgebraContext(p, ("W1",))
+            zero = membership_with_witness(LaurentForm.zero(actx.coeff_ctx), actx)
+            assert zero == (True, actx.gen_ctx.zero(), None)
+            for _ in range(20):
+                g = random_polynomial(rng, Context(("X", "Z", "W1")), max_terms=4).transfer(actx.gen_ctx)
+                assert membership_with_witness(actx.to_laurent(g), actx) == (True, g, None)
+            assert "rel" not in actx._nf_cache
+
     def test_soundness_roundtrip_fuzz(self, dd1_ctx, dd3_ctx):
         rng = random.Random(808)
         for actx in (dd1_ctx, dd3_ctx):
@@ -152,7 +165,7 @@ class TestMembership:
         p = DDPresentation.make(["u1"], 1, 2, "Z^2 - u1", "Y^2 + Z")
         actx = AlgebraContext(p)
         form = LaurentForm(actx.coeff_ctx, {0: actx.coeff_ctx.var("Z")})
-        with pytest.raises(UnsupportedBaseRing):
+        with pytest.raises(AlgebraError, match="base variables is not supported"):
             membership_with_witness(form, actx)
 
 
@@ -227,12 +240,13 @@ class TestDivisionAgainstGroebner:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_same_answer_and_normal_form(self, seed):
-        # draws whose oracle runs past 20,000 steps or 2 s are skipped and
-        # counted as an event (--hypothesis-show-statistics)
+        # draws whose oracle runs past 40,000 steps or 2 s are skipped and
+        # counted as an event (--hypothesis-show-statistics); the budget
+        # also pays for the oracle's cofactor rows
         actx, form = _agreement_case(seed)
         try:
             with _time_limit(2.0):
-                member, reference = groebner_membership(form, actx, 20_000)
+                member, reference = groebner_membership(form, actx, 40_000)
         except (BudgetExceeded, _OracleTooSlow):
             event("oracle over budget, skipped")
             return
