@@ -45,11 +45,9 @@ from .derivations import (
     Derivation,
     ExponentialMap,
     MLReport,
-    NEG_INFINITY,
     canonical_lnd,
     check_derivation_well_defined,
     check_exp_axioms,
-    deg_delta,
     exp_map,
     ml_report,
     nilpotency_index,

@@ -85,8 +85,8 @@ def _divide_x_monomials(poly: Polynomial, k: int) -> Polynomial:
 
 def build_phi_extension(
     p: DDPresentation, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET
-) -> tuple[AlgebraContext, ExponentialMap, Report]:
-    """A = B[w] and the exponential map of the canonical derivation.
+) -> tuple[ExponentialMap, Report]:
+    """The exponential map of the canonical derivation on A = B[w], its source.
 
     The map is cross-checked against the substitution route: its image of y
     must equal P(x, z + x^(d+e)*U)/x^d as a Laurent form, and its image of t
@@ -133,7 +133,7 @@ def build_phi_extension(
             f"witness {t_elem.gen}",
         )
     )
-    return actx, phi, Report(tuple(items))
+    return phi, Report(tuple(items))
 
 
 def compute_slice_f(phi: ExponentialMap) -> BElement:
@@ -154,8 +154,10 @@ def compute_g_h(
     """g with x^d*g = P(x,f) and h with x^(e-1)*h = Q(x,g,f).
 
     Witnesses are built by expanding around (y, z) and dividing monomial-wise;
-    the independent membership-division route must agree (checked), and both
-    elements must be invariant under the map (checked).
+    the independent membership-division route must agree (checked): its
+    quotient has the same Laurent form, and its witness is the normal form of
+    this one modulo the relations.  Both elements must be invariant under the
+    map (checked).
     """
     actx = f.actx
     p = actx.presentation
@@ -170,7 +172,8 @@ def compute_g_h(
     g = actx.element(g_expr)
     items = [CheckItem("x^d * g = P(x, f)", g.laurent.shift(p.d) == p_at_f.laurent, f"g = {g_expr}")]
     g_div = divide_by_x_power(p_at_f.laurent, actx, p.d, budget)
-    items.append(CheckItem("membership route agrees on g", g_div == g, ""))
+    items.append(CheckItem("membership route agrees on g",
+                           g_div == g and g_div.gen == actx.reduce_witness(g_expr, budget), ""))
 
     q_at_gf = actx.element(q_poly.substitute({"Y": g_expr, "Z": f.gen}))
     h_expr = ctx.var("X") * ctx.var("T") + _divide_x_monomials(q_at_gf.gen - q_poly, p.e - 1)
@@ -178,7 +181,8 @@ def compute_g_h(
     items.append(CheckItem("x^(e-1) * h = Q(x, g, f)", h.laurent.shift(p.e - 1) == q_at_gf.laurent,
                            f"h = {h_expr}"))
     h_div = divide_by_x_power(q_at_gf.laurent, actx, p.e - 1, budget)
-    items.append(CheckItem("membership route agrees on h", h_div == h, ""))
+    items.append(CheckItem("membership route agrees on h",
+                           h_div == h and h_div.gen == actx.reduce_witness(h_expr, budget), ""))
 
     items.append(CheckItem("map fixes g", phi.fixes(g), ""))
     items.append(CheckItem("map fixes h", phi.fixes(h), ""))
@@ -189,10 +193,14 @@ def compute_g_h(
 class SmallAlgebraIso:
     """The verified map from B_{d,e-1} onto R[x, f, g, h] inside A."""
 
-    presentation: DDPresentation  # the smaller presentation
     inclusion: RHomomorphism  # B_{d,e-1} -> A sending x,z,y,t to x,f,g,h
     checks: Report
     injectivity_note: str
+
+    @property
+    def presentation(self) -> DDPresentation:
+        """The smaller presentation."""
+        return self.inclusion.source.presentation
 
     def to_json(self):
         return {
@@ -212,20 +220,14 @@ def verify_E_iso(f: BElement, g: BElement, h: BElement) -> SmallAlgebraIso:
     """
     actx = f.actx
     p = actx.presentation
-    small = DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q)
-    small_ctx = AlgebraContext(small)
-    iota = RHomomorphism(
-        small_ctx,
-        actx,
-        {"X": actx.gen("X"), "Z": f, "Y": g, "T": h},
-    )
-    ok = verify_hom(iota)
-    items = [CheckItem("relations of the smaller algebra hold at (x, f, g, h)", ok, "")]
+    small = AlgebraContext(DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q))
+    iota = RHomomorphism(small, actx, {"X": actx.gen("X"), "Z": f, "Y": g, "T": h})
+    items = [CheckItem("relations of the smaller algebra hold at (x, f, g, h)", verify_hom(iota), "")]
     note = (
         "injective structurally: z -> z + x^(d+e-1)*w is a triangular substitution, "
         "invertible over R[x, 1/x][z, w], so the induced map of Laurent models is injective"
     )
-    return SmallAlgebraIso(small, iota, Report(tuple(items)), note)
+    return SmallAlgebraIso(iota, Report(tuple(items)), note)
 
 
 @dataclass(frozen=True)
@@ -506,7 +508,6 @@ class CancellationCertificate:
     """Structured verdict for one presentation, listing every check performed."""
 
     presentation: DDPresentation
-    small_presentation: DDPresentation | None = None
     omega3: Report | None = None
     phi: ExponentialMap | None = None
     phi_checks: Report | None = None
@@ -520,15 +521,17 @@ class CancellationCertificate:
     forward: RHomomorphism | None = None
     backward: RHomomorphism | None = None
     pair_checks: Report | None = None
-    pair_verified: bool = False
     non_iso: NonIsoCertificate | None = None
     steps: list = field(default_factory=list)
     verdict: str = "not run"
-    notes: tuple[str, ...] = ()
 
     @property
     def certified(self) -> bool:
         return self.verdict == "non-cancellation pair certified"
+
+    @property
+    def small_presentation(self) -> DDPresentation | None:
+        return self.small_iso.presentation if self.small_iso else None
 
     def to_json(self):
         return {
@@ -552,12 +555,12 @@ class CancellationCertificate:
                 "to_smaller": self.backward.to_json() if self.backward else None,
                 "from_smaller": self.forward.to_json() if self.forward else None,
                 "checks": self.pair_checks.to_json() if self.pair_checks else None,
-                "verified": self.pair_verified,
+                "verified": self.pair_checks is not None and self.pair_checks.passed,
             },
             "non_isomorphism": self.non_iso.to_json() if self.non_iso else None,
             "steps": [item.to_json() for item in self.steps],
             "verdict": self.verdict,
-            "notes": list(self.notes),
+            "notes": list(NORMALIZATION_NOTES),
         }
 
 
@@ -595,7 +598,7 @@ def cancellation_certificate(
     inverse homomorphism pair and the invariant-based non-isomorphism of the
     two base algebras.
     """
-    cert = CancellationCertificate(p, notes=NORMALIZATION_NOTES)
+    cert = CancellationCertificate(p)
     steps = cert.steps
 
     def fail(step: str, message: str) -> CancellationCertificate:
@@ -623,7 +626,7 @@ def cancellation_certificate(
         steps.append(CheckItem("guards and unit-ideal conditions", True, ""))
 
         stage = "build_phi_extension"
-        actx, phi, phi_checks = build_phi_extension(p, cap, budget)
+        phi, phi_checks = build_phi_extension(p, cap, budget)
         cert.phi = phi
         cert.phi_checks = phi_checks
         if not phi_checks.passed:
@@ -647,7 +650,6 @@ def cancellation_certificate(
         stage = "verify_E_iso"
         small_iso = verify_E_iso(f, g, h)
         cert.small_iso = small_iso
-        cert.small_presentation = small_iso.presentation
         if not small_iso.checks.passed:
             return fail(stage, "relations of the smaller algebra failed")
         steps.append(CheckItem("smaller-algebra relations verified at (x, f, g, h)", True, ""))
@@ -670,14 +672,13 @@ def cancellation_certificate(
 
         stage = "verify_iso_pair"
         forward = RHomomorphism(
-            small_w, actx, {**small_iso.inclusion.images, ADJOINED_NAME: complement.element}
+            small_w, phi.source, {**small_iso.inclusion.images, ADJOINED_NAME: complement.element}
         )
-        backward = RHomomorphism(actx, small_w, old_gens.images)
+        backward = RHomomorphism(phi.source, small_w, old_gens.images)
         cert.forward = forward
         cert.backward = backward
         pair_report = verify_pair_structured(forward, backward)
         cert.pair_checks = pair_report
-        cert.pair_verified = pair_report.passed
         if not pair_report.passed:
             failed = "; ".join(c.name for c in pair_report.failed_items())
             return fail(stage, failed)

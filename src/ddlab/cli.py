@@ -72,10 +72,10 @@ def _expect(ok: bool, what: str, want: str, value) -> None:
         raise InputError(f"{what} must be {want}, got {type(value).__name__}")
 
 
-def _read_json(path: str):
+def _read_json(path: str, parse_float=float):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=parse_float)
     except FileNotFoundError as exc:
         raise InputError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -231,9 +231,9 @@ def _parse_iso_data(data, ctx) -> IsoData:
     units = ("lambda1", "mu1", "beta1_tilde", "g2_prime")
     polys = ("delta1", "alpha1_tilde", "g1_prime")
     _expect(isinstance(data, dict), "isomorphism data", "a JSON object", data)
-    for key in units:
+    for key in units:  # Infinity and NaN still arrive as floats, which Fraction refuses
         if key in data:
-            _expect(type(data[key]) in (str, int, float), f"isomorphism data: {key}",
+            _expect(type(data[key]) in (str, int, Fraction, float), f"isomorphism data: {key}",
                     "a number or a string", data[key])
     for key in polys:
         if key in data:
@@ -249,7 +249,8 @@ def _parse_iso_data(data, ctx) -> IsoData:
 
 def _run_iso_transport(path: str, args):
     p = _load_presentation(path)
-    data = _parse_iso_data(_read_json(args.data), p.poly_ctx)
+    # a number such as 0.1 is the exact decimal it spells
+    data = _parse_iso_data(_read_json(args.data, parse_float=Fraction), p.P.ctx)
     try:
         result = transport_presentation(p, data)
     except TransportError as exc:
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("inputs", nargs=1, help="presentation file")
         if budget is not None:
             sp.add_argument("--budget", type=int, default=budget,
-                            help="Groebner reduction-step budget")
+                            help="step budget of the Groebner and membership work")
         if cap:
             sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
                             help="iteration cap for nilpotency and chains")

@@ -24,8 +24,6 @@ from .presentations import CheckItem, DDPresentation, Report, validate_presentat
 
 DEFAULT_CAP = 64
 
-NEG_INFINITY = float("-inf")
-
 
 class DerivationError(ValueError):
     pass
@@ -214,13 +212,6 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
             break
     items.append(CheckItem("delta_V after delta_U equals delta_(U+V)", cocycle_ok, detail))
     return Report(tuple(items))
-
-
-def deg_delta(delta: ExponentialMap, a: BElement):
-    """U-degree of the image of a; NEG_INFINITY for the zero element."""
-    if a.is_zero():
-        return NEG_INFINITY
-    return max(p.deg_in("U") for p in delta.apply(a).coeffs.values())
 
 
 @dataclass(frozen=True)

@@ -175,9 +175,8 @@ class AlgebraContext:
             p = self.presentation
             big_j = j + p.s * l
             budget.tick(p.r * big_j + 1)
-            b = p.Q.coefficient_of("Y", p.s).constant_value()
-            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** big_j).scale(b ** l)
-            divisor = _Divisors(MonomialOrder.grevlex())
+            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** big_j).scale(p.b.constant_value() ** l)
+            divisor = _Divisors(MonomialOrder())
             lc = divisor.push(lowest)
             self._nf_cache[key] = (divisor, coeff_div(1, lc))
         return self._nf_cache[key]
@@ -366,8 +365,9 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
             divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
             rem, (q,) = _normal_form(c, divisor, budget)
         if not rem.is_zero():
-            b = str(p.Q.coefficient_of("Y", s))
-            divisor = f"({b})^{l}*({p.p_at_x0()})^{big_j}" if l and b != "1" else f"({p.p_at_x0()})^{big_j}"
+            divisor = f"({p.p_at_x0()})^{big_j}"
+            if l and p.b != p.b.ctx.one():
+                divisor = f"({p.b})^{l}*{divisor}"
             certificate = {"level": -m, "divisor": divisor, "remainder": str(rem.scale(Fraction(1, den)))}
             return Polynomial._raw(actx.gen_ctx, witness), (m, c.scale(Fraction(1, den)), certificate)
         q = q.scale(Fraction(inverse_lc) / den)
@@ -398,8 +398,8 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
 
 def _initial_relations(p: DDPresentation, ctx: Context) -> list[Polynomial]:
     """I0, the relations among the initial forms of x, y, z and t, in ctx."""
-    x, y, b = ctx.var("X"), ctx.var("Y"), p.Q.coefficient_of("Y", p.s).transfer(ctx)
-    return [x ** p.d * y - p.p_at_x0().transfer(ctx), x ** p.e * ctx.var("T") - b * y ** p.s]
+    x, y = ctx.var("X"), ctx.var("Y")
+    return [x ** p.d * y - p.p_at_x0().transfer(ctx), x ** p.e * ctx.var("T") - p.b.transfer(ctx) * y ** p.s]
 
 
 def _x_is_nonzerodivisor(rels: list[Polynomial], budget: int) -> bool:

@@ -31,7 +31,7 @@ DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceeded(RuntimeError):
-    """The configured reduction-step budget was exhausted."""
+    """The configured step budget was exhausted."""
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class MonomialOrder:
     """
 
     blocks: tuple[tuple[int, ...], ...] = ()
-
-    @staticmethod
-    def grevlex() -> "MonomialOrder":
-        return MonomialOrder()
 
     @staticmethod
     def elim(ctx: Context, eliminate: Iterable[str]) -> "MonomialOrder":
@@ -133,7 +129,7 @@ class _Budget:
         self.used += steps
         if self.used > self.limit:
             raise BudgetExceeded(
-                f"Groebner step budget of {self.limit} reductions exceeded"
+                f"Groebner step budget of {self.limit} steps exceeded"
             )
 
 
@@ -307,7 +303,7 @@ def buchberger(
     if any(g.ctx != ctx for g in gens):
         raise ContextMismatch("generators in mixed contexts")
     if order is None:
-        order = MonomialOrder.grevlex()
+        order = MonomialOrder()
     budget_box = _Budget(budget)
 
     basis = _Divisors(order)

@@ -37,7 +37,7 @@ class HomomorphismError(ValueError):
 class RHomomorphism:
     """Generator images of an R-algebra map between two algebra contexts."""
 
-    __slots__ = ("source", "target", "images", "verified")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: AlgebraContext, target: AlgebraContext, images):
         if source.presentation.base != target.presentation.base:
@@ -53,7 +53,6 @@ class RHomomorphism:
         self.source = source
         self.target = target
         self.images = {n: images[n] for n in names}
-        self.verified = False
 
     def apply_expr(self, expr: Polynomial) -> LaurentForm:
         """Laurent form of the image of a source generator expression (base
@@ -75,18 +74,14 @@ class RHomomorphism:
 def verify_hom(h: RHomomorphism) -> bool:
     """True iff both source relations have zero Laurent form in the target."""
     rel1, rel2 = h.source.relations()
-    ok = h.apply_expr(rel1).is_zero() and h.apply_expr(rel2).is_zero()
-    h.verified = ok
-    return ok
+    return h.apply_expr(rel1).is_zero() and h.apply_expr(rel2).is_zero()
 
 
 def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> bool:
     """True iff both maps verify and both composites fix every generator."""
     if h.source != hinv.target or h.target != hinv.source:
         raise HomomorphismError("maps are not mutually opposite")
-    if not h.verified and not verify_hom(h):
-        return False
-    if not hinv.verified and not verify_hom(hinv):
+    if not (verify_hom(h) and verify_hom(hinv)):
         return False
     for name in h.source.generator_names():
         if hinv.apply(h.images[name]) != h.source.gen(name).laurent:
@@ -167,7 +162,7 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
     if src.r <= 1:
         raise TransportError(f"transport requires deg_Z P(0,Z) > 1, got r = {src.r}")
     lam, mu, beta, g2 = data.lambda1, data.mu1, data.beta1_tilde, data.g2_prime
-    ctx = src.poly_ctx
+    ctx = src.P.ctx
 
     def fit(poly: Polynomial, allowed: set[str], label: str) -> Polynomial:
         poly = poly.transfer(ctx) if poly.ctx != ctx else poly

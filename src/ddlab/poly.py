@@ -371,21 +371,13 @@ class Polynomial:
         return max((e[i] for e in self.terms), default=-1)
 
     def coefficient_of(self, name: str, power: int) -> "Polynomial":
-        """Coefficient of name**power, with that variable's exponent zeroed."""
+        """Coefficient of name**power, with that variable's exponent zeroed;
+        the power 0 substitutes 0 for the variable.  The kept terms share
+        that exponent, so zeroing it keeps them distinct."""
         i = self.ctx.index(name)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                e = list(exps)
-                e[i] = 0
-                key = tuple(e)
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
-        return Polynomial(self.ctx, out)
-
-    def eval_zero(self, name: str) -> "Polynomial":
-        """Substitute 0 for one variable."""
-        return self.coefficient_of(name, 0)
+        return Polynomial(self.ctx, {
+            e[:i] + (0,) + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power
+        })
 
     # -- ring operations ----------------------------------------------------
 
@@ -468,23 +460,12 @@ class Polynomial:
     # -- calculus and substitution -------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
-        """Formal partial derivative."""
+        """Formal partial derivative.  Lowering one positive exponent maps
+        distinct terms to distinct terms, so no two of them merge."""
         i = self.ctx.index(name)
-        out: dict = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[i] = k - 1
-            key = tuple(e)
-            cur = out.get(key)
-            s = coeff * k if cur is None else cur + coeff * k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(self.ctx, out)
+        return Polynomial._raw(self.ctx, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        })
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Evaluate at polynomial images; unmapped variables map to themselves.

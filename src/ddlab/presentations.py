@@ -124,21 +124,22 @@ class DDPresentation:
         return DDPresentation(base, d, e, parse_poly(p_text, ctx), parse_poly(q_text, ctx))
 
     @property
-    def poly_ctx(self) -> Context:
-        return self.P.ctx
-
-    @property
     def r(self) -> int:
         """deg_Z P(0, Z); -1 when P(0,Z) = 0."""
-        return self.P.eval_zero("X").deg_in("Z")
+        return self.p_at_x0().deg_in("Z")
 
     @property
     def s(self) -> int:
         """deg_Y Q; -1 when Q = 0."""
         return self.Q.deg_in("Y")
 
+    @property
+    def b(self) -> Polynomial:
+        """The coefficient of Y^s in Q, in the context of P and Q."""
+        return self.Q.coefficient_of("Y", self.s)
+
     def p_at_x0(self) -> Polynomial:
-        return self.P.eval_zero("X")
+        return self.P.coefficient_of("X", 0)
 
     @cached_property
     def _invalid_reasons(self) -> str:
@@ -220,9 +221,8 @@ def validate_presentation(p: DDPresentation) -> Report:
     items.append(CheckItem("deg_Y Q >= 1", s >= 1, f"s = {s}"))
 
     if s >= 1:
-        lead = p.Q.coefficient_of("Y", s)
-        ok = not lead.is_zero() and lead.support_vars() <= base
-        detail = f"coefficient of Y^{s} is {lead}"
+        ok = not p.b.is_zero() and p.b.support_vars() <= base
+        detail = f"coefficient of Y^{s} is {p.b}"
         items.append(CheckItem("Q monic in Y over Frac(R)", ok, detail))
     else:
         items.append(CheckItem("Q monic in Y over Frac(R)", False, "no Y term"))
@@ -297,11 +297,11 @@ def unit_ideal_generators(p: DDPresentation) -> tuple[list[Polynomial], list[Pol
     yzctx = Context(("Y", "Z") + base)
     p0 = p.p_at_x0()
     return (
-        [p0.transfer(zctx), p.P.partial("Z").eval_zero("X").transfer(zctx)],
+        [p0.transfer(zctx), p.P.partial("Z").coefficient_of("X", 0).transfer(zctx)],
         [
             p0.transfer(yzctx),
-            p.Q.eval_zero("X").transfer(yzctx),
-            p.Q.partial("Y").eval_zero("X").transfer(yzctx),
+            p.Q.coefficient_of("X", 0).transfer(yzctx),
+            p.Q.partial("Y").coefficient_of("X", 0).transfer(yzctx),
         ],
     )
 
@@ -317,7 +317,7 @@ class DanielewskiPresentation:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidPresentation(f"n must be positive, got {self.n}")
-        if self.F.eval_zero("X").deg_in("Z") < 1:
+        if self.F.coefficient_of("X", 0).deg_in("Z") < 1:
             raise InvalidPresentation("deg_Z F(0,Z) must be at least 1")
 
     def to_json(self):
@@ -356,13 +356,12 @@ def reduce_to_danielewski(p: DDPresentation) -> DanielewskiReduction:
     p.require_valid()
     if p.s != 1:
         raise InvalidPresentation(f"reduction requires deg_Y Q = 1, got {p.s}")
-    b_poly = p.Q.coefficient_of("Y", 1)
-    if not b_poly.is_constant():
+    if not p.b.is_constant():
         raise InvalidPresentation(
-            f"leading Y-coefficient {b_poly} is not a unit of R = Q[{','.join(p.base.variables)}]"
+            f"leading Y-coefficient {p.b} is not a unit of R = Q[{','.join(p.base.variables)}]"
         )
-    b = b_poly.constant_value()
-    ctx = p.poly_ctx
+    b = p.b.constant_value()
+    ctx = p.P.ctx
     c_poly = p.Q.coefficient_of("Y", 0)
     x = ctx.var("X")
     f_poly = x ** p.d * c_poly.scale(Fraction(1) / b) + p.P

@@ -221,7 +221,7 @@ def test_criterion_7_isomorphism_round_trips(dd1, dd3):
     rng = random.Random(700)
     ok = True
     for src in (dd1, dd3):
-        ctx = src.poly_ctx
+        ctx = src.P.ctx
         for _ in range(25):
             data = IsoData(
                 Fraction(rng.choice([1, 2, -1, 3, -2])),

@@ -15,8 +15,8 @@ from ddlab.cancellation import (
     verify_pair_structured,
 )
 from ddlab.cli import main
-from ddlab.derivations import canonical_lnd
-from ddlab.elements import AlgebraContext, MembershipResult
+from ddlab.derivations import ExponentialMap, canonical_lnd
+from ddlab.elements import AlgebraContext, BElement, MembershipResult
 from ddlab.groebner import BudgetExceeded
 from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
@@ -30,7 +30,7 @@ def dd1_cert(dd1):
 
 class TestPhiExtension:
     def test_images_and_checks(self, dd1):
-        actx, phi, report = build_phi_extension(dd1)
+        phi, report = build_phi_extension(dd1)
         assert report.passed
         assert [str(c) for c in phi.coeffs["Z"]] == ["Z", "X^3"]
         assert [str(c) for c in phi.coeffs["Y"]] == ["Y", "2*X^2*Z", "X^5"]
@@ -39,29 +39,30 @@ class TestPhiExtension:
 
     def test_dd3_style_z_image(self):
         p = DDPresentation.make([], 2, 1, "Z^3 + X", "Y^2 + X*Z")
-        actx, phi, report = build_phi_extension(p)
+        phi, report = build_phi_extension(p)
         assert report.passed
         assert [str(c) for c in phi.coeffs["Z"]] == ["Z", "X^3"]
 
 
 class TestInvariantElements:
     def test_f_formula(self, dd1):
-        actx, phi, _ = build_phi_extension(dd1)
+        phi, _ = build_phi_extension(dd1)
         f = compute_slice_f(phi)
         assert str(f.gen) == "X^2*W1 + Z"
 
     def test_f_exponent_one(self):
         # d = e = 1 gives exponent 1 (the e > 1 guard lives later, in g/h)
         p = DDPresentation.make([], 1, 1, "Z^2 - 1", "Y^2 + Z")
-        actx, phi, _ = build_phi_extension(p)
+        phi, _ = build_phi_extension(p)
         f = compute_slice_f(phi)
         assert str(f.gen) == "X*W1 + Z"
 
     def test_g_h_dd1(self, dd1):
-        actx, phi, _ = build_phi_extension(dd1)
+        phi, _ = build_phi_extension(dd1)
         f = compute_slice_f(phi)
         g, h, report = compute_g_h(f, phi)
         assert report.passed
+        actx = phi.source
         assert g.gen == parse_poly("X^3*W1^2 + 2*X*Z*W1 + Y", actx.gen_ctx)
         expected_h = parse_poly(
             "X*T + 4*Y*Z*W1 + X*W1 + 2*X^2*Y*W1^2 + 4*X*Z^2*W1^2 + 4*X^3*Z*W1^3 + X^5*W1^4",
@@ -71,13 +72,13 @@ class TestInvariantElements:
 
     def test_e_one_rejected(self):
         p = DDPresentation.make([], 1, 1, "Z^2 - 1", "Y^2 + Z")
-        actx, phi, _ = build_phi_extension(p)
+        phi, _ = build_phi_extension(p)
         f = compute_slice_f(phi)
         with pytest.raises(Exception, match="e > 1"):
             compute_g_h(f, phi)
 
     def test_small_algebra_relations(self, dd1):
-        actx, phi, _ = build_phi_extension(dd1)
+        phi, _ = build_phi_extension(dd1)
         f = compute_slice_f(phi)
         g, h, _ = compute_g_h(f, phi)
         small = verify_E_iso(f, g, h)
@@ -86,7 +87,8 @@ class TestInvariantElements:
         assert "injective" in small.injectivity_note
 
     def test_complement_variable(self, dd1):
-        actx, phi, _ = build_phi_extension(dd1)
+        phi, _ = build_phi_extension(dd1)
+        actx = phi.source
         d = canonical_lnd(actx)
         comp = build_complement_variable(phi)
         assert comp.checks.passed
@@ -236,6 +238,78 @@ class TestIncompleteDivision:
         out = capsys.readouterr().out
         assert "FAIL: build_phi_extension (x-adic division not known to be complete" in out
         assert "Traceback" not in out
+
+
+class TestEveryStageCanFail:
+    """A fault injected into each stage fails the certificate under that stage."""
+
+    @staticmethod
+    def _assert_fails_at(p, stage, message):
+        cert = cancellation_certificate(p)
+        assert not cert.certified
+        assert cert.steps[-1].name == stage
+        assert cert.verdict == f"failed at {stage}: {message}"
+        return cert
+
+    def test_exp_axioms(self, dd1, monkeypatch):
+        failed = Report((CheckItem("injected", False),))
+        monkeypatch.setattr(cancellation, "check_exp_axioms", lambda phi: failed)
+        self._assert_fails_at(dd1, "build_phi_extension", "exponential-map checks failed")
+
+    def test_f_not_fixed(self, dd1, monkeypatch):
+        monkeypatch.setattr(ExponentialMap, "fixes", lambda self, a: False)
+        self._assert_fails_at(dd1, "compute_slice_f", "f is not invariant under the map")
+
+    def test_division_quotient_plus_one_in_a(self, dd1, monkeypatch):
+        original = cancellation.divide_by_x_power
+
+        def plus_one(form, actx, n, budget):
+            q = original(form, actx, n, budget)
+            return q + actx.const(1) if actx.adjoined == ("W1",) and actx.presentation == dd1 else q
+
+        monkeypatch.setattr(cancellation, "divide_by_x_power", plus_one)
+        cert = self._assert_fails_at(dd1, "compute_g_h", "division checks failed")
+        assert [c.name for c in cert.gh_checks.failed_items()] == [
+            "membership route agrees on g", "membership route agrees on h"]
+
+    def test_division_witness_not_reduced(self, dd1, monkeypatch):
+        # the quotient plus a relation has the same Laurent form, so only the
+        # witness comparison can see it
+        original = cancellation.divide_by_x_power
+
+        def plus_relation(form, actx, n, budget):
+            q = original(form, actx, n, budget)
+            return BElement(actx, q.gen + actx.relations()[0], q.laurent)
+
+        monkeypatch.setattr(cancellation, "divide_by_x_power", plus_relation)
+        cert = self._assert_fails_at(dd1, "compute_g_h", "division checks failed")
+        assert [c.name for c in cert.gh_checks.failed_items()] == [
+            "membership route agrees on g", "membership route agrees on h"]
+
+    def test_smaller_relations(self, dd1, monkeypatch):
+        monkeypatch.setattr(cancellation, "verify_hom", lambda h: False)
+        self._assert_fails_at(dd1, "verify_E_iso", "relations of the smaller algebra failed")
+
+    def test_unit_ideal_cofactors(self, dd1, monkeypatch):
+        original = cancellation.unit_ideal_generators
+
+        def repeated(p):
+            gens1, gens2 = original(p)
+            return [gens1[0], gens1[0]], gens2
+
+        monkeypatch.setattr(cancellation, "unit_ideal_generators", repeated)
+        self._assert_fails_at(dd1, "build_complement_variable", "(P(0,Z), P'(0,Z)) is not the unit ideal")
+
+    def test_pair_report(self, dd1, monkeypatch):
+        failed = Report((CheckItem("injected round trip", False),))
+        monkeypatch.setattr(cancellation, "verify_pair_structured", lambda fwd, bwd: failed)
+        cert = self._assert_fails_at(dd1, "verify_iso_pair", "injected round trip")
+        assert cert.to_json()["iso_pair"]["verified"] is False
+
+    def test_invariants_inconclusive(self, dd1, monkeypatch):
+        original = cancellation.distinguish_by_invariants
+        monkeypatch.setattr(cancellation, "distinguish_by_invariants", lambda p1, p2: original(p1, p1))
+        self._assert_fails_at(dd1, "distinguish_by_invariants", "inconclusive")
 
 
 class TestWitnessesReproduceTheirForms:

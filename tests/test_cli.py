@@ -152,6 +152,17 @@ class TestIsoCommands:
         out = capsys.readouterr().out
         assert "mutually inverse pair: PASS" in out
 
+    @pytest.mark.parametrize("number, text", [("0.1", "1/10"), ("2.5e-1", "1/4")])
+    def test_data_numbers_are_exact_decimals(self, dd1_file, tmp_path, capsys, number, text):
+        reports = []
+        for value in (number, json.dumps(text)):
+            data = tmp_path / "data.json"
+            data.write_text('{"lambda1": %s, "mu1": "1", "beta1_tilde": "1", "g2_prime": "1"}' % value)
+            assert main(["iso-transport", dd1_file, "--data", str(data), "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0]["data"]["lambda1"] == text
+
     def test_verify_bad_hom(self, dd1_file, tmp_path, capsys):
         fwd = tmp_path / "fwd.json"
         fwd.write_text(json.dumps({"images": {"X": "0", "Y": "Y", "Z": "Z", "T": "T"}}))
@@ -260,7 +271,7 @@ class TestLimits:
 
     def test_budget_is_used_as_given(self, dd1_file, capsys):
         assert main(["cancel-cert", dd1_file, "--budget", "1"]) == 1
-        assert "budget of 1 reductions exceeded" in capsys.readouterr().out
+        assert "budget of 1 steps exceeded" in capsys.readouterr().out
         assert main(["cancel-cert", dd1_file]) == 0
 
     def test_cap_zero_accepted(self, dd1_file, capsys):

@@ -3,11 +3,9 @@ import random
 from ddlab.derivations import (
     Derivation,
     ExponentialMap,
-    NEG_INFINITY,
     canonical_lnd,
     check_derivation_well_defined,
     check_exp_axioms,
-    deg_delta,
     exp_map,
     ml_report,
     nilpotency_index,
@@ -188,16 +186,6 @@ class TestExponentialMap:
                     ext,
                 ).shift(-pres.d)
                 assert image_y == route
-
-
-class TestDegreeFunction:
-    def test_examples(self, dd1_ctx):
-        phi = exp_map(canonical_lnd(dd1_ctx))
-        assert deg_delta(phi, dd1_ctx.gen("Z")) == 1
-        assert deg_delta(phi, dd1_ctx.gen("X")) == 0
-        assert deg_delta(phi, dd1_ctx.zero()) == NEG_INFINITY
-        assert deg_delta(phi, dd1_ctx.gen("Y")) == 2
-        assert deg_delta(phi, dd1_ctx.gen("T")) == 4
 
 
 class TestMLReport:

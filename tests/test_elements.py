@@ -346,7 +346,7 @@ class TestDivisionAgainstGroebner:
         actx = AlgebraContext(dd1)
         cctx = actx.coeff_ctx
         form = LaurentForm(cctx, {-1000: parse_poly("Z^2 - 1", cctx) ** 500})
-        with pytest.raises(BudgetExceeded, match="budget of 2000 reductions"):
+        with pytest.raises(BudgetExceeded, match="budget of 2000 steps"):
             membership_with_witness(form, actx, 2000)
         built = len(actx.generator_images()["T"]._powers[1])
         assert 2 < built < 30

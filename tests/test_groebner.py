@@ -164,7 +164,7 @@ class TestNormalForm:
 
 XYZ = Context(("X", "Y", "Z"))
 ORDERS = [
-    MonomialOrder.grevlex(),
+    MonomialOrder(),
     lex(XYZ),
     MonomialOrder.elim(XYZ, ["Y", "Z"]),
     MonomialOrder.block_sequence(XYZ, [["Z"], ["X"]]),
@@ -259,7 +259,7 @@ class TestNormalFormKernel:
         # stored negated and times its denominator 2, as 1, and 2 does not
         # divide the lead 1, so the loop rescales to 2*Z^3 + 6 over 6 before
         # it reduces Z^3
-        divisors = _Divisors(MonomialOrder.grevlex(), [parse_poly("Z^2 - 1/2", ZCTX)])
+        divisors = _Divisors(MonomialOrder(), [parse_poly("Z^2 - 1/2", ZCTX)])
         assert divisors.dens == [2] and divisors.tails == [[((0,), (0, 0), 1)]]
         budget = _Budget(10)
         rem, cofs = _normal_form(parse_poly("1/3*Z^3 + 1", ZCTX), divisors, budget)
