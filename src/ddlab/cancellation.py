@@ -541,20 +541,20 @@ class CancellationCertificate:
             "small_presentation": self.small_presentation.to_json()
             if self.small_presentation
             else None,
-            "omega3": self.omega3.to_json() if self.omega3 else None,
+            "omega3": self.omega3.to_json() if self.omega3 is not None else None,
             "exponential_map": self.phi.to_json() if self.phi else None,
-            "exponential_map_checks": self.phi_checks.to_json() if self.phi_checks else None,
+            "exponential_map_checks": self.phi_checks.to_json() if self.phi_checks is not None else None,
             "f": _element_json(self.f),
             "g": _element_json(self.g),
             "h": _element_json(self.h),
-            "gh_checks": self.gh_checks.to_json() if self.gh_checks else None,
+            "gh_checks": self.gh_checks.to_json() if self.gh_checks is not None else None,
             "small_algebra": self.small_iso.to_json() if self.small_iso else None,
             "complement": self.complement.to_json() if self.complement else None,
             "old_generators": self.old_generators.to_json() if self.old_generators else None,
             "iso_pair": {
                 "to_smaller": self.backward.to_json() if self.backward else None,
                 "from_smaller": self.forward.to_json() if self.forward else None,
-                "checks": self.pair_checks.to_json() if self.pair_checks else None,
+                "checks": self.pair_checks.to_json() if self.pair_checks is not None else None,
                 "verified": self.pair_checks is not None and self.pair_checks.passed,
             },
             "non_isomorphism": self.non_iso.to_json() if self.non_iso else None,

@@ -43,6 +43,7 @@ from .isomorphisms import (
 )
 from .poly import ParseError, parse_poly
 from .presentations import (
+    CheckItem,
     InvalidPresentation,
     cond_class,
     invariant_tuple,
@@ -93,10 +94,12 @@ def _report_payload(kind: str, path: str, body: dict) -> dict:
     return {"schema": SCHEMA, "kind": kind, "input": path, **body}
 
 
-def _report_lines(path: str, report) -> list[str]:
-    """The verdict on a report, then one line per check."""
+def _report_result(kind: str, path: str, report):
+    """A report as (exit_code, payload, lines): the verdict, then one line per check."""
+    payload = _report_payload(kind, path, {"report": report.to_json()})
     lines = [f"{path}: {'PASS' if report.passed else 'FAIL'}"]
-    return lines + [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
+    lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.items]
+    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
 
 
 def _emit(payload: dict, lines: list[str], args) -> None:
@@ -107,18 +110,15 @@ def _emit(payload: dict, lines: list[str], args) -> None:
             print(line)
 
 
-# -- subcommand handlers: each returns (exit_code, payload, lines) ----------------
+# -- subcommand handlers: each takes the loaded input presentation, its path and
+# the parsed flags, and returns (exit_code, payload, lines) ------------------------
 
 
-def _run_validate(path: str, args):
-    p = _load_presentation(path)
-    report = validate_presentation(p)
-    payload = _report_payload("validation", path, {"report": report.to_json()})
-    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, _report_lines(path, report)
+def _run_validate(p, path: str, args):
+    return _report_result("validation", path, validate_presentation(p))
 
 
-def _run_invariants(path: str, args):
-    p = _load_presentation(path)
+def _run_invariants(p, path: str, args):
     try:
         tup = invariant_tuple(p)
     except InvalidPresentation as exc:
@@ -130,15 +130,11 @@ def _run_invariants(path: str, args):
     return EXIT_PASS, payload, [f"(d,e,r,s) = {tup}", f"condition class: {cls}"]
 
 
-def _run_omega3(path: str, args):
-    p = _load_presentation(path)
-    report = omega3_check(p, budget=args.budget)
-    payload = _report_payload("omega3", path, {"report": report.to_json()})
-    return (EXIT_PASS if report.passed else EXIT_FAIL), payload, _report_lines(path, report)
+def _run_omega3(p, path: str, args):
+    return _report_result("omega3", path, omega3_check(p, budget=args.budget))
 
 
-def _run_lnd(path: str, args):
-    p = _load_presentation(path)
+def _run_lnd(p, path: str, args):
     actx = AlgebraContext(p)
     d = canonical_lnd(actx)
     ok = check_derivation_well_defined(d)
@@ -163,8 +159,7 @@ def _run_lnd(path: str, args):
     return (EXIT_PASS if passed else EXIT_FAIL), payload, lines
 
 
-def _run_exp(path: str, args):
-    p = _load_presentation(path)
+def _run_exp(p, path: str, args):
     actx = AlgebraContext(p)
     d = canonical_lnd(actx)
     phi = exp_map(d, args.cap)
@@ -177,8 +172,7 @@ def _run_exp(path: str, args):
     return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
 
 
-def _run_fiber(path: str, args):
-    p = _load_presentation(path)
+def _run_fiber(p, path: str, args):
     actx = AlgebraContext(p)
     gens = elimination_ideal([actx.gen_ctx.var("X"), *actx.relations()], {"Z", *p.base.variables},
                              budget=args.budget)
@@ -187,8 +181,7 @@ def _run_fiber(path: str, args):
     return EXIT_PASS, payload, [f"x*B intersected with R[z] is generated by: {named}"]
 
 
-def _run_member(path: str, args):
-    p = _load_presentation(path)
+def _run_member(p, path: str, args):
     p.require_valid()
     adjoined = tuple(n for n in (args.adjoin or "").split(",") if n)
     try:
@@ -247,8 +240,7 @@ def _parse_iso_data(data, ctx) -> IsoData:
         raise InputError(f"bad isomorphism data: {exc}") from exc
 
 
-def _run_iso_transport(path: str, args):
-    p = _load_presentation(path)
+def _run_iso_transport(p, path: str, args):
     # a number such as 0.1 is the exact decimal it spells
     data = _parse_iso_data(_read_json(args.data, parse_float=Fraction), p.P.ctx)
     try:
@@ -283,39 +275,28 @@ def _load_hom(path: str, source: AlgebraContext, target: AlgebraContext):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _run_iso_verify(path: str, args):
-    src = _load_presentation(path)
-    tgt = _load_presentation(args.target)
-    src_ctx = AlgebraContext(src)
-    tgt_ctx = AlgebraContext(tgt)
+def _run_iso_verify(p, path: str, args):
+    src_ctx = AlgebraContext(p)
+    tgt_ctx = AlgebraContext(_load_presentation(args.target))
     fwd = _load_hom(args.forward, src_ctx, tgt_ctx)
-    ok_f = verify_hom(fwd)
-    body = {"forward_verified": ok_f}
-    lines = [f"forward homomorphism: {'PASS' if ok_f else 'FAIL'}"]
-    ok = ok_f
     if args.backward:
-        bwd = _load_hom(args.backward, tgt_ctx, src_ctx)
-        ok_b = verify_hom(bwd)
-        pair = ok_f and ok_b and verify_iso_pair(fwd, bwd)
-        body.update({"backward_verified": ok_b, "pair_verified": pair})
-        lines.append(f"backward homomorphism: {'PASS' if ok_b else 'FAIL'}")
-        lines.append(f"mutually inverse pair: {'PASS' if pair else 'FAIL'}")
-        ok = pair
+        checks = verify_iso_pair(fwd, _load_hom(args.backward, tgt_ctx, src_ctx)).items
+    else:
+        checks = (CheckItem("forward homomorphism", verify_hom(fwd)),)
+    body = {f"{key}_verified": c.passed for key, c in zip(("forward", "backward", "pair"), checks)}
     payload = _report_payload("iso-verify", path, body)
-    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines
+    lines = [f"{c.name}: {'PASS' if c.passed else 'FAIL'}" for c in checks]
+    return (EXIT_PASS if all(c.passed for c in checks) else EXIT_FAIL), payload, lines
 
 
-def _run_distinguish(path: str, args):
-    p1 = _load_presentation(path)
-    p2 = _load_presentation(args.other)
-    cert = distinguish_by_invariants(p1, p2)
+def _run_distinguish(p, path: str, args):
+    cert = distinguish_by_invariants(p, _load_presentation(args.other))
     payload = _report_payload("distinguish", path, cert.to_json())
     lines = [f"tuple 1: {cert.tuple1}", f"tuple 2: {cert.tuple2}", f"verdict: {cert.verdict}"]
     return (EXIT_PASS if cert.not_isomorphic else EXIT_FAIL), payload, lines
 
 
-def _run_cancel_cert(path: str, args):
-    p = _load_presentation(path)
+def _run_cancel_cert(p, path: str, args):
     cert = cancellation_certificate(p, budget=args.budget, cap=args.cap)
     payload = cert.to_json()
     payload["input"] = path
@@ -329,8 +310,7 @@ def _run_cancel_cert(path: str, args):
     return (EXIT_PASS if cert.certified else EXIT_FAIL), payload, lines
 
 
-def _run_danielewski_reduce(path: str, args):
-    p = _load_presentation(path)
+def _run_danielewski_reduce(p, path: str, args):
     try:
         red = reduce_to_danielewski(p)
     except InvalidPresentation as exc:
@@ -343,27 +323,12 @@ def _run_danielewski_reduce(path: str, args):
     return EXIT_PASS, payload, lines
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "invariants": _run_invariants,
-    "omega3": _run_omega3,
-    "lnd": _run_lnd,
-    "exp": _run_exp,
-    "fiber": _run_fiber,
-    "member": _run_member,
-    "iso-transport": _run_iso_transport,
-    "iso-verify": _run_iso_verify,
-    "distinguish": _run_distinguish,
-    "cancel-cert": _run_cancel_cert,
-    "danielewski-reduce": _run_danielewski_reduce,
-}
-
-
 def _worker(item):
-    command, path, args_dict = item
-    ns = argparse.Namespace(**args_dict)
+    """One input file through its subcommand's handler; input errors become
+    an exit-2 result.  Handlers are module-level, so a pool pickles them."""
+    path, args = item
     try:
-        return _HANDLERS[command](path, ns)
+        return args.handler(_load_presentation(path), path, args)
     except (InputError, InvalidPresentation, ParseError, BudgetExceeded, DerivationError) as exc:
         return EXIT_INPUT, {"schema": SCHEMA, "kind": "error", "input": path, "error": str(exc)}, [f"error: {exc}"]
 
@@ -375,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, multi_input=True, budget=None, cap=False):
-        """A subcommand with the flags its handler reads; `budget` is the
-        default of its --budget flag, or None for no such flag."""
+    def add(name, handler, help, multi_input=True, budget=None, cap=False):
+        """A subcommand run by `handler`, with the flags the handler reads;
+        `budget` is the default of its --budget flag, or None for no such flag."""
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         if multi_input:
             sp.add_argument("inputs", nargs="+", help="presentation file(s)")
             sp.add_argument("--jobs", type=int, default=1,
@@ -395,30 +361,31 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="also write the JSON report to a file")
         return sp
 
-    add("validate", "check the presentation invariants")
-    add("invariants", "print (d, e, r, s)")
-    add("omega3", "unit-ideal family conditions", budget=DEFAULT_BUDGET)
-    add("lnd", "canonical derivation, well-definedness, nilpotency", cap=True)
-    add("exp", "exponential map of the canonical derivation", cap=True)
-    add("fiber", "generators of x*B intersected with R[z]", budget=DEFAULT_BUDGET)
+    add("validate", _run_validate, "check the presentation invariants")
+    add("invariants", _run_invariants, "print (d, e, r, s)")
+    add("omega3", _run_omega3, "unit-ideal family conditions", budget=DEFAULT_BUDGET)
+    add("lnd", _run_lnd, "canonical derivation, well-definedness, nilpotency", cap=True)
+    add("exp", _run_exp, "exponential map of the canonical derivation", cap=True)
+    add("fiber", _run_fiber, "generators of x*B intersected with R[z]", budget=DEFAULT_BUDGET)
 
-    sp = add("member", "Laurent-form membership with witness", multi_input=False, budget=DEFAULT_BUDGET)
+    sp = add("member", _run_member, "Laurent-form membership with witness", multi_input=False,
+             budget=DEFAULT_BUDGET)
     sp.add_argument("--element", help='JSON map of x-exponent to polynomial, e.g. {"-1": "Z^2 - 1"}')
     sp.add_argument("--adjoin", default="", help="comma-separated adjoined variables")
 
-    sp = add("iso-transport", "transport a presentation along unit data", multi_input=False)
+    sp = add("iso-transport", _run_iso_transport, "transport a presentation along unit data", multi_input=False)
     sp.add_argument("--data", required=True, help="isomorphism data file")
 
-    sp = add("iso-verify", "verify homomorphism files", multi_input=False)
+    sp = add("iso-verify", _run_iso_verify, "verify homomorphism files", multi_input=False)
     sp.add_argument("--target", required=True, help="target presentation file")
     sp.add_argument("--forward", required=True, help="generator-image file source -> target")
     sp.add_argument("--backward", default=None, help="generator-image file target -> source")
 
-    sp = add("distinguish", "invariant-based non-isomorphism certificate", multi_input=False)
+    sp = add("distinguish", _run_distinguish, "invariant-based non-isomorphism certificate", multi_input=False)
     sp.add_argument("--other", required=True, help="second presentation file")
 
-    add("cancel-cert", "full stable-isomorphism certificate", budget=PIPELINE_BUDGET, cap=True)
-    add("danielewski-reduce", "eliminate Y when deg_Y Q = 1")
+    add("cancel-cert", _run_cancel_cert, "full stable-isomorphism certificate", budget=PIPELINE_BUDGET, cap=True)
+    add("danielewski-reduce", _run_danielewski_reduce, "eliminate Y when deg_Y Q = 1")
     return parser
 
 
@@ -434,8 +401,7 @@ def main(argv=None) -> int:
         print(f"error: --cap must be at least 0, got {cap}", file=sys.stderr)
         return EXIT_INPUT
     paths = args.inputs
-    args_dict = {k: v for k, v in vars(args).items() if k not in ("inputs", "command")}
-    items = [(args.command, path, args_dict) for path in paths]
+    items = [(path, args) for path in paths]
 
     workers = _pool_size(getattr(args, "jobs", 1), len(items), os.cpu_count())
     if workers > 1:

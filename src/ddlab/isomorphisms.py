@@ -46,6 +46,9 @@ class RHomomorphism:
         missing = [n for n in names if n not in images]
         if missing:
             raise HomomorphismError(f"missing images for generators {missing}")
+        extra = [n for n in images if n not in names]
+        if extra:
+            raise HomomorphismError(f"images for names that are not generators: {extra}")
         for name in names:
             el = images[name]
             if not isinstance(el, BElement) or el.actx != target:
@@ -77,19 +80,23 @@ def verify_hom(h: RHomomorphism) -> bool:
     return h.apply_expr(rel1).is_zero() and h.apply_expr(rel2).is_zero()
 
 
-def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> bool:
-    """True iff both maps verify and both composites fix every generator."""
+def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> Report:
+    """Three checks: each map sends its source relations to zero (one
+    verification per map) and, only when both do, both composites fix every
+    generator ("mutually inverse pair")."""
     if h.source != hinv.target or h.target != hinv.source:
         raise HomomorphismError("maps are not mutually opposite")
-    if not (verify_hom(h) and verify_hom(hinv)):
-        return False
-    for name in h.source.generator_names():
-        if hinv.apply(h.images[name]) != h.source.gen(name).laurent:
-            return False
-    for name in hinv.source.generator_names():
-        if h.apply(hinv.images[name]) != hinv.source.gen(name).laurent:
-            return False
-    return True
+    ok_f, ok_b = verify_hom(h), verify_hom(hinv)
+    inverse = ok_f and ok_b and all(
+        second.apply(first.images[name]) == first.source.gen(name).laurent
+        for first, second in ((h, hinv), (hinv, h))
+        for name in first.source.generator_names()
+    )
+    return Report((
+        CheckItem("forward homomorphism", ok_f),
+        CheckItem("backward homomorphism", ok_b),
+        CheckItem("mutually inverse pair", inverse),
+    ))
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
         },
     )
 
-    if not verify_iso_pair(forward, backward):
+    if not verify_iso_pair(forward, backward).passed:
         raise TransportError("constructed transport pair failed verification")
     return TransportResult(src, target, data, forward, backward)
 

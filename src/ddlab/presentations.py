@@ -51,6 +51,10 @@ class Report:
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
+    def __bool__(self):
+        # every Report object would be true, whatever its checks say
+        raise TypeError("a Report is not a verdict; read its .passed")
+
     def failed_items(self) -> list[CheckItem]:
         return [item for item in self.items if not item.passed]
 

@@ -234,7 +234,7 @@ def test_criterion_7_isomorphism_round_trips(dd1, dd3):
                               "Z": rng.randint(0, 1)}, rng.randint(-2, 2)),
             )
             result = transport_presentation(src, data)
-            if not verify_iso_pair(result.forward, result.backward):
+            if not verify_iso_pair(result.forward, result.backward).passed:
                 ok = False
             if invariant_tuple(result.target) != invariant_tuple(src):
                 ok = False
@@ -245,7 +245,7 @@ def test_criterion_7_isomorphism_round_trips(dd1, dd3):
                                "Y": a1.element("Y + 1"), "T": a1.gen("T")})
     hinv = RHomomorphism(a1, ap, {"X": ap.gen("X"), "Z": ap.gen("Z"),
                                   "Y": ap.element("Y - 1"), "T": ap.gen("T")})
-    ok = ok and verify_hom(h) and verify_hom(hinv) and verify_iso_pair(h, hinv)
+    ok = ok and verify_hom(h) and verify_hom(hinv) and verify_iso_pair(h, hinv).passed
     report(7, "50 random transports verify and preserve invariants; explicit pair verifies", ok)
 
 

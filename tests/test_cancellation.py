@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from ddlab.cancellation import (
 )
 from ddlab.cli import main
 from ddlab.derivations import ExponentialMap, canonical_lnd
-from ddlab.elements import AlgebraContext, BElement, MembershipResult
+from ddlab.elements import AlgebraContext, BElement, MembershipResult, NotInAlgebra
 from ddlab.groebner import BudgetExceeded
 from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
@@ -134,7 +135,7 @@ class TestCertificateDD1:
 
     def test_brute_force_pair_agrees(self, dd1_cert):
         # full symbolic composite verification agrees with the structured one
-        assert verify_iso_pair(dd1_cert.forward, dd1_cert.backward)
+        assert verify_iso_pair(dd1_cert.forward, dd1_cert.backward).passed
 
     def test_json_serializes(self, dd1_cert):
         payload = dd1_cert.to_json()
@@ -310,6 +311,101 @@ class TestEveryStageCanFail:
         original = cancellation.distinguish_by_invariants
         monkeypatch.setattr(cancellation, "distinguish_by_invariants", lambda p1, p2: original(p1, p1))
         self._assert_fails_at(dd1, "distinguish_by_invariants", "inconclusive")
+
+
+class TestEveryCheckCanFail:
+    """Each check inside a stage that no stage-level injection reaches fails
+    the certificate under its stage with its own message."""
+
+    @staticmethod
+    def _assert_fails_at(p, stage, message, **kwargs):
+        cert = cancellation_certificate(p, **kwargs)
+        assert not cert.certified
+        assert cert.steps[-1].name == stage
+        assert cert.verdict == f"failed at {stage}: {message}"
+
+    def test_chain_over_cap(self, dd1):
+        self._assert_fails_at(dd1, "build_complement_variable",
+                              "correction chain did not terminate within 4 steps", cap=4)
+
+    def test_doubled_corrections(self, dd1, monkeypatch):
+        monkeypatch.setattr(cancellation, "Fraction", lambda n, d: Fraction(2 * n, d))
+        self._assert_fails_at(dd1, "build_complement_variable",
+                              "constructed element failed verification")
+
+    @pytest.mark.parametrize("call, message", [
+        (1, "initial defect not divisible by x: injected"),
+        (2, "correction chain defect at step 1 not divisible by x: injected"),
+    ])
+    def test_defect_not_divisible(self, dd1, monkeypatch, call, message):
+        original_build = cancellation.build_complement_variable
+        original_divide = cancellation.divide_by_x_power
+        state = {"inside": False, "calls": 0}  # divisions inside build_complement_variable
+
+        def build(*args):
+            state["inside"] = True
+            try:
+                return original_build(*args)
+            finally:
+                state["inside"] = False
+
+        def divide(form, actx, n, budget):
+            if state["inside"]:
+                state["calls"] += 1
+                if state["calls"] == call:
+                    raise NotInAlgebra("injected")
+            return original_divide(form, actx, n, budget)
+
+        monkeypatch.setattr(cancellation, "build_complement_variable", build)
+        monkeypatch.setattr(cancellation, "divide_by_x_power", divide)
+        self._assert_fails_at(dd1, "build_complement_variable", message)
+
+    def test_second_unit_ideal(self, dd1, monkeypatch):
+        # omega3_check reads the generators through presentations, so it passes
+        original = cancellation.unit_ideal_generators
+
+        def repeated(p):
+            gens1, _ = original(p)
+            return gens1, [gens1[0], gens1[0]]
+
+        monkeypatch.setattr(cancellation, "unit_ideal_generators", repeated)
+        self._assert_fails_at(dd1, "build_complement_variable",
+                              "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal")
+
+    def test_complement_plus_w(self, dd1, monkeypatch):
+        original = cancellation.build_complement_variable
+
+        def plus_w(phi, cap, budget):
+            c = original(phi, cap, budget)
+            return dataclasses.replace(c, element=c.element + c.element.actx.gen("W1"))
+
+        monkeypatch.setattr(cancellation, "build_complement_variable", plus_w)
+        self._assert_fails_at(dd1, "express_old_generators",
+                              "w + x*sigma is not invariant: residual w after the coordinate change")
+
+    def test_membership_says_no(self, dd1, monkeypatch):
+        monkeypatch.setattr(cancellation, "membership_with_witness",
+                            lambda f, actx, budget: MembershipResult(False, None, None))
+        self._assert_fails_at(dd1, "express_old_generators",
+                              "w + x*sigma does not lie in the smaller algebra")
+
+    def test_closed_form_identity(self, dd1, monkeypatch):
+        # calls 1 and 2 build g and h; call 3 is the closed form of y
+        original = cancellation._divide_x_monomials
+        calls = []
+
+        def third_plus_one(poly, k):
+            calls.append(k)
+            q = original(poly, k)
+            return q + q.ctx.one() if len(calls) == 3 else q
+
+        monkeypatch.setattr(cancellation, "_divide_x_monomials", third_plus_one)
+        self._assert_fails_at(dd1, "express_old_generators", "closed-form identity failed")
+
+    def test_exponent_bound(self, dd1):
+        poly = parse_poly("X + Z", AlgebraContext(dd1).gen_ctx)
+        with pytest.raises(AssertionError, match="X-exponent 0 < 1"):
+            cancellation._divide_x_monomials(poly, 1)
 
 
 class TestWitnessesReproduceTheirForms:

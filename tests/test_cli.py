@@ -169,6 +169,63 @@ class TestIsoCommands:
         code = main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", str(fwd)])
         assert code == 1
 
+    def _images(self, tmp_path, name, images):
+        path = tmp_path / name
+        path.write_text(json.dumps({"images": images}))
+        return str(path)
+
+    def test_verify_pair_that_is_not_inverse(self, dd1_file, tmp_path, capsys):
+        sigma = self._images(tmp_path, "sigma.json", {"X": "-X", "Y": "-Y", "Z": "Z", "T": "T"})
+        identity = self._images(tmp_path, "id.json", {"X": "X", "Y": "Y", "Z": "Z", "T": "T"})
+        code = main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", sigma,
+                     "--backward", identity])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "forward homomorphism: PASS", "backward homomorphism: PASS", "mutually inverse pair: FAIL"]
+
+    def test_backward_verifies_each_map_once(self, dd1_file, tmp_path, monkeypatch, capsys):
+        from ddlab import cli, isomorphisms
+
+        original = isomorphisms.verify_hom
+        verified = []
+
+        def counted(h):
+            verified.append(h)
+            return original(h)
+
+        monkeypatch.setattr(isomorphisms, "verify_hom", counted)
+        monkeypatch.setattr(cli, "verify_hom", counted)
+        sigma = self._images(tmp_path, "sigma.json", {"X": "-X", "Y": "-Y", "Z": "Z", "T": "T"})
+        code = main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", sigma,
+                     "--backward", sigma, "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report)[-3:] == ["forward_verified", "backward_verified", "pair_verified"]
+        assert len(verified) == 2
+
+    def test_transport_needs_r_above_one(self, tmp_path, capsys):
+        path = tmp_path / "pz.json"
+        path.write_text(json.dumps({**DD1, "P": "Z"}))
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(ISO_UNITS))
+        message = "transport requires deg_Z P(0,Z) > 1, got r = 1"
+        assert main(["iso-transport", str(path), "--data", str(data)]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"transport failed: {message}"]
+        assert main(["iso-transport", str(path), "--data", str(data), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == message
+
+    def test_transport_pair_failure(self, dd1_file, tmp_path, monkeypatch, capsys):
+        from ddlab import isomorphisms
+        from ddlab.presentations import CheckItem, Report
+
+        failed = Report((CheckItem("mutually inverse pair", False),))
+        monkeypatch.setattr(isomorphisms, "verify_iso_pair", lambda h, hinv: failed)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(ISO_UNITS))
+        assert main(["iso-transport", dd1_file, "--data", str(data)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "transport failed: constructed transport pair failed verification"]
+
     def test_distinguish(self, dd1_file, dd2_file, capsys):
         code = main(["distinguish", dd1_file, "--other", dd2_file])
         assert code == 0
@@ -427,6 +484,14 @@ class TestMalformedJsonArguments:
         path.write_text(json.dumps(forward))
         assert main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", str(path)]) == 2
         self._assert_one_error_line(capsys, message)
+
+    def test_iso_verify_images_of_non_generators(self, dd1_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("extra.json").write_text(json.dumps(
+            {"images": {"X": "X", "Y": "Y", "Z": "Z", "T": "T", "W1": "X"}}))
+        assert main(["iso-verify", dd1_file, "--target", dd1_file, "--forward", "extra.json"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: extra.json: images for names that are not generators: ['W1']"]
 
 
 class TestErrorsBecomeInputErrors:

@@ -14,7 +14,9 @@ map of the canonical derivation: its generator images over B[U] and its axiom
 report.  A fifth pins membership answers: every witness and every
 non-membership certificate over seeded members and non-members.  A sixth pins
 the Laurent evaluator on seeded polynomials at generator images with
-integer, half-integer and third constants.
+integer, half-integer and third constants.  A seventh pins the command
+line: the exit code, stdout and stderr of a fixed battery of commands and
+the --out files they write.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import random
 from fractions import Fraction
 
 from ddlab.cancellation import cancellation_certificate
+from ddlab.cli import main
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
 from ddlab.elements import AlgebraContext, membership_with_witness
 from ddlab.groebner import MonomialOrder, buchberger
@@ -278,3 +281,95 @@ def test_golden_laurent_evaluations_are_byte_identical():
         assert again == first == eval_poly_at_laurent(poly, fresh, target)
         h.update(str(first).encode())
     assert h.hexdigest() == EVAL_DIGEST
+
+
+# the command line: every subcommand in text and --json form on passing and
+# failing inputs, iso-verify with and without --backward, one failed stage
+# of cancel-cert, one --jobs 2 batch, and the --out files written on the way
+CLI_FILES = {
+    "dd1.json": {"base_vars": [], "d": 1, "e": 2, "P": "Z^2 - 1", "Q": "Y^2 + Z"},
+    "dd2.json": {"base_vars": [], "d": 1, "e": 1, "P": "Z^2 - 1", "Q": "Y^2 + Z"},
+    "s1.json": {"base_vars": [], "d": 1, "e": 1, "P": "Z^2", "Q": "2*Y"},
+    "bad.json": {"base_vars": [], "d": 1, "e": 1, "P": "X", "Q": "Y"},
+    "broken.json": {"base_vars": [], "d": 1, "e": 1, "P": "Z +* 1", "Q": "Y"},
+    "pz.json": {"base_vars": [], "d": 1, "e": 2, "P": "Z", "Q": "Y^2 + Z"},
+    "data.json": {"lambda1": "1", "mu1": "1", "beta1_tilde": "1", "g2_prime": "1",
+                  "delta1": "0", "alpha1_tilde": "1", "g1_prime": "0"},
+    "id.json": {"images": {"X": "X", "Y": "Y", "Z": "Z", "T": "T"}},
+    "sigma.json": {"images": {"X": "-X", "Y": "-Y", "Z": "Z", "T": "T"}},
+    "zero.json": {"images": {"X": "0", "Y": "Y", "Z": "Z", "T": "T"}},
+}
+CLI_BATTERY = [
+    ["validate", "dd1.json"],
+    ["validate", "dd1.json", "--json"],
+    ["validate", "bad.json"],
+    ["validate", "bad.json", "--json"],
+    ["validate", "broken.json"],
+    ["validate", "missing.json", "--json"],
+    ["validate", "dd1.json", "bad.json", "broken.json"],
+    ["invariants", "dd1.json"],
+    ["invariants", "dd1.json", "--json"],
+    ["invariants", "bad.json"],
+    ["invariants", "dd1.json", "dd2.json", "--out", "multi.json"],
+    ["omega3", "dd1.json"],
+    ["omega3", "s1.json", "--json"],
+    ["omega3", "dd1.json", "--budget", "0"],
+    ["lnd", "dd1.json"],
+    ["lnd", "dd1.json", "--json"],
+    ["lnd", "dd1.json", "--cap", "0"],
+    ["exp", "dd1.json"],
+    ["exp", "dd1.json", "--json"],
+    ["exp", "dd1.json", "--cap", "2"],
+    ["fiber", "dd1.json"],
+    ["fiber", "dd1.json", "--json"],
+    ["member", "dd1.json", "--element", '{"-1": "Z^2 - 1"}'],
+    ["member", "dd1.json", "--element", '{"-1": "Z - 1"}', "--json"],
+    ["member", "dd1.json"],
+    ["iso-transport", "dd1.json", "--data", "data.json", "--out", "transport.json"],
+    ["iso-transport", "dd1.json", "--data", "data.json", "--json"],
+    ["iso-transport", "pz.json", "--data", "data.json"],
+    ["iso-transport", "pz.json", "--data", "data.json", "--json"],
+    ["iso-verify", "dd1.json", "--target", "target.json", "--forward", "fwd.json"],
+    ["iso-verify", "dd1.json", "--target", "target.json", "--forward", "fwd.json",
+     "--backward", "bwd.json", "--json"],
+    ["iso-verify", "dd1.json", "--target", "dd1.json", "--forward", "zero.json"],
+    ["iso-verify", "dd1.json", "--target", "dd1.json", "--forward", "zero.json",
+     "--backward", "id.json", "--json"],
+    ["iso-verify", "dd1.json", "--target", "dd1.json", "--forward", "sigma.json",
+     "--backward", "id.json"],
+    ["iso-verify", "dd1.json", "--target", "dd1.json", "--forward", "sigma.json",
+     "--backward", "sigma.json", "--json"],
+    ["distinguish", "dd1.json", "--other", "dd2.json"],
+    ["distinguish", "dd1.json", "--other", "dd2.json", "--json"],
+    ["distinguish", "dd1.json", "--other", "dd1.json"],
+    ["cancel-cert", "dd1.json"],
+    ["cancel-cert", "dd1.json", "--json"],
+    ["cancel-cert", "dd2.json"],
+    ["cancel-cert", "dd1.json", "--cap", "4"],
+    ["danielewski-reduce", "s1.json"],
+    ["danielewski-reduce", "s1.json", "--json"],
+    ["danielewski-reduce", "dd1.json"],
+    ["cancel-cert", "dd1.json", "dd2.json", "--jobs", "2", "--out", "batch.json"],
+]
+CLI_DIGEST = "fcb3397cf550ae6cc99ab2061ed41c213d0e7f5ecfec6d8e7140fb814db94390"
+
+
+def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys):
+    # the input path is printed, so the battery runs on relative names
+    monkeypatch.chdir(tmp_path)
+    for name, record in CLI_FILES.items():
+        (tmp_path / name).write_text(json.dumps(record))
+    h = hashlib.sha256()
+    for argv in CLI_BATTERY:
+        code = main(argv)
+        captured = capsys.readouterr()
+        h.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+        if argv[0] == "iso-transport" and "--out" in argv:
+            transport = json.loads((tmp_path / "transport.json").read_text())
+            for name, record in (("target.json", transport["target"]),
+                                 ("fwd.json", {"images": transport["forward"]}),
+                                 ("bwd.json", {"images": transport["backward"]})):
+                (tmp_path / name).write_text(json.dumps(record))
+    for name in ("multi.json", "transport.json", "batch.json"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == CLI_DIGEST

@@ -5,6 +5,7 @@ import pytest
 
 from ddlab.elements import AlgebraContext
 from ddlab.isomorphisms import (
+    HomomorphismError,
     IsoData,
     RHomomorphism,
     TransportError,
@@ -70,12 +71,33 @@ class TestVerifyHom:
         assert not verify_hom(h)
 
 
+def _sigma(actx):
+    """X -> -X, Y -> -Y, Z -> Z, T -> T: an automorphism of dd1 other than the identity."""
+    return RHomomorphism(actx, actx, {"X": actx.element("-X"), "Y": actx.element("-Y"),
+                                      "Z": actx.gen("Z"), "T": actx.gen("T")})
+
+
 class TestIsoPair:
+    def test_images_of_non_generators_rejected(self, dd1_ctx):
+        images = {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()}
+        with pytest.raises(HomomorphismError, match=r"not generators: \['W1'\]"):
+            RHomomorphism(dd1_ctx, dd1_ctx, {**images, "W1": dd1_ctx.gen("X")})
+
+    def test_composite_mismatch_fails_only_the_pair(self, dd1_ctx):
+        identity = RHomomorphism(dd1_ctx, dd1_ctx, {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()})
+        report = verify_iso_pair(_sigma(dd1_ctx), identity)
+        assert [c.name for c in report.failed_items()] == ["mutually inverse pair"]
+        assert [c.name for c in report.items] == [
+            "forward homomorphism", "backward homomorphism", "mutually inverse pair"]
+
+    def test_involution_is_its_own_inverse(self, dd1_ctx):
+        assert verify_iso_pair(_sigma(dd1_ctx), _sigma(dd1_ctx)).passed
+
     def test_identity_pair(self, dd1_ctx):
         images = {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()}
         h = RHomomorphism(dd1_ctx, dd1_ctx, images)
         hinv = RHomomorphism(dd1_ctx, dd1_ctx, dict(images))
-        assert verify_iso_pair(h, hinv)
+        assert verify_iso_pair(h, hinv).passed
 
     def test_shift_pair(self, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
@@ -89,7 +111,7 @@ class TestIsoPair:
             {"X": actx_p.gen("X"), "Z": actx_p.gen("Z"),
              "Y": actx_p.element("Y - 1"), "T": actx_p.gen("T")},
         )
-        assert verify_iso_pair(h, hinv)
+        assert verify_iso_pair(h, hinv).passed
 
     def test_mismatched_pair(self, dd1_ctx, dd1p):
         actx_p = AlgebraContext(dd1p)
@@ -103,7 +125,7 @@ class TestIsoPair:
             {"X": actx_p.gen("X"), "Z": actx_p.gen("Z"),
              "Y": actx_p.element("Y"), "T": actx_p.gen("T")},
         )
-        assert not verify_iso_pair(h, bad)
+        assert not verify_iso_pair(h, bad).passed
 
 
 class TestTransport:
@@ -147,7 +169,7 @@ class TestTransport:
                                   "Z": rng.randint(0, 1)}, rng.randint(-2, 2)),
                 )
                 res = transport_presentation(src, data)
-                assert verify_iso_pair(res.forward, res.backward)
+                assert verify_iso_pair(res.forward, res.backward).passed
                 assert invariant_tuple(res.target) == invariant_tuple(src)
 
 
@@ -184,5 +206,5 @@ class TestDistinguish:
             {"X": actxp.gen("X"), "Z": actxp.gen("Z"),
              "Y": actxp.element("Y - 1"), "T": actxp.gen("T")},
         )
-        assert verify_iso_pair(h, hinv)
+        assert verify_iso_pair(h, hinv).passed
         assert not distinguish_by_invariants(dd1, dd1p).not_isomorphic

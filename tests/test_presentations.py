@@ -66,6 +66,19 @@ class TestValidation:
         with pytest.raises(InvalidPresentation, match="deg_Z"):
             make([], 1, 1, "X", "Y").require_valid()
 
+    def test_q_without_y_fails(self):
+        report = validate_presentation(make([], 1, 2, "Z^2 - 1", "Z"))
+        failed = {c.name: c.detail for c in report.failed_items()}
+        assert failed == {"deg_Y Q >= 1": "s = 0", "Q monic in Y over Frac(R)": "no Y term"}
+
+    def test_report_is_not_a_bool(self):
+        # a bare report would always be true, so a forgotten .passed must fail loudly
+        report = validate_presentation(make([], 1, 1, "X", "Y"))
+        with pytest.raises(TypeError, match=r"read its \.passed"):
+            bool(report)
+        with pytest.raises(TypeError):
+            assert report
+
 
 class TestInvariants:
     def test_examples(self, dd1, dd3):
