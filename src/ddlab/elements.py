@@ -52,10 +52,12 @@ from .poly import (
     Context,
     ContextMismatch,
     Polynomial,
-    _form_mul_into,
-    _form_product,
+    _check_packed_exponent,
+    _pack,
+    _packed_mul_into,
+    _packed_product,
     _scaled_int_form,
-    _unscale_terms,
+    _unpack,
     coeff_div,
     parse_poly,
 )
@@ -182,12 +184,13 @@ class AlgebraContext:
         return self._nf_cache[key]
 
     def _power(self, name: str, k: int, budget: _Budget) -> tuple[dict, int]:
-        """The k-th power of a generator image as an integral form (not to be
-        mutated) and its denominator, from the power list `to_laurent` grows
-        too.  Each power added charges the budget one step per term."""
-        _, powers, den = image_entry(self.generator_images()[name])
+        """The k-th power of a generator image as an integral form under
+        packed keys (not to be mutated) and its denominator, from the power
+        list `to_laurent` grows too.  Each power added charges the budget one
+        step per term."""
+        _, powers, den, _ = image_entry(self.generator_images()[name])
         while len(powers) <= k:
-            powers.append(_form_product(powers[-1], powers[1]))
+            powers.append(_packed_product(powers[-1], powers[1]))
             budget.tick(sum(map(len, powers[-1].values())))
         return powers[k], den ** k
 
@@ -341,21 +344,28 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     which d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  A c of z-degree below r*J
     is refused before the divisor is built, and y^j and t^l, dear at a large
     shift, are read from the image power lists only once q is exact.  The
-    work is one integer-scaled copy of f over a running denominator, changed
-    in place; neither f nor the cached powers are mutated.  The parts of
+    work is one integer-scaled copy of f under packed keys (see
+    `poly._pack`) over a running denominator, changed in place; a level is
+    unpacked when it is read, and the rest of the work at the end.  Neither
+    f nor the cached powers are mutated.  An exponent of f over
+    MAX_PACKED_EXPONENT raises ExponentLimit, and so does a step whose
+    product could have one, before the powers are read.  The parts of
     different levels differ in (i, j, l), and the rest has no Y or T.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
     cctx = actx.coeff_ctx
+    width = len(cctx.names)
+    images = actx.generator_images()
+    y_top, t_top = image_entry(images["Y"])[3], image_entry(images["T"])[3]
     scaled, den = _scaled_int_form(f._form())
-    work = {n: dict(t) for n, t in scaled.items()}
+    work, _ = _pack(scaled, width)
     witness: dict = {}
     for m in range(-f.min_exp(), 0, -1):
         terms = work.get(-m)
         if not terms:
             continue
-        c = Polynomial._raw(cctx, terms)
+        c = Polynomial._raw(cctx, _unpack({0: terms}, width)[0])
         big_j = max(1, m * s // (d * s + e))
         while d * big_j + e * (big_j // s) < m:
             big_j += 1
@@ -375,9 +385,11 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
         # coeff_ctx is gen_ctx without X, Y and T
         for ez, cz in q.terms.items():
             witness[(i, j, ez[0], l) + ez[1:]] = cz
+        scaled_q, dq = _scaled_int_form({i: q.terms})
+        packed_q, q_top = _pack(scaled_q, width)
+        _check_packed_exponent(q_top + j * y_top + l * t_top)
         y_power, dy = actx._power("Y", j, budget)
         t_power, dt = actx._power("T", l, budget)
-        scaled_q, dq = _scaled_int_form({i: q.terms})
         dp = dq * dy * dt
         new_den = lcm(den, dp)
         if new_den != den:
@@ -387,12 +399,11 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
                     t[ez] *= up
             den = new_den
         k = -(den // dp)
-        factor = _form_product({i: {ez: k * cz for ez, cz in scaled_q[i].items()}}, y_power)
-        _form_mul_into(work, factor, t_power)
-    for n, t in work.items():
-        if n >= 0:
-            for ez, cz in _unscale_terms(t, den).items():
-                witness[(n, 0, ez[0], 0) + ez[1:]] = cz
+        factor = _packed_product({i: {ez: k * cz for ez, cz in packed_q[i].items()}}, y_power)
+        _packed_mul_into(work, factor, t_power)
+    for n, t in _unpack({n: t for n, t in work.items() if n >= 0}, width, den).items():
+        for ez, cz in t.items():
+            witness[(n, 0, ez[0], 0) + ez[1:]] = cz
     return Polynomial._raw(actx.gen_ctx, witness), None
 
 

@@ -19,10 +19,11 @@ class LaurentForm:
 
     `_powers` is None until the form is first used as a variable image
     (`image_entry`).  It then holds the form's image entry: its monomial
-    data if it is a monomial, its denominator, and the growing list of its
-    integral powers, which later evaluations at the same image object reuse.
-    The forms in it are never mutated, and the entry dies with the image
-    object.
+    data if it is a monomial, its denominator, its largest exponent, and the
+    growing list of its integral powers under packed keys (see `poly._pack`),
+    which later evaluations and x-adic divisions at the same image object
+    reuse.  The forms in it are never mutated, and the entry dies with the
+    image object.
     """
 
     __slots__ = ("ctx", "coeffs", "_powers")

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import add as _add_op
+from struct import Struct
 from typing import Callable, Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -131,25 +134,122 @@ def _form_product(a: dict, b: dict) -> dict:
     return _unscale(out, da * db)
 
 
+# The Laurent layer keeps the forms it reuses, the power lists of variable
+# images and the x-adic division's work, under packed keys: one int per
+# exponent vector, so that multiplying two monomials is one int addition
+# (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+# packed exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
+
+PACKED_BITS = 32
+MAX_PACKED_EXPONENT = 2 ** PACKED_BITS - 1
+
+
+class ExponentLimit(ValueError):
+    """An exponent too large for the packed keys of the Laurent layer."""
+
+
+def _check_packed_exponent(k: int) -> None:
+    if k > MAX_PACKED_EXPONENT:
+        raise ExponentLimit(f"exponent {k} exceeds the packed-exponent limit of {MAX_PACKED_EXPONENT}")
+
+
+@lru_cache(maxsize=None)
+def _fields(width: int) -> Struct:
+    """The codec of `width` 32-bit big-endian fields (see `_pack`)."""
+    return Struct(f">{width}I")
+
+
+def _pack(form: dict, width: int) -> tuple[dict, int]:
+    """A form over `width` variables under packed keys, and the largest
+    exponent in it.
+
+    The key of an exponent vector is its big-endian encoding with
+    PACKED_BITS = 32 bits per exponent, read as one int, so exponent i fills
+    field i from the top.  The sum of two keys packs the sum of their vectors
+    as long as no field exceeds MAX_PACKED_EXPONENT = 2^32 - 1.
+
+    No field does.  Keys are only ever added, and an exponent over the limit
+    raises ExponentLimit where it would enter packed form: here, for every
+    exponent packed, and before each product, from bounds on its factors.
+    Every key that eval_at_forms forms is the exponent of a product of at
+    most k_v terms of the image of each variable v, k_v the largest exponent
+    of v in the polynomial evaluated, so its fields are at most the sum of
+    k_v times the largest exponent in v's image.  Every key that the x-adic
+    division forms is the exponent of a product of a quotient term, j terms
+    of y's image and l of t's, and its fields are at most the largest
+    exponent of the quotient plus j and l times those of the two images.
+    Both bounds are checked before the products are formed.
+    """
+    top = max(chain.from_iterable(chain.from_iterable(form.values())), default=0)
+    _check_packed_exponent(top)
+    pack, from_bytes = _fields(width).pack, int.from_bytes
+    return {n: {from_bytes(pack(*e), "big"): c for e, c in t.items()} for n, t in form.items()}, top
+
+
+def _unpack(form: dict, width: int, den: int = 1) -> dict:
+    """A form under packed keys of `width` fields as one under tuple keys,
+    every value divided by den; empty term dicts are dropped."""
+    fields = _fields(width)
+    unpack, size = fields.unpack, fields.size
+    out = {n: {unpack(e.to_bytes(size, "big")): c for e, c in t.items()} for n, t in form.items() if t}
+    return out if den == 1 else {n: _unscale_terms(t, den) for n, t in out.items()}
+
+
+def _packed_mul_into(out: dict, a: dict, b: dict) -> None:
+    """out += a*b on forms under packed keys, in place: `_form_mul_into`
+    with one int addition per monomial product.
+
+    Empty term dicts may be left in out.
+    """
+    for n1, t1 in a.items():
+        t1 = list(t1.items())
+        for n2, t2 in b.items():
+            acc = out.get(n1 + n2)
+            if acc is None:
+                acc = out[n1 + n2] = {}
+            get = acc.get
+            for e2, c2 in t2.items():
+                for e1, c1 in t1:
+                    e = e1 + e2
+                    prod = c1 * c2
+                    cur = get(e)
+                    if cur is None:
+                        acc[e] = prod
+                    else:
+                        s = cur + prod
+                        if s:
+                            acc[e] = s
+                        else:
+                            del acc[e]
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """The product of two integral forms under packed keys."""
+    out: dict = {}
+    _packed_mul_into(out, a, b)
+    return {n: t for n, t in out.items() if t}
+
+
 def _image_entry(form: dict, width: int) -> tuple:
     """What eval_at_forms reads of one variable image, given as a form over
     a target of `width` variables.
 
     The entry is the monomial data of a monomial image (one term, like
-    X -> x or an unmapped variable), (x-exponent, ((target position,
-    exponent), ...), coefficient), or None; the list of the image's integral
-    powers, [1, image * denominator] at first, to which eval_at_forms
-    appends the higher powers of a non-monomial image it needs; and the
-    denominator.
+    X -> x or an unmapped variable), (x-exponent, packed exponent,
+    coefficient), or None; the list of the image's integral powers under
+    packed keys (see `_pack`), [1, image * denominator] at first, to which
+    eval_at_forms and the x-adic division append the higher powers they
+    need; the denominator; and the largest exponent in the image.
     """
+    scaled, den = _scaled_int_form(form)
+    packed, top = _pack(scaled, width)
     mono = None
     if len(form) == 1:
         ((n, t),) = form.items()
         if len(t) == 1:
-            ((e, c),) = t.items()
-            mono = (n, tuple((j, k) for j, k in enumerate(e) if k), c)
-    form, den = _scaled_int_form(form)
-    return mono, [{0: {(0,) * width: 1}}, form], den
+            ((e,), (c,)) = packed[n], t.values()
+            mono = (n, e, c)
+    return mono, [{0: {0: 1}}, packed], den, top
 
 
 def eval_at_forms(
@@ -164,39 +264,46 @@ def eval_at_forms(
     arithmetic.  The terms of p are grouped by their exponents in the other,
     general, variables; each group's cofactor is multiplied once by the
     product of the general images' powers.  All products run on native ints
-    over one common denominator, divided out at the end.
+    under packed keys (see `_pack`), over one common denominator; the keys
+    are unpacked and the denominator divided out at the end.  Exponents of
+    the result that could exceed MAX_PACKED_EXPONENT raise ExponentLimit
+    before any product is formed.
     """
     terms = p.terms
     names = p.ctx.names
-    zero = (0,) * len(target.names)
-    one = {0: {zero: 1}}
-    monos = []  # (position, x-exponent, ((target position, exponent), ...), coefficient)
+    width = len(target.names)
+    one = {0: {0: 1}}
+    monos = []  # (position, x-exponent, packed exponent, coefficient)
     general = []  # (integral powers of the image, its denominator)
     gpos = []  # the positions of the general images
+    bound = 0  # on every exponent of every product formed below
     for i, column in enumerate(zip(*terms)):
-        if not any(column):
+        k = max(column)
+        if not k:
             continue
         image = images.get(names[i])
         if image is None:
-            monos.append((i, 0, ((target.index(names[i]), 1),), 1))
+            monos.append((i, 0, 1 << PACKED_BITS * (width - 1 - target.index(names[i])), 1))
+            bound += k
             continue
-        mono, powers, den = entry_of(image)
+        mono, powers, den, top = entry_of(image)
+        bound += k * top
         if mono is not None:
             monos.append((i, *mono))
         else:
             general.append((powers, den))
             gpos.append(i)
+    _check_packed_exponent(bound)
 
     groups: dict = {}
     for exps, c in terms.items():
         n = 0
-        z = list(zero)
-        for i, xn, eps, ci in monos:
+        z = 0
+        for i, xn, ez, ci in monos:
             k = exps[i]
             if k:
                 n += xn * k
-                for j, m in eps:
-                    z[j] += m * k
+                z += ez * k
                 if ci != 1:
                     c = c * ci ** k
         key = tuple([exps[i] for i in gpos])
@@ -206,7 +313,6 @@ def eval_at_forms(
         acc = cof.get(n)
         if acc is None:
             acc = cof[n] = {}
-        z = tuple(z)
         cur = acc.get(z)
         if cur is None:
             acc[z] = c
@@ -225,18 +331,20 @@ def eval_at_forms(
         for (powers, d), k in zip(general, key):
             if k:
                 while len(powers) <= k:
-                    powers.append(_form_product(powers[-1], powers[1]))
-                factor = powers[k] if factor is one else _form_product(factor, powers[k])
+                    powers.append(_packed_product(powers[-1], powers[1]))
+                factor = powers[k] if factor is one else _packed_product(factor, powers[k])
                 dg *= d ** k
         scaled.append((cof, factor, dc * dg))
         den = lcm(den, dc * dg)
+    if len(scaled) == 1 and scaled[0][1] is one:  # no general image: the cofactor is the result
+        return _unpack(scaled[0][0], width, den)
     out: dict = {}
     for cof, factor, d in scaled:
         m = den // d
         if m != 1:
             cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
-        _form_mul_into(out, cof, factor)
-    return _unscale(out, den)
+        _packed_mul_into(out, cof, factor)
+    return _unpack(out, width, den)
 
 
 class Context:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ddlab import AlgebraContext, DDPresentation
-from ddlab.poly import Context
+from ddlab.laurent import LaurentForm
+from ddlab.poly import Context, _unpack
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,9 @@ def random_valid_presentation(rng: random.Random, d: int, e: int, max_r=4, max_s
     if not validate_presentation(pres).passed:
         return random_valid_presentation(rng, d, e, max_r, max_s, constant_lead_p)
     return pres
+
+
+def unpacked(ctx: Context, form: dict, den: int) -> LaurentForm:
+    """A form of the Laurent layer under packed keys, divided by den, as a
+    LaurentForm over ctx."""
+    return LaurentForm._from_form(ctx, _unpack(form, len(ctx.names), den))

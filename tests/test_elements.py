@@ -19,10 +19,17 @@ from ddlab.elements import (
 )
 from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, _Budget, _normal_form
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
-from ddlab.poly import Context, ContextMismatch, _form_product, _unscale, parse_poly
+from ddlab.poly import (
+    MAX_PACKED_EXPONENT,
+    Context,
+    ContextMismatch,
+    ExponentLimit,
+    _packed_product,
+    parse_poly,
+)
 from ddlab.presentations import DDPresentation
 
-from conftest import random_polynomial, random_valid_presentation
+from conftest import random_polynomial, random_valid_presentation, unpacked
 from membership_oracle import groebner_membership
 
 
@@ -69,8 +76,16 @@ class TestImageCache:
         actx = AlgebraContext(dd3)
         images = actx.generator_images()
         first = actx.to_laurent(parse_poly("Y^3*T^2 + Y*Z - X", actx.gen_ctx))
-        mono, powers, den = images["Y"]._powers
+        mono, powers, den, top = images["Y"]._powers
         assert mono is None and len(powers) == 4
+        # the powers are integral forms under packed keys, y^k times den^k
+        cctx = actx.coeff_ctx
+        expected = LaurentForm.from_poly(cctx.one())
+        for k, power in enumerate(powers):
+            assert all(type(e) is int for t in power.values() for e in t)
+            assert unpacked(cctx, power, den ** k) == expected
+            expected = expected * images["Y"]
+        assert top == max(images["Y"].coeffs[n].deg_in("Z") for n in images["Y"].coeffs) == 3
         # a monomial image is applied by exponent arithmetic: its powers are not grown
         assert images["X"]._powers[0] is not None and len(images["X"]._powers[1]) == 2
         kept, snapshot = list(powers), copy.deepcopy(powers)
@@ -325,7 +340,7 @@ class TestDivisionAgainstGroebner:
                 budget = _Budget(DEFAULT_BUDGET)
                 y_power, dy = actx._power("Y", j, budget)
                 t_power, dt = actx._power("T", l, budget)
-                form = LaurentForm._from_form(cctx, _unscale(_form_product(y_power, t_power), dy * dt))
+                form = unpacked(cctx, _packed_product(y_power, t_power), dy * dt)
                 assert form == actx.element(f"Y^{j}*T^{l}").laurent
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
@@ -350,6 +365,29 @@ class TestDivisionAgainstGroebner:
             membership_with_witness(form, actx, 2000)
         built = len(actx.generator_images()["T"]._powers[1])
         assert 2 < built < 30
+
+    def test_division_refuses_a_product_over_the_packed_limit_before_any_power(self, monkeypatch):
+        # P(0,z) = z^3 and Q has Y^2, so level -5 divides by z^6 in one step,
+        # q = z^(N-6), and q*t is formed next; t's image holds z^9, so that
+        # product can reach z^(N+3), which the division checks before it
+        # reads a power of y or t
+        def no_power(self, name, k, budget):
+            raise RuntimeError(f"read the power {name}^{k}")
+
+        monkeypatch.setattr(AlgebraContext, "_power", no_power)
+        actx = AlgebraContext(DDPresentation.make([], 2, 1, "Z^3 + X", "Y^2 + X*Z^9"))
+        cctx = actx.coeff_ctx
+        assert actx.generator_images()["T"].coeffs[0] == cctx.monomial({"Z": 9})
+        over = LaurentForm(cctx, {-5: cctx.monomial({"Z": MAX_PACKED_EXPONENT - 2})})
+        with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
+            _x_adic_witness(over, actx, _Budget(DEFAULT_BUDGET))
+        at_limit = LaurentForm(cctx, {-5: cctx.monomial({"Z": MAX_PACKED_EXPONENT - 3})})
+        with pytest.raises(RuntimeError, match=r"read the power Y\^0"):
+            _x_adic_witness(at_limit, actx, _Budget(DEFAULT_BUDGET))
+        # an exponent of the form itself is checked as it is packed
+        with pytest.raises(ExponentLimit):
+            _x_adic_witness(LaurentForm(cctx, {0: cctx.monomial({"Z": MAX_PACKED_EXPONENT + 1})}),
+                            actx, _Budget(DEFAULT_BUDGET))
 
     @pytest.mark.parametrize("p_text", ["Z^2 - 1", "Z^2 + 1/2"])
     def test_division_mutates_neither_input_nor_cached_powers(self, p_text):

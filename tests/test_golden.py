@@ -16,7 +16,10 @@ non-membership certificate over seeded members and non-members.  A sixth pins
 the Laurent evaluator on seeded polynomials at generator images with
 integer, half-integer and third constants.  A seventh pins the command
 line: the exit code, stdout and stderr of a fixed battery of commands and
-the --out files they write.
+the --out files they write.  An eighth pins Laurent evaluations and x-adic
+divisions over coefficient contexts of three and four variables, base
+variables among them, since the Laurent layer packs each exponent vector
+into one int with a field per variable.
 """
 
 import hashlib
@@ -27,8 +30,8 @@ from fractions import Fraction
 from ddlab.cancellation import cancellation_certificate
 from ddlab.cli import main
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
-from ddlab.elements import AlgebraContext, membership_with_witness
-from ddlab.groebner import MonomialOrder, buchberger
+from ddlab.elements import AlgebraContext, _x_adic_witness, membership_with_witness
+from ddlab.groebner import DEFAULT_BUDGET, MonomialOrder, _Budget, buchberger
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import Context, Polynomial, parse_poly
 from ddlab.presentations import BaseRingSpec, DDPresentation, omega3_check
@@ -281,6 +284,60 @@ def test_golden_laurent_evaluations_are_byte_identical():
         assert again == first == eval_poly_at_laurent(poly, fresh, target)
         h.update(str(first).encode())
     assert h.hexdigest() == EVAL_DIGEST
+
+
+# (base_vars, adjoined, d, e, P, Q): coefficient contexts of three and four
+# variables, with base variables in P, in Q and in P(0,Z)
+WIDE_CELLS = [
+    (["a", "b"], ("W1",), 1, 2, "Z^2 - 1 + a*X", "Y^2 + b*X*Y + Z"),
+    (["a"], ("U",), 2, 1, "2*Z^3 + a*X*Z - 1/2", "Y^2 + a*X + Z + 1/3"),
+    (["a", "b"], ("U",), 1, 2, "Z^2 - a + b*X", "Y^3 + a*X*Y + Z - 1/2*b"),
+    (["a"], ("W1", "U"), 2, 2, "Z^2 + 1/2 + a*X*Z", "-2*Y^2 + X*Y*Z + a*Z"),
+]
+WIDE_DIGEST = "87b2d00af954c3aca3d8053ef42a03633410f1fbb0cb944a1ad331a08b7f2f5c"
+
+
+def wide_cases():
+    """Seeded (algebra, images, polynomial, at generator images) over
+    WIDE_CELLS: three polynomials at the generator images, and three at
+    images that also send Z to z - x*a and every adjoined w to w + x*z*w, so
+    that more than one image is not a monomial."""
+    rng = random.Random(2236)
+    for base, adjoined, d, e, p, q in WIDE_CELLS:
+        actx = AlgebraContext(DDPresentation.make(base, d, e, p, q), adjoined)
+        cctx = actx.coeff_ctx
+        images = dict(actx.generator_images())
+        moved = dict(images, Z=LaurentForm(cctx, {0: cctx.var("Z"), 1: -cctx.var("a")}))
+        for w in adjoined:
+            moved[w] = LaurentForm(cctx, {0: cctx.var(w), 1: cctx.var("Z") * cctx.var(w)})
+        for image_set in (images, moved):
+            for _ in range(3):
+                poly = actx.gen_ctx.zero()
+                while poly.is_zero():
+                    poly = random_polynomial(rng, actx.gen_ctx, max_terms=4, max_exp=2)
+                yield actx, image_set, poly, image_set is images
+
+
+def test_golden_wide_context_evaluations_and_divisions_are_byte_identical():
+    # the image of each polynomial, and the x-adic division of the images at
+    # the generator images with and without x^-1*Z added, which is refused
+    h = hashlib.sha256()
+    refused = []
+    for actx, images, poly, at_generators in wide_cases():
+        form = eval_poly_at_laurent(poly, images, actx.coeff_ctx)
+        fresh = {k: LaurentForm(v.ctx, v.coeffs) for k, v in images.items()}
+        assert eval_poly_at_laurent(poly, fresh, actx.coeff_ctx) == form
+        h.update(str(form).encode())
+        if at_generators:
+            z = LaurentForm(actx.coeff_ctx, {-1: actx.coeff_ctx.var("Z")})
+            for f in (form, form + z):
+                witness, refusal = _x_adic_witness(f, actx, _Budget(DEFAULT_BUDGET))
+                if refusal is None:
+                    assert actx.to_laurent(witness) == f
+                refused.append(refusal is not None)
+                h.update(str([str(witness), refusal and (refusal[0], str(refusal[1]), refusal[2])]).encode())
+    assert refused == [False, True] * 12
+    assert h.hexdigest() == WIDE_DIGEST
 
 
 # the command line: every subcommand in text and --json form on passing and

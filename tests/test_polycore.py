@@ -3,19 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import (
     MAX_DEGREE,
+    MAX_PACKED_EXPONENT,
     MAX_TERM_PRODUCTS,
+    PACKED_BITS,
     Context,
     ContextMismatch,
+    ExponentLimit,
     ParseError,
     Polynomial,
+    _form_product,
+    _pack,
+    _packed_product,
+    _scaled_int_form,
+    _unpack,
     parse_poly,
 )
 
-from conftest import random_polynomial
+from conftest import random_polynomial, unpacked
 
 CTX = Context(("X", "Y", "Z", "T", "W", "U"))
 
@@ -282,3 +292,116 @@ class TestLaurentForms:
         assert a.shift(-3).min_exp() == -2
         assert a.scale(Fraction(1, 2)).coeffs[1] == parse_poly("Z", cctx)
         assert a.scale(0).is_zero()
+
+
+def _packed(form: LaurentForm) -> tuple[dict, int]:
+    """A LaurentForm as an integral form under packed keys and its denominator."""
+    scaled, den = _scaled_int_form(form._form())
+    return _pack(scaled, len(form.ctx.names))[0], den
+
+
+@st.composite
+def _forms(draw, ctx: Context):
+    """A form of up to four levels and three terms a level, exponents up to
+    3, and coefficients +-1..3 over 1, 2 or 3, so that sums cancel."""
+    coeffs = {}
+    for n in draw(st.lists(st.integers(-2, 2), max_size=4, unique=True)):
+        exps = st.tuples(*[st.integers(0, 3)] * len(ctx.names))
+        coeffs[n] = Polynomial(ctx, {
+            e: Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.sampled_from([1, 2, 3])))
+            for e in draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+        })
+    return LaurentForm(ctx, coeffs)
+
+
+WIDE_CTXS = [Context(("Z", "W1", "a", "b")[:k]) for k in range(1, 5)]
+
+
+@st.composite
+def _form_pairs(draw):
+    ctx = draw(st.sampled_from(WIDE_CTXS))
+    return ctx, draw(_forms(ctx)), draw(_forms(ctx))
+
+
+@st.composite
+def _evaluations(draw):
+    """(p, images, target): p over A, B and the target's variables, A and B
+    sent to forms over the target and the target's variables to themselves."""
+    target = draw(st.sampled_from(WIDE_CTXS))
+    images = {"A": draw(_forms(target)), "B": draw(_forms(target))}
+    pctx = Context(("A", "B") + target.names)
+    exps = st.tuples(*[st.integers(0, 3)] * len(pctx.names))
+    p = Polynomial(pctx, {
+        e: Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.sampled_from([1, 2])))
+        for e in draw(st.lists(exps, max_size=4, unique=True))
+    })
+    return p, images, target
+
+
+class TestPackedKeys:
+    """The Laurent layer's packed kernel against the tuple kernel."""
+
+    def test_pack_round_trip_and_field_layout(self):
+        for exps in [(), (0,), (MAX_PACKED_EXPONENT,), (1, 0, 2), (3, MAX_PACKED_EXPONENT, 0, 5)]:
+            packed, top = _pack({-1: {exps: 7}, 2: {}}, len(exps))
+            assert packed == {-1: {sum(k << (PACKED_BITS * i) for i, k in enumerate(reversed(exps))): 7}, 2: {}}
+            assert top == max(exps, default=0)
+            assert _unpack(packed, len(exps)) == {-1: {exps: 7}}
+        # fields that sum to the limit do not carry into the next field
+        half = MAX_PACKED_EXPONENT // 2
+        packed, _ = _pack({0: {(half, 1): 1}, 1: {(half + 1, 2): 1}}, 2)
+        ((a,), (b,)) = packed.values()
+        assert _unpack({0: {a + b: 6}}, 2, 4) == {0: {(MAX_PACKED_EXPONENT, 3): Fraction(3, 2)}}
+        with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
+            _pack({0: {(1, 2): 1}, 1: {(0, MAX_PACKED_EXPONENT + 1): 1}}, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_form_pairs())
+    def test_packed_product_equals_the_tuple_product(self, case):
+        ctx, a, b = case
+        (pa, da), (pb, db) = _packed(a), _packed(b)
+        assert unpacked(ctx, _packed_product(pa, pb), da * db) == LaurentForm._from_form(
+            ctx, _form_product(a._form(), b._form())) == a * b
+        # (a + b)*(a - b) = a*a - b*b: the cross terms cancel exactly in the kernel
+        (pp, dp), (pm, dm) = _packed(a + b), _packed(a - b)
+        assert unpacked(ctx, _packed_product(pp, pm), dp * dm) == a * a - b * b
+
+    @settings(max_examples=100, deadline=None)
+    @given(_evaluations())
+    def test_evaluation_equals_products_of_laurent_forms(self, case):
+        p, images, target = case
+        expected = LaurentForm.zero(target)
+        for exps, c in p.terms.items():
+            term = LaurentForm.from_poly(target.const(c))
+            for name, k in zip(p.ctx.names, exps):
+                image = images[name] if name in images else LaurentForm.from_poly(target.var(name))
+                for _ in range(k):
+                    term = term * image
+            expected = expected + term
+        assert eval_poly_at_laurent(p, images, target) == expected
+        # again at the same images, whose power lists are now grown
+        assert eval_poly_at_laurent(p, images, target) == expected
+
+    def test_evaluation_refuses_exponents_over_the_limit_before_any_product(self):
+        # the largest exponent in y's image is 2, so Y^k can reach exponent 2*k
+        cctx = Context(("Z", "W1"))
+        y = LaurentForm(cctx, {-1: parse_poly("Z^2 - 1", cctx), 0: parse_poly("W1", cctx)})
+        images = {"X": LaurentForm.x_power(cctx, 1), "Y": y}
+        pctx = Context(("X", "Y", "Z"))
+        at_limit = eval_poly_at_laurent(pctx.monomial({"X": 3, "Y": 2, "Z": MAX_PACKED_EXPONENT - 4}), images, cctx)
+        assert at_limit.coeffs[1].terms[(MAX_PACKED_EXPONENT, 0)] == 1
+        assert at_limit.coeffs[3].terms[(MAX_PACKED_EXPONENT - 4, 2)] == 1
+        grown = len(y._powers[1])
+        for too_large in ({"Y": 2 ** 31}, {"Y": 2, "Z": MAX_PACKED_EXPONENT - 3}):
+            with pytest.raises(ExponentLimit, match=f"exceeds the packed-exponent limit of {MAX_PACKED_EXPONENT}"):
+                eval_poly_at_laurent(pctx.monomial(too_large), images, cctx)
+        assert len(y._powers[1]) == grown
+
+    def test_image_entry_refuses_an_exponent_over_the_limit(self):
+        cctx = Context(("Z", "W1"))
+        image = LaurentForm(cctx, {-1: cctx.monomial({"W1": MAX_PACKED_EXPONENT + 1}) + cctx.one()})
+        with pytest.raises(ExponentLimit):
+            eval_poly_at_laurent(parse_poly("Y", Context(("Y",))), {"Y": image}, cctx)
+        with pytest.raises(ValueError):  # an ExponentLimit is a ValueError
+            parse_poly("Y", Context(("Y", "Z"))).substitute(
+                {"Y": Context(("Z",)).monomial({"Z": MAX_PACKED_EXPONENT + 1})})
