@@ -215,13 +215,15 @@ class AlgebraContext:
         It is the normal form modulo a basis of the defining ideal alone,
         made once and kept.  T dominates, then Y: normal forms then carry the
         minimal possible T-degree and Y-degree, which keeps the Laurent depth
-        of witnesses and the cost of substituting into them small.
+        of witnesses and the cost of substituting into them small.  The
+        cofactors are not read, so the division is `GroebnerBasis.remainder`,
+        least lead degree first, whose order changes the steps charged and
+        not the result.
         """
         if "rel" not in self._nf_cache:
             order = MonomialOrder.block_sequence(self.gen_ctx, [["T"], ["Y"]])
             self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
-        rem, _ = self._nf_cache["rel"].normal_form(expr, budget)
-        return rem
+        return self._nf_cache["rel"].remainder(expr, budget)
 
 
 class BElement:
@@ -422,7 +424,7 @@ def _x_is_nonzerodivisor(rels: list[Polynomial], budget: int) -> bool:
     inverse = ctx.var(ctx.names[0]) * ctx.var("X") - ctx.one()
     saturation = elimination_ideal(rels + [inverse], ctx.names[1:], budget)
     basis = buchberger(rels, budget=budget)
-    return all(basis.normal_form(g, budget)[0].is_zero() for g in saturation)
+    return all(basis.remainder(g, budget).is_zero() for g in saturation)
 
 
 def divide_by_x_power(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add as _add_op, itemgetter, le as _le_op, sub as _sub_op
 from typing import Iterable, Sequence
@@ -179,10 +179,16 @@ class _Divisors(list):
 
 
 def _normal_form(
-    f: Polynomial, basis: _Divisors, budget: _Budget
-) -> tuple[Polynomial, list[Polynomial]]:
-    """Multivariate division by a monic basis, deterministic (first divisor in
-    basis order).
+    f: Polynomial, basis: _Divisors, budget: _Budget, cofactors: bool = True
+) -> tuple[Polynomial, list[Polynomial] | None]:
+    """Multivariate division by a monic basis: each term is reduced by the
+    first divisor in `basis` order whose lead divides it.
+
+    Returns the remainder and the cofactors on the divisors, or None in
+    their place when `cofactors` is false; then no cofactor is filled,
+    rescaled or unscaled.  The cofactors depend on the divisor order, and
+    so do the steps; the remainder does too, unless the divisors are a
+    Groebner basis (see `GroebnerBasis.remainder`).
 
     Works on an in-place term dict with a lazy min-heap of (neg_key, exps)
     tuples; every reduction step consumes budget.  The key is linear in the
@@ -205,7 +211,7 @@ def _normal_form(
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     get = work.get
-    cofs: list[dict] = [{} for _ in lms]
+    cofs: list[dict] = [{} for _ in lms] if cofactors else []
     rem: dict = {}
     while heap:
         k, e = heappop(heap)
@@ -240,20 +246,30 @@ def _normal_form(
                             work[ee] = s
                         else:
                             del work[ee]
-                # popped monomials strictly decrease, so each q_exp comes once
-                cofs[i][q_exp] = c
+                if cofactors:
+                    # popped monomials strictly decrease, so each q_exp comes once
+                    cofs[i][q_exp] = c
                 break
         else:
             rem[e] = c
     if den != 1:
         rem = _unscale_terms(rem, den)
         cofs = [_unscale_terms(cof, den) for cof in cofs]
-    return Polynomial._raw(ctx, rem), [Polynomial._raw(ctx, cof) for cof in cofs]
+    return Polynomial._raw(ctx, rem), [Polynomial._raw(ctx, cof) for cof in cofs] if cofactors else None
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, with each element expressed in the input generators."""
+    """A reduced Groebner basis, with each element expressed in the input generators.
+
+    The elements are sorted largest lead first, and divisions that return
+    cofactors (`normal_form`, `reduce_to_gens`) try them in that order, so
+    their cofactors are fixed by it.  `remainder` reads no cofactors, and the
+    remainder of a division by a Groebner basis is the same whichever
+    divisor is tried first (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, 2.6), so it divides least lead total degree first, which
+    takes fewer steps.
+    """
 
     ctx: Context
     order: MonomialOrder
@@ -273,6 +289,21 @@ class GroebnerBasis:
         if f.ctx != self.ctx:
             raise ContextMismatch("polynomial context differs from basis context")
         return _normal_form(f, self._divisors, _Budget(budget))
+
+    def remainder(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
+        """Remainder of f modulo the basis, without cofactors."""
+        if f.ctx != self.ctx:
+            raise ContextMismatch("polynomial context differs from basis context")
+        return _normal_form(f, self._least_lead_first, _Budget(budget), cofactors=False)[0]
+
+    @cached_property
+    def _least_lead_first(self) -> _Divisors:
+        """The divisors by least lead total degree, ties in basis order; made
+        on the first `remainder`, since most bases never divide without
+        cofactors."""
+        lms = self._divisors.lms
+        by_degree = sorted(range(len(lms)), key=lambda i: sum(lms[i]))
+        return _Divisors(self.order, [self.polys[i] for i in by_degree])
 
     def reduce_to_gens(self, f: Polynomial, j: int, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, Polynomial]:
         """Remainder of f plus its cofactor on the input generator gens[j]."""
@@ -405,7 +436,7 @@ def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):
             s = qi * div[i] - qj * div[j]
             if s.is_zero():
                 continue
-            rem, _ = _normal_form(s, div, budget_box)
+            rem, _ = _normal_form(s, div, budget_box, cofactors=False)
             if not rem.is_zero():
                 raise AssertionError("S-polynomial of returned basis does not reduce to zero")
     for p, row in zip(gb.polys, gb.cofactors):

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ddlab import elements
+from ddlab.cancellation import cancellation_certificate
 from ddlab.elements import (
     AlgebraContext,
     AlgebraError,
@@ -408,6 +409,23 @@ class TestDivisionAgainstGroebner:
         assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == (witness, None)
         assert form.to_json() == before
         assert snapshot() == cached
+
+
+class TestReduceWitness:
+    def test_image_of_t_on_the_reference_cell_within_4000_steps(self):
+        # the largest witness a certificate reduces: the image of t over the
+        # smaller ring of (2,2,4,3); least lead degree first takes 3,907
+        # steps, the basis order 9,609, to the same normal form
+        cert = cancellation_certificate(DDPresentation.make([], 2, 2, "Z^4 + 1", "Y^3 + Z"))
+        psi_t = cert.old_generators.images["T"]
+        small = psi_t.actx
+        witness, refusal = _x_adic_witness(psi_t.laurent, small, _Budget(DEFAULT_BUDGET))
+        assert refusal is None and len(witness.terms) == 1220
+        basis = small._nf_cache["rel"]
+        reduced = basis.remainder(witness, 4_000)
+        assert reduced == basis.normal_form(witness, 9_609)[0] == psi_t.gen
+        with pytest.raises(BudgetExceeded):
+            basis.normal_form(witness, 9_608)
 
 
 class TestCompleteness:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from ddlab.groebner import (
@@ -254,6 +254,35 @@ class TestNormalFormKernel:
             with pytest.raises(BudgetExceeded):
                 _normal_form(f, divisors, _Budget(steps - 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_division_case())
+    def test_remainder_without_cofactors(self, case):
+        # bases from buchberger on the drawn generators; the "mixed" kind
+        # leaves denominators in the basis, so the rescale branch runs with
+        # no cofactor dicts to rescale.  About 1% of the draws, mostly under
+        # lex, need more than 5,000 steps and are rejected.
+        order, gens, f = case
+        try:
+            gb = buchberger(gens, order, budget=5_000)
+        except BudgetExceeded:
+            reject()
+        rem = gb.remainder(f)
+        assert rem == gb.normal_form(f)[0]
+        divisors = gb._least_lead_first
+        if any(d != 1 for d in divisors.dens):
+            event("denominators in the basis")
+        assert [sum(lm) for lm in divisors.lms] == sorted(sum(lm) for lm in gb._divisors.lms)
+        ref_rem, _, steps = _reference_division(f, list(divisors), order)
+        budget = _Budget(10_000)
+        assert _normal_form(f, divisors, budget, cofactors=False) == (ref_rem, None)
+        assert budget.used == steps
+        assert ref_rem == rem
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                _normal_form(f, divisors, _Budget(steps - 1), cofactors=False)
+            with pytest.raises(BudgetExceeded):
+                gb.remainder(f, steps - 1)
+
     def test_rescale_when_the_denominator_does_not_divide(self):
         # 1/3*Z^3 + 1 runs as Z^3 + 3 over 3; the tail -1/2 of Z^2 - 1/2 is
         # stored negated and times its denominator 2, as 1, and 2 does not
@@ -266,6 +295,24 @@ class TestNormalFormKernel:
         assert rem == parse_poly("1/6*Z + 1", ZCTX)
         assert cofs == [parse_poly("1/3*Z", ZCTX)]
         assert budget.used == 1
+        budget = _Budget(10)
+        assert _normal_form(parse_poly("1/3*Z^3 + 1", ZCTX), divisors, budget, cofactors=False) == (rem, None)
+        assert budget.used == 1
+
+    def test_remainder_divides_least_lead_degree_first(self):
+        # the grevlex basis is sorted largest lead first, Z^3 before Y^2 and
+        # Y*Z; remainder tries Y^2 - Z^2 and Y*Z - 1 first, which reduces
+        # Y^5*Z^3 in 5 steps where the basis order takes 7
+        gb = buchberger([parse_poly("Y*Z - 1", YZCTX), parse_poly("Z^3 - Y", YZCTX)])
+        assert [str(p) for p in gb.polys] == ["Z^3 - Y", "Y^2 - Z^2", "Y*Z - 1"]
+        assert gb._least_lead_first.lms == [(2, 0), (1, 1), (0, 3)]
+        f = parse_poly("Y^5*Z^3", YZCTX)
+        rem = gb.remainder(f, 5)
+        assert rem == gb.normal_form(f, 7)[0]
+        with pytest.raises(BudgetExceeded):
+            gb.remainder(f, 4)
+        with pytest.raises(BudgetExceeded):
+            gb.normal_form(f, 6)
 
 
 class TestOrders:
