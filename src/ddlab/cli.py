@@ -73,6 +73,16 @@ def _expect(ok: bool, what: str, want: str, value) -> None:
         raise InputError(f"{what} must be {want}, got {type(value).__name__}")
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is a ValueError."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ValueError(f"key {k!r} is repeated")
+        out[k] = v
+    return out
+
+
 def _read_json(path: str, parse_float=float):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -191,11 +201,16 @@ def _run_member(p, path: str, args):
     if args.element is None:
         raise InputError("member requires --element with a JSON map exponent -> polynomial")
     try:
-        raw = json.loads(args.element)
+        raw = json.loads(args.element, object_pairs_hook=_distinct_keys)
         _expect(isinstance(raw, dict), "--element", "a JSON object", raw)
         for v in raw.values():
             _expect(isinstance(v, str), "each --element coefficient", "a string", v)
-        coeffs = {int(k): parse_poly(v, actx.coeff_ctx) for k, v in raw.items()}
+        keys, coeffs = {}, {}
+        for k, v in raw.items():
+            n = int(k)
+            if n in keys:
+                raise ValueError(f"keys {keys[n]!r} and {k!r} name the same exponent {n}")
+            keys[n], coeffs[n] = k, parse_poly(v, actx.coeff_ctx)
     except (json.JSONDecodeError, ValueError, ParseError) as exc:
         raise InputError(f"bad --element: {exc}") from exc
     form = LaurentForm(actx.coeff_ctx, coeffs)

@@ -346,13 +346,13 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     which d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  A c of z-degree below r*J
     is refused before the divisor is built, and y^j and t^l, dear at a large
     shift, are read from the image power lists only once q is exact.  The
-    work is one integer-scaled copy of f under packed keys (see
-    `poly._pack`) over a running denominator, changed in place; a level is
-    unpacked when it is read, and the rest of the work at the end.  Neither
-    f nor the cached powers are mutated.  An exponent of f over
-    MAX_PACKED_EXPONENT raises ExponentLimit, and so does a step whose
-    product could have one, before the powers are read.  The parts of
-    different levels differ in (i, j, l), and the rest has no Y or T.
+    work is a copy of f's numerators (see `LaurentForm`) over a running
+    denominator, changed in place; a level is unpacked when it is read, and
+    the rest of the work at the end.  Neither f nor the cached powers are
+    mutated.  A step whose product could have an exponent over
+    MAX_PACKED_EXPONENT raises ExponentLimit before the powers are read.
+    The parts of different levels differ in (i, j, l), and the rest has no
+    Y or T.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
@@ -360,8 +360,7 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     width = len(cctx.names)
     images = actx.generator_images()
     y_top, t_top = image_entry(images["Y"])[3], image_entry(images["T"])[3]
-    scaled, den = _scaled_int_form(f._form())
-    work, _ = _pack(scaled, width)
+    work, den = {n: dict(t) for n, t in f.num.items()}, f.den
     witness: dict = {}
     for m in range(-f.min_exp(), 0, -1):
         terms = work.get(-m)

@@ -1,58 +1,97 @@
 """Laurent polynomials in one inverted variable with polynomial coefficients.
 
-A LaurentForm is a finitely supported map from integer x-exponents to nonzero
-Polynomials in the remaining variables.  It models elements of
-Q[u..][z, w..][x, x^-1]; equality of forms is equality in that ring, which is
-what makes quotient-algebra equality decidable downstream.
+A LaurentForm models an element of Q[u..][z, w..][x, x^-1].  It is stored in
+one canonical state, an integral form under packed keys over one
+denominator (see `poly._pack`), so equality of forms is equality in that
+ring, which is what makes quotient-algebra equality decidable downstream.
+Evaluation, arithmetic and the x-adic division of `elements` work on that
+state directly; the coefficient Polynomials are a view for printing.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 from typing import Mapping
 
-from .poly import Context, ContextMismatch, Polynomial, eval_at_forms, norm_coeff
-from .poly import _form_product, _image_entry
+from .poly import (
+    MAX_PACKED_EXPONENT,
+    PACKED_BITS,
+    Context,
+    ContextMismatch,
+    Polynomial,
+    _check_packed_exponent,
+    _image_entry,
+    _lowest_terms,
+    _pack,
+    _packed_mul_into,
+    _packed_product,
+    _scaled_int_form,
+    _top,
+    _unpack,
+    eval_at_forms,
+)
+
+
+def _times(form: dict, m: int) -> dict:
+    """A copy of an integral form with every value multiplied by m."""
+    return {n: {e: c * m for e, c in t.items()} for n, t in form.items()}
 
 
 class LaurentForm:
-    """Finitely supported map x-exponent -> coefficient polynomial.
+    """A finitely supported map x-exponent -> coefficient polynomial, stored
+    as `num` over `den`.
+
+    `num` maps each x-exponent to the coefficient's integral numerator
+    under packed keys, {packed exponent: int}, with no empty level; `den` is
+    the least positive denominator, so gcd(den, every numerator value) = 1,
+    and the zero form has den 1.  That state is unique for a value, so
+    equality and hashing read it as it is.  The term dicts in `num` are
+    never mutated once the form is built: results share them, and so does
+    the power list of an image entry.
+
+    `coeffs`, the coefficients as Polynomials, is built on first read and
+    kept.  Printing and JSON read it, and so do `substitute`, which
+    evaluates the terms of every level, and a `transfer` that repacks;
+    evaluation, arithmetic and equality do not.
 
     `_powers` is None until the form is first used as a variable image
     (`image_entry`).  It then holds the form's image entry: its monomial
     data if it is a monomial, its denominator, its largest exponent, and the
-    growing list of its integral powers under packed keys (see `poly._pack`),
-    which later evaluations and x-adic divisions at the same image object
-    reuse.  The forms in it are never mutated, and the entry dies with the
-    image object.
+    growing list of its integral powers, `num` first, which later
+    evaluations and x-adic divisions at the same image object reuse.  The
+    entry dies with the image object.
     """
 
-    __slots__ = ("ctx", "coeffs", "_powers")
+    __slots__ = ("ctx", "num", "den", "_coeffs", "_powers")
 
     def __init__(self, ctx: Context, coeffs: Mapping[int, Polynomial]):
+        """Raises ExponentLimit for an exponent over MAX_PACKED_EXPONENT."""
         clean = {}
         for n, p in coeffs.items():
             if p.ctx != ctx:
                 raise ContextMismatch("coefficient context differs from Laurent context")
             if not p.is_zero():
                 clean[int(n)] = p
+        # the common denominator of reduced fractions is the least one
+        scaled, den = _scaled_int_form({n: p.terms for n, p in clean.items()})
+        num, _ = _pack(scaled, len(ctx.names))
+        self._init(ctx, num, den, MappingProxyType(clean))
+
+    def _init(self, ctx: Context, num: dict, den: int, view):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", view)
         object.__setattr__(self, "_powers", None)
 
     @classmethod
-    def _raw(cls, ctx: Context, coeffs: dict) -> "LaurentForm":
+    def _raw(cls, ctx: Context, num: dict, den: int) -> "LaurentForm":
+        """Trusted constructor: (num, den) must be canonical."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_powers", None)
+        self._init(ctx, num, den, None)
         return self
-
-    @classmethod
-    def _from_form(cls, ctx: Context, form: dict) -> "LaurentForm":
-        return cls._raw(ctx, {n: Polynomial._raw(ctx, t) for n, t in form.items()})
-
-    def _form(self) -> dict:
-        return {n: p.terms for n, p in self.coeffs.items()}
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentForm is immutable")
@@ -61,36 +100,50 @@ class LaurentForm:
 
     @classmethod
     def zero(cls, ctx: Context) -> "LaurentForm":
-        return cls._raw(ctx, {})
+        return cls._raw(ctx, {}, 1)
 
     @classmethod
     def from_poly(cls, p: Polynomial, exponent: int = 0) -> "LaurentForm":
-        if p.is_zero():
-            return cls._raw(p.ctx, {})
-        return cls._raw(p.ctx, {exponent: p})
+        return cls(p.ctx, {exponent: p})
 
     @classmethod
     def x_power(cls, ctx: Context, exponent: int) -> "LaurentForm":
-        return cls._raw(ctx, {exponent: ctx.one()})
+        return cls._raw(ctx, {exponent: {0: 1}}, 1)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping[int, Polynomial]:
+        """x-exponent -> nonzero coefficient Polynomial, read-only."""
+        if self._coeffs is None:
+            ctx = self.ctx
+            view = {n: Polynomial._raw(ctx, t) for n, t in _unpack(self.num, len(ctx.names), self.den).items()}
+            object.__setattr__(self, "_coeffs", MappingProxyType(view))
+        return self._coeffs
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def min_exp(self) -> int:
         """Smallest x-exponent with nonzero coefficient; 0 for the zero form."""
-        return min(self.coeffs, default=0)
+        return min(self.num, default=0)
+
+    def deg_in(self, name: str) -> int:
+        """Degree in one coefficient variable; -1 for the zero form."""
+        ctx = self.ctx
+        shift = PACKED_BITS * (len(ctx.names) - 1 - ctx.index(name))
+        return max(((e >> shift) & MAX_PACKED_EXPONENT for t in self.num.values() for e in t), default=-1)
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentForm)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.coeffs.items())))
+        return hash((self.ctx, self.den, frozenset((n, frozenset(t.items())) for n, t in self.num.items())))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -100,66 +153,82 @@ class LaurentForm:
 
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         self._check(other)
-        out = dict(self.coeffs)
-        for n, p in other.coeffs.items():
-            cur = out.get(n)
-            if cur is None:
-                out[n] = p
-            else:
-                s = cur + p
-                if s.is_zero():
-                    del out[n]
-                else:
-                    out[n] = s
-        return LaurentForm._raw(self.ctx, out)
+        da, db = self.den, other.den
+        den = da * db // gcd(da, db)
+        out: dict = {}  # self*(den/da) + other*(den/db), each a product by a constant form
+        _packed_mul_into(out, self.num, {0: {0: den // da}})
+        _packed_mul_into(out, other.num, {0: {0: den // db}})
+        return LaurentForm._raw(self.ctx, *_lowest_terms({n: t for n, t in out.items() if t}, den))
 
     def __neg__(self) -> "LaurentForm":
-        return LaurentForm._raw(self.ctx, {n: -p for n, p in self.coeffs.items()})
+        return LaurentForm._raw(self.ctx, _times(self.num, -1), self.den)
 
     def __sub__(self, other: "LaurentForm") -> "LaurentForm":
         return self + (-other)
 
     def __mul__(self, other: "LaurentForm") -> "LaurentForm":
+        """Raises ExponentLimit, before the product is formed, when it could
+        hold an exponent over MAX_PACKED_EXPONENT."""
         self._check(other)
-        return LaurentForm._from_form(self.ctx, _form_product(self._form(), other._form()))
+        width = len(self.ctx.names)
+        _check_packed_exponent(_top(self.num, width) + _top(other.num, width))
+        product = _packed_product(self.num, other.num)
+        return LaurentForm._raw(self.ctx, *_lowest_terms(product, self.den * other.den))
 
     def scale(self, q) -> "LaurentForm":
-        q = norm_coeff(q)
+        q = Fraction(q)
         if q == 0:
-            return LaurentForm._raw(self.ctx, {})
-        return LaurentForm._raw(self.ctx, {n: p.scale(q) for n, p in self.coeffs.items()})
+            return LaurentForm.zero(self.ctx)
+        num = self.num if q.numerator == 1 else _times(self.num, q.numerator)
+        return LaurentForm._raw(self.ctx, *_lowest_terms(num, self.den * q.denominator))
 
     def shift(self, k: int) -> "LaurentForm":
         """Multiply by x^k."""
-        return LaurentForm._raw(self.ctx, {n + k: p for n, p in self.coeffs.items()})
+        return LaurentForm._raw(self.ctx, {n + k: t for n, t in self.num.items()}, self.den)
 
     # -- conversions --------------------------------------------------------
 
     def transfer(self, new_ctx: Context) -> "LaurentForm":
+        """The form over new_ctx, which must hold every variable it uses.
+        Names appended to the context add low fields to every key, which
+        moves it up by PACKED_BITS per name; other contexts repack."""
         if new_ctx == self.ctx:
             return self
-        return LaurentForm._raw(new_ctx, {n: p.transfer(new_ctx) for n, p in self.coeffs.items()})
+        old = self.ctx.names
+        if new_ctx.names[:len(old)] == old:
+            bits = PACKED_BITS * (len(new_ctx.names) - len(old))
+            num = {n: {e << bits: c for e, c in t.items()} for n, t in self.num.items()}
+            return LaurentForm._raw(new_ctx, num, self.den)
+        return LaurentForm(new_ctx, {n: p.transfer(new_ctx) for n, p in self.coeffs.items()})
 
     def substitute(self, images: Mapping[str, "LaurentForm"], target: Context) -> "LaurentForm":
-        """Evaluate coefficient variables at Laurent images (x stays x)."""
-        out = LaurentForm.zero(target)
-        for n, p in self.coeffs.items():
-            out = out + eval_poly_at_laurent(p, images, target).shift(n)
-        return out
+        """Evaluate coefficient variables at Laurent images (x stays x), all
+        levels at once."""
+        form = {n: p.terms for n, p in self.coeffs.items()}
+        return _evaluate(form, self.ctx.names, images, target)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
-        parts = []
-        for n in sorted(self.coeffs):
-            parts.append(f"{n}: {self.coeffs[n]}")
-        return "{" + ", ".join(parts) + "}"
+        coeffs = self.coeffs
+        return "{" + ", ".join(f"{n}: {coeffs[n]}" for n in sorted(coeffs)) + "}"
 
     def __repr__(self):
         return f"<laurent {self}>"
 
     def to_json(self) -> dict:
         return {str(n): str(p) for n, p in sorted(self.coeffs.items())}
+
+
+def _evaluate(form: dict, names: tuple, images: Mapping[str, LaurentForm], target: Context) -> LaurentForm:
+    """`eval_at_forms` at Laurent images, each checked against the target."""
+
+    def entry_of(image: LaurentForm) -> tuple:
+        if image.ctx != target:
+            raise ContextMismatch("image context differs from target")
+        return image_entry(image)
+
+    return LaurentForm._raw(target, *eval_at_forms(form, names, images, target, entry_of))
 
 
 def eval_poly_at_laurent(
@@ -171,17 +240,12 @@ def eval_poly_at_laurent(
     context and map to themselves (at x-exponent 0).  Each image's entry is
     read with `image_entry`, after its context is checked against the target.
     """
-
-    def entry_of(image: LaurentForm) -> tuple:
-        if image.ctx != target:
-            raise ContextMismatch("image context differs from target")
-        return image_entry(image)
-
-    return LaurentForm._from_form(target, eval_at_forms(p, images, target, entry_of))
+    return _evaluate({0: p.terms}, p.ctx.names, images, target)
 
 
 def image_entry(image: LaurentForm) -> tuple:
-    """The image entry of a form (see `_image_entry`), kept on the form."""
+    """The image entry of a form (see `poly._image_entry`), kept on the form."""
     if image._powers is None:
-        object.__setattr__(image, "_powers", _image_entry(image._form(), len(image.ctx.names)))
+        top = _top(image.num, len(image.ctx.names))
+        object.__setattr__(image, "_powers", _image_entry(image.num, image.den, top))
     return image._powers

@@ -134,11 +134,10 @@ def _form_product(a: dict, b: dict) -> dict:
     return _unscale(out, da * db)
 
 
-# The Laurent layer keeps the forms it reuses, the power lists of variable
-# images and the x-adic division's work, under packed keys: one int per
-# exponent vector, so that multiplying two monomials is one int addition
-# (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-# packed exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
+# The Laurent layer stores its forms under packed keys: one int per exponent
+# vector, so that multiplying two monomials is one int addition (Monagan and
+# Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+# exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
 
 PACKED_BITS = 32
 MAX_PACKED_EXPONENT = 2 ** PACKED_BITS - 1
@@ -173,12 +172,14 @@ def _pack(form: dict, width: int) -> tuple[dict, int]:
     exponent packed, and before each product, from bounds on its factors.
     Every key that eval_at_forms forms is the exponent of a product of at
     most k_v terms of the image of each variable v, k_v the largest exponent
-    of v in the polynomial evaluated, so its fields are at most the sum of
-    k_v times the largest exponent in v's image.  Every key that the x-adic
+    of v in the form evaluated, so its fields are at most the sum of k_v
+    times the largest exponent in v's image.  Every key that the x-adic
     division forms is the exponent of a product of a quotient term, j terms
     of y's image and l of t's, and its fields are at most the largest
     exponent of the quotient plus j and l times those of the two images.
-    Both bounds are checked before the products are formed.
+    The fields of a product of two Laurent forms are at most the sum of
+    their largest exponents.  These bounds are checked before the products
+    are formed.
     """
     top = max(chain.from_iterable(chain.from_iterable(form.values())), default=0)
     _check_packed_exponent(top)
@@ -193,6 +194,28 @@ def _unpack(form: dict, width: int, den: int = 1) -> dict:
     unpack, size = fields.unpack, fields.size
     out = {n: {unpack(e.to_bytes(size, "big")): c for e, c in t.items()} for n, t in form.items() if t}
     return out if den == 1 else {n: _unscale_terms(t, den) for n, t in out.items()}
+
+
+def _top(form: dict, width: int) -> int:
+    """The largest exponent in a form under packed keys of `width` fields."""
+    fields = _fields(width)
+    unpack, size = fields.unpack, fields.size
+    return max(chain.from_iterable(unpack(e.to_bytes(size, "big")) for t in form.values() for e in t), default=0)
+
+
+def _lowest_terms(form: dict, den: int) -> tuple[dict, int]:
+    """An integral form over den, with no empty term dict, divided through
+    by the gcd of den and all its values, so that den is the least
+    denominator; the zero form gets den 1.  The form is returned as it is
+    when that gcd is 1."""
+    g = den
+    if g != 1:
+        for t in form.values():
+            g = gcd(g, *t.values())
+            if g == 1:
+                return form, den
+        form = {n: {e: c // g for e, c in t.items()} for n, t in form.items()}
+    return form, den // g
 
 
 def _packed_mul_into(out: dict, a: dict, b: dict) -> None:
@@ -230,54 +253,54 @@ def _packed_product(a: dict, b: dict) -> dict:
     return {n: t for n, t in out.items() if t}
 
 
-def _image_entry(form: dict, width: int) -> tuple:
-    """What eval_at_forms reads of one variable image, given as a form over
-    a target of `width` variables.
+def _image_entry(form: dict, den: int, top: int) -> tuple:
+    """What eval_at_forms reads of one variable image, given as an integral
+    form under packed keys (see `_pack`), its denominator and its largest
+    exponent; the form is not copied, so it must not be mutated.
 
     The entry is the monomial data of a monomial image (one term, like
     X -> x or an unmapped variable), (x-exponent, packed exponent,
-    coefficient), or None; the list of the image's integral powers under
-    packed keys (see `_pack`), [1, image * denominator] at first, to which
-    eval_at_forms and the x-adic division append the higher powers they
-    need; the denominator; and the largest exponent in the image.
+    coefficient), or None; the list of the image's integral powers,
+    [1, form] at first, to which eval_at_forms and the x-adic division
+    append the higher powers they need; the denominator; and top.
     """
-    scaled, den = _scaled_int_form(form)
-    packed, top = _pack(scaled, width)
     mono = None
     if len(form) == 1:
         ((n, t),) = form.items()
         if len(t) == 1:
-            ((e,), (c,)) = packed[n], t.values()
-            mono = (n, e, c)
-    return mono, [{0: {0: 1}}, packed], den, top
+            ((e, c),) = t.items()
+            mono = (n, e, c if den == 1 else Fraction(c, den))
+    return mono, [{0: {0: 1}}, form], den, top
 
 
 def eval_at_forms(
-    p: "Polynomial", images: Mapping, target: "Context", entry_of: Callable[[object], tuple]
-) -> dict:
-    """Evaluate p at variable images; the result is a form over target.
+    form: dict, names: tuple, images: Mapping, target: "Context", entry_of: Callable[[object], tuple]
+) -> tuple[dict, int]:
+    """Evaluate a form over the variables `names` at variable images: a term
+    at x-exponent n is sent to x^n times the product of its variables'
+    images.  The result is an integral form over target under packed keys
+    and its denominator, in lowest terms (see `_lowest_terms`).
 
     `entry_of` turns an image into its `_image_entry`; it may hand out the
     same entry on every call, and the power list in it then keeps growing
     across calls.  Unmapped variables map to themselves at x-exponent 0 and
     must exist in target.  Monomial images are applied by exponent
-    arithmetic.  The terms of p are grouped by their exponents in the other,
-    general, variables; each group's cofactor is multiplied once by the
-    product of the general images' powers.  All products run on native ints
-    under packed keys (see `_pack`), over one common denominator; the keys
-    are unpacked and the denominator divided out at the end.  Exponents of
-    the result that could exceed MAX_PACKED_EXPONENT raise ExponentLimit
-    before any product is formed.
+    arithmetic.  The terms of the form are grouped by their exponents in the
+    other, general, variables; each group's cofactor is multiplied once by
+    the product of the general images' powers.  All products run on native
+    ints under packed keys (see `_pack`), over one common denominator.
+    Exponents of the result that could exceed MAX_PACKED_EXPONENT raise
+    ExponentLimit before any product is formed.
     """
-    terms = p.terms
-    names = p.ctx.names
     width = len(target.names)
     one = {0: {0: 1}}
     monos = []  # (position, x-exponent, packed exponent, coefficient)
     general = []  # (integral powers of the image, its denominator)
     gpos = []  # the positions of the general images
     bound = 0  # on every exponent of every product formed below
-    for i, column in enumerate(zip(*terms)):
+    # the exponents as a list: unpacking an iterator into zip's arguments left
+    # larger tuples in the interpreter's free lists and raised peak memory
+    for i, column in enumerate(zip(*[e for t in form.values() for e in t])):
         k = max(column)
         if not k:
             continue
@@ -296,32 +319,33 @@ def eval_at_forms(
     _check_packed_exponent(bound)
 
     groups: dict = {}
-    for exps, c in terms.items():
-        n = 0
-        z = 0
-        for i, xn, ez, ci in monos:
-            k = exps[i]
-            if k:
-                n += xn * k
-                z += ez * k
-                if ci != 1:
-                    c = c * ci ** k
-        key = tuple([exps[i] for i in gpos])
-        cof = groups.get(key)
-        if cof is None:
-            cof = groups[key] = {}
-        acc = cof.get(n)
-        if acc is None:
-            acc = cof[n] = {}
-        cur = acc.get(z)
-        if cur is None:
-            acc[z] = c
-        else:
-            s = cur + c
-            if s:
-                acc[z] = s
+    for level, terms in form.items():
+        for exps, c in terms.items():
+            n = level
+            z = 0
+            for i, xn, ez, ci in monos:
+                k = exps[i]
+                if k:
+                    n += xn * k
+                    z += ez * k
+                    if ci != 1:
+                        c = c * ci ** k
+            key = tuple([exps[i] for i in gpos])
+            cof = groups.get(key)
+            if cof is None:
+                cof = groups[key] = {}
+            acc = cof.get(n)
+            if acc is None:
+                acc = cof[n] = {}
+            cur = acc.get(z)
+            if cur is None:
+                acc[z] = c
             else:
-                del acc[z]
+                s = cur + c
+                if s:
+                    acc[z] = s
+                else:
+                    del acc[z]
 
     scaled = []
     den = 1
@@ -337,14 +361,15 @@ def eval_at_forms(
         scaled.append((cof, factor, dc * dg))
         den = lcm(den, dc * dg)
     if len(scaled) == 1 and scaled[0][1] is one:  # no general image: the cofactor is the result
-        return _unpack(scaled[0][0], width, den)
-    out: dict = {}
-    for cof, factor, d in scaled:
-        m = den // d
-        if m != 1:
-            cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
-        _packed_mul_into(out, cof, factor)
-    return _unpack(out, width, den)
+        out = scaled[0][0]
+    else:
+        out = {}
+        for cof, factor, d in scaled:
+            m = den // d
+            if m != 1:
+                cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
+            _packed_mul_into(out, cof, factor)
+    return _lowest_terms({n: t for n, t in out.items() if t}, den)
 
 
 class Context:
@@ -588,8 +613,14 @@ class Polynomial:
             if img.ctx != target:
                 raise ContextMismatch("substitution images in mixed contexts")
         width = len(target.names)
-        out = eval_at_forms(self, images, target, lambda image: _image_entry({0: image.terms}, width))
-        return Polynomial._raw(target, out.get(0, {}))
+
+        def entry_of(image: Polynomial) -> tuple:
+            scaled, den = _scaled_int_form({0: image.terms})
+            packed, top = _pack(scaled, width)
+            return _image_entry(packed, den, top)
+
+        num, den = eval_at_forms({0: self.terms}, self.ctx.names, images, target, entry_of)
+        return Polynomial._raw(target, _unpack(num, width, den).get(0, {}))
 
     def transfer(self, new_ctx: Context) -> "Polynomial":
         """Reinterpret in a different context containing all used variables."""

@@ -5,7 +5,7 @@ import pytest
 
 from ddlab import AlgebraContext, DDPresentation
 from ddlab.laurent import LaurentForm
-from ddlab.poly import Context, _unpack
+from ddlab.poly import Context, Polynomial, _unpack
 
 
 @pytest.fixture(scope="session")
@@ -75,4 +75,4 @@ def random_valid_presentation(rng: random.Random, d: int, e: int, max_r=4, max_s
 def unpacked(ctx: Context, form: dict, den: int) -> LaurentForm:
     """A form of the Laurent layer under packed keys, divided by den, as a
     LaurentForm over ctx."""
-    return LaurentForm._from_form(ctx, _unpack(form, len(ctx.names), den))
+    return LaurentForm(ctx, {n: Polynomial._raw(ctx, t) for n, t in _unpack(form, len(ctx.names), den).items()})

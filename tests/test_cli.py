@@ -445,8 +445,11 @@ class TestMalformedJsonArguments:
         [
             ("[1]", "--element must be a JSON object, got list"),
             ('{"1": 5}', "each --element coefficient must be a string, got int"),
+            # two keys for one exponent would drop one of the coefficients
+            ('{"-1": "Z^2 - 1", "-01": "Z"}', "keys '-1' and '-01' name the same exponent -1"),
+            ('{"-1": "Z^2 - 1", "-1": "Z"}', "key '-1' is repeated"),
         ],
-        ids=["list", "int-coefficient"],
+        ids=["list", "int-coefficient", "one-exponent-two-keys", "repeated-key"],
     )
     def test_member_element(self, dd1_file, capsys, element, message):
         assert main(["member", dd1_file, "--element", element]) == 2

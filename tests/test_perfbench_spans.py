@@ -1,11 +1,14 @@
-"""Every span the benchmark tracer times must still name a function of ddlab.
+"""Every span the benchmark tracer times must still name a function of ddlab,
+and tracing must still work.
 
 The tracer (perfbench/tracer.py) rebinds a fixed list of functions by module
 and attribute path; one that is renamed or deleted makes a traced benchmark
-run fail.  This reads the list and changes nothing under perfbench/.
+run fail, and so does a counter that reads an attribute which is gone.
+These tests load the tracer and change nothing under perfbench/.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,3 +33,25 @@ def test_every_span_resolves():
             continue
         assert callable(fn), span
     assert not missing, f"spans that name no ddlab function: {missing}"
+
+
+def test_a_traced_certificate_is_the_untraced_one_and_counts_its_layers():
+    # the counters read results through the public API (`LaurentForm.coeffs`,
+    # the witness polynomial), so a traced run must still fill them
+    from ddlab import DDPresentation, cancellation
+
+    tracer = _load_tracer().Tracer()
+    pres = DDPresentation.make([], 1, 2, "Z^2 + 1", "Y^2 + Z")
+    untraced = json.dumps(cancellation.cancellation_certificate(pres).to_json())
+    tracer.install()
+    try:
+        tracer.active = True
+        traced = json.dumps(cancellation.cancellation_certificate(pres).to_json())
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    snap = tracer.snapshot()
+    assert snap["calls"]["laurent.eval"] > 0 and snap["calls"]["elements.membership"] > 0
+    assert snap["counts"]["laurent.eval.out_terms"] > 0
+    assert snap["counts"]["elements.membership.witness_terms"] > 0
