@@ -14,7 +14,11 @@ at level -m the algebra S they generate holds exactly the multiples of
 P(0,z)^J(m), J(m) the least J with d*J + e*floor(J/s) >= m, as y^j*t^l,
 J = j + s*l, has its lowest term at level -(d*J + e*l).  The division clears
 the lowest level of a form by an exact division in z by such a coefficient,
-a level at a time, until what is left is a polynomial.
+a level at a time, until what is left is a polynomial.  It divides on the
+packed integral state of the Laurent layer: a long division in z by the
+integral P(0,z)^J, whose powers are kept per context, with b^l a rational
+factor of the quotient, so b and the Z-leading coefficient of P(0,Z) must
+be nonzero rationals.
 
 A coefficient that does not divide proves non-membership, since S is the
 initial algebra of B[w..] by the subalgebra-basis criterion (Robbiano and
@@ -35,30 +39,31 @@ the two premises, I0 : X = I0 and the division of x^e*t - b*y^s.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .groebner import (
     DEFAULT_BUDGET,
     MonomialOrder,
     _Budget,
-    _Divisors,
-    _normal_form,
     buchberger,
     elimination_ideal,
 )
 from .laurent import LaurentForm, eval_poly_at_laurent, image_entry
 from .poly import (
+    PACKED_BITS,
     Context,
     ContextMismatch,
     Polynomial,
     _check_packed_exponent,
+    _lowest_terms,
     _pack,
     _packed_mul_into,
     _packed_product,
     _scaled_int_form,
+    _top,
     _unpack,
-    coeff_div,
     parse_poly,
 )
 from .presentations import CheckItem, DDPresentation, GENERATOR_NAMES, Report
@@ -164,24 +169,49 @@ class AlgebraContext:
 
     # -- membership ---------------------------------------------------------------
 
-    def _x_adic_divisor(self, j: int, l: int, budget: _Budget) -> tuple[_Divisors, object]:
-        """The lowest coefficient b^l*P(0,z)^(j+s*l) of Y^j*T^l (b the Y^s
-        coefficient of Q, a rational) made monic as a divisor, and the factor
-        that turns a quotient by it into one by the lowest coefficient.
+    def _x_adic_b(self) -> Fraction:
+        """b, the Y^s coefficient of Q, as a rational, after checking that it
+        and the Z-leading coefficient of P(0,Z) are nonzero rationals; the
+        x-adic division divides by both.  The check is made once, with the
+        powers of P(0,z) that `_p0_power` adds to, {0: 1, 1: P(0,z)} at first.
 
-        Building it charges the budget r*(j+s*l) + 1, the number of terms it
-        can have; a cached divisor is free.
+        Raises AlgebraError naming the coefficient that is not rational.
         """
-        key = ("x-adic", j, l)
-        if key not in self._nf_cache:
+        if "x-adic" not in self._nf_cache:
             p = self.presentation
-            big_j = j + p.s * l
-            budget.tick(p.r * big_j + 1)
-            lowest = (p.p_at_x0().transfer(self.coeff_ctx) ** big_j).scale(p.b.constant_value() ** l)
-            divisor = _Divisors(MonomialOrder())
-            lc = divisor.push(lowest)
-            self._nf_cache[key] = (divisor, coeff_div(1, lc))
-        return self._nf_cache[key]
+            p0 = p.p_at_x0()
+            lead = p0.coefficient_of("Z", p.r)
+            if not lead.is_constant():
+                raise AlgebraError(f"the Z-leading coefficient {lead} of P(0,Z) is not a nonzero rational")
+            if not p.b.is_constant():
+                raise AlgebraError(f"b = {p.b}, the Y^s coefficient of Q, is not a nonzero rational")
+            scaled, den = _scaled_int_form({0: p0.transfer(self.coeff_ctx).terms})
+            num, _ = _pack(scaled, len(self.coeff_ctx.names))
+            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: num}, den, set())
+        return self._nf_cache["x-adic"][0]
+
+    def _p0_power(self, big_j: int, budget: _Budget) -> tuple[dict, int]:
+        """P(0,z)^J as an integral term dict under packed keys (not to be
+        mutated) and its denominator; b^l times it is the lowest coefficient
+        of Y^j*T^l, J = j + s*l.  The first division by a given J charges the
+        budget r*J + 1, the number of terms the power can have, before any
+        power is built; later ones are free.  Call `_x_adic_b` first.
+
+        A power is the product of the powers of half its exponent, and every
+        power made is kept: a deep level keeps about log J powers, where a
+        list of every power below J would hold about r*J^2/2 terms.
+        """
+        _, powers, den, charged = self._nf_cache["x-adic"]
+        if big_j not in charged:
+            budget.tick(self.presentation.r * big_j + 1)
+            charged.add(big_j)
+
+        def power(k: int) -> dict:
+            if k not in powers:
+                powers[k] = _packed_product(power(k // 2), power(k - k // 2))
+            return powers[k]
+
+        return power(big_j)[0], den ** big_j
 
     def _power(self, name: str, k: int, budget: _Budget) -> tuple[dict, int]:
         """The k-th power of a generator image as an integral form under
@@ -344,18 +374,22 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     Level -m is cleared by q*x^i*y^j*t^l, j + s*l = J(m), i = d*J + e*l - m,
     q = c/(b^l*P(0,z)^J), searching J up from floor(m*s/(d*s + e)), below
     which d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  A c of z-degree below r*J
-    is refused before the divisor is built, and y^j and t^l, dear at a large
-    shift, are read from the image power lists only once q is exact.  The
-    work is a copy of f's numerators (see `LaurentForm`) over a running
-    denominator, changed in place; a level is unpacked when it is read, and
-    the rest of the work at the end.  Neither f nor the cached powers are
-    mutated.  A step whose product could have an exponent over
-    MAX_PACKED_EXPONENT raises ExponentLimit before the powers are read.
-    The parts of different levels differ in (i, j, l), and the rest has no
-    Y or T.
+    is refused before P(0,z)^J is built; otherwise c is divided in z by the
+    integral P(0,z)^J (`_divide_in_z`), and b^l enters q as a rational
+    factor.  y^j and t^l, dear at a large shift, are read from the image
+    power lists only once q is exact.  The work is a copy of f's numerators
+    (see `LaurentForm`) over a running denominator, changed in place; q stays
+    packed for its product and is unpacked once, into the expression, the
+    rest of the work at the end, and c and its remainder only on a refusal.
+    Neither f nor the cached powers are mutated.  A step whose product could
+    have an exponent over MAX_PACKED_EXPONENT raises ExponentLimit before
+    the powers are read.  The parts of different levels differ in (i, j, l),
+    and the rest has no Y or T.  Raises AlgebraError when b or the
+    Z-leading coefficient of P(0,Z) is not a nonzero rational.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
+    b = actx._x_adic_b()
     cctx = actx.coeff_ctx
     width = len(cctx.names)
     images = actx.generator_images()
@@ -366,28 +400,31 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
         terms = work.get(-m)
         if not terms:
             continue
-        c = Polynomial._raw(cctx, _unpack({0: terms}, width)[0])
         big_j = max(1, m * s // (d * s + e))
         while d * big_j + e * (big_j // s) < m:
             big_j += 1
         j, l = big_j % s, big_j // s
-        rem = c
-        if c.deg_in("Z") >= r * big_j:
-            divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
-            rem, (q,) = _normal_form(c, divisor, budget)
-        if not rem.is_zero():
+        q, rem, scale = {}, terms, 1
+        if max(terms) >> PACKED_BITS * (width - 1) >= r * big_j:  # Z is the top field
+            divisor, d_den = actx._p0_power(big_j, budget)
+            q, rem, scale = _divide_in_z(terms, divisor, width, budget)
+        if rem:
             divisor = f"({p.p_at_x0()})^{big_j}"
             if l and p.b != p.b.ctx.one():
                 divisor = f"({p.b})^{l}*{divisor}"
-            certificate = {"level": -m, "divisor": divisor, "remainder": str(rem.scale(Fraction(1, den)))}
-            return Polynomial._raw(actx.gen_ctx, witness), (m, c.scale(Fraction(1, den)), certificate)
-        q = q.scale(Fraction(inverse_lc) / den)
+            c = Polynomial._raw(cctx, _unpack({0: terms}, width, den)[0])
+            rem = Polynomial._raw(cctx, _unpack({0: rem}, width, scale * den)[0])
+            certificate = {"level": -m, "divisor": divisor, "remainder": str(rem)}
+            return Polynomial._raw(actx.gen_ctx, witness), (m, c, certificate)
+        # scale*c*den = q*P(0,z)^J*d_den, so c/(b^l*P(0,z)^J) is q times ratio
+        ratio = Fraction(d_den, scale * den) / b ** l
         i = d * big_j + e * l - m
+        q, dq = _lowest_terms({i: {ez: cz * ratio.numerator for ez, cz in q.items()}}, ratio.denominator)
+        q_top = 0
         # coeff_ctx is gen_ctx without X, Y and T
-        for ez, cz in q.terms.items():
+        for ez, cz in _unpack(q, width, dq)[i].items():
             witness[(i, j, ez[0], l) + ez[1:]] = cz
-        scaled_q, dq = _scaled_int_form({i: q.terms})
-        packed_q, q_top = _pack(scaled_q, width)
+            q_top = max(q_top, *ez)
         _check_packed_exponent(q_top + j * y_top + l * t_top)
         y_power, dy = actx._power("Y", j, budget)
         t_power, dt = actx._power("T", l, budget)
@@ -400,12 +437,69 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
                     t[ez] *= up
             den = new_den
         k = -(den // dp)
-        factor = _packed_product({i: {ez: k * cz for ez, cz in packed_q[i].items()}}, y_power)
+        factor = _packed_product({i: {ez: k * cz for ez, cz in q[i].items()}}, y_power)
         _packed_mul_into(work, factor, t_power)
     for n, t in _unpack({n: t for n, t in work.items() if n >= 0}, width, den).items():
         for ez, cz in t.items():
             witness[(n, 0, ez[0], 0) + ez[1:]] = cz
     return Polynomial._raw(actx.gen_ctx, witness), None
+
+
+def _divide_in_z(terms: dict, divisor: dict, width: int, budget: _Budget) -> tuple[dict, dict, int]:
+    """Long division in z, the top field of packed keys of `width` fields,
+    of an integral term dict by an integral divisor whose z-leading
+    coefficient is an int: the quotient, the remainder and the scale, all
+    int, with scale*terms = quotient*divisor + remainder and no term of the
+    remainder of z-degree that of the divisor or more.  Both are unique, so
+    they are those of any division by the divisor.
+
+    The rows of equal z-degree are reduced from the top down, one quotient
+    row each, their degrees taken from a heap: exponents are sparse and may
+    be near MAX_PACKED_EXPONENT.  It is fraction-free: when the lead does
+    not divide a row, everything left and the quotient so far are multiplied
+    by lead/gcd, and so is the scale.  Each quotient term charges the budget
+    one step.  A divisor with other variables than z adds their exponents
+    at each row, so a division whose keys could exceed MAX_PACKED_EXPONENT
+    raises ExponentLimit first.  Neither input is mutated.
+    """
+    shift = PACKED_BITS * (width - 1)
+    top = max(divisor)
+    lead, n = divisor[top], top >> shift
+    tail = [(k >> shift, k, c) for k, c in divisor.items() if k != top]
+    rows: dict = {}
+    for ez, cz in terms.items():
+        rows.setdefault(ez >> shift, {})[ez] = cz
+    if any(k & ((1 << shift) - 1) for k in divisor):
+        _check_packed_exponent(_top({0: terms}, width) + (max(rows) - n + 1) * _top({0: divisor}, width))
+    heap = [-z for z in rows if z >= n]
+    heapify(heap)
+    quotient: dict = {}
+    scale = 1
+    while heap:
+        z = -heappop(heap)
+        row = {ez: cz for ez, cz in rows.pop(z).items() if cz}
+        if not row:
+            continue
+        budget.tick(len(row))
+        up = abs(lead) // gcd(lead, *row.values())
+        if up != 1:
+            scale *= up
+            for part in (row, quotient, *rows.values()):
+                for ez in part:
+                    part[ez] *= up
+        q_row = [(ez - top, cz // lead) for ez, cz in row.items()]
+        quotient.update(q_row)
+        for zt, kt, ct in tail:
+            target = z - n + zt
+            acc = rows.get(target)
+            if acc is None:
+                acc = rows[target] = {}
+                if target >= n:
+                    heappush(heap, -target)
+            for ez, cz in q_row:
+                ez += kt
+                acc[ez] = acc.get(ez, 0) - cz * ct
+    return quotient, {ez: cz for row in rows.values() for ez, cz in row.items() if cz}, scale
 
 
 def _initial_relations(p: DDPresentation, ctx: Context) -> list[Polynomial]:

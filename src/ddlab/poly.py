@@ -179,7 +179,9 @@ def _pack(form: dict, width: int) -> tuple[dict, int]:
     exponent of the quotient plus j and l times those of the two images.
     The fields of a product of two Laurent forms are at most the sum of
     their largest exponents.  These bounds are checked before the products
-    are formed.
+    are formed.  The x-adic division's long division in z forms keys within
+    its input's fields unless the divisor holds other variables than z, and
+    then it checks its own bound first (`elements._divide_in_z`).
     """
     top = max(chain.from_iterable(chain.from_iterable(form.values())), default=0)
     _check_packed_exponent(top)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,19 +14,24 @@ from ddlab.elements import (
     AlgebraContext,
     AlgebraError,
     NotInAlgebra,
+    _divide_in_z,
     _x_adic_witness,
     _x_is_nonzerodivisor,
     divide_by_x_power,
     membership_with_witness,
 )
-from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, _Budget, _normal_form
+from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, MonomialOrder, _Budget, _Divisors, _normal_form
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import (
     MAX_PACKED_EXPONENT,
     Context,
     ContextMismatch,
     ExponentLimit,
+    Polynomial,
+    _pack,
     _packed_product,
+    _scaled_int_form,
+    _unpack,
     parse_poly,
 )
 from ddlab.presentations import DDPresentation
@@ -294,24 +300,38 @@ class TestDivisionAgainstGroebner:
         assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1, "(Z^2 - 1)^1", "Z - 1")
         assert groebner_membership(form, dd1_ctx) == (False, None)
 
-    def test_large_shift_refused_before_any_divisor_is_built(self, dd1_ctx, monkeypatch):
+    def test_refusal_remainder_is_divided_by_the_running_scale(self):
+        # P(0,Z) = 2*Z^2 - 1 is not monic: dividing z^2 scales the work by 2,
+        # and z^2 = (1/2)*(2*z^2 - 1) + 1/2 leaves the remainder 1/2
+        actx = AlgebraContext(DDPresentation.make([], 1, 2, "2*Z^2 - 1", "Y^2 + Z"))
+        cctx = actx.coeff_ctx
+        form = LaurentForm(cctx, {-1: parse_poly("Z^2", cctx)})
+        cert = membership_with_witness(form, actx).certificate
+        assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1, "(2*Z^2 - 1)^1", "1/2")
+        assert groebner_membership(form, actx) == (False, None)
+
+    def test_large_shift_refused_before_any_divisor_is_built(self, dd1, monkeypatch):
         # Z at level -1000 has z-degree 1, below the z-degree r*J = 1000 of the
         # lowest coefficient of T^250, the power that reaches that level: the
-        # division refuses without building T^250 or its lowest coefficient,
-        # which the certificate names unexpanded
-        def no_divisor(self, j, l, budget):
-            raise RuntimeError(f"built the divisor of Y^{j}*T^{l}")
+        # division refuses without building T^250 or P(0,z)^500, which the
+        # certificate names unexpanded
+        def no_divisor(self, big_j, budget):
+            raise RuntimeError(f"built P(0,z)^{big_j}")
 
-        monkeypatch.setattr(AlgebraContext, "_x_adic_divisor", no_divisor)
-        cctx = dd1_ctx.coeff_ctx
+        monkeypatch.setattr(AlgebraContext, "_p0_power", no_divisor)
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
         form = LaurentForm(cctx, {-1000: cctx.var("Z")})
-        result = membership_with_witness(form, dd1_ctx)
+        result = membership_with_witness(form, actx)
         assert not result.member and result.witness is None
         cert = result.certificate
         assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1000, "(Z^2 - 1)^500", "Z")
-        assert groebner_membership(form, dd1_ctx) == (False, None)
+        # the powers of P(0,z) are still 1 and P(0,z), and nothing was charged
+        _, powers, _, charged = actx._nf_cache["x-adic"]
+        assert sorted(powers) == [0, 1] and not charged
+        assert groebner_membership(form, actx) == (False, None)
 
-    def test_large_shift_member_route_builds_no_power(self, dd1_ctx, monkeypatch):
+    def test_large_shift_member_route_builds_no_power(self, dd1, monkeypatch):
         # Z^1000 at level -1000 reaches the z-degree r*J = 1000 of the lowest
         # coefficient of T^250, so the division runs; it is not exact, and the
         # refusal, the answer "no", comes before any power of y or t past
@@ -323,19 +343,25 @@ class TestDivisionAgainstGroebner:
 
         original = AlgebraContext._power
         monkeypatch.setattr(AlgebraContext, "_power", no_power)
-        cctx = dd1_ctx.coeff_ctx
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
         form = LaurentForm(cctx, {-1000: cctx.var("Z") ** 1000})
-        result = membership_with_witness(form, dd1_ctx, 2000)
+        result = membership_with_witness(form, actx, 2000)
         assert not result.member
         assert (result.certificate["level"], result.certificate["divisor"]) == (-1000, "(Z^2 - 1)^500")
+        # P(0,z)^500 came from halving: the powers kept are 500, 250, 125,
+        # 63, 62, 32, 31, 16, 15, 8, 7, 4, 3, 2, 1 and 0, not all 501
+        assert len(actx._nf_cache["x-adic"][1]) == 16
 
     def test_closed_form_divisor_is_the_lowest_coefficient(self):
-        # b^l*P(0,z)^(j+s*l) against the lowest coefficient of the Laurent
-        # form of Y^j*T^l built from the image powers, with P and Q not monic
-        # and W1 adjoined
+        # b^l*P(0,z)^(j+s*l), with the power from `_p0_power`, against the
+        # lowest coefficient of the Laurent form of Y^j*T^l built from the
+        # image powers, with P and Q not monic and W1 adjoined
         pres = DDPresentation.make([], 2, 3, "2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3")
         actx = AlgebraContext(pres, ("W1",))
         cctx = actx.coeff_ctx
+        b = actx._x_adic_b()
+        assert b == -2
         for j in range(pres.s):
             for l in range(3):
                 budget = _Budget(DEFAULT_BUDGET)
@@ -345,9 +371,47 @@ class TestDivisionAgainstGroebner:
                 assert form == actx.element(f"Y^{j}*T^{l}").laurent
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
-                divisor, inverse_lc = actx._x_adic_divisor(j, l, budget)
-                rem, (q,) = _normal_form(form.coeffs[form.min_exp()], divisor, budget)
-                assert rem.is_zero() and q.scale(inverse_lc) == cctx.one()
+                power, p0_den = actx._p0_power(big_j, budget)
+                lowest = unpacked(cctx, {0: power}, p0_den).scale(b ** l)
+                assert lowest.coeffs[0] == form.coeffs[form.min_exp()]
+
+    def test_divisor_is_charged_once_per_power(self, dd1):
+        # r*J + 1 steps the first time a context divides by P(0,z)^J, free after
+        actx = AlgebraContext(dd1)
+        actx._x_adic_b()
+        for big_j, charge in ((3, 7), (1, 3), (3, 0), (2, 5), (1, 0)):
+            budget = _Budget(DEFAULT_BUDGET)
+            actx._p0_power(big_j, budget)
+            assert budget.used == charge
+        assert sorted(actx._nf_cache["x-adic"][1]) == [0, 1, 2, 3]
+
+    def test_budget_charged_by_each_division_of_the_reference_certificate(self, monkeypatch):
+        # the steps of every x-adic division in the (2,2,4,3) certificate,
+        # P = Z^4 - 1, Q = Y^3 + Z, in call order: the charge rule is pinned
+        used = []
+        original = elements._x_adic_witness
+
+        def recording(f, actx, budget):
+            try:
+                return original(f, actx, budget)
+            finally:
+                used.append(budget.used)
+
+        monkeypatch.setattr(elements, "_x_adic_witness", recording)
+        cert = cancellation_certificate(DDPresentation.make([], 2, 2, "Z^4 - 1", "Y^3 + Z"))
+        assert cert.certified
+        assert used == [6, 24, 6, 26, 4, 3, 4] + [0] * 18 + [18, 15, 283, 3559]
+
+    @pytest.mark.parametrize("p_text, q_text, named", [
+        ("Z^2 - 1", "a*Y^2 + Z", r"b = a, the Y\^s coefficient of Q,"),
+        ("a*Z^2 - 1", "Y^2 + Z", r"Z-leading coefficient a of P\(0,Z\)"),
+    ])
+    def test_division_needs_rational_leading_coefficients(self, p_text, q_text, named):
+        # over Q[a] the division divides by b and by the Z-lead of P(0,Z);
+        # when one is not a rational, it says which instead of dividing
+        actx = AlgebraContext(DDPresentation.make(["a"], 1, 2, p_text, q_text))
+        with pytest.raises(AlgebraError, match=f"{named} is not a nonzero rational"):
+            _x_adic_witness(actx.gen("T").laurent, actx, _Budget(DEFAULT_BUDGET))
 
     def test_division_charges_the_budget(self, dd1_ctx):
         form = dd1_ctx.element("Y*Z^3 + T*Z").laurent
@@ -413,6 +477,82 @@ class TestDivisionAgainstGroebner:
         assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == (witness, None)
         assert state() == before
         assert snapshot() == cached
+
+
+# (base variables, adjoined variables, P, Q): P(0,Z) has a rational Z-lead;
+# the last has a monomial P(0,Z), so that a z-degree near the packed limit
+# divides in a few steps
+_DIVISION_CASES = [
+    ((), ("W1",), "Z^2 - 1", "Y^2 + Z"),
+    ((), ("W1", "U"), "2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3"),
+    (("a",), ("W1",), "Z^3 - a*Z + 1/3", "1/2*Y^2 + a*Z + X*Z"),
+    (("a", "u1"), ("U",), "-3*Z^2 + a*u1*Z - a + X*a", "Y^3 + Z + a*X"),
+    ((), ("W1",), "3*Z^3 + X", "Y^2 + X*Z^9"),
+]
+
+
+class TestDivisionInZ:
+    """The packed long division in z against `_normal_form` by b^l*P(0,Z)^J
+    made monic: the same quotient, remainder and steps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_same_as_the_heap_division(self, seed):
+        rng = random.Random(seed)
+        base, adjoined, p_text, q_text = rng.choice(_DIVISION_CASES)
+        pres = DDPresentation.make(base, rng.randint(1, 2), rng.randint(1, 2), p_text, q_text)
+        actx = AlgebraContext(pres, adjoined)
+        cctx = actx.coeff_ctx
+        width = len(cctx.names)
+        big_j = rng.randint(1, 3)
+        l = big_j // pres.s
+        b = actx._x_adic_b()
+        lowest = (pres.p_at_x0().transfer(cctx) ** big_j).scale(b ** l)
+        c = random_polynomial(rng, cctx, max_terms=4, max_exp=pres.r * big_j + 2)
+        if rng.random() < 0.4:  # an exact multiple, or one plus terms of low z-degree
+            c = random_polynomial(rng, cctx, max_terms=3, max_exp=2) * lowest
+            if rng.random() < 0.5:
+                c = c + random_polynomial(rng, cctx, max_terms=2, max_exp=pres.r * big_j - 1)
+        if p_text.startswith("3*Z^3") and rng.random() < 0.5:  # sparse, near the packed limit
+            c = c + cctx.monomial({"Z": MAX_PACKED_EXPONENT - rng.randint(0, 3), "W1": rng.randint(0, 2)})
+            event("near the packed limit")
+        if c.is_zero():
+            c = cctx.one()
+        # Z first: with base variables, grevlex could lead with another term
+        divisors = _Divisors(MonomialOrder.block_sequence(cctx, [["Z"]]))
+        lc = divisors.push(lowest)
+        ref_budget = _Budget(DEFAULT_BUDGET)
+        ref_rem, (ref_q,) = _normal_form(c, divisors, ref_budget)
+
+        divisor, d_den = actx._p0_power(big_j, _Budget(DEFAULT_BUDGET))
+        scaled, den = _scaled_int_form({0: c.terms})
+        terms = _pack(scaled, width)[0][0]
+        kept = (dict(terms), dict(divisor))
+        budget = _Budget(DEFAULT_BUDGET)
+        q, rem, scale = _divide_in_z(terms, divisor, width, budget)
+        assert (terms, divisor) == kept
+
+        def poly(t, k):
+            return Polynomial._raw(cctx, _unpack({0: t}, width, k).get(0, {}))
+
+        assert budget.used == ref_budget.used
+        assert poly(rem, scale * den) == ref_rem
+        assert poly(q, scale * den).scale(Fraction(d_den) / b ** l) == ref_q.scale(Fraction(1) / lc)
+        event("exact" if ref_rem.is_zero() else "refused")
+
+    def test_keys_past_the_packed_limit_in_a_base_variable_are_refused(self):
+        # P(0,Z) = Z^2 - a: a^N*Z^2 leaves the remainder a^(N+1), whose key
+        # would carry out of the field of a past N = MAX_PACKED_EXPONENT - 1
+        actx = AlgebraContext(DDPresentation.make(["a"], 1, 2, "Z^2 - a", "Y^2 + Z"))
+        cctx = actx.coeff_ctx
+
+        def level(k):
+            return LaurentForm(cctx, {-1: cctx.monomial({"Z": 2, "a": k})})
+
+        with pytest.raises(ExponentLimit):
+            _x_adic_witness(level(MAX_PACKED_EXPONENT), actx, _Budget(DEFAULT_BUDGET))
+        _, (_, _, certificate) = _x_adic_witness(level(MAX_PACKED_EXPONENT - 2), actx, _Budget(DEFAULT_BUDGET))
+        assert certificate["remainder"] == f"a^{MAX_PACKED_EXPONENT - 1}"
 
 
 class TestReduceWitness:
@@ -510,15 +650,21 @@ class TestCompleteness:
 
 
 def _corrupt_quotients(monkeypatch):
-    """Make every division step return its quotient with the constant coefficient plus 1."""
+    """Make every division in z return its quotient with 1 added to the
+    constant coefficient (the scale, over the running scale)."""
     calls = []
+    original = elements._divide_in_z
 
-    def corrupted(f, divisors, budget):
-        rem, (q,) = _normal_form(f, divisors, budget)
+    def corrupted(terms, divisor, width, budget):
+        q, rem, scale = original(terms, divisor, width, budget)
         calls.append(q)
-        return rem, [q + q.ctx.one()]
+        q = dict(q)
+        q[0] = q.get(0, 0) + scale
+        if not q[0]:
+            del q[0]
+        return q, rem, scale
 
-    monkeypatch.setattr(elements, "_normal_form", corrupted)
+    monkeypatch.setattr(elements, "_divide_in_z", corrupted)
     return calls
 
 
