@@ -14,11 +14,15 @@ at level -m the algebra S they generate holds exactly the multiples of
 P(0,z)^J(m), J(m) the least J with d*J + e*floor(J/s) >= m, as y^j*t^l,
 J = j + s*l, has its lowest term at level -(d*J + e*l).  The division clears
 the lowest level of a form by an exact division in z by such a coefficient,
-a level at a time, until what is left is a polynomial.  It divides on the
-packed integral state of the Laurent layer: a long division in z by the
-integral P(0,z)^J, whose powers are kept per context, with b^l a rational
-factor of the quotient, so b and the Z-leading coefficient of P(0,Z) must
-be nonzero rationals.
+a level at a time, until what is left is a polynomial.  Of the quotient, the
+multiple of P(0,z)^(j - J), j = ceil(m/d), goes to x^(d*j - m)*y^j, whose
+lowest coefficient is P(0,z)^j: that monomial is standard for the relation
+basis that reduces witnesses, so they leave the division almost in normal
+form, and only the rest of the quotient needs t.  The division runs on the
+packed integral state of the Laurent layer: long divisions in z by integral
+powers of P(0,z), which are kept per context, with b^l a rational factor of
+the quotient, so b and the Z-leading coefficient of P(0,Z) must be nonzero
+rationals.
 
 A coefficient that does not divide proves non-membership, since S is the
 initial algebra of B[w..] by the subalgebra-basis criterion (Robbiano and
@@ -32,8 +36,11 @@ Sweedler, "Subalgebra bases", 1990) for the x-adic valuation:
   lift's): the first is a polynomial in x and z, the second divides to 0.
 So the least-weight part of a representation of a member below its order
 is a relation, which the lifts trade for terms of larger weight: the lowest
-coefficient of every member lies in S.  The completeness report computes
-the two premises, I0 : X = I0 and the division of x^e*t - b*y^s.
+coefficient of every member lies in S.  So two members subtracted from a
+form leave level -m coefficients that differ by a multiple of
+P(0,z)^J(m): the refused level and the remainder do not depend on the
+pieces chosen at the levels below.  The completeness report computes the
+two premises, I0 : X = I0 and the division of x^e*t - b*y^s.
 """
 
 from __future__ import annotations
@@ -187,28 +194,29 @@ class AlgebraContext:
                 raise AlgebraError(f"b = {p.b}, the Y^s coefficient of Q, is not a nonzero rational")
             scaled, den = _scaled_int_form({0: p0.transfer(self.coeff_ctx).terms})
             num, _ = _pack(scaled, len(self.coeff_ctx.names))
-            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: num}, den, set())
+            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: num}, den)
         return self._nf_cache["x-adic"][0]
 
     def _p0_power(self, big_j: int, budget: _Budget) -> tuple[dict, int]:
         """P(0,z)^J as an integral term dict under packed keys (not to be
         mutated) and its denominator; b^l times it is the lowest coefficient
-        of Y^j*T^l, J = j + s*l.  The first division by a given J charges the
-        budget r*J + 1, the number of terms the power can have, before any
-        power is built; later ones are free.  Call `_x_adic_b` first.
+        of Y^j*T^l, J = j + s*l, and it is that of Y^J.  Call `_x_adic_b`
+        first.
 
         A power is the product of the powers of half its exponent, and every
         power made is kept: a deep level keeps about log J powers, where a
-        list of every power below J would hold about r*J^2/2 terms.
+        list of every power below J would hold about r*J^2/2 terms.  Each
+        product charges the budget its term pairs, len(a)*len(b), before it
+        is formed, so the budget bounds the work, which grows as about J^2;
+        a power already kept is free.
         """
-        _, powers, den, charged = self._nf_cache["x-adic"]
-        if big_j not in charged:
-            budget.tick(self.presentation.r * big_j + 1)
-            charged.add(big_j)
+        _, powers, den = self._nf_cache["x-adic"]
 
         def power(k: int) -> dict:
             if k not in powers:
-                powers[k] = _packed_product(power(k // 2), power(k - k // 2))
+                a, b = power(k // 2), power(k - k // 2)
+                budget.tick(len(a[0]) * len(b[0]))
+                powers[k] = _packed_product(a, b)
             return powers[k]
 
         return power(big_j)[0], den ** big_j
@@ -368,57 +376,50 @@ def membership_with_witness(
 
 def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tuple[Polynomial, tuple | None]:
     """A generator expression for f, lowest level first, and None; or, at
-    the first level -m whose coefficient c does not divide, the expression
-    for the levels cleared so far and (m, c, certificate without the report).
+    the first level -m whose coefficient does not divide, the expression for
+    the levels cleared so far and (m, c, certificate without the report), c
+    the coefficient at level -m that the expression leaves.
 
-    Level -m is cleared by q*x^i*y^j*t^l, j + s*l = J(m), i = d*J + e*l - m,
-    q = c/(b^l*P(0,z)^J), searching J up from floor(m*s/(d*s + e)), below
-    which d*J + e*floor(J/s) <= (d*s + e)*J/s < m.  A c of z-degree below r*J
-    is refused before P(0,z)^J is built; otherwise c is divided in z by the
-    integral P(0,z)^J (`_divide_in_z`), and b^l enters q as a rational
-    factor.  y^j and t^l, dear at a large shift, are read from the image
-    power lists only once q is exact.  The work is a copy of f's numerators
-    (see `LaurentForm`) over a running denominator, changed in place; q stays
-    packed for its product and is unpacked once, into the expression, the
-    rest of the work at the end, and c and its remainder only on a refusal.
-    Neither f nor the cached powers are mutated.  A step whose product could
-    have an exponent over MAX_PACKED_EXPONENT raises ExponentLimit before
-    the powers are read.  The parts of different levels differ in (i, j, l),
-    and the rest has no Y or T.  Raises AlgebraError when b or the
-    Z-leading coefficient of P(0,Z) is not a nonzero rational.
+    Level -m, of coefficient c, needs J = J(m), searched up from
+    floor(m*s/(d*s + e)), below which d*J + e*floor(J/s) <= (d*s + e)*J/s
+    < m.  A c of z-degree below r*J is refused before P(0,z)^J is built;
+    otherwise c is divided in z by the integral P(0,z)^J (`_divide_in_z`),
+    and a remainder is refused.  The quotient q = c/P(0,z)^J is then cleared
+    by at most two pieces, each read from the image powers only once exact.
+    With jy = ceil(m/d) >= J, the multiple of P(0,z)^(jy - J) in q, found by
+    a second division when q reaches its z-degree, gives q_hi*x^iy*y^jy,
+    iy = d*jy - m < d: that monomial is standard for the relation basis of
+    `reduce_witness`, whose only lead without T is X^d*Y.  What is left of q
+    gives (q/b^l)*x^i*y^j*t^l, j + s*l = J, i = d*J + e*l - m, whose lowest
+    coefficient is b^l*P(0,z)^J; when jy = J, all of q goes to x^iy*y^jy
+    instead.  The pieces are those of dividing c by P(0,z)^jy first, as the
+    remainders in z are unique, but a refusal never builds P(0,z)^jy.
+
+    The work is a copy of f's numerators (see `LaurentForm`) over a
+    running denominator, changed in place; q stays packed for its products
+    and is unpacked once, into the expression, the rest of the work at the
+    end, and c and its remainder only on a refusal.
+    Neither f nor the cached powers are mutated.  A piece whose product
+    could have an exponent over MAX_PACKED_EXPONENT raises ExponentLimit
+    before its powers are read.  The pieces differ in (i, j, l), and the
+    rest has no Y or T.  Raises AlgebraError when b or the Z-leading
+    coefficient of P(0,Z) is not a nonzero rational.
     """
     p = actx.presentation
     d, e, r, s = p.d, p.e, p.r, p.s
     b = actx._x_adic_b()
     cctx = actx.coeff_ctx
     width = len(cctx.names)
+    shift = PACKED_BITS * (width - 1)  # Z is the top field
     images = actx.generator_images()
     y_top, t_top = image_entry(images["Y"])[3], image_entry(images["T"])[3]
     work, den = {n: dict(t) for n, t in f.num.items()}, f.den
     witness: dict = {}
-    for m in range(-f.min_exp(), 0, -1):
-        terms = work.get(-m)
-        if not terms:
-            continue
-        big_j = max(1, m * s // (d * s + e))
-        while d * big_j + e * (big_j // s) < m:
-            big_j += 1
-        j, l = big_j % s, big_j // s
-        q, rem, scale = {}, terms, 1
-        if max(terms) >> PACKED_BITS * (width - 1) >= r * big_j:  # Z is the top field
-            divisor, d_den = actx._p0_power(big_j, budget)
-            q, rem, scale = _divide_in_z(terms, divisor, width, budget)
-        if rem:
-            divisor = f"({p.p_at_x0()})^{big_j}"
-            if l and p.b != p.b.ctx.one():
-                divisor = f"({p.b})^{l}*{divisor}"
-            c = Polynomial._raw(cctx, _unpack({0: terms}, width, den)[0])
-            rem = Polynomial._raw(cctx, _unpack({0: rem}, width, scale * den)[0])
-            certificate = {"level": -m, "divisor": divisor, "remainder": str(rem)}
-            return Polynomial._raw(actx.gen_ctx, witness), (m, c, certificate)
-        # scale*c*den = q*P(0,z)^J*d_den, so c/(b^l*P(0,z)^J) is q times ratio
-        ratio = Fraction(d_den, scale * den) / b ** l
-        i = d * big_j + e * l - m
+
+    def subtract(q: dict, ratio: Fraction, i: int, j: int, l: int):
+        """Put ratio*q*x^i*Y^j*T^l into the witness and take its image from
+        the work."""
+        nonlocal den
         q, dq = _lowest_terms({i: {ez: cz * ratio.numerator for ez, cz in q.items()}}, ratio.denominator)
         q_top = 0
         # coeff_ctx is gen_ctx without X, Y and T
@@ -439,6 +440,41 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
         k = -(den // dp)
         factor = _packed_product({i: {ez: k * cz for ez, cz in q[i].items()}}, y_power)
         _packed_mul_into(work, factor, t_power)
+
+    for m in range(-f.min_exp(), 0, -1):
+        terms = work.get(-m)
+        if not terms:
+            continue
+        big_j = max(1, m * s // (d * s + e))
+        while d * big_j + e * (big_j // s) < m:
+            big_j += 1
+        j, l = big_j % s, big_j // s
+        q, rem, scale = {}, terms, 1
+        if max(terms) >> shift >= r * big_j:
+            divisor, d_den = actx._p0_power(big_j, budget)
+            q, rem, scale = _divide_in_z(terms, divisor, width, budget)
+        if rem:
+            divisor = f"({p.p_at_x0()})^{big_j}"
+            if l and p.b != p.b.ctx.one():
+                divisor = f"({p.b})^{l}*{divisor}"
+            c = Polynomial._raw(cctx, _unpack({0: terms}, width, den)[0])
+            rem = Polynomial._raw(cctx, _unpack({0: rem}, width, scale * den)[0])
+            certificate = {"level": -m, "divisor": divisor, "remainder": str(rem)}
+            return Polynomial._raw(actx.gen_ctx, witness), (m, c, certificate)
+        # scale*c*den = q*P(0,z)^J*d_den, so c/P(0,z)^J is q times ratio
+        ratio = Fraction(d_den, scale * den)
+        jy = -(-m // d)
+        if jy == big_j:
+            subtract(q, ratio, d * jy - m, jy, 0)
+            continue
+        if max(q) >> shift >= r * (jy - big_j):
+            # hi_scale*q = q_hi*P(0,z)^(jy-J)*hi_den + the new q
+            divisor, hi_den = actx._p0_power(jy - big_j, budget)
+            q_hi, q, hi_scale = _divide_in_z(q, divisor, width, budget)
+            ratio /= hi_scale
+            subtract(q_hi, ratio * hi_den, d * jy - m, jy, 0)
+        if q:
+            subtract(q, ratio / b ** l, d * big_j + e * l - m, j, l)
     for n, t in _unpack({n: t for n, t in work.items() if n >= 0}, width, den).items():
         for ez, cz in t.items():
             witness[(n, 0, ez[0], 0) + ez[1:]] = cz

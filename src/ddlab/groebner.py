@@ -258,6 +258,26 @@ def _normal_form(
     return Polynomial._raw(ctx, rem), [Polynomial._raw(ctx, cof) for cof in cofs] if cofactors else None
 
 
+def _remainder(f: Polynomial, basis: _Divisors, budget: _Budget) -> Polynomial:
+    """`_normal_form` without cofactors, with the terms of f that no lead
+    divides kept out of the heap.  Each monomial is reduced by the first
+    divisor whose lead divides it or kept, whatever its coefficient, so the
+    division is linear, and such a term is a term of its own remainder: the
+    remainder of f is those terms plus that of the rest, in the same steps.
+    """
+    lms = basis.lms
+    kept, rest = {}, {}
+    for e, c in f.terms.items():
+        if any(all(map(_le_op, lm, e)) for lm in lms):
+            rest[e] = c
+        else:
+            kept[e] = c
+    if not rest:
+        return f
+    rem, _ = _normal_form(Polynomial._raw(f.ctx, rest), basis, budget, cofactors=False)
+    return Polynomial._raw(f.ctx, kept) + rem
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis, with each element expressed in the input generators.
@@ -294,7 +314,7 @@ class GroebnerBasis:
         """Remainder of f modulo the basis, without cofactors."""
         if f.ctx != self.ctx:
             raise ContextMismatch("polynomial context differs from basis context")
-        return _normal_form(f, self._least_lead_first, _Budget(budget), cofactors=False)[0]
+        return _remainder(f, self._least_lead_first, _Budget(budget))
 
     @cached_property
     def _least_lead_first(self) -> _Divisors:

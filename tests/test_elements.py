@@ -326,9 +326,9 @@ class TestDivisionAgainstGroebner:
         assert not result.member and result.witness is None
         cert = result.certificate
         assert (cert["level"], cert["divisor"], cert["remainder"]) == (-1000, "(Z^2 - 1)^500", "Z")
-        # the powers of P(0,z) are still 1 and P(0,z), and nothing was charged
-        _, powers, _, charged = actx._nf_cache["x-adic"]
-        assert sorted(powers) == [0, 1] and not charged
+        # the powers of P(0,z) are still 1 and P(0,z)
+        _, powers, _ = actx._nf_cache["x-adic"]
+        assert sorted(powers) == [0, 1]
         assert groebner_membership(form, actx) == (False, None)
 
     def test_large_shift_member_route_builds_no_power(self, dd1, monkeypatch):
@@ -346,7 +346,7 @@ class TestDivisionAgainstGroebner:
         actx = AlgebraContext(dd1)
         cctx = actx.coeff_ctx
         form = LaurentForm(cctx, {-1000: cctx.var("Z") ** 1000})
-        result = membership_with_witness(form, actx, 2000)
+        result = membership_with_witness(form, actx)
         assert not result.member
         assert (result.certificate["level"], result.certificate["divisor"]) == (-1000, "(Z^2 - 1)^500")
         # P(0,z)^500 came from halving: the powers kept are 500, 250, 125,
@@ -376,14 +376,32 @@ class TestDivisionAgainstGroebner:
                 assert lowest.coeffs[0] == form.coeffs[form.min_exp()]
 
     def test_divisor_is_charged_once_per_power(self, dd1):
-        # r*J + 1 steps the first time a context divides by P(0,z)^J, free after
+        # each power made charges its term pairs, free after: P(0,z)^k has
+        # k + 1 terms, so P^2 = P*P charges 2*2, P^3 = P*P^2 2*3 and
+        # P^6 = P^3*P^3 4*4
         actx = AlgebraContext(dd1)
         actx._x_adic_b()
-        for big_j, charge in ((3, 7), (1, 3), (3, 0), (2, 5), (1, 0)):
+        for big_j, charge in ((3, 10), (1, 0), (3, 0), (2, 0), (6, 16)):
             budget = _Budget(DEFAULT_BUDGET)
             actx._p0_power(big_j, budget)
             assert budget.used == charge
-        assert sorted(actx._nf_cache["x-adic"][1]) == [0, 1, 2, 3]
+        assert sorted(actx._nf_cache["x-adic"][1]) == [0, 1, 2, 3, 6]
+
+    def test_divisor_charge_bounds_the_work_of_a_deep_power(self, dd1):
+        # Z^4000 at level -3998 divides by P(0,z)^2000, whose halving ends in
+        # P^1000*P^1000, 1001^2 term pairs: the budget runs out before that
+        # product, or even P^500*P^500, is formed.  A charge of r*J + 1 =
+        # 4001 steps per power would let the whole power be built, in time
+        # that grows as J^2
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
+        form = LaurentForm(cctx, {-3998: cctx.var("Z") ** 4000})
+        budget = _Budget(DEFAULT_BUDGET)
+        with pytest.raises(BudgetExceeded):
+            _x_adic_witness(form, actx, budget)
+        # P^500 took 85,767 pairs, then P^500*P^500 charged 501^2
+        assert budget.used == 85_767 + 501 ** 2
+        assert sorted(actx._nf_cache["x-adic"][1]) == [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 62, 63, 125, 250, 500]
 
     def test_budget_charged_by_each_division_of_the_reference_certificate(self, monkeypatch):
         # the steps of every x-adic division in the (2,2,4,3) certificate,
@@ -400,7 +418,7 @@ class TestDivisionAgainstGroebner:
         monkeypatch.setattr(elements, "_x_adic_witness", recording)
         cert = cancellation_certificate(DDPresentation.make([], 2, 2, "Z^4 - 1", "Y^3 + Z"))
         assert cert.certified
-        assert used == [6, 24, 6, 26, 4, 3, 4] + [0] * 18 + [18, 15, 283, 3559]
+        assert used == [1, 12, 1, 14, 10, 3, 4] + [0] * 18 + [27, 8, 289, 5776]
 
     @pytest.mark.parametrize("p_text, q_text, named", [
         ("Z^2 - 1", "a*Y^2 + Z", r"b = a, the Y\^s coefficient of Q,"),
@@ -421,34 +439,45 @@ class TestDivisionAgainstGroebner:
 
     def test_exact_large_shift_stops_inside_the_budget(self, dd1):
         # (z^2 - 1)^500 at level -1000 is the lowest coefficient of T^250, so
-        # the division is exact; building T^250 charges the budget a power at
-        # a time and runs out after a few powers of t, not after T^250
+        # the division is exact; P(0,z)^500 charges 85,767 term pairs, and
+        # building T^250 charges the budget a power at a time and runs out
+        # after a few powers of t, not after T^250
         actx = AlgebraContext(dd1)
         cctx = actx.coeff_ctx
         form = LaurentForm(cctx, {-1000: parse_poly("Z^2 - 1", cctx) ** 500})
-        with pytest.raises(BudgetExceeded, match="budget of 2000 steps"):
-            membership_with_witness(form, actx, 2000)
+        with pytest.raises(BudgetExceeded, match="budget of 88000 steps"):
+            membership_with_witness(form, actx, 88_000)
+        assert 500 in actx._nf_cache["x-adic"][1]
         built = len(actx.generator_images()["T"]._powers[1])
         assert 2 < built < 30
 
     def test_division_refuses_a_product_over_the_packed_limit_before_any_power(self, monkeypatch):
-        # P(0,z) = z^3 and Q has Y^2, so level -5 divides by z^6 in one step,
-        # q = z^(N-6), and q*t is formed next; t's image holds z^9, so that
-        # product can reach z^(N+3), which the division checks before it
-        # reads a power of y or t
+        # P(0,z) = z^3, and the images of y and t hold z^9 and z^18.  Level
+        # -5 has J = 2 (t^1) and jy = 3: z^N there is cleared by the y-first
+        # piece z^(N-9)*x*y^3, which can reach z^(N+18); z^6*w1^N, whose
+        # quotient w1^N by z^6 is below the z-degree of P(0,z), by the piece
+        # w1^N*t alone, which can reach N + 18 too.  Each piece checks its
+        # bound before it reads a power of y or t
         def no_power(self, name, k, budget):
             raise RuntimeError(f"read the power {name}^{k}")
 
         monkeypatch.setattr(AlgebraContext, "_power", no_power)
-        actx = AlgebraContext(DDPresentation.make([], 2, 1, "Z^3 + X", "Y^2 + X*Z^9"))
+        actx = AlgebraContext(DDPresentation.make([], 2, 1, "Z^3 + X*Z^9", "Y^2 + X*Z^9"), ("W1",))
         cctx = actx.coeff_ctx
-        assert actx.generator_images()["T"].coeffs[0] == cctx.monomial({"Z": 9})
-        over = LaurentForm(cctx, {-5: cctx.monomial({"Z": MAX_PACKED_EXPONENT - 2})})
-        with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
-            _x_adic_witness(over, actx, _Budget(DEFAULT_BUDGET))
-        at_limit = LaurentForm(cctx, {-5: cctx.monomial({"Z": MAX_PACKED_EXPONENT - 3})})
-        with pytest.raises(RuntimeError, match=r"read the power Y\^0"):
-            _x_adic_witness(at_limit, actx, _Budget(DEFAULT_BUDGET))
+        assert actx.generator_images()["Y"].coeffs[-1] == cctx.monomial({"Z": 9})
+        assert actx.generator_images()["T"].coeffs[-3] == cctx.monomial({"Z": 18})
+
+        def y_first(n):
+            return LaurentForm(cctx, {-5: cctx.monomial({"Z": n})})
+
+        def with_t(n):
+            return LaurentForm(cctx, {-5: cctx.monomial({"Z": 6, "W1": n})})
+
+        for level, power in ((y_first, r"Y\^3"), (with_t, r"Y\^0")):
+            with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
+                _x_adic_witness(level(MAX_PACKED_EXPONENT - 17), actx, _Budget(DEFAULT_BUDGET))
+            with pytest.raises(RuntimeError, match=f"read the power {power}"):
+                _x_adic_witness(level(MAX_PACKED_EXPONENT - 18), actx, _Budget(DEFAULT_BUDGET))
         # an exponent of the form itself is checked as it is packed
         with pytest.raises(ExponentLimit):
             _x_adic_witness(LaurentForm(cctx, {0: cctx.monomial({"Z": MAX_PACKED_EXPONENT + 1})}),
@@ -477,6 +506,142 @@ class TestDivisionAgainstGroebner:
         assert _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET)) == (witness, None)
         assert state() == before
         assert snapshot() == cached
+
+
+def _split_case(seed):
+    """A seeded algebra with X-terms in P or Q (a random one, or
+    P = X^2 - 2*X + Z + 4, Q = 2*X*Y*Z + 3*Y^2, whose T-leads include
+    X*Y*Z^2*T when (d,e) = (2,2)), sometimes W1 adjoined, and a form: the
+    image of a random polynomial plus Y^k*h with k > s, whose lowest levels
+    the y-first piece clears, and, half the time, x^-k*g with g random in z
+    (and w1) added at a level of the member."""
+    rng = random.Random(seed)
+    d, e = rng.randint(1, 2), rng.randint(1, 2)
+    if rng.random() < 0.3:
+        pres = DDPresentation.make([], d, e, "X^2 - 2*X + Z + 4", "2*X*Y*Z + 3*Y^2")
+    else:
+        pres = random_valid_presentation(rng, d, e, max_r=2, max_s=2, constant_lead_p=False)
+        while "X" not in pres.P.support_vars() | pres.Q.support_vars():
+            pres = random_valid_presentation(rng, d, e, max_r=2, max_s=2, constant_lead_p=False)
+    actx = AlgebraContext(pres, ("W1",) if rng.random() < 0.3 else ())
+    gctx, cctx = actx.gen_ctx, actx.coeff_ctx
+    high = gctx.var("Y") ** rng.randint(pres.s + 1, pres.s + 3) * random_polynomial(
+        rng, Context(("X", "Z")), max_terms=2, max_exp=2).transfer(gctx)
+    form = actx.to_laurent(random_polynomial(rng, gctx, max_terms=3, max_exp=2) + high)
+    if rng.random() < 0.5 and form.min_exp() < 0:
+        g = random_polynomial(rng, cctx, max_terms=3, max_exp=2 * pres.r + 1)
+        form = form + LaurentForm(cctx, {-rng.randint(1, -form.min_exp()): g})
+    return actx, form
+
+
+def _division_by_b_l_p0_j(form, actx):
+    """The x-adic division that clears each level -m with x^i*y^j*t^l alone,
+    j + s*l = J(m), dividing by b^l*P(0,Z)^J with the heap division: the
+    witness and None, or the partial witness and (m, remainder)."""
+    p = actx.presentation
+    gctx, cctx = actx.gen_ctx, actx.coeff_ctx
+    b = actx._x_adic_b()
+    order = MonomialOrder.block_sequence(cctx, [["Z"]])
+    witness, rest = gctx.zero(), form
+    while rest.min_exp() < 0:
+        m = -rest.min_exp()
+        big_j = 1
+        while p.d * big_j + p.e * (big_j // p.s) < m:
+            big_j += 1
+        j, l = big_j % p.s, big_j // p.s
+        divisors = _Divisors(order)
+        lc = divisors.push((p.p_at_x0().transfer(cctx) ** big_j).scale(b ** l))
+        rem, (q,) = _normal_form(rest.coeffs[-m], divisors, _Budget(DEFAULT_BUDGET))
+        if not rem.is_zero():
+            return witness, (m, rem)
+        i = p.d * big_j + p.e * l - m
+        piece = q.scale(Fraction(1) / lc).transfer(gctx) * gctx.monomial({"X": i, "Y": j, "T": l})
+        witness, rest = witness + piece, rest - actx.to_laurent(piece)
+    x = gctx.var("X")
+    return witness + sum((c.transfer(gctx) * x ** n for n, c in rest.coeffs.items()), gctx.zero()), None
+
+
+# (P, Q) with P(0,Z) not integral or not monic, X-terms, and b not 1
+_RATIONAL_CELLS = [
+    ("2*Z^2 + X*Z^2 - 1/2", "-2*Y^2 + X*Y*Z + Z + 1/3"),
+    ("Z^2 + 1/2", "Y^3 + Z"),
+    ("3*Z^3 - 1/2*Z + X", "1/2*Y^2 + X*Z"),
+]
+
+
+class TestYFirstSplit:
+    """The division that puts the multiple of P(0,z)^j, j = ceil(m/d), of
+    each level -m into x^(d*j - m)*y^j, on presentations with X-terms in P
+    and Q, against the division by b^l*P(0,Z)^J alone and the Groebner
+    route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_same_answers_as_the_division_by_b_l_p0_j(self, seed):
+        actx, form = _split_case(seed)
+        witness, refusal = _x_adic_witness(form, actx, _Budget(DEFAULT_BUDGET))
+        reference, ref_refusal = _division_by_b_l_p0_j(form, actx)
+        assert (refusal is None) == (ref_refusal is None)
+        s = actx.presentation.s
+        y_first = any(e[1] > s for e in witness.terms)
+        event(f"{'non-member' if refusal else 'member'}, {'a' if y_first else 'no'} piece in y^j, j > s")
+        member = oracle = None
+        try:
+            if form.min_exp() < 0:
+                with _time_limit(2.0):
+                    member, oracle = groebner_membership(form, actx, 40_000)
+        except (BudgetExceeded, _OracleTooSlow):
+            event("oracle over budget, skipped")
+        if refusal is None:
+            assert actx.to_laurent(witness) == form
+            reduced = actx.reduce_witness(witness)
+            assert reduced == actx.reduce_witness(reference)
+            if member is not None:
+                assert member and reduced == actx.reduce_witness(oracle)
+        else:
+            m, c, certificate = refusal
+            residue = form - actx.to_laurent(witness)
+            assert residue.min_exp() == -m and residue.coeffs[-m] == c
+            ref_m, ref_rem = ref_refusal
+            assert (certificate["level"], certificate["remainder"]) == (-ref_m, str(ref_rem))
+            assert member in (False, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_t_free_normal_form_comes_back_as_it_is(self, seed):
+        # no T and no term divisible by X^d*Y: each level -m of the image
+        # has one such monomial x^i*y^j, i < d, so its lowest coefficient is
+        # q*P(0,z)^j and the y-first piece is that monomial's part of h
+        rng = random.Random(seed)
+        d, e = rng.randint(1, 3), rng.randint(1, 2)
+        if rng.random() < 0.4:  # P(0,Z) not integral, or not monic
+            pres = DDPresentation.make([], d, e, *rng.choice(_RATIONAL_CELLS))
+        else:
+            pres = random_valid_presentation(rng, d, e, max_r=3, max_s=3, constant_lead_p=False)
+        actx = AlgebraContext(pres, ("W1",) if rng.random() < 0.3 else ())
+        gctx = actx.gen_ctx
+        x, y, t = (gctx.index(v) for v in "XYT")
+        h = random_polynomial(rng, gctx, max_terms=4, max_exp=3) + gctx.var("Y") ** rng.randint(
+            pres.s + 1, pres.s + 3) * random_polynomial(rng, gctx, max_terms=2, max_exp=2)
+        h = Polynomial._raw(gctx, {ex: c for ex, c in h.terms.items()
+                                   if not ex[t] and not (ex[y] and ex[x] >= pres.d)})
+        integral = all(Fraction(c).denominator == 1 for c in pres.p_at_x0().terms.values())
+        event("P(0,Z) integral" if integral else "P(0,Z) with a denominator")
+        assert _x_adic_witness(actx.to_laurent(h), actx, _Budget(DEFAULT_BUDGET)) == (h, None)
+
+    def test_refusal_builds_no_y_first_power(self, dd1):
+        # z^2000 at level -1000 reaches the z-degree 2000 of P(0,z)^1000, the
+        # lowest coefficient of y^1000, but it is no multiple of P(0,z)^500,
+        # that of T^250: the division by the latter refuses it, before
+        # P(0,z)^1000, whose 501^2 more term pairs the default budget does
+        # not hold, is built
+        actx = AlgebraContext(dd1)
+        cctx = actx.coeff_ctx
+        form = LaurentForm(cctx, {-1000: cctx.var("Z") ** 2000})
+        result = membership_with_witness(form, actx)
+        assert not result.member
+        assert (result.certificate["level"], result.certificate["divisor"]) == (-1000, "(Z^2 - 1)^500")
+        assert max(actx._nf_cache["x-adic"][1]) == 500
 
 
 # (base variables, adjoined variables, P, Q): P(0,Z) has a rational Z-lead;
@@ -558,18 +723,22 @@ class TestDivisionInZ:
 class TestReduceWitness:
     def test_image_of_t_on_the_reference_cell_within_4000_steps(self):
         # the largest witness a certificate reduces: the image of t over the
-        # smaller ring of (2,2,4,3); least lead degree first takes 3,907
-        # steps, the basis order 9,609, to the same normal form
+        # smaller ring of (2,2,4,3).  The division puts most of each level
+        # into a standard x^i*y^j, so its 1,407 terms hold T only 3 times,
+        # and the normal form takes 3 steps in either divisor order; built
+        # from powers of t (1,220 terms, 782 with T) it took 3,907 and 9,609
         cert = cancellation_certificate(DDPresentation.make([], 2, 2, "Z^4 + 1", "Y^3 + Z"))
         psi_t = cert.old_generators.images["T"]
         small = psi_t.actx
         witness, refusal = _x_adic_witness(psi_t.laurent, small, _Budget(DEFAULT_BUDGET))
-        assert refusal is None and len(witness.terms) == 1220
+        t = small.gen_ctx.index("T")
+        assert refusal is None and len(witness.terms) == 1407
+        assert sum(1 for e in witness.terms if e[t]) == 3
         basis = small._nf_cache["rel"]
-        reduced = basis.remainder(witness, 4_000)
-        assert reduced == basis.normal_form(witness, 9_609)[0] == psi_t.gen
+        reduced = basis.remainder(witness, 3)
+        assert reduced == basis.normal_form(witness, 3)[0] == psi_t.gen
         with pytest.raises(BudgetExceeded):
-            basis.normal_form(witness, 9_608)
+            basis.remainder(witness, 2)
 
 
 class TestCompleteness:

@@ -11,6 +11,7 @@ from ddlab.groebner import (
     _Budget,
     _Divisors,
     _normal_form,
+    _remainder,
     buchberger,
     elimination_ideal,
     is_unit_ideal,
@@ -282,6 +283,27 @@ class TestNormalFormKernel:
                 _normal_form(f, divisors, _Budget(steps - 1), cofactors=False)
             with pytest.raises(BudgetExceeded):
                 gb.remainder(f, steps - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_division_case(), st.dictionaries(_exps, _rationals, min_size=1, max_size=6))
+    def test_standard_terms_skip_the_division(self, case, more):
+        # the terms no lead divides are kept out of the heap: on any basis,
+        # Groebner or not, the remainder and the steps are those of the
+        # division of the whole polynomial
+        order, basis, f = case
+        f = f + Polynomial(XYZ, more)
+        divisors = _Divisors(order, basis)
+        standard = [e for e in f.terms if not any(all(map(int.__le__, lm, e)) for lm in divisors.lms)]
+        event(f"standard terms: {'none' if not standard else 'all' if len(standard) == len(f.terms) else 'some'}")
+        results = []
+        for divide in (_remainder, lambda *a: _normal_form(*a, cofactors=False)[0]):
+            budget = _Budget(10_000)
+            results.append((divide(f, divisors, budget), budget.used))
+        assert results[0] == results[1]
+        steps = results[0][1]
+        if steps:
+            with pytest.raises(BudgetExceeded):
+                _remainder(f, divisors, _Budget(steps - 1))
 
     def test_rescale_when_the_denominator_does_not_divide(self):
         # 1/3*Z^3 + 1 runs as Z^3 + 3 over 3; the tail -1/2 of Z^2 - 1/2 is
