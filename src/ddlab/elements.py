@@ -211,12 +211,13 @@ class AlgebraContext:
         a power already kept is free.
         """
         _, powers, den = self._nf_cache["x-adic"]
+        width = len(self.coeff_ctx.names)
 
         def power(k: int) -> dict:
             if k not in powers:
                 a, b = power(k // 2), power(k - k // 2)
                 budget.tick(len(a[0]) * len(b[0]))
-                powers[k] = _packed_product(a, b)
+                powers[k] = _packed_product(a, b, width)
             return powers[k]
 
         return power(big_j)[0], den ** big_j
@@ -227,8 +228,9 @@ class AlgebraContext:
         list `to_laurent` grows too.  Each power added charges the budget one
         step per term."""
         _, powers, den, _ = image_entry(self.generator_images()[name])
+        width = len(self.coeff_ctx.names)
         while len(powers) <= k:
-            powers.append(_packed_product(powers[-1], powers[1]))
+            powers.append(_packed_product(powers[-1], powers[1], width))
             budget.tick(sum(map(len, powers[-1].values())))
         return powers[k], den ** k
 
@@ -236,8 +238,8 @@ class AlgebraContext:
         """The computed premises of the completeness of the x-adic division (see
         the module docstring), made once under the default budget and kept."""
         if "completeness" not in self._nf_cache:
-            rels = _initial_relations(self.presentation, Context(("V",) + GENERATOR_NAMES))
-            lift = self.to_laurent(_initial_relations(self.presentation, self.gen_ctx)[1])
+            rels = _initial_relations(self.presentation, self.gen_ctx)
+            lift = self.to_laurent(rels[1])
             witness, refusal = _x_adic_witness(lift, self, _Budget(DEFAULT_BUDGET))
             saturated = _x_is_nonzerodivisor(rels, DEFAULT_BUDGET)
             self._nf_cache["completeness"] = Report((
@@ -438,8 +440,8 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
                     t[ez] *= up
             den = new_den
         k = -(den // dp)
-        factor = _packed_product({i: {ez: k * cz for ez, cz in q[i].items()}}, y_power)
-        _packed_mul_into(work, factor, t_power)
+        factor = _packed_product({i: {ez: k * cz for ez, cz in q[i].items()}}, y_power, width)
+        _packed_mul_into(work, factor, t_power, width)
 
     for m in range(-f.min_exp(), 0, -1):
         terms = work.get(-m)
@@ -546,12 +548,18 @@ def _initial_relations(p: DDPresentation, ctx: Context) -> list[Polynomial]:
 
 def _x_is_nonzerodivisor(rels: list[Polynomial], budget: int) -> bool:
     """Whether I : X = I for I = (rels), that is I : X^infinity = I: the
-    generators of the latter, V eliminated from I + (V*X - 1) with V the
-    first variable of the context, must reduce to 0 modulo I (Cox, Little
-    and O'Shea, Ideals, Varieties, and Algorithms, 4.4)."""
-    ctx = rels[0].ctx
-    inverse = ctx.var(ctx.names[0]) * ctx.var("X") - ctx.one()
-    saturation = elimination_ideal(rels + [inverse], ctx.names[1:], budget)
+    generators of the latter, V eliminated from I + (V*X - 1), must reduce
+    to 0 modulo I (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, 4.4).  V is a variable not in the context of rels, put
+    first."""
+    names = rels[0].ctx.names
+    v = "V"
+    while v in names:
+        v += "_"
+    ctx = Context((v,) + names)
+    rels = [g.transfer(ctx) for g in rels]
+    inverse = ctx.var(v) * ctx.var("X") - ctx.one()
+    saturation = elimination_ideal(rels + [inverse], names, budget)
     basis = buchberger(rels, budget=budget)
     return all(basis.remainder(g, budget).is_zero() for g in saturation)
 

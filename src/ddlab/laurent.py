@@ -11,7 +11,7 @@ state directly; the coefficient Polynomials are a view for printing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -21,11 +21,11 @@ from .poly import (
     Context,
     ContextMismatch,
     Polynomial,
+    _add_terms,
     _check_packed_exponent,
     _image_entry,
     _lowest_terms,
     _pack,
-    _packed_mul_into,
     _packed_product,
     _scaled_int_form,
     _top,
@@ -35,7 +35,10 @@ from .poly import (
 
 
 def _times(form: dict, m: int) -> dict:
-    """A copy of an integral form with every value multiplied by m."""
+    """A copy of an integral form with every value multiplied by m; the term
+    dicts are new."""
+    if m == 1:
+        return {n: dict(t) for n, t in form.items()}
     return {n: {e: c * m for e, c in t.items()} for n, t in form.items()}
 
 
@@ -154,10 +157,10 @@ class LaurentForm:
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         self._check(other)
         da, db = self.den, other.den
-        den = da * db // gcd(da, db)
-        out: dict = {}  # self*(den/da) + other*(den/db), each a product by a constant form
-        _packed_mul_into(out, self.num, {0: {0: den // da}})
-        _packed_mul_into(out, other.num, {0: {0: den // db}})
+        den = lcm(da, db)
+        out = _times(self.num, den // da)
+        for n, t in _times(other.num, den // db).items():
+            _add_terms(out, n, t)
         return LaurentForm._raw(self.ctx, *_lowest_terms({n: t for n, t in out.items() if t}, den))
 
     def __neg__(self) -> "LaurentForm":
@@ -172,7 +175,7 @@ class LaurentForm:
         self._check(other)
         width = len(self.ctx.names)
         _check_packed_exponent(_top(self.num, width) + _top(other.num, width))
-        product = _packed_product(self.num, other.num)
+        product = _packed_product(self.num, other.num, width)
         return LaurentForm._raw(self.ctx, *_lowest_terms(product, self.den * other.den))
 
     def scale(self, q) -> "LaurentForm":

@@ -138,9 +138,25 @@ def _form_product(a: dict, b: dict) -> dict:
 # vector, so that multiplying two monomials is one int addition (Monagan and
 # Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 # exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
+#
+# A product of packed forms takes one of two paths (`_packed_mul_into`).
+# Below KRONECKER_PAIRS term pairs, and on forms sparse in z, the top field,
+# a dict loop forms one monomial product per term pair.  From there on, on
+# forms dense in z, Kronecker substitution (Kronecker 1882; Harvey, "Faster
+# polynomial multiplication via multipoint Kronecker substitution", JSC
+# 2009) packs each group of terms of one x-level and one value of the other
+# fields into one int, a slot per z step, and forms each product of two
+# groups as one int product.  Fateman ("Comparing the speed of programs for
+# sparse polynomial multiplication", SIGSAM Bull. 2003) compares the two
+# regimes.  From KRONECKER_PAIRS on, a product with a one-term factor is a
+# shift and a scale, with no pair loop.
 
 PACKED_BITS = 32
 MAX_PACKED_EXPONENT = 2 ** PACKED_BITS - 1
+# the term pairs from which a product may take the Kronecker path: over the
+# products of certificates, 256 and 512 took the least time, 4096 about 15%
+# more
+KRONECKER_PAIRS = 512
 
 
 class ExponentLimit(ValueError):
@@ -182,6 +198,13 @@ def _pack(form: dict, width: int) -> tuple[dict, int]:
     are formed.  The x-adic division's long division in z forms keys within
     its input's fields unless the divisor holds other variables than z, and
     then it checks its own bound first (`elements._divide_in_z`).
+
+    The Kronecker path of `_packed_mul_into` relies on the same bound: it
+    splits a key into its z field, key >> PACKED_BITS*(width-1), and the
+    rest, and forms a product's key as the sum of the z fields shifted back
+    plus the sum of the rests.  That equals the sum of the two keys because
+    no field of the product exceeds MAX_PACKED_EXPONENT, so the rests add
+    without a carry into z.
     """
     top = max(chain.from_iterable(chain.from_iterable(form.values())), default=0)
     _check_packed_exponent(top)
@@ -220,12 +243,52 @@ def _lowest_terms(form: dict, den: int) -> tuple[dict, int]:
     return form, den // g
 
 
-def _packed_mul_into(out: dict, a: dict, b: dict) -> None:
-    """out += a*b on forms under packed keys, in place: `_form_mul_into`
-    with one int addition per monomial product.
+def _add_terms(out: dict, n: int, terms: dict) -> None:
+    """out[n] += terms, in place, dropping the sums that vanish; terms is
+    kept as out[n] when that level is absent or empty, so it must be fresh."""
+    acc = out.get(n)
+    if not acc:
+        out[n] = terms
+        return
+    get = acc.get
+    for e, c in terms.items():
+        cur = get(e)
+        if cur is None:
+            acc[e] = c
+        else:
+            s = cur + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
 
-    Empty term dicts may be left in out.
+
+def _packed_mul_into(out: dict, a: dict, b: dict, width: int) -> None:
+    """out += a*b on forms under packed keys of `width` fields, in place.
+
+    Below KRONECKER_PAIRS term pairs, the product is a dict loop,
+    `_form_mul_into` with one int addition per monomial product.  From there
+    on, a one-term factor shifts and scales the other, one dict per level,
+    and other products are formed by Kronecker substitution when the forms
+    are dense in z (`_kronecker_mul_into`), else by the dict loop.  Empty
+    term dicts may be left in out.
     """
+    na = nb = 0  # counted by loops: sum(map(len, ...)) costs more on the many tiny products
+    for t in a.values():
+        na += len(t)
+    for t in b.values():
+        nb += len(t)
+    if na * nb >= KRONECKER_PAIRS:
+        if na == 1 or nb == 1:
+            if nb != 1:
+                a, b = b, a
+            for n2, t2 in b.items():  # b may have empty levels besides its term
+                for e2, c2 in t2.items():
+                    for n1, t1 in a.items():
+                        _add_terms(out, n1 + n2, {e1 + e2: c1 * c2 for e1, c1 in t1.items()})
+            return
+        if _kronecker_mul_into(out, a, b, width, na, nb):
+            return
     for n1, t1 in a.items():
         t1 = list(t1.items())
         for n2, t2 in b.items():
@@ -248,10 +311,110 @@ def _packed_mul_into(out: dict, a: dict, b: dict) -> None:
                             del acc[e]
 
 
-def _packed_product(a: dict, b: dict) -> dict:
-    """The product of two integral forms under packed keys."""
+def _z_groups(form: dict, shift: int) -> dict:
+    """The terms of a form under packed keys, z the field at `shift`, grouped
+    by x-level and by the other fields: {(level, rest): {z: coefficient}}."""
+    mask = (1 << shift) - 1
+    groups: dict = {}
+    for n, t in form.items():
+        for e, c in t.items():
+            key = (n, e & mask)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = {e >> shift: c}
+            else:
+                group[e >> shift] = c
+    return groups
+
+
+def _kronecker_mul_into(out: dict, a: dict, b: dict, width: int, na: int, nb: int) -> bool:
+    """out += a*b by Kronecker substitution in z, the top field of packed
+    keys of `width` fields, and True; or False, with out untouched, when the
+    forms, of na and nb terms, are too sparse in z for it.
+
+    The z-exponents of every group of terms (`_z_groups`) step by a common
+    stride g.  A group becomes one int with a slot of B bits per step, B a
+    whole number of bytes and at least bits(||a||_1) + bits(max|b|) + 2, so
+    that every coefficient of a, of b and of a*b, which is at most
+    ||a||_1*max|b|, lies below 2^(B-2) in size.  Each pair of groups is one
+    int product.  The products that land on one level, one value of the
+    other fields and one residue of z mod g are added, each shifted by its
+    lowest z, and the sum is unpacked once: a bias of 2^(B-1) in every slot
+    makes each slot its coefficient plus the bias, with no carries.  Groups
+    are packed with the same bias.
+
+    Too sparse means fewer than 16 term pairs per pair of groups, or more
+    than a third as many output slots as term pairs: unpacking a slot costs
+    about what the dict loop spends on three term pairs.
+    """
+    pairs = na * nb
+    shift = PACKED_BITS * (width - 1)
+    ga, gb = _z_groups(a, shift), _z_groups(b, shift)
+    if len(ga) * len(gb) * 16 > pairs:
+        return False
+    stride = 0  # positive after the loop: a group has two terms, or the test above failed
+    for group in chain(ga.values(), gb.values()):
+        lo = min(group)
+        stride = gcd(stride, *[z - lo for z in group])
+    # (lowest z, slot count) of each group
+    spans_a, spans_b = [{key: (min(group), (max(group) - min(group)) // stride + 1) for key, group in groups.items()}
+                        for groups in (ga, gb)]
+    spans: dict = {}  # (level, rest, residue) -> the output's lowest and highest slot
+    for (n1, r1), (lo1, k1) in spans_a.items():
+        for (n2, r2), (lo2, k2) in spans_b.items():
+            s0, res = divmod(lo1 + lo2, stride)
+            key = (n1 + n2, r1 + r2, res)
+            span = spans.get(key)
+            spans[key] = (s0, s0 + k1 + k2 - 2) if span is None else (
+                min(span[0], s0), max(span[1], s0 + k1 + k2 - 2))
+    if 3 * sum(s1 - s0 + 1 for s0, s1 in spans.values()) > pairs:
+        return False
+
+    norm = sum(map(abs, chain.from_iterable(t.values() for t in a.values())))
+    top = max(map(abs, chain.from_iterable(t.values() for t in b.values())))
+    size = (norm.bit_length() + top.bit_length() + 9) // 8  # bytes a slot
+    bits, half, bias = 8 * size, 1 << (8 * size - 1), bytes(size - 1) + b"\x80"
+    from_bytes = int.from_bytes
+
+    def pack(groups: dict, spans: dict) -> list:
+        packed = []
+        for key, group in groups.items():
+            lo, k = spans[key]
+            get = group.get
+            raw = b"".join([(get(z, 0) + half).to_bytes(size, "little") for z in range(lo, lo + k * stride, stride)])
+            packed.append((key, lo, from_bytes(raw, "little") - from_bytes(bias * k, "little")))
+        return packed
+
+    sums = dict.fromkeys(spans, 0)
+    packed_b = pack(gb, spans_b)
+    for (n1, r1), lo1, v1 in pack(ga, spans_a):
+        for (n2, r2), lo2, v2 in packed_b:
+            s0, res = divmod(lo1 + lo2, stride)
+            key = (n1 + n2, r1 + r2, res)
+            sums[key] += (v1 * v2) << (bits * (s0 - spans[key][0]))
+    levels: dict = {}  # the keys differ in rest or residue, so no two of them share a term
+    step = stride << shift
+    for (n, rest, res), v in sums.items():
+        s0, s1 = spans[n, rest, res]
+        k = s1 - s0 + 1
+        raw = (v + from_bytes(bias * k, "little")).to_bytes(size * k, "little")
+        terms = levels.setdefault(n, {})
+        e = rest + ((res + s0 * stride) << shift)
+        for i in range(0, size * k, size):
+            c = from_bytes(raw[i:i + size], "little") - half
+            if c:
+                terms[e] = c
+            e += step
+    for n, terms in levels.items():
+        _add_terms(out, n, terms)
+    return True
+
+
+def _packed_product(a: dict, b: dict, width: int) -> dict:
+    """The product of two integral forms under packed keys of `width`
+    fields, with no zero value and no empty level."""
     out: dict = {}
-    _packed_mul_into(out, a, b)
+    _packed_mul_into(out, a, b, width)
     return {n: t for n, t in out.items() if t}
 
 
@@ -357,8 +520,8 @@ def eval_at_forms(
         for (powers, d), k in zip(general, key):
             if k:
                 while len(powers) <= k:
-                    powers.append(_packed_product(powers[-1], powers[1]))
-                factor = powers[k] if factor is one else _packed_product(factor, powers[k])
+                    powers.append(_packed_product(powers[-1], powers[1], width))
+                factor = powers[k] if factor is one else _packed_product(factor, powers[k], width)
                 dg *= d ** k
         scaled.append((cof, factor, dc * dg))
         den = lcm(den, dc * dg)
@@ -370,7 +533,11 @@ def eval_at_forms(
             m = den // d
             if m != 1:
                 cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
-            _packed_mul_into(out, cof, factor)
+            if factor is one:  # cof is this function's own, so out may keep its dicts
+                for n, t in cof.items():
+                    _add_terms(out, n, t)
+            else:
+                _packed_mul_into(out, cof, factor, width)
     return _lowest_terms({n: t for n, t in out.items() if t}, den)
 
 

@@ -367,7 +367,7 @@ class TestDivisionAgainstGroebner:
                 budget = _Budget(DEFAULT_BUDGET)
                 y_power, dy = actx._power("Y", j, budget)
                 t_power, dt = actx._power("T", l, budget)
-                form = unpacked(cctx, _packed_product(y_power, t_power), dy * dt)
+                form = unpacked(cctx, _packed_product(y_power, t_power, len(cctx.names)), dy * dt)
                 assert form == actx.element(f"Y^{j}*T^{l}").laurent
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
@@ -772,6 +772,16 @@ class TestCompleteness:
         assert not _x_is_nonzerodivisor(rels, DEFAULT_BUDGET)
         assert _x_is_nonzerodivisor([parse_poly("X*Y - Z", ctx), parse_poly("X*T - Y^2", ctx)],
                                     DEFAULT_BUDGET)
+
+    def test_nonzerodivisor_check_on_relations_with_x_first(self):
+        # the full relations of a valid cell live in gen_ctx, where X is the
+        # first variable and no V exists: the helper adjoins its own
+        actx = AlgebraContext(DDPresentation.make([], 2, 2, "Z^4 - 1", "Y^3 + Z"))
+        assert actx.gen_ctx.names[0] == "X"
+        assert _x_is_nonzerodivisor(list(actx.relations()), DEFAULT_BUDGET)
+        # and with an adjoined V already in the context
+        actx = AlgebraContext(DDPresentation.make([], 1, 2, "Z^2 - 1", "Y^2 + Z"), ("V",))
+        assert _x_is_nonzerodivisor(list(actx.relations()), DEFAULT_BUDGET)
 
     def test_broken_initial_relations_raise_instead_of_answering(self, dd1, monkeypatch):
         # with P(0,Z) replaced by 0 in I0, x*y is a relation that x divides

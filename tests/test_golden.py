@@ -5,7 +5,9 @@ change to the Groebner, Laurent or polynomial kernels that alters any
 certificate, even only in how a coefficient is printed, fails here.  A
 companion digest pins the two certificates of the reference cell
 (d,e,r,s) = (2,2,4,3), whose images over the smaller ring are the largest,
-and another pins two cells with different denominators in P and Q.  A second
+another pins two cells with different denominators in P and Q, and another
+three general cells, with more lower terms or X-terms in P and Q, whose
+large products take the Kronecker path of the Laurent layer.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
 failing cells.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
@@ -27,6 +29,7 @@ import json
 import random
 from fractions import Fraction
 
+from ddlab import poly
 from ddlab.cancellation import cancellation_certificate
 from ddlab.cli import main
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
@@ -93,6 +96,35 @@ def test_golden_denominator_cell_certificates_are_byte_identical():
         assert cert.certified
         h.update(json.dumps(cert.to_json()).encode())
     assert h.hexdigest() == DENOMINATOR_DIGEST
+
+
+# general cells: more lower terms in P(0,Z) and Q, or X-terms in both, so the
+# images of y and t are dense in z at stride 1 and their large products take
+# the Kronecker path of the packed product
+GENERAL_CELLS = [
+    (1, 2, "Z^3 + 2*Z - 1/2", "Y^2 + Y*Z + Z"),
+    (2, 2, "Z^2 + X*Z - 1", "Y^3 + Z + X*Y"),
+    (2, 2, "Z^3 + X*Z^2 - 1", "Y^2 + Z + X*Y"),
+]
+GENERAL_DIGEST = "45fcc33ed7de44c29900067a3fb5a38d988fd271f2dbc72533402b308e518b03"
+
+
+def test_golden_general_cell_certificates_are_byte_identical(monkeypatch):
+    taken = []
+    kronecker = poly._kronecker_mul_into
+
+    def counted(*args):
+        taken.append(kronecker(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(poly, "_kronecker_mul_into", counted)
+    h = hashlib.sha256()
+    for d, e, p, q in GENERAL_CELLS:
+        cert = cancellation_certificate(DDPresentation.make([], d, e, p, q))
+        assert cert.certified
+        h.update(json.dumps(cert.to_json()).encode())
+    assert h.hexdigest() == GENERAL_DIGEST
+    assert any(taken)
 
 
 # (base_vars, d, e, P, Q): three passing cells, one failing cell per check

@@ -214,7 +214,7 @@ class TestExponentLimit:
         top = big * one_z
         assert top.coeffs[0] == ctx.monomial({"Z": MAX_PACKED_EXPONENT}) + ctx.var("Z")
 
-        def no_product(a, b):
+        def no_product(a, b, width):
             raise RuntimeError("formed the product")
 
         monkeypatch.setattr(laurent, "_packed_product", no_product)

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from ddlab import poly
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import (
+    KRONECKER_PAIRS,
     MAX_DEGREE,
     MAX_PACKED_EXPONENT,
     MAX_TERM_PRODUCTS,
@@ -17,8 +19,11 @@ from ddlab.poly import (
     ExponentLimit,
     ParseError,
     Polynomial,
+    _form_mul_into,
     _form_product,
+    _kronecker_mul_into,
     _pack,
+    _packed_mul_into,
     _packed_product,
     _scaled_int_form,
     _unpack,
@@ -366,11 +371,11 @@ class TestPackedKeys:
         ctx, a, b = case
         (pa, da), (pb, db) = _packed(a), _packed(b)
         tuple_product = _form_product(_tuple_form(a), _tuple_form(b))
-        assert unpacked(ctx, _packed_product(pa, pb), da * db) == LaurentForm(
+        assert unpacked(ctx, _packed_product(pa, pb, len(ctx.names)), da * db) == LaurentForm(
             ctx, {n: Polynomial._raw(ctx, t) for n, t in tuple_product.items()}) == a * b
         # (a + b)*(a - b) = a*a - b*b: the cross terms cancel exactly in the kernel
         (pp, dp), (pm, dm) = _packed(a + b), _packed(a - b)
-        assert unpacked(ctx, _packed_product(pp, pm), dp * dm) == a * a - b * b
+        assert unpacked(ctx, _packed_product(pp, pm, len(ctx.names)), dp * dm) == a * a - b * b
 
     @settings(max_examples=100, deadline=None)
     @given(_evaluations())
@@ -412,3 +417,159 @@ class TestPackedKeys:
         with pytest.raises(ValueError):  # an ExponentLimit is a ValueError
             parse_poly("Y", Context(("Y", "Z"))).substitute(
                 {"Y": Context(("Z",)).monomial({"Z": MAX_PACKED_EXPONENT + 1})})
+
+
+def _dict_loop(out: dict, a: dict, b: dict, width: int) -> None:
+    """out += a*b on forms under packed keys, by the dict loop on tuple keys
+    (`_form_mul_into`) that the packed product must agree with."""
+    tuple_out = _unpack(out, width)
+    _form_mul_into(tuple_out, _unpack(a, width), _unpack(b, width))
+    out.clear()
+    out.update(_pack(tuple_out, width)[0])
+
+
+def _terms(form: dict) -> int:
+    return sum(map(len, form.values()))
+
+
+def _copy(form: dict) -> dict:
+    return {n: dict(t) for n, t in form.items()}
+
+
+def _nonempty(form: dict) -> dict:
+    return {n: t for n, t in form.items() if t}
+
+
+def _random_packed(rng: random.Random, width: int, stride: int, levels: list, rests: list,
+                   fill: float, span: int, bits: int) -> dict:
+    """A form under packed keys of `width` fields: at each level and each
+    value of the fields below z, the z-exponents z0 + stride*i, i < span,
+    each present with probability `fill`, with random signs and magnitudes
+    up to 2^bits."""
+    shift = PACKED_BITS * (width - 1)
+    form: dict = {}
+    for n in levels:
+        terms = form.setdefault(n, {})
+        for rest in rests:
+            z0 = rng.randrange(stride)
+            for i in range(span):
+                if rng.random() < fill:
+                    terms[rest + ((z0 + stride * i) << shift)] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+    return form
+
+
+@st.composite
+def _kronecker_cases(draw):
+    """(width, a, b, out): two forms of one to three fields, at z stride 1
+    or r, on negative and positive x-levels, dense or sparse, with
+    coefficients up to 2^130, and a form to accumulate into: none, a random
+    one, or minus a*b so that everything cancels; or, in "difference"
+    mode, the factors a + b and a - b, whose cross terms cancel."""
+    rng = draw(st.randoms(use_true_random=False))
+    width = draw(st.integers(1, 3))
+    stride = draw(st.sampled_from([1, 2, 4]))
+    bits = draw(st.sampled_from([2, 40, 70, 130]))
+    mode = draw(st.sampled_from(["dense", "dense", "sparse", "difference"]))
+    fill, span = (0.08, 60) if mode == "sparse" else (draw(st.sampled_from([0.6, 1.0])), draw(st.integers(6, 24)))
+    rests = sorted({sum(rng.randint(0, 2) << (PACKED_BITS * f) for f in range(width - 1))
+                    for _ in range(draw(st.integers(1, 3)))}) if width > 1 else [0]
+
+    def form():
+        levels = draw(st.lists(st.integers(-4, 3), min_size=1, max_size=3, unique=True))
+        return _random_packed(rng, width, stride, levels, rests, fill, span, bits)
+
+    a, b = form(), form()
+    if mode == "difference":
+        plus, minus = _copy(a), _copy(a)
+        for n, t in b.items():
+            poly._add_terms(plus, n, dict(t))
+            poly._add_terms(minus, n, {e: -c for e, c in t.items()})
+        a, b = _nonempty(plus), _nonempty(minus)
+    out_kind = draw(st.sampled_from(["empty", "random", "cancel"]))
+    if out_kind == "random":
+        out = form()
+    elif out_kind == "cancel":
+        out = {}
+        _dict_loop(out, a, b, width)
+        out = {n: {e: -c for e, c in t.items()} for n, t in out.items()}
+    else:
+        out = {}
+    return width, a, b, out
+
+
+class TestKroneckerProduct:
+    """The Kronecker path of the packed product against the dict loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kronecker_cases())
+    def test_kronecker_path_equals_the_dict_loop(self, case):
+        width, a, b, out = case
+        na, nb = _terms(a), _terms(b)
+        assume(na > 1 and nb > 1)
+        expected = _copy(out)
+        _dict_loop(expected, a, b, width)
+        expected = _nonempty(expected)
+        got = _copy(out)
+        took = _kronecker_mul_into(got, a, b, width, na, nb)
+        event("kronecker" if took else "dict loop")
+        if took:
+            assert _nonempty(got) == expected
+            assert all(c for t in got.values() for c in t.values())
+        else:
+            assert got == out  # untouched
+        # whatever path it takes, the packed product is the dict loop's
+        got = _copy(out)
+        _packed_mul_into(got, a, b, width)
+        assert _nonempty(got) == expected
+        product = _packed_product(a, b, width)
+        plain: dict = {}
+        _dict_loop(plain, a, b, width)
+        assert product == _nonempty(plain)
+        assert all(t and all(t.values()) for t in product.values())
+
+    def test_dense_forms_take_the_kronecker_path(self):
+        # 100 consecutive z-steps times 50 alternating ones at twice the
+        # step and a level of 40 more, at stride 1, and at stride 5 with
+        # coefficients over 2^100 and a second field
+        for width, stride, big in ((1, 1, 1), (2, 5, 2 ** 100)):
+            shift = PACKED_BITS * (width - 1)
+            a = {-1: {(stride * i) << shift: big + i for i in range(100)}}
+            b = {0: {(stride * 2 * i) << shift: (-1) ** i * big for i in range(50)},
+                 2: {((stride * i) << shift) + (1 if width > 1 else 0): 3 for i in range(40)}}
+            expected: dict = {}
+            _dict_loop(expected, a, b, width)
+            got: dict = {}
+            assert _kronecker_mul_into(got, a, b, width, _terms(a), _terms(b))
+            assert got == _nonempty(expected)
+
+    def test_sparse_forms_keep_the_dict_loop(self, monkeypatch):
+        # z-exponents far apart at stride 1, and many one-term groups: both
+        # refused, and the product is still the dict loop's
+        taken = []
+        kronecker = poly._kronecker_mul_into
+        monkeypatch.setattr(poly, "_kronecker_mul_into", lambda *args: taken.append(kronecker(*args)) or taken[-1])
+        spread = {0: {1: 7, **{k * 10 ** 6: k + 1 for k in range(40)}}}
+        singletons = {n: {n: 1} for n in range(40)}
+        for a, b in ((spread, spread), (singletons, singletons)):
+            assert _terms(a) * _terms(b) >= KRONECKER_PAIRS
+            expected: dict = {}
+            _dict_loop(expected, a, b, 1)
+            assert _packed_product(a, b, 1) == _nonempty(expected)
+        assert taken == [False, False]
+
+    def test_one_term_factor_is_a_shift_and_a_scale(self):
+        # on either side, into an empty level and into one that cancels, past
+        # an empty level of the one-term factor; 602 term pairs or more, so
+        # that the path is taken
+        a = {-2: {5: -2, **{k: k + 1 for k in range(6, 606)}}, 1: {3: 4}}
+        assert _terms(a) >= KRONECKER_PAIRS
+        one = {0: {0: 1}, 3: {}}
+        shifted = {1: {7 << 32: -3}}
+        for left, right in ((a, shifted), (shifted, a), (a, one)):
+            expected: dict = {}
+            _dict_loop(expected, left, right, 2)
+            got = {-1: {(7 << 32) + 5: -6}} if right is shifted else {}
+            _dict_loop(want := _copy(got), left, right, 2)
+            _packed_mul_into(got, left, right, 2)
+            assert _nonempty(got) == _nonempty(want)
+            assert _packed_product(left, right, 2) == _nonempty(expected)
