@@ -130,7 +130,7 @@ class ExponentialMap(RHomomorphism):
         missing = [n for n in names if n not in coeffs]
         if missing:
             raise DerivationError(f"missing exponential-map coefficients for {missing}")
-        target = AlgebraContext(actx.presentation, actx.adjoined + ("U",))
+        target = actx.extend("U")
         cctx = target.coeff_ctx
         gens = {n: f.transfer(cctx) for n, f in actx.generator_images().items()}
         k = len(names)  # U's slot in the target's gen_ctx

@@ -52,6 +52,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .groebner import (
     DEFAULT_BUDGET,
+    GroebnerBasis,
     MonomialOrder,
     _Budget,
     buchberger,
@@ -89,9 +90,15 @@ class NotInAlgebra(AlgebraError):
 
 
 class AlgebraContext:
-    """A presentation together with zero or more adjoined polynomial variables."""
+    """A presentation together with zero or more adjoined polynomial variables.
 
-    __slots__ = ("presentation", "adjoined", "gen_ctx", "coeff_ctx", "_images", "_nf_cache")
+    `_relations` holds the basis of the defining relations over X, Y, Z, T
+    and the base variables once it is made; a context made by `extend`
+    shares it with its parent, and each keeps it transferred into its own
+    `gen_ctx` in `_nf_cache`.
+    """
+
+    __slots__ = ("presentation", "adjoined", "gen_ctx", "coeff_ctx", "_images", "_nf_cache", "_relations")
 
     def __init__(self, presentation: DDPresentation, adjoined: Iterable[str] = ()):
         presentation.require_valid()
@@ -108,6 +115,18 @@ class AlgebraContext:
         object.__setattr__(self, "coeff_ctx", Context(("Z",) + adjoined + base))
         object.__setattr__(self, "_images", None)
         object.__setattr__(self, "_nf_cache", {})
+        object.__setattr__(self, "_relations", {})
+
+    def extend(self, *names: str) -> "AlgebraContext":
+        """This algebra with names adjoined after its own adjoined variables.
+
+        No relation holds an adjoined variable, so the basis of the relations
+        stays a Groebner basis, with the same leads and order, when the
+        variables are added: the two contexts share it (see
+        `reduce_witness`)."""
+        child = AlgebraContext(self.presentation, self.adjoined + names)
+        object.__setattr__(child, "_relations", self._relations)
+        return child
 
     def __setattr__(self, *args):
         raise AttributeError("AlgebraContext is immutable")
@@ -261,8 +280,18 @@ class AlgebraContext:
         not the result.
         """
         if "rel" not in self._nf_cache:
-            order = MonomialOrder.block_sequence(self.gen_ctx, [["T"], ["Y"]])
-            self._nf_cache["rel"] = buchberger(list(self.relations()), order, budget)
+            def order(ctx):
+                return MonomialOrder.block_sequence(ctx, [["T"], ["Y"]])
+
+            shared, ctx = self._relations, self.gen_ctx
+            if "basis" not in shared:
+                small = Context(GENERATOR_NAMES + self.presentation.base.variables)
+                shared["basis"] = buchberger([r.transfer(small) for r in self.relations()], order(small), budget)
+            gb = shared["basis"]
+            self._nf_cache["rel"] = gb if gb.ctx == ctx else GroebnerBasis(
+                ctx, order(ctx), tuple(p.transfer(ctx) for p in gb.polys), tuple(g.transfer(ctx) for g in gb.gens),
+                tuple(tuple(c.transfer(ctx) for c in row) for row in gb.cofactors),
+            )
         return self._nf_cache["rel"].remainder(expr, budget)
 
 

@@ -4,13 +4,22 @@ Provides reduced Groebner bases, ideal membership with explicit cofactors,
 unit-ideal tests, and elimination ideals via block orders.  Pair selection is
 plain Buchberger with the product and chain criteria and a deterministic
 queue (lcm degree, then index), so bases are reproducible.
+
+Each basis element carries its cofactor row, which writes it in the input
+generators (extended Buchberger; Cox, Little and O'Shea, Ideals, Varieties,
+and Algorithms, 2.6).  During a run a row is one term map
+{(generator index, exponents): coefficient}, exact rationals stored as int
+where integral: an S-pair row is its parents' maps shifted by the S-pair
+monomials and subtracted, and a division subtracts each cofactor times its
+divisor's row term by term.  A row still costs one budget step per term
+after each cofactor it takes.  Only the rows of the reduced basis become
+polynomials, one per generator (`GroebnerBasis.cofactors`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add as _add_op, itemgetter, le as _le_op, sub as _sub_op
@@ -141,9 +150,10 @@ class _Divisors(list):
     monomial, its denominator D_i, the least common denominator of its
     coefficients (`dens`), and its tail, the other terms in `p.terms` order
     as (exponents, neg_key, negated coefficient times D_i) triples, all int.
+    The key function is looked up on the first `push`.
     """
 
-    __slots__ = ("order", "lms", "lead_keys", "dens", "tails")
+    __slots__ = ("order", "lms", "lead_keys", "dens", "tails", "neg_key")
 
     def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
         super().__init__()
@@ -152,12 +162,15 @@ class _Divisors(list):
         self.lead_keys: list[tuple] = []
         self.dens: list[int] = []
         self.tails: list[list[tuple[Exponents, tuple, int]]] = []
+        self.neg_key = None
         for p in polys:
             self.push(p)
 
     def push(self, p: Polynomial):
         """Append p made monic; return the leading coefficient it was divided by."""
-        neg_key = _neg_key(self.order, len(p.ctx.names))
+        neg_key = self.neg_key
+        if neg_key is None:
+            neg_key = self.neg_key = _neg_key(self.order, len(p.ctx.names))
         keyed = [(e, neg_key(e), c) for e, c in p.terms.items()]
         lm, lead_key, lc = min(keyed, key=itemgetter(1))
         if lc != 1:
@@ -176,6 +189,20 @@ class _Divisors(list):
             for e, k, c in keyed if e != lm
         ])
         return lc
+
+    def subset(self, idx: Iterable[int]) -> "_Divisors":
+        """The elements at idx, in that order, sharing what was recorded for
+        them: it divides as `_Divisors(order, [self[i] for i in idx])` does,
+        without making each element monic and keying its terms again."""
+        out = _Divisors(self.order)
+        out.neg_key = self.neg_key
+        for i in idx:
+            out.append(self[i])
+            out.lms.append(self.lms[i])
+            out.lead_keys.append(self.lead_keys[i])
+            out.dens.append(self.dens[i])
+            out.tails.append(self.tails[i])
+        return out
 
 
 def _normal_form(
@@ -323,7 +350,7 @@ class GroebnerBasis:
         cofactors."""
         lms = self._divisors.lms
         by_degree = sorted(range(len(lms)), key=lambda i: sum(lms[i]))
-        return _Divisors(self.order, [self.polys[i] for i in by_degree])
+        return self._divisors.subset(by_degree)
 
     def reduce_to_gens(self, f: Polynomial, j: int, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, Polynomial]:
         """Remainder of f plus its cofactor on the input generator gens[j]."""
@@ -359,24 +386,27 @@ def buchberger(
 
     basis = _Divisors(order)
     lms = basis.lms
-    rows: list[list[Polynomial]] = []  # basis[i] = sum_j rows[i][j]*gens[j]
+    rows: list[dict] = []  # basis[i] = the sum of c*x^e*gens[j] over rows[i], {(j, e): c}
 
     # each pair is pushed once and popped once, so the heap holds exactly
     # the pending pairs; the chain criterion reads the set
     pending: set[tuple[int, int]] = set()
     pair_heap: list[tuple[int, int, int]] = []
 
-    def push(p: Polynomial, row: list[Polynomial]):
+    def push(p: Polynomial, row: dict):
         lc = basis.push(p)
-        rows.append([c.scale(Fraction(1) / lc) for c in row])
+        if lc != 1:
+            row = {k: coeff_div(c, lc) for k, c in row.items()}
+        rows.append(row)
         j = len(basis) - 1
         for i in range(j):
             pending.add((i, j))
             heapq.heappush(pair_heap, (sum(_lcm(lms[i], lms[j])), i, j))
 
+    one = (0,) * len(ctx.names)
     for j, g in enumerate(gens):
         if not g.is_zero():
-            push(g, [ctx.one() if k == j else ctx.zero() for k in range(len(gens))])
+            push(g, {(j, one): 1})
 
     if not basis:
         return GroebnerBasis(ctx, order, (), tuple(gens), ())
@@ -403,7 +433,9 @@ def buchberger(
         rem, cofs = _normal_form(s, basis, budget_box)
         if rem.is_zero():
             continue
-        row = [qi * a - qj * b for a, b in zip(rows[i], rows[j])]
+        (mi,), (mj,) = qi.terms, qj.terms
+        row = {(col, tuple(map(_add_op, e, mi))): c for (col, e), c in rows[i].items()}
+        _sub_shifted(row, rows[j], mj, 1)
         push(rem, _minus_cofactors(row, cofs, rows, budget_box))
 
     # minimalize: drop elements whose leading monomial is divisible by another's
@@ -417,30 +449,53 @@ def buchberger(
 
     # tail-reduce each survivor against the others, in basis order; the lead
     # of a survivor is divisible by no other lead, so it stays, still monic
-    reduced: list[tuple[tuple, Polynomial, list[Polynomial]]] = []
+    reduced: list[tuple[tuple, Polynomial, dict]] = []
     for i in keep:
         others = [k for k in keep if k != i]
-        rem, cofs = _normal_form(basis[i], _Divisors(order, [basis[k] for k in others]), budget_box)
-        row = _minus_cofactors(rows[i], cofs, [rows[k] for k in others], budget_box)
+        rem, cofs = _normal_form(basis[i], basis.subset(others), budget_box)
+        row = _minus_cofactors(dict(rows[i]), cofs, [rows[k] for k in others], budget_box)
         reduced.append((basis.lead_keys[i], rem, row))
 
     reduced.sort(key=itemgetter(0))
     gb = GroebnerBasis(
-        ctx, order, tuple(p for _, p, _ in reduced), tuple(gens), tuple(tuple(r) for _, _, r in reduced)
+        ctx, order, tuple(p for _, p, _ in reduced), tuple(gens),
+        tuple(_row_polys(ctx, row, len(gens)) for _, _, row in reduced),
     )
 
     _assert_basis_sound(gb, budget_box)
     return gb
 
 
-def _minus_cofactors(row: list[Polynomial], cofs: list[Polynomial], rows: list[list[Polynomial]],
-                     budget_box: _Budget) -> list[Polynomial]:
-    """row - sum_t cofs[t]*rows[t]; each row built costs one step per term."""
+def _sub_shifted(row: dict, other: dict, m: Exponents, c) -> None:
+    """row -= c*x^m*other on cofactor rows, in place; the terms that vanish
+    are dropped and the values that are integral stored as int."""
+    get = row.get
+    for (col, e), b in other.items():
+        key = (col, tuple(map(_add_op, e, m)))
+        v = get(key, 0) - c * b
+        if v:
+            row[key] = v if type(v) is int or v.denominator != 1 else v.numerator
+        else:
+            del row[key]
+
+
+def _minus_cofactors(row: dict, cofs: list[Polynomial], rows: list[dict], budget_box: _Budget) -> dict:
+    """row - sum_t cofs[t]*rows[t], formed in row; after each cofactor the row
+    costs one step per term."""
     for c, other in zip(cofs, rows):
-        if not c.is_zero():
-            row = [a - c * b for a, b in zip(row, other)]
-            budget_box.tick(sum(len(p.terms) for p in row))
+        if c.terms:
+            for m, q in c.terms.items():
+                _sub_shifted(row, other, m, q)
+            budget_box.tick(len(row))
     return row
+
+
+def _row_polys(ctx: Context, row: dict, n: int) -> tuple[Polynomial, ...]:
+    """A cofactor row as its n columns, one polynomial per generator."""
+    cols: list[dict] = [{} for _ in range(n)]
+    for (col, e), c in row.items():
+        cols[col][e] = c
+    return tuple(Polynomial._raw(ctx, t) for t in cols)
 
 
 def _assert_basis_sound(gb: GroebnerBasis, budget_box: _Budget):

@@ -698,7 +698,7 @@ class Polynomial:
             else:
                 s = cur + coeff
                 if s:
-                    out[exps] = s
+                    out[exps] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     del out[exps]
         return Polynomial._raw(self.ctx, out)
@@ -717,7 +717,7 @@ class Polynomial:
             else:
                 s = cur - coeff
                 if s:
-                    out[exps] = s
+                    out[exps] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     del out[exps]
         return Polynomial._raw(self.ctx, out)
@@ -727,6 +727,14 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a  # the smaller factor drives the outer loop
+        if len(b) == 1:
+            # a monomial times a: a shift and a scale, no term of which merges
+            ((m, q),) = b.items()
+            out = {}
+            for e, c in a.items():
+                v = c * q
+                out[tuple(map(_add_op, e, m))] = v if type(v) is int or v.denominator != 1 else v.numerator
+            return Polynomial._raw(self.ctx, out)
         return Polynomial._raw(self.ctx, _form_product({0: a}, {0: b}).get(0, {}))
 
     def scale(self, q) -> "Polynomial":
@@ -766,7 +774,8 @@ class Polynomial:
         distinct terms to distinct terms, so no two of them merge."""
         i = self.ctx.index(name)
         return Polynomial._raw(self.ctx, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] if type(c) is int else norm_coeff(c * e[i])
+            for e, c in self.terms.items() if e[i]
         })
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":

@@ -20,7 +20,7 @@ from ddlab.elements import (
     divide_by_x_power,
     membership_with_witness,
 )
-from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, MonomialOrder, _Budget, _Divisors, _normal_form
+from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, MonomialOrder, _Budget, _Divisors, _normal_form, buchberger
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import (
     MAX_PACKED_EXPONENT,
@@ -172,6 +172,28 @@ class TestMembership:
                 g = random_polynomial(rng, Context(("X", "Z", "W1")), max_terms=4).transfer(actx.gen_ctx)
                 assert membership_with_witness(actx.to_laurent(g), actx) == (True, g, None)
             assert "rel" not in actx._nf_cache
+
+    def test_extended_context_shares_the_relation_basis(self, dd3, monkeypatch):
+        # the exp-map target B[W1][U] reduces witnesses by the basis its
+        # source made: one Buchberger run, and the basis a run in the larger
+        # context would give
+        runs = []
+        monkeypatch.setattr(elements, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
+        actx = AlgebraContext(dd3, ("W1",))
+        child = actx.extend("U")
+        assert child == AlgebraContext(dd3, ("W1", "U"))
+        rng = random.Random(29)
+        exprs = [random_polynomial(rng, child.gen_ctx, max_terms=4, max_exp=3) for _ in range(10)]
+        reduced = [child.reduce_witness(g) for g in exprs]
+        actx.reduce_witness(actx.gen_ctx.var("T") * actx.gen_ctx.var("X") ** 2)
+        assert len(runs) == 1 and runs[0][0][0].ctx.names == ("X", "Y", "Z", "T")
+        monkeypatch.undo()
+        order = MonomialOrder.block_sequence(child.gen_ctx, [["T"], ["Y"]])
+        fresh = buchberger(list(child.relations()), order)
+        gb = child._nf_cache["rel"]
+        assert (gb.ctx, gb.order, gb.polys, gb.gens, gb.cofactors) == (
+            fresh.ctx, fresh.order, fresh.polys, fresh.gens, fresh.cofactors)
+        assert reduced == [fresh.remainder(g) for g in exprs]
 
     def test_soundness_roundtrip_fuzz(self, dd1_ctx, dd3_ctx):
         rng = random.Random(808)

@@ -11,7 +11,8 @@ large products take the Kronecker path of the Laurent layer.  A second
 digest pins the omega3 reports, verdicts and detail strings, over passing and
 failing cells.  A third pins the reduced Groebner bases
 and their cofactor rows over four monomial orders, since certificates read
-complement variables off cofactor columns.  A fourth pins the exponential
+complement variables off cofactor columns, and a table beside it the steps
+each of those runs charges to its budget.  A fourth pins the exponential
 map of the canonical derivation: its generator images over B[U] and its axiom
 report.  A fifth pins membership answers: every witness and every
 non-membership certificate over seeded members and non-members.  A sixth pins
@@ -29,15 +30,17 @@ import json
 import random
 from fractions import Fraction
 
-from ddlab import poly
+import pytest
+
+from ddlab import groebner, poly
 from ddlab.cancellation import cancellation_certificate
 from ddlab.cli import main
 from ddlab.derivations import canonical_lnd, check_exp_axioms, exp_map
 from ddlab.elements import AlgebraContext, _x_adic_witness, membership_with_witness
-from ddlab.groebner import DEFAULT_BUDGET, MonomialOrder, _Budget, buchberger
+from ddlab.groebner import DEFAULT_BUDGET, BudgetExceeded, MonomialOrder, _Budget, buchberger
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import Context, Polynomial, parse_poly
-from ddlab.presentations import BaseRingSpec, DDPresentation, omega3_check
+from ddlab.presentations import BaseRingSpec, DDPresentation, omega3_check, unit_ideal_generators
 
 from conftest import random_polynomial, random_valid_presentation
 
@@ -203,6 +206,54 @@ def test_golden_groebner_bases_are_byte_identical():
         for row in gb.cofactors:
             h.update(str([str(c) for c in row]).encode())
     assert h.hexdigest() == GB_DIGEST
+
+
+# The steps each Buchberger run charges, which is the smallest budget under
+# which it succeeds: over the cases of GB_DIGEST, in the same order, and over
+# the two unit-ideal conditions of three presentations.  How the cofactor
+# rows are kept may change; what a run charges may not.
+GB_STEPS = [0, 1, 11, 59, 5, 2, 35, 56, 35, 49, 0, 6, 369, 20, 0, 3068, 223, 4,
+            6, 62, 15, 0, 0, 17, 4, 13, 21, 10, 11, 6, 4, 43097, 7, 7, 13, 7]
+UNIT_IDEAL_STEPS = [
+    (([], 1, 2, "Z^3 + 2*Z - 1/2", "Y^2 + Y*Z + Z"), [6, 24]),
+    (([], 2, 2, "Z^4 + 3*Z - 1/2", "Y^3 + Y*Z + Z"), [9, 107]),
+    ((["U1"], 2, 2, "Z^3 + U1*Z - 1", "Y^2 + Z"), [3, 6]),
+]
+
+
+def _charged_steps(monkeypatch, runs) -> list[int]:
+    """The steps charged by each call in runs, read off the budget that
+    buchberger makes for it."""
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(groebner, "_Budget", Recorded)
+    for run in runs:
+        run()
+    monkeypatch.undo()
+    assert len(budgets) == len(runs)
+    return [b.used for b in budgets]
+
+
+def test_groebner_step_counts_are_unchanged(monkeypatch):
+    rng = random.Random(2718)
+    cases = [(GB_ORDERS[i % 4], _gb_generators(rng, ("integral", "rational", "non-monic")[i % 3]))
+             for i in range(32)]
+    cases += [(GB_ORDERS[k], [parse_poly(t, GB_CTX) for t in texts]) for k, texts in GB_TAIL_CASES]
+    assert _charged_steps(monkeypatch, [lambda o=o, g=g: buchberger(g, o) for o, g in cases]) == GB_STEPS
+    for cell, steps in UNIT_IDEAL_STEPS:
+        gens = unit_ideal_generators(DDPresentation.make(*cell))
+        assert _charged_steps(monkeypatch, [lambda g=g: buchberger(g) for g in gens]) == steps
+    # the charge is the smallest budget that succeeds
+    for k in (1, 12, 15):
+        order, gens = cases[k]
+        buchberger(gens, order, GB_STEPS[k])
+        with pytest.raises(BudgetExceeded):
+            buchberger(gens, order, GB_STEPS[k] - 1)
 
 
 EXP_DIGEST = "3f3d565b1a61315cf721705d547885ad7673038cd85a9e6f64e66694a43c4c71"

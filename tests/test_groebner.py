@@ -305,6 +305,23 @@ class TestNormalFormKernel:
             with pytest.raises(BudgetExceeded):
                 _remainder(f, divisors, _Budget(steps - 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_division_case(), st.data())
+    def test_subset_divides_as_fresh_divisors(self, case, data):
+        # tail reduction divides by the run's divisors less one element
+        order, basis, f = case
+        divisors = _Divisors(order, basis)
+        idx = data.draw(st.permutations(range(len(basis))).flatmap(
+            lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k])))
+        view, fresh = divisors.subset(idx), _Divisors(order, [divisors[i] for i in idx])
+        assert (list(view), view.lms, view.lead_keys, view.dens, view.tails) == (
+            list(fresh), fresh.lms, fresh.lead_keys, fresh.dens, fresh.tails)
+        for cofactors in (True, False):
+            budgets = _Budget(10_000), _Budget(10_000)
+            assert (_normal_form(f, view, budgets[0], cofactors)
+                    == _normal_form(f, fresh, budgets[1], cofactors))
+            assert budgets[0].used == budgets[1].used
+
     def test_rescale_when_the_denominator_does_not_divide(self):
         # 1/3*Z^3 + 1 runs as Z^3 + 3 over 3; the tail -1/2 of Z^2 - 1/2 is
         # stored negated and times its denominator 2, as 1, and 2 does not

@@ -120,6 +120,12 @@ class TestParsing:
         assert P("(X+Y+Z+T+1)^5*(X+Y+Z+T+1)^5") == P("(X+Y+Z+T+1)^10")
 
 
+_rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 4, 6]))
+_exponents = st.tuples(*[st.integers(0, 3)] * len(CTX.names))
+_rational_polys = st.dictionaries(_exponents, _rationals, max_size=5).map(lambda terms: Polynomial(CTX, terms))
+_monomials = st.builds(lambda e, c: Polynomial(CTX, {e: c}), _exponents, _rationals)
+
+
 class TestRingOps:
     def test_difference_of_squares(self):
         assert P("(Z-1)*(Z+1)") == P("Z^2 - 1")
@@ -147,8 +153,9 @@ class TestRingOps:
             P("Z") ** -1
 
     def test_integral_fractions_leave_the_kernel_as_int(self):
-        # sums can leave Fraction(n, 1) values in a polynomial; products and
-        # evaluations must still return ints or non-integral Fractions
+        # a trusted constructor can leave Fraction(n, 1) values in a
+        # polynomial; products and evaluations must still return ints or
+        # non-integral Fractions
         a = Polynomial._raw(CTX, {(1, 0, 0, 0, 0, 0): Fraction(4, 1), (0, 0, 1, 0, 0, 0): 3})
         b = P("X*Z + 1/2")
         cctx = Context(("Z", "W"))
@@ -160,6 +167,29 @@ class TestRingOps:
             values += [c for q in form.coeffs.values() for c in q.terms.values()]
         assert values
         assert all(type(c) is int or c.denominator != 1 for c in values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_polys, _rational_polys, _monomials, _rationals, st.sampled_from(CTX.names))
+    def test_no_operation_returns_an_integral_fraction(self, a, b, m, q, name):
+        # 1/2 + 1/2, 3/2*Z^2 differentiated and (2/3*Z)*(3/2*Y) are integral
+        results = [a + b, a - b, a * b, a * m, m * a, a.partial(name), a.scale(q), a.substitute({name: b})]
+        for p in results:
+            assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+    def test_monomial_factor_is_a_shift_and_a_scale(self):
+        # int, rational, and rational coefficients whose products are integral
+        cases = [
+            (P("3*X^2*Z - 2*Y + 5"), P("4*X*T")),
+            (P("1/2*X*Z + 2/3*Y - 1"), P("3/5*Z^2")),
+            (P("3/2*X + 4/3*Y^2 + 1/6"), P("6*W")),
+            (P("3/2*X - 5/2*U"), P("2/3")),
+        ]
+        for f, m in cases:
+            want = _form_product({0: f.terms}, {0: m.terms})[0]
+            for got in (f * m, m * f):
+                assert list(got.terms.items()) == list(want.items())
+                assert [type(c) for c in got.terms.values()] == [type(c) for c in want.values()]
+        assert all(type(c) is int for c in (cases[2][0] * cases[2][1]).terms.values())
 
 
 class TestCalculus:
