@@ -112,9 +112,9 @@ def _report_result(kind: str, path: str, report):
     return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
 
 
-def _emit(payload: dict, lines: list[str], args) -> None:
+def _emit(text: str | None, lines: list[str], args) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(text)
     else:
         for line in lines:
             print(line)
@@ -426,21 +426,25 @@ def main(argv=None) -> int:
         results = [_worker(item) for item in items]
 
     worst = max((code for code, _, _ in results), default=EXIT_PASS)
-    payloads = [payload for _, payload, _ in results]
+    # each payload is rendered once, for stdout and for --out alike
+    texts = [json.dumps(payload, indent=2) if args.json or args.out else None for _, payload, _ in results]
     try:
-        for (_, payload, lines), path in zip(results, paths):
+        for (_, _, lines), text, path in zip(results, texts, paths):
             if len(paths) > 1 and not args.json:
                 print(f"== {path} ==")
-            _emit(payload, lines, args)
+            _emit(text, lines, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (`| head`): print nothing more, and point
         # stdout at devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.out:
-        report = payloads[0] if len(payloads) == 1 else payloads
+        # a batch as json.dumps(payloads, indent=2) writes it: each rendering,
+        # every line indented by two spaces, inside [ ]
+        report = texts[0] if len(texts) == 1 else "[\n" + ",\n".join(
+            "  " + text.replace("\n", "\n  ") for text in texts) + "\n]"
         try:
-            Path(args.out).write_text(json.dumps(report, indent=2), encoding="utf-8")
+            Path(args.out).write_text(report, encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_INPUT

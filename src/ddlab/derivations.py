@@ -5,8 +5,15 @@ y to dP/dZ(x,z)*x^e, t to dQ/dY*dP/dZ + dQ/dZ*x^d, and every adjoined
 variable to -x.  Derivations act on elements through the Leibniz rule on
 their generator-expression witnesses.  The exponential map exp(D) is an
 R-algebra homomorphism B[w..] -> B[w..][U], built from the U-coefficient
-lists D^i(gen)/i! and evaluated like any other homomorphism; its axioms are
-checked symbolically.  Base-ring variables are always mapped to 0.
+lists c_i = D^i(gen)/i! and evaluated like any other homomorphism.  Its
+axioms are checked symbolically.  In the cocycle check
+delta_V(delta_U(g)) = delta_(U+V)(g), the images of delta_V and the right
+side are sums sum_i L(c_i)*v^i, v = V or U + V, built from the Laurent forms
+L(c_i) of the coefficients, as the images of exp(D) are with v = U; the
+left side evaluates each generator's U-expression, sum_i c_i*U^i, at the
+delta_V images, so it is computed apart from the right side (Freudenburg,
+"Algebraic Theory of Locally Nilpotent Derivations", 2nd ed., 2017).
+Base-ring variables are always mapped to 0.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Mapping
 
 from .elements import AlgebraContext, BElement
 from .isomorphisms import RHomomorphism, verify_hom
-from .laurent import LaurentForm, eval_poly_at_laurent
+from .laurent import LaurentForm, eval_in_powers, eval_poly_at_laurent
 from .poly import Polynomial
 from .presentations import CheckItem, DDPresentation, Report, validate_presentation
 
@@ -116,7 +123,8 @@ class ExponentialMap(RHomomorphism):
 
     The target adjoins U after the source's adjoined variables.  `coeffs`
     holds each generator's U-coefficients c_0, c_1, ..., elements of the
-    source; its image is the target element sum_i c_i*U^i.
+    source; its image is the target element sum_i c_i*U^i, whose Laurent
+    form is sum_i L(c_i)*U^i, built from the coefficients' forms.
     """
 
     __slots__ = ("coeffs",)
@@ -132,7 +140,7 @@ class ExponentialMap(RHomomorphism):
             raise DerivationError(f"missing exponential-map coefficients for {missing}")
         target = actx.extend("U")
         cctx = target.coeff_ctx
-        gens = {n: f.transfer(cctx) for n, f in actx.generator_images().items()}
+        u = LaurentForm.from_poly(cctx.var("U"))
         k = len(names)  # U's slot in the target's gen_ctx
         store, images = {}, {}
         for name in names:
@@ -148,7 +156,7 @@ class ExponentialMap(RHomomorphism):
             expr = Polynomial(target.gen_ctx, {
                 e[:k] + (i,) + e[k:]: q for i, c in enumerate(lst) for e, q in c.gen.terms.items()
             })
-            images[name] = BElement(target, expr, eval_poly_at_laurent(expr, gens, cctx))
+            images[name] = BElement(target, expr, eval_in_powers([c.laurent for c in lst], u, cctx))
         super().__init__(actx, target, images)
         self.coeffs = store
 
@@ -195,18 +203,18 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
                            "constant coefficient equals the generator"))
     items.append(CheckItem("defining relations map to zero", verify_hom(delta), ""))
 
-    # lhs: the U-expressions at the images under delta_V, U fixed, where
-    # delta_V evaluates the U-expressions with U -> V;
-    # rhs: the U-expressions at the generator images, with U -> U + V
+    # delta_V(g) = sum_i L(c_i)*V^i and the rhs delta_(U+V)(g) = sum_i
+    # L(c_i)*(U+V)^i are built from the coefficients' Laurent forms; the lhs
+    # evaluates each U-expression at the delta_V images, U fixed
     uv_ctx = delta.target.coeff_ctx.extend("V")
-    gens = {n: f.transfer(uv_ctx) for n, f in actx.generator_images().items()}
-    v_gens = {**gens, "U": LaurentForm.from_poly(uv_ctx.var("V"))}
-    shifted = {**gens, "U": LaurentForm.from_poly(uv_ctx.var("U") + uv_ctx.var("V"))}
-    at_v = {name: eval_poly_at_laurent(el.gen, v_gens, uv_ctx) for name, el in delta.images.items()}
+    v = LaurentForm.from_poly(uv_ctx.var("V"))
+    shifted = LaurentForm.from_poly(uv_ctx.var("U") + uv_ctx.var("V"))
+    forms = {name: [c.laurent.transfer(uv_ctx) for c in lst] for name, lst in delta.coeffs.items()}
+    at_v = {name: eval_in_powers(lst, v, uv_ctx) for name, lst in forms.items()}
     cocycle_ok = True
     detail = ""
     for name, el in delta.images.items():
-        if eval_poly_at_laurent(el.gen, at_v, uv_ctx) != eval_poly_at_laurent(el.gen, shifted, uv_ctx):
+        if eval_poly_at_laurent(el.gen, at_v, uv_ctx) != eval_in_powers(forms[name], shifted, uv_ctx):
             cocycle_ok = False
             detail = f"composition mismatch on generator {name}"
             break

@@ -174,13 +174,20 @@ class AlgebraContext:
         return BElement(self, expr, self.to_laurent(expr))
 
     def gen(self, name: str) -> "BElement":
-        return self.element(self.gen_ctx.var(name))
+        """A generator or base variable, with the Laurent form that
+        `generator_images` holds for it, or the variable itself (z, w.., u..)."""
+        expr = self.gen_ctx.var(name)
+        image = self.generator_images().get(name)
+        if image is None:
+            image = LaurentForm.from_poly(self.coeff_ctx.var(name))
+        return BElement(self, expr, image)
 
     def zero(self) -> "BElement":
-        return self.element(self.gen_ctx.zero())
+        return BElement(self, self.gen_ctx.zero(), LaurentForm.zero(self.coeff_ctx))
 
     def const(self, value) -> "BElement":
-        return self.element(self.gen_ctx.const(value))
+        expr = self.gen_ctx.const(value)
+        return BElement(self, expr, LaurentForm.from_poly(expr.transfer(self.coeff_ctx)))
 
     def generator_names(self) -> tuple[str, ...]:
         return GENERATOR_NAMES + self.adjoined

@@ -11,7 +11,10 @@ state directly; the coefficient Polynomials are a view for printing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import lcm
+from operator import or_
 from types import MappingProxyType
 from typing import Mapping
 
@@ -26,6 +29,7 @@ from .poly import (
     _image_entry,
     _lowest_terms,
     _pack,
+    _packed_mul_into,
     _packed_product,
     _scaled_int_form,
     _top,
@@ -244,6 +248,49 @@ def eval_poly_at_laurent(
     read with `image_entry`, after its context is checked against the target.
     """
     return _evaluate({0: p.terms}, p.ctx.names, images, target)
+
+
+def eval_in_powers(forms: list[LaurentForm], image: LaurentForm, target: Context) -> LaurentForm:
+    """sum_i forms[i]*image^i over target: the value at the image of a
+    polynomial in one variable whose coefficients have the given forms.
+
+    The forms are transferred to target, which holds the image.  A monomial
+    image shifts and scales each form; another image multiplies it by its
+    integral power, from the image's entry (`image_entry`), so a later call
+    at the same image object reuses the powers.  Raises ExponentLimit,
+    before any term is formed, when a product could hold an exponent over
+    MAX_PACKED_EXPONENT: every field of the bitwise or of all keys bounds
+    that field of every key.
+    """
+    if image.ctx != target:
+        raise ContextMismatch("image context differs from target")
+    mono, powers, dv, top = image_entry(image)
+    width = len(target.names)
+    forms = [f.transfer(target) for f in forms]
+    if len(forms) > 1:
+        keys = reduce(or_, chain.from_iterable(chain.from_iterable(f.num.values() for f in forms)), 0)
+        _check_packed_exponent(_top({0: {keys: 0}}, width) + (len(forms) - 1) * top)
+    den = 1
+    for i, f in enumerate(forms):
+        den = lcm(den, f.den * dv ** i)
+    if mono is not None:  # the integral power i is one term, {i*xn: {i*ez: cn^i}}
+        ((xn, t1),) = powers[1].items()
+        ((ez, cn),) = t1.items()
+    out: dict = {}
+    for i, f in enumerate(forms):
+        if f.is_zero():
+            continue
+        m = den // (f.den * dv ** i)
+        if i and mono is None:
+            while len(powers) <= i:
+                powers.append(_packed_product(powers[-1], powers[1], width))
+            _packed_mul_into(out, f.num if m == 1 else _times(f.num, m), powers[i], width)
+            continue
+        # a shift and a scale, into fresh term dicts, which out may keep
+        dn, de, k = (i * xn, i * ez, m * cn ** i) if i else (0, 0, m)
+        for n, t in f.num.items():
+            _add_terms(out, n + dn, {e + de: c * k for e, c in t.items()})
+    return LaurentForm._raw(target, *_lowest_terms({n: t for n, t in out.items() if t}, den))
 
 
 def image_entry(image: LaurentForm) -> tuple:

@@ -52,7 +52,11 @@ def norm_coeff(value):
 
 
 def coeff_div(a, b):
-    """Exact division of coefficients (never float)."""
+    """Exact division of coefficients (never float): int when the quotient
+    is integral, Fraction otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     q = Fraction(a) / b
     return int(q) if q.denominator == 1 else q
 
@@ -836,17 +840,21 @@ class Polynomial:
                 if e
             ]
             mono = "*".join(factors)
-            mag = abs(coeff)
+            # sign and magnitude from numerator and denominator, with no
+            # Fraction arithmetic; str(Fraction(n, d)) is "n/d" for d != 1
+            num, den = coeff.numerator, coeff.denominator
+            positive = num > 0
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if k == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if positive else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if positive else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self):

@@ -282,6 +282,27 @@ class TestOutputModes:
         report = json.loads(out_file.read_text())
         assert isinstance(report, list) and len(report) == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_out_file_is_the_indented_json_of_the_payloads(self, dd1_file, dd2_file, tmp_path, count,
+                                                           json_flag, capsys):
+        # one payload, or the list of three of them, as json.dumps(..., indent=2)
+        # writes it; exp nests lists in dicts, and the broken input gives an
+        # error payload
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({"base_vars": [], "d": 1, "e": 1, "P": "Z +* 1", "Q": "Y"}))
+        inputs = [dd1_file, str(broken), dd2_file][:count]
+        out_file = tmp_path / "report.json"
+        main(["exp", *inputs, "--out", str(out_file), *json_flag])
+        stdout = capsys.readouterr().out
+        text = out_file.read_text(encoding="utf-8")
+        payloads = [json.loads(text)] if count == 1 else json.loads(text)
+        assert len(payloads) == count
+        assert text == json.dumps(payloads[0] if count == 1 else payloads, indent=2)
+        assert [p["input"] for p in payloads] == inputs
+        if json_flag:
+            assert stdout == "".join(json.dumps(p, indent=2) + "\n" for p in payloads)
+
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_out_exits_two_with_one_line(self, dd1_file, tmp_path, where, capsys):
         out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+from ddlab import laurent
 from ddlab.derivations import (
     Derivation,
     ExponentialMap,
@@ -11,7 +13,7 @@ from ddlab.derivations import (
     nilpotency_index,
 )
 from ddlab.elements import AlgebraContext
-from ddlab.laurent import LaurentForm, eval_poly_at_laurent
+from ddlab.laurent import LaurentForm, eval_in_powers, eval_poly_at_laurent
 from ddlab.presentations import DDPresentation
 
 from conftest import random_valid_presentation
@@ -186,6 +188,53 @@ class TestExponentialMap:
                     ext,
                 ).shift(-pres.d)
                 assert image_y == route
+
+
+def _presentations_with_extras(rng: random.Random, count: int):
+    """Algebra contexts on random valid presentations: every other one over
+    Q[a, b], with a and b in P and Q, and every other pair with W1 adjoined."""
+    for k in range(count):
+        pres = random_valid_presentation(rng, 1 + k % 3, 1 + k // 3 % 3)
+        if k % 2:
+            pres = DDPresentation.make(["a", "b"], pres.d, pres.e, f"{pres.P} + a*X*Z", f"{pres.Q} + b*X + a*Z")
+        yield AlgebraContext(pres, ("W1",) if k % 4 >= 2 else ())
+
+
+class TestBuiltFromCoefficients:
+    """exp(D), delta_V and delta_(U+V) are built from the coefficients' Laurent
+    forms; the evaluation of the U-expressions is the oracle."""
+
+    def test_sum_of_powers_equals_the_evaluation(self):
+        rng = random.Random(24)
+        for actx in _presentations_with_extras(rng, 30):
+            phi = exp_map(canonical_lnd(actx))
+            uv_ctx = phi.target.coeff_ctx.extend("V")
+            u, v = uv_ctx.var("U"), uv_ctx.var("V")
+            gens = {n: f.transfer(uv_ctx) for n, f in actx.generator_images().items()}
+            # U, V, U + V, and two images with a denominator, one a monomial
+            images = [LaurentForm.from_poly(u), LaurentForm.from_poly(v), LaurentForm.from_poly(u + v),
+                      LaurentForm.from_poly(v.scale(Fraction(3, 2)), 1),
+                      LaurentForm.from_poly(u * v.scale(Fraction(2, 3)) - v, -1)]
+            for image in images:
+                for name, el in phi.images.items():
+                    forms = [c.laurent for c in phi.coeffs[name]]
+                    expected = eval_poly_at_laurent(el.gen, {**gens, "U": image}, uv_ctx)
+                    assert eval_in_powers(forms, image, uv_ctx) == expected, (actx, name, str(image))
+
+    def test_evaluation_count(self, monkeypatch):
+        # building the map evaluates nothing; the axiom check evaluates each
+        # U-expression once, at the delta_V images, and the two relations
+        calls = []
+        evaluate = laurent._evaluate
+        monkeypatch.setattr(laurent, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        rng = random.Random(7)
+        for actx in _presentations_with_extras(rng, 8):
+            coeffs = exp_map(canonical_lnd(actx)).coeffs
+            calls.clear()
+            phi = ExponentialMap(actx, coeffs)
+            assert calls == []
+            assert check_exp_axioms(phi).passed
+            assert len(calls) == len(actx.generator_names()) + 2
 
 
 class TestMLReport:

@@ -66,6 +66,28 @@ class TestLaurentEmbedding:
             assert actx.to_laurent(rel1).is_zero()
             assert actx.to_laurent(rel2).is_zero()
 
+    def test_builders_give_the_form_of_their_expression(self, dd1, dd3, monkeypatch):
+        # gen, zero and const build their forms without evaluating; each equals
+        # the evaluation of the element's generator expression
+        with_base = DDPresentation.make(["a", "b"], 2, 1, "Z^2 + a*X*Z - b", "Y^2 + a*Y + b*Z + X")
+        contexts = [AlgebraContext(dd1, ("W1",)), AlgebraContext(dd3), AlgebraContext(with_base, ("W1",))]
+        evaluate = elements.eval_poly_at_laurent
+        evaluated = []
+        monkeypatch.setattr(elements, "eval_poly_at_laurent",
+                            lambda *args: evaluated.append(args[0]) or evaluate(*args))
+        built = []
+        for actx in contexts:
+            actx.generator_images()
+            evaluated.clear()
+            names = actx.generator_names() + actx.presentation.base.variables
+            built = [actx.gen(n) for n in names] + [actx.zero()]
+            built += [actx.const(v) for v in (0, 3, Fraction(-2, 3), "5/7")]
+            assert evaluated == []
+            assert [str(el) for el in built[:len(names)]] == list(names)
+            for el in built:
+                assert el.laurent == actx.to_laurent(el.gen), (actx, str(el))
+        assert [str(el) for el in built[-5:]] == ["0", "0", "3", "-2/3", "5/7"]
+
     def test_homomorphism_property_500(self, dd1_ctx):
         rng = random.Random(500)
         ctx = dd1_ctx.gen_ctx

@@ -207,6 +207,25 @@ class TestExponentLimit:
         with pytest.raises(ExponentLimit):
             LaurentForm.from_poly(ctx.monomial({"Z": MAX_PACKED_EXPONENT + 1}))
 
+    def test_before_a_sum_of_powers(self, monkeypatch):
+        # image^i times forms[i]: a monomial image shifts the keys, any other
+        # multiplies; either way the bound is checked before any term is formed
+        ctx = Context(("Z", "W1"))
+        near = LaurentForm.from_poly(ctx.monomial({"W1": MAX_PACKED_EXPONENT - 2}))
+        w1, w1_plus_z = LaurentForm.from_poly(ctx.var("W1")), LaurentForm.from_poly(ctx.var("W1") + ctx.var("Z"))
+        assert laurent.eval_in_powers([near, near, near], w1, ctx).coeffs[0] == (
+            ctx.monomial({"W1": MAX_PACKED_EXPONENT - 2}) + ctx.monomial({"W1": MAX_PACKED_EXPONENT - 1})
+            + ctx.monomial({"W1": MAX_PACKED_EXPONENT}))
+
+        def no_product(*args):
+            raise RuntimeError("formed a product")
+
+        monkeypatch.setattr(laurent, "_packed_mul_into", no_product)
+        monkeypatch.setattr(laurent, "_add_terms", no_product)
+        for image in (w1, w1_plus_z):
+            with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
+                laurent.eval_in_powers([near, near, near, near], image, ctx)
+
     def test_before_a_product(self, monkeypatch):
         ctx = Context(("Z", "W1"))
         big = LaurentForm.from_poly(ctx.monomial({"Z": MAX_PACKED_EXPONENT - 1}) + ctx.one())

@@ -27,6 +27,7 @@ from ddlab.poly import (
     _packed_product,
     _scaled_int_form,
     _unpack,
+    coeff_div,
     parse_poly,
 )
 
@@ -248,6 +249,41 @@ class TestCanonicalForm:
         assert str(P("Z^2 - 1")) == "Z^2 - 1"
         assert str(P("3/2*X*Z - X")) == "3/2*X*Z - X"
         assert str(P("-Z + 1")) == "-Z + 1"
+
+    def test_printer_reads_numerator_and_denominator(self):
+        # the printer against the sign and magnitude that Fraction arithmetic
+        # gives, on int, rational and Fraction(n, 1) coefficients
+        def reference(p):
+            pieces = []
+            for k, (exps, coeff) in enumerate(p.sorted_terms()):
+                mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(p.ctx.names, exps) if e)
+                mag = abs(coeff)
+                body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+                sign = ("" if k == 0 else "+ ") if coeff > 0 else ("-" if k == 0 else "- ")
+                pieces.append(sign + body)
+            return " ".join(pieces) or "0"
+
+        rng = random.Random(839)
+        for _ in range(300):
+            p = random_polynomial(rng, CTX, max_terms=6, max_exp=3, max_coeff=12)
+            assert str(p) == reference(p)
+            whole = Polynomial._raw(CTX, {e: Fraction(c.numerator, 1) if c.denominator == 1 else c
+                                          for e, c in p.terms.items()})
+            assert str(whole) == str(p)
+        ones = Polynomial._raw(CTX, {(0,) * 6: Fraction(1, 1), (1, 0, 0, 0, 0, 0): Fraction(-1, 1)})
+        assert str(ones) == "-X + 1"
+
+    def test_coeff_div_keeps_value_and_type(self):
+        # int when the quotient is integral, else Fraction, as Fraction(a) / b
+        values = [-12, -7, -1, 1, 2, 3, 6, 12, Fraction(3, 2), Fraction(-4, 3), Fraction(6, 1)]
+        for a in values + [0]:
+            for b in values:
+                q = Fraction(a) / b
+                got = coeff_div(a, b)
+                assert got == q
+                assert type(got) is (int if q.denominator == 1 else Fraction), (a, b, got)
+        with pytest.raises(ZeroDivisionError):
+            coeff_div(3, 0)
 
     def test_rational_invariants_after_ops(self):
         # every stored coefficient is nonzero and in reduced form with a
@@ -586,6 +622,37 @@ class TestKroneckerProduct:
             _dict_loop(expected, a, b, 1)
             assert _packed_product(a, b, 1) == _nonempty(expected)
         assert taken == [False, False]
+
+    def test_each_product_takes_its_path(self, monkeypatch):
+        # a one-term factor times 600 terms: the shift and scale; 9 x 56 = 504
+        # term pairs, below KRONECKER_PAIRS: the dict loop, even with a
+        # one-term factor or dense in z; 40 x 40 dense terms: Kronecker
+        paths = []  # what the product called: a Kronecker attempt and its answer, _add_terms
+        kronecker, add_terms = poly._kronecker_mul_into, poly._add_terms
+
+        def attempt(*args):
+            took = kronecker(*args)
+            paths.append("kronecker" if took else "refused")
+            return took
+
+        monkeypatch.setattr(poly, "_kronecker_mul_into", attempt)
+        monkeypatch.setattr(poly, "_add_terms", lambda *args: paths.append("add") or add_terms(*args))
+        big = {0: {k << 32: k + 1 for k in range(600)}}
+        small = {0: {k << 32: 1 for k in range(9)}}
+        mid = {-1: {k << 32: 2 for k in range(50)}, 2: {(k << 32) + 1: -1 for k in range(6)}}
+        dense = {0: {k << 32: k - 20 for k in range(40)}}
+        one = {3: {(5 << 32) + 2: 7}}
+        cases = [((one, big), "shift and scale"), ((big, one), "shift and scale"), ((small, mid), "dict loop"),
+                 ((one, {0: {k: 1 for k in range(511)}}), "dict loop"), ((dense, dense), "kronecker")]
+        for (a, b), path in cases:
+            paths.clear()
+            got: dict = {}
+            _packed_mul_into(got, a, b, 2)
+            taken = "kronecker" if "kronecker" in paths else "shift and scale" if "add" in paths else "dict loop"
+            assert taken == path, (_terms(a), _terms(b), paths)
+            expected: dict = {}
+            _dict_loop(expected, a, b, 2)
+            assert _nonempty(got) == _nonempty(expected)
 
     def test_one_term_factor_is_a_shift_and_a_scale(self):
         # on either side, into an empty level and into one that cancels, past
