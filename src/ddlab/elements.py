@@ -58,7 +58,7 @@ from .groebner import (
     buchberger,
     elimination_ideal,
 )
-from .laurent import LaurentForm, eval_poly_at_laurent, image_entry
+from .laurent import LaurentForm, _power, eval_poly_at_laurent, image_entry
 from .poly import (
     PACKED_BITS,
     Context,
@@ -66,10 +66,8 @@ from .poly import (
     Polynomial,
     _check_packed_exponent,
     _lowest_terms,
-    _pack,
     _packed_mul_into,
     _packed_product,
-    _scaled_int_form,
     _top,
     _unpack,
     parse_poly,
@@ -218,9 +216,8 @@ class AlgebraContext:
                 raise AlgebraError(f"the Z-leading coefficient {lead} of P(0,Z) is not a nonzero rational")
             if not p.b.is_constant():
                 raise AlgebraError(f"b = {p.b}, the Y^s coefficient of Q, is not a nonzero rational")
-            scaled, den = _scaled_int_form({0: p0.transfer(self.coeff_ctx).terms})
-            num, _ = _pack(scaled, len(self.coeff_ctx.names))
-            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: num}, den)
+            p0 = LaurentForm.from_poly(p0.transfer(self.coeff_ctx))
+            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: p0.num}, p0.den)
         return self._nf_cache["x-adic"][0]
 
     def _p0_power(self, big_j: int, budget: _Budget) -> tuple[dict, int]:
@@ -256,8 +253,8 @@ class AlgebraContext:
         _, powers, den, _ = image_entry(self.generator_images()[name])
         width = len(self.coeff_ctx.names)
         while len(powers) <= k:
-            powers.append(_packed_product(powers[-1], powers[1], width))
-            budget.tick(sum(map(len, powers[-1].values())))
+            added = _power(powers, len(powers), width)
+            budget.tick(sum(map(len, added.values())))
         return powers[k], den ** k
 
     def completeness_report(self) -> Report:
@@ -283,8 +280,8 @@ class AlgebraContext:
         minimal possible T-degree and Y-degree, which keeps the Laurent depth
         of witnesses and the cost of substituting into them small.  The
         cofactors are not read, so the division is `GroebnerBasis.remainder`,
-        least lead degree first, whose order changes the steps charged and
-        not the result.
+        in basis order; the witnesses that the x-adic division leaves are
+        almost reduced, so few steps are charged in any order.
         """
         if "rel" not in self._nf_cache:
             def order(ctx):

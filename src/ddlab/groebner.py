@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add as _add_op, itemgetter, le as _le_op, sub as _sub_op
 from typing import Iterable, Sequence
@@ -309,13 +309,11 @@ def _remainder(f: Polynomial, basis: _Divisors, budget: _Budget) -> Polynomial:
 class GroebnerBasis:
     """A reduced Groebner basis, with each element expressed in the input generators.
 
-    The elements are sorted largest lead first, and divisions that return
-    cofactors (`normal_form`, `reduce_to_gens`) try them in that order, so
-    their cofactors are fixed by it.  `remainder` reads no cofactors, and the
-    remainder of a division by a Groebner basis is the same whichever
-    divisor is tried first (Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, 2.6), so it divides least lead total degree first, which
-    takes fewer steps.
+    The elements are sorted largest lead first, and every division tries them
+    in that order, so the cofactors of `normal_form` and `reduce_to_gens` are
+    fixed by it.  `remainder` reads no cofactors; the remainder of a division
+    by a Groebner basis is the same whichever divisor is tried first (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, 2.6).
     """
 
     ctx: Context
@@ -341,16 +339,7 @@ class GroebnerBasis:
         """Remainder of f modulo the basis, without cofactors."""
         if f.ctx != self.ctx:
             raise ContextMismatch("polynomial context differs from basis context")
-        return _remainder(f, self._least_lead_first, _Budget(budget))
-
-    @cached_property
-    def _least_lead_first(self) -> _Divisors:
-        """The divisors by least lead total degree, ties in basis order; made
-        on the first `remainder`, since most bases never divide without
-        cofactors."""
-        lms = self._divisors.lms
-        by_degree = sorted(range(len(lms)), key=lambda i: sum(lms[i]))
-        return self._divisors.subset(by_degree)
+        return _remainder(f, self._divisors, _Budget(budget))
 
     def reduce_to_gens(self, f: Polynomial, j: int, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, Polynomial]:
         """Remainder of f plus its cofactor on the input generator gens[j]."""

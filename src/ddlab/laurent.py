@@ -6,6 +6,10 @@ denominator (see `poly._pack`), so equality of forms is equality in that
 ring, which is what makes quotient-algebra equality decidable downstream.
 Evaluation, arithmetic and the x-adic division of `elements` work on that
 state directly; the coefficient Polynomials are a view for printing.
+
+This module owns evaluation at Laurent images (`_evaluate`) and the image
+entries with their power lists (`image_entry`, `_power`); it imports only
+`poly`.  Packed keys bound every exponent by 2^32 - 1 (ExponentLimit).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .poly import (
     Polynomial,
     _add_terms,
     _check_packed_exponent,
-    _image_entry,
     _lowest_terms,
     _pack,
     _packed_mul_into,
@@ -34,7 +37,6 @@ from .poly import (
     _scaled_int_form,
     _top,
     _unpack,
-    eval_at_forms,
 )
 
 
@@ -59,16 +61,13 @@ class LaurentForm:
     the power list of an image entry.
 
     `coeffs`, the coefficients as Polynomials, is built on first read and
-    kept.  Printing and JSON read it, and so do `substitute`, which
-    evaluates the terms of every level, and a `transfer` that repacks;
-    evaluation, arithmetic and equality do not.
+    kept.  Printing and JSON read it, and so does a `transfer` that
+    repacks; evaluation, substitution, arithmetic and equality do not.
 
-    `_powers` is None until the form is first used as a variable image
-    (`image_entry`).  It then holds the form's image entry: its monomial
-    data if it is a monomial, its denominator, its largest exponent, and the
-    growing list of its integral powers, `num` first, which later
-    evaluations and x-adic divisions at the same image object reuse.  The
-    entry dies with the image object.
+    `_powers` is None until the form is first used as a variable image.  It
+    then holds the form's `image_entry`, whose power list later evaluations
+    and x-adic divisions at the same image object reuse; the entry dies with
+    the image object.
     """
 
     __slots__ = ("ctx", "num", "den", "_coeffs", "_powers")
@@ -210,9 +209,10 @@ class LaurentForm:
 
     def substitute(self, images: Mapping[str, "LaurentForm"], target: Context) -> "LaurentForm":
         """Evaluate coefficient variables at Laurent images (x stays x), all
-        levels at once."""
-        form = {n: p.terms for n, p in self.coeffs.items()}
-        return _evaluate(form, self.ctx.names, images, target)
+        levels at once: the numerators are evaluated and the result divided
+        by den."""
+        form = _unpack(self.num, len(self.ctx.names))
+        return _evaluate(form, self.ctx.names, images, target).scale(Fraction(1, self.den))
 
     def __str__(self) -> str:
         if not self.num:
@@ -228,25 +228,112 @@ class LaurentForm:
 
 
 def _evaluate(form: dict, names: tuple, images: Mapping[str, LaurentForm], target: Context) -> LaurentForm:
-    """`eval_at_forms` at Laurent images, each checked against the target."""
+    """Evaluate a form over the variables `names` at Laurent images over
+    target: a term at x-exponent n goes to x^n times its variables' images.
 
-    def entry_of(image: LaurentForm) -> tuple:
+    Only the images of the variables used are read, each through its
+    `image_entry` after its context is checked.  Unmapped variables map to
+    themselves at x-exponent 0 and must exist in target, or ContextMismatch
+    is raised.  Monomial images are applied by exponent arithmetic.  The
+    terms are grouped by their exponents in the other, general, variables;
+    each group's cofactor is multiplied once by the product of the general
+    images' powers.  All products run on native ints under packed keys (see
+    `poly._pack`), over one common denominator.  Exponents of the result
+    that could exceed MAX_PACKED_EXPONENT raise ExponentLimit before any
+    product is formed.
+    """
+    width = len(target.names)
+    one = {0: {0: 1}}
+    monos = []  # (position, x-exponent, packed exponent, coefficient)
+    general = []  # (integral powers of the image, its denominator)
+    gpos = []  # the positions of the general images
+    bound = 0  # on every exponent of every product formed below
+    # the exponents as a list: unpacking an iterator into zip's arguments left
+    # larger tuples in the interpreter's free lists and raised peak memory
+    for i, column in enumerate(zip(*[e for t in form.values() for e in t])):
+        k = max(column)
+        if not k:
+            continue
+        image = images.get(names[i])
+        if image is None:
+            if names[i] not in target:
+                raise ContextMismatch(f"variable {names[i]} missing from target context")
+            monos.append((i, 0, 1 << PACKED_BITS * (width - 1 - target.index(names[i])), 1))
+            bound += k
+            continue
         if image.ctx != target:
             raise ContextMismatch("image context differs from target")
-        return image_entry(image)
+        mono, powers, den, top = image_entry(image)
+        bound += k * top
+        if mono is not None:
+            monos.append((i, *mono))
+        else:
+            general.append((powers, den))
+            gpos.append(i)
+    _check_packed_exponent(bound)
 
-    return LaurentForm._raw(target, *eval_at_forms(form, names, images, target, entry_of))
+    groups: dict = {}
+    for level, terms in form.items():
+        for exps, c in terms.items():
+            n = level
+            z = 0
+            for i, xn, ez, ci in monos:
+                k = exps[i]
+                if k:
+                    n += xn * k
+                    z += ez * k
+                    if ci != 1:
+                        c = c * ci ** k
+            key = tuple([exps[i] for i in gpos])
+            cof = groups.get(key)
+            if cof is None:
+                cof = groups[key] = {}
+            acc = cof.get(n)
+            if acc is None:
+                acc = cof[n] = {}
+            cur = acc.get(z)
+            if cur is None:
+                acc[z] = c
+            else:
+                s = cur + c
+                if s:
+                    acc[z] = s
+                else:
+                    del acc[z]
+
+    scaled = []
+    den = 1
+    for key, cof in groups.items():
+        cof, dc = _scaled_int_form(cof)
+        factor, dg = one, 1
+        for (powers, d), k in zip(general, key):
+            if k:
+                power = _power(powers, k, width)
+                factor = power if factor is one else _packed_product(factor, power, width)
+                dg *= d ** k
+        scaled.append((cof, factor, dc * dg))
+        den = lcm(den, dc * dg)
+    if len(scaled) == 1 and scaled[0][1] is one:  # no general image: the cofactor is the result
+        out = scaled[0][0]
+    else:
+        out = {}
+        for cof, factor, d in scaled:
+            m = den // d
+            if m != 1:
+                cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
+            if factor is one:  # cof is this function's own, so out may keep its dicts
+                for n, t in cof.items():
+                    _add_terms(out, n, t)
+            else:
+                _packed_mul_into(out, cof, factor, width)
+    return LaurentForm._raw(target, *_lowest_terms({n: t for n, t in out.items() if t}, den))
 
 
 def eval_poly_at_laurent(
     p: Polynomial, images: Mapping[str, LaurentForm], target: Context
 ) -> LaurentForm:
-    """Evaluate a polynomial at Laurent images.
-
-    Variables of p not in `images` must exist in the target coefficient
-    context and map to themselves (at x-exponent 0).  Each image's entry is
-    read with `image_entry`, after its context is checked against the target.
-    """
+    """Evaluate a polynomial at Laurent images over target; variables of p
+    not in `images` map to themselves (see `_evaluate`)."""
     return _evaluate({0: p.terms}, p.ctx.names, images, target)
 
 
@@ -282,9 +369,7 @@ def eval_in_powers(forms: list[LaurentForm], image: LaurentForm, target: Context
             continue
         m = den // (f.den * dv ** i)
         if i and mono is None:
-            while len(powers) <= i:
-                powers.append(_packed_product(powers[-1], powers[1], width))
-            _packed_mul_into(out, f.num if m == 1 else _times(f.num, m), powers[i], width)
+            _packed_mul_into(out, f.num if m == 1 else _times(f.num, m), _power(powers, i, width), width)
             continue
         # a shift and a scale, into fresh term dicts, which out may keep
         dn, de, k = (i * xn, i * ez, m * cn ** i) if i else (0, 0, m)
@@ -294,8 +379,26 @@ def eval_in_powers(forms: list[LaurentForm], image: LaurentForm, target: Context
 
 
 def image_entry(image: LaurentForm) -> tuple:
-    """The image entry of a form (see `poly._image_entry`), kept on the form."""
+    """The image entry of a form (see `LaurentForm`), made on the first call
+    and kept: (x-exponent, packed exponent, coefficient) of a one-term form,
+    else None; the power list, [1, num] at first, which `_power` grows; den;
+    and the largest exponent in the form."""
     if image._powers is None:
-        top = _top(image.num, len(image.ctx.names))
-        object.__setattr__(image, "_powers", _image_entry(image.num, image.den, top))
+        num, den = image.num, image.den
+        mono = None
+        if len(num) == 1:
+            ((n, t),) = num.items()
+            if len(t) == 1:
+                ((e, c),) = t.items()
+                mono = (n, e, c if den == 1 else Fraction(c, den))
+        entry = (mono, [{0: {0: 1}}, num], den, _top(num, len(image.ctx.names)))
+        object.__setattr__(image, "_powers", entry)
     return image._powers
+
+
+def _power(powers: list, k: int, width: int) -> dict:
+    """The k-th power from the power list of an image entry over `width`
+    fields, after the missing powers below it are appended."""
+    while len(powers) <= k:
+        powers.append(_packed_product(powers[-1], powers[1], width))
+    return powers[k]

@@ -4,7 +4,11 @@ Values are immutable after construction.  A Polynomial always belongs to a
 Context (an ordered tuple of variable names); the context order fixes the
 graded-reverse-lexicographic order used for canonical printing.  Coefficients
 are exact rationals: plain ints where possible, `fractions.Fraction`
-otherwise; nothing here is approximate.
+otherwise; nothing here is approximate.  Polynomial arithmetic, substitution
+included, runs on tuple keys and has no exponent limit.
+
+The module also holds the product kernel on packed keys (`_pack`) that the
+Laurent layer stores its forms under; it imports no other ddlab module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import chain
 from math import comb, gcd, lcm
 from operator import add as _add_op
 from struct import Struct
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
@@ -187,13 +191,15 @@ def _pack(form: dict, width: int) -> tuple[dict, int]:
     field i from the top.  The sum of two keys packs the sum of their vectors
     as long as no field exceeds MAX_PACKED_EXPONENT = 2^32 - 1.
 
-    No field does.  Keys are only ever added, and an exponent over the limit
-    raises ExponentLimit where it would enter packed form: here, for every
-    exponent packed, and before each product, from bounds on its factors.
-    Every key that eval_at_forms forms is the exponent of a product of at
-    most k_v terms of the image of each variable v, k_v the largest exponent
-    of v in the form evaluated, so its fields are at most the sum of k_v
-    times the largest exponent in v's image.  Every key that the x-adic
+    No field does.  Only the Laurent layer and the x-adic division of
+    `elements` pack; Polynomials keep tuple keys.  Keys are only ever added,
+    and an exponent over the limit raises ExponentLimit where it would enter
+    packed form: here, for every exponent packed, and before each product,
+    from bounds on its factors.  Every key that Laurent evaluation
+    (`laurent._evaluate`) forms is the exponent of a product of at most k_v
+    terms of the image of each variable v, k_v the largest exponent of v in
+    the form evaluated, so its fields are at most the sum of k_v times the
+    largest exponent in v's image.  Every key that the x-adic
     division forms is the exponent of a product of a quotient term, j terms
     of y's image and l of t's, and its fields are at most the largest
     exponent of the quotient plus j and l times those of the two images.
@@ -420,129 +426,6 @@ def _packed_product(a: dict, b: dict, width: int) -> dict:
     out: dict = {}
     _packed_mul_into(out, a, b, width)
     return {n: t for n, t in out.items() if t}
-
-
-def _image_entry(form: dict, den: int, top: int) -> tuple:
-    """What eval_at_forms reads of one variable image, given as an integral
-    form under packed keys (see `_pack`), its denominator and its largest
-    exponent; the form is not copied, so it must not be mutated.
-
-    The entry is the monomial data of a monomial image (one term, like
-    X -> x or an unmapped variable), (x-exponent, packed exponent,
-    coefficient), or None; the list of the image's integral powers,
-    [1, form] at first, to which eval_at_forms and the x-adic division
-    append the higher powers they need; the denominator; and top.
-    """
-    mono = None
-    if len(form) == 1:
-        ((n, t),) = form.items()
-        if len(t) == 1:
-            ((e, c),) = t.items()
-            mono = (n, e, c if den == 1 else Fraction(c, den))
-    return mono, [{0: {0: 1}}, form], den, top
-
-
-def eval_at_forms(
-    form: dict, names: tuple, images: Mapping, target: "Context", entry_of: Callable[[object], tuple]
-) -> tuple[dict, int]:
-    """Evaluate a form over the variables `names` at variable images: a term
-    at x-exponent n is sent to x^n times the product of its variables'
-    images.  The result is an integral form over target under packed keys
-    and its denominator, in lowest terms (see `_lowest_terms`).
-
-    `entry_of` turns an image into its `_image_entry`; it may hand out the
-    same entry on every call, and the power list in it then keeps growing
-    across calls.  Unmapped variables map to themselves at x-exponent 0 and
-    must exist in target.  Monomial images are applied by exponent
-    arithmetic.  The terms of the form are grouped by their exponents in the
-    other, general, variables; each group's cofactor is multiplied once by
-    the product of the general images' powers.  All products run on native
-    ints under packed keys (see `_pack`), over one common denominator.
-    Exponents of the result that could exceed MAX_PACKED_EXPONENT raise
-    ExponentLimit before any product is formed.
-    """
-    width = len(target.names)
-    one = {0: {0: 1}}
-    monos = []  # (position, x-exponent, packed exponent, coefficient)
-    general = []  # (integral powers of the image, its denominator)
-    gpos = []  # the positions of the general images
-    bound = 0  # on every exponent of every product formed below
-    # the exponents as a list: unpacking an iterator into zip's arguments left
-    # larger tuples in the interpreter's free lists and raised peak memory
-    for i, column in enumerate(zip(*[e for t in form.values() for e in t])):
-        k = max(column)
-        if not k:
-            continue
-        image = images.get(names[i])
-        if image is None:
-            monos.append((i, 0, 1 << PACKED_BITS * (width - 1 - target.index(names[i])), 1))
-            bound += k
-            continue
-        mono, powers, den, top = entry_of(image)
-        bound += k * top
-        if mono is not None:
-            monos.append((i, *mono))
-        else:
-            general.append((powers, den))
-            gpos.append(i)
-    _check_packed_exponent(bound)
-
-    groups: dict = {}
-    for level, terms in form.items():
-        for exps, c in terms.items():
-            n = level
-            z = 0
-            for i, xn, ez, ci in monos:
-                k = exps[i]
-                if k:
-                    n += xn * k
-                    z += ez * k
-                    if ci != 1:
-                        c = c * ci ** k
-            key = tuple([exps[i] for i in gpos])
-            cof = groups.get(key)
-            if cof is None:
-                cof = groups[key] = {}
-            acc = cof.get(n)
-            if acc is None:
-                acc = cof[n] = {}
-            cur = acc.get(z)
-            if cur is None:
-                acc[z] = c
-            else:
-                s = cur + c
-                if s:
-                    acc[z] = s
-                else:
-                    del acc[z]
-
-    scaled = []
-    den = 1
-    for key, cof in groups.items():
-        cof, dc = _scaled_int_form(cof)
-        factor, dg = one, 1
-        for (powers, d), k in zip(general, key):
-            if k:
-                while len(powers) <= k:
-                    powers.append(_packed_product(powers[-1], powers[1], width))
-                factor = powers[k] if factor is one else _packed_product(factor, powers[k], width)
-                dg *= d ** k
-        scaled.append((cof, factor, dc * dg))
-        den = lcm(den, dc * dg)
-    if len(scaled) == 1 and scaled[0][1] is one:  # no general image: the cofactor is the result
-        out = scaled[0][0]
-    else:
-        out = {}
-        for cof, factor, d in scaled:
-            m = den // d
-            if m != 1:
-                cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
-            if factor is one:  # cof is this function's own, so out may keep its dicts
-                for n, t in cof.items():
-                    _add_terms(out, n, t)
-            else:
-                _packed_mul_into(out, cof, factor, width)
-    return _lowest_terms({n: t for n, t in out.items() if t}, den)
 
 
 class Context:
@@ -786,7 +669,10 @@ class Polynomial:
         """Evaluate at polynomial images; unmapped variables map to themselves.
 
         All image values must share one target context, and every unmapped
-        variable of self must exist there under the same name.
+        variable that self uses must exist there under the same name, or
+        ContextMismatch is raised (see `transfer`).  The terms are grouped by
+        their exponents in the mapped variables; each group is multiplied
+        once by the product of the images' powers, each formed once a call.
         """
         if not images:
             return self
@@ -794,15 +680,25 @@ class Polynomial:
         for img in images.values():
             if img.ctx != target:
                 raise ContextMismatch("substitution images in mixed contexts")
-        width = len(target.names)
-
-        def entry_of(image: Polynomial) -> tuple:
-            scaled, den = _scaled_int_form({0: image.terms})
-            packed, top = _pack(scaled, width)
-            return _image_entry(packed, den, top)
-
-        num, den = eval_at_forms({0: self.terms}, self.ctx.names, images, target, entry_of)
-        return Polynomial._raw(target, _unpack(num, width, den).get(0, {}))
+        names = self.ctx.names
+        mapped = [i for i, column in enumerate(zip(*self.terms)) if names[i] in images and any(column)]
+        groups: dict = {}
+        for exps, c in self.terms.items():
+            rest = list(exps)
+            for i in mapped:
+                rest[i] = 0
+            groups.setdefault(tuple([exps[i] for i in mapped]), {})[tuple(rest)] = c
+        powers = [[target.one(), images[names[i]]] for i in mapped]
+        out = target.zero()
+        for key, group in groups.items():
+            term = Polynomial._raw(self.ctx, group).transfer(target)
+            for power, k in zip(powers, key):
+                if k:
+                    while len(power) <= k:
+                        power.append(power[-1] * power[1])
+                    term = term * power[k]
+            out = out + term
+        return out
 
     def transfer(self, new_ctx: Context) -> "Polynomial":
         """Reinterpret in a different context containing all used variables."""

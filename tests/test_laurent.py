@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ddlab import laurent
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
-from ddlab.poly import MAX_PACKED_EXPONENT, Context, ExponentLimit, Polynomial
+from ddlab.poly import MAX_PACKED_EXPONENT, Context, ContextMismatch, ExponentLimit, Polynomial, parse_poly
 
 CTXS = [Context(("Z", "W1", "a")[:k]) for k in range(1, 4)]
 
@@ -196,6 +196,16 @@ class TestAgainstTheReference:
         form = from_polys(ctx, {0: {(0, 1): Fraction(1)}})
         with pytest.raises(ValueError):
             form.transfer(Context(("Z",)))
+
+    def test_evaluation_missing_an_unmapped_variable_is_refused(self):
+        # Y maps to itself, and the target has no Y
+        zctx = Context(("Z",))
+        images = {"Z": LaurentForm.from_poly(zctx.var("Z") + zctx.one())}
+        with pytest.raises(ContextMismatch, match="variable Y missing from target context"):
+            eval_poly_at_laurent(parse_poly("Y*Z", Context(("Y", "Z"))), images, zctx)
+        # a variable the polynomial does not use need not exist there
+        assert eval_poly_at_laurent(parse_poly("Z^2", Context(("Y", "Z"))), images, zctx) == LaurentForm.from_poly(
+            parse_poly("Z^2 + 2*Z + 1", zctx))
 
 
 class TestExponentLimit:

@@ -3,9 +3,13 @@
 perfbench/workloads.py reads ddlab names such as `cert.small_presentation`,
 `p_at_x0()` and the `budget=` keyword of `buchberger`; one that leaves the
 library makes the benchmark fail.  This runs `op` and then `check` on one
-small input of each kind, and changes nothing under perfbench/.
+small input of each kind, and changes nothing under perfbench/.  The
+fingerprints of the first pass on seed 1 are pinned, so a change to the
+certificates or the derivation results that the benchmark compares shows
+here.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -50,3 +54,15 @@ def test_ideal_ops_one_task_of_each_kind(workloads):
     assert sorted(first) == ["buchberger", "fiber", "member", "omega3"]
     for task in first.values():
         _run(ops, task)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("CertFamily", "c13a9508516a375e"),
+    ("DerivationGrid", "f84f4f25fd5ba8f9"),
+])
+def test_first_pass_fingerprints(workloads, name, digest):
+    # sha256 of the space-joined fingerprints of the operations of the
+    # first pass on seed 1, first 16 hex digits
+    workload = getattr(workloads, name)(1)
+    fingerprints = " ".join(workload.fingerprint(workload.op(x)) for x in workload.passes[0])
+    assert hashlib.sha256(fingerprints.encode()).hexdigest()[:16] == digest

@@ -220,6 +220,15 @@ class TestCalculus:
     def test_taylor_shift_free_variable(self):
         assert P("Y").substitute({"Z": P("Z + X + W")}) == P("Y")
 
+    def test_unmapped_variable_missing_from_the_target(self):
+        # Y maps to itself, and the images' context has no Y
+        zctx = Context(("Z",))
+        yz = Context(("Y", "Z"))
+        with pytest.raises(ContextMismatch, match="variable Y missing from target context"):
+            parse_poly("Y*Z", yz).substitute({"Z": zctx.var("Z") + zctx.one()})
+        # a variable the polynomial does not use need not exist there
+        assert parse_poly("Z^2", yz).substitute({"Z": zctx.var("Z") + zctx.one()}) == parse_poly("Z^2 + 2*Z + 1", zctx)
+
     def test_taylor_shift_matches_derivative_sum(self):
         # oracle: sum over i of d^i(p)/dZ^i * c^i / i!
         rng = random.Random(21)
@@ -414,6 +423,25 @@ def _evaluations(draw):
     return p, images, target
 
 
+@st.composite
+def _substitutions(draw):
+    """(p, images, target): p over one to three mapped variables and the
+    target's variables, the mapped ones sent to rational polynomials over
+    the target."""
+    target = draw(st.sampled_from(WIDE_CTXS))
+    mapped = draw(st.lists(st.sampled_from(("A", "B", "C")), min_size=1, max_size=3, unique=True))
+
+    def polys(ctx, top):
+        exps = st.tuples(*[st.integers(0, top)] * len(ctx.names))
+        return Polynomial(ctx, {
+            e: Fraction(draw(st.sampled_from([-2, -1, 1, 3])), draw(st.sampled_from([1, 2, 3])))
+            for e in draw(st.lists(exps, max_size=4, unique=True))
+        })
+
+    p = polys(Context(tuple(mapped) + target.names), 3)
+    return p, {name: polys(target, 2) for name in mapped}, target
+
+
 class TestPackedKeys:
     """The Laurent layer's packed kernel against the tuple kernel."""
 
@@ -459,6 +487,14 @@ class TestPackedKeys:
         # again at the same images, whose power lists are now grown
         assert eval_poly_at_laurent(p, images, target) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(_substitutions())
+    def test_substitution_equals_evaluation_at_laurent_images(self, case):
+        # Polynomial products in Q[..] against the packed Laurent evaluator
+        p, images, target = case
+        laurent_images = {name: LaurentForm.from_poly(image) for name, image in images.items()}
+        assert LaurentForm.from_poly(p.substitute(images)) == eval_poly_at_laurent(p, laurent_images, target)
+
     def test_evaluation_refuses_exponents_over_the_limit_before_any_product(self):
         # the largest exponent in y's image is 2, so Y^k can reach exponent 2*k
         cctx = Context(("Z", "W1"))
@@ -475,14 +511,14 @@ class TestPackedKeys:
         assert len(y._powers[1]) == grown
 
     def test_image_entry_refuses_an_exponent_over_the_limit(self):
-        # a Laurent image is refused as it is built; a polynomial image as
-        # its entry is made
+        # a Laurent image is refused as it is built; a polynomial image has
+        # no limit, since substitution multiplies Polynomials
         cctx = Context(("Z", "W1"))
         with pytest.raises(ExponentLimit):
             LaurentForm(cctx, {-1: cctx.monomial({"W1": MAX_PACKED_EXPONENT + 1}) + cctx.one()})
-        with pytest.raises(ValueError):  # an ExponentLimit is a ValueError
-            parse_poly("Y", Context(("Y", "Z"))).substitute(
-                {"Y": Context(("Z",)).monomial({"Z": MAX_PACKED_EXPONENT + 1})})
+        zctx = Context(("Z",))
+        assert parse_poly("Y", Context(("Y", "Z"))).substitute(
+            {"Y": zctx.monomial({"Z": MAX_PACKED_EXPONENT + 1})}) == zctx.monomial({"Z": 2 ** 32})
 
 
 def _dict_loop(out: dict, a: dict, b: dict, width: int) -> None:
