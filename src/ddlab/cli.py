@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -207,6 +208,8 @@ def _run_member(p, path: str, args):
             _expect(isinstance(v, str), "each --element coefficient", "a string", v)
         keys, coeffs = {}, {}
         for k, v in raw.items():
+            if not re.fullmatch(r"-?[0-9]+", k):  # int() also takes "1_0", " 3" and non-ASCII digits
+                raise ValueError(f"key {k!r} is not an integer in ASCII digits")
             n = int(k)
             if n in keys:
                 raise ValueError(f"keys {keys[n]!r} and {k!r} name the same exponent {n}")

@@ -65,11 +65,11 @@ from .poly import (
     ContextMismatch,
     Polynomial,
     _check_packed_exponent,
+    _levels,
     _lowest_terms,
-    _packed_mul_into,
     _packed_product,
     _top,
-    _unpack,
+    _unpack_terms,
     parse_poly,
 )
 from .presentations import CheckItem, DDPresentation, GENERATOR_NAMES, Report
@@ -217,7 +217,7 @@ class AlgebraContext:
             if not p.b.is_constant():
                 raise AlgebraError(f"b = {p.b}, the Y^s coefficient of Q, is not a nonzero rational")
             p0 = LaurentForm.from_poly(p0.transfer(self.coeff_ctx))
-            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: {0: 1}}, 1: p0.num}, p0.den)
+            self._nf_cache["x-adic"] = (Fraction(p.b.constant_value()), {0: {0: 1}, 1: p0.num}, p0.den)
         return self._nf_cache["x-adic"][0]
 
     def _p0_power(self, big_j: int, budget: _Budget) -> tuple[dict, int]:
@@ -239,11 +239,11 @@ class AlgebraContext:
         def power(k: int) -> dict:
             if k not in powers:
                 a, b = power(k // 2), power(k - k // 2)
-                budget.tick(len(a[0]) * len(b[0]))
+                budget.tick(len(a) * len(b))
                 powers[k] = _packed_product(a, b, width)
             return powers[k]
 
-        return power(big_j)[0], den ** big_j
+        return power(big_j), den ** big_j
 
     def _power(self, name: str, k: int, budget: _Budget) -> tuple[dict, int]:
         """The k-th power of a generator image as an integral form under
@@ -254,7 +254,7 @@ class AlgebraContext:
         width = len(self.coeff_ctx.names)
         while len(powers) <= k:
             added = _power(powers, len(powers), width)
-            budget.tick(sum(map(len, added.values())))
+            budget.tick(len(added))
         return powers[k], den ** k
 
     def completeness_report(self) -> Report:
@@ -430,10 +430,13 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     instead.  The pieces are those of dividing c by P(0,z)^jy first, as the
     remainders in z are unique, but a refusal never builds P(0,z)^jy.
 
-    The work is a copy of f's numerators (see `LaurentForm`) over a
-    running denominator, changed in place; q stays packed for its products
-    and is unpacked once, into the expression, the rest of the work at the
-    end, and c and its remainder only on a refusal.
+    The work is f's numerators (see `LaurentForm`), split once into a map
+    {level: terms} (`poly._levels`), as the levels are cleared in order,
+    over a running denominator, changed in place.  A piece's product with
+    the powers of y and t is added to the work a term at a time, each term
+    into its level.  q stays packed for its products and is unpacked once,
+    into the expression, the rest of the work at the end, and c and its
+    remainder only on a refusal.
     Neither f nor the cached powers are mutated.  A piece whose product
     could have an exponent over MAX_PACKED_EXPONENT raises ExponentLimit
     before its powers are read.  The pieces differ in (i, j, l), and the
@@ -445,20 +448,21 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     b = actx._x_adic_b()
     cctx = actx.coeff_ctx
     width = len(cctx.names)
-    shift = PACKED_BITS * (width - 1)  # Z is the top field
+    sh = PACKED_BITS * width  # x's exponent is the field above it
+    shift, mask = sh - PACKED_BITS, (1 << sh) - 1  # Z is the top field of a level's terms
     images = actx.generator_images()
     y_top, t_top = image_entry(images["Y"])[3], image_entry(images["T"])[3]
-    work, den = {n: dict(t) for n, t in f.num.items()}, f.den
+    work, den = _levels(f.num, width), f.den
     witness: dict = {}
 
     def subtract(q: dict, ratio: Fraction, i: int, j: int, l: int):
         """Put ratio*q*x^i*Y^j*T^l into the witness and take its image from
         the work."""
         nonlocal den
-        q, dq = _lowest_terms({i: {ez: cz * ratio.numerator for ez, cz in q.items()}}, ratio.denominator)
+        q, dq = _lowest_terms({ez: cz * ratio.numerator for ez, cz in q.items()}, ratio.denominator)
         q_top = 0
         # coeff_ctx is gen_ctx without X, Y and T
-        for ez, cz in _unpack(q, width, dq)[i].items():
+        for ez, cz in _unpack_terms(q, width, dq).items():
             witness[(i, j, ez[0], l) + ez[1:]] = cz
             q_top = max(q_top, *ez)
         _check_packed_exponent(q_top + j * y_top + l * t_top)
@@ -472,9 +476,18 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
                 for ez in t:
                     t[ez] *= up
             den = new_den
-        k = -(den // dp)
-        factor = _packed_product({i: {ez: k * cz for ez, cz in q[i].items()}}, y_power, width)
-        _packed_mul_into(work, factor, t_power, width)
+        k, i = -(den // dp), i << sh
+        factor = _packed_product({i + ez: k * cz for ez, cz in q.items()}, y_power, width)
+        for key, c in (_packed_product(factor, t_power, width) if l else factor).items():
+            level = work.get(key >> sh)
+            if level is None:
+                level = work[key >> sh] = {}
+            ez = key & mask
+            c += level.get(ez, 0)
+            if c:
+                level[ez] = c
+            else:
+                del level[ez]
 
     for m in range(-f.min_exp(), 0, -1):
         terms = work.get(-m)
@@ -492,8 +505,8 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
             divisor = f"({p.p_at_x0()})^{big_j}"
             if l and p.b != p.b.ctx.one():
                 divisor = f"({p.b})^{l}*{divisor}"
-            c = Polynomial._raw(cctx, _unpack({0: terms}, width, den)[0])
-            rem = Polynomial._raw(cctx, _unpack({0: rem}, width, scale * den)[0])
+            c = Polynomial._raw(cctx, _unpack_terms(terms, width, den))
+            rem = Polynomial._raw(cctx, _unpack_terms(rem, width, scale * den))
             certificate = {"level": -m, "divisor": divisor, "remainder": str(rem)}
             return Polynomial._raw(actx.gen_ctx, witness), (m, c, certificate)
         # scale*c*den = q*P(0,z)^J*d_den, so c/P(0,z)^J is q times ratio
@@ -510,9 +523,10 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
             subtract(q_hi, ratio * hi_den, d * jy - m, jy, 0)
         if q:
             subtract(q, ratio / b ** l, d * big_j + e * l - m, j, l)
-    for n, t in _unpack({n: t for n, t in work.items() if n >= 0}, width, den).items():
-        for ez, cz in t.items():
-            witness[(n, 0, ez[0], 0) + ez[1:]] = cz
+    for n, t in work.items():
+        if n >= 0:
+            for ez, cz in _unpack_terms(t, width, den).items():
+                witness[(n, 0, ez[0], 0) + ez[1:]] = cz
     return Polynomial._raw(actx.gen_ctx, witness), None
 
 
@@ -541,7 +555,7 @@ def _divide_in_z(terms: dict, divisor: dict, width: int, budget: _Budget) -> tup
     for ez, cz in terms.items():
         rows.setdefault(ez >> shift, {})[ez] = cz
     if any(k & ((1 << shift) - 1) for k in divisor):
-        _check_packed_exponent(_top({0: terms}, width) + (max(rows) - n + 1) * _top({0: divisor}, width))
+        _check_packed_exponent(_top(terms, width) + (max(rows) - n + 1) * _top(divisor, width))
     heap = [-z for z in rows if z >= n]
     heapify(heap)
     quotient: dict = {}

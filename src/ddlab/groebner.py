@@ -231,8 +231,8 @@ def _normal_form(
     """
     ctx = f.ctx
     lms, lead_keys, dens, tails = basis.lms, basis.lead_keys, basis.dens, basis.tails
-    scaled, den = _scaled_int_form({0: f.terms})
-    work = dict(scaled[0])
+    scaled, den = _scaled_int_form(f.terms)
+    work = dict(scaled)
     neg_key = _neg_key(basis.order, len(ctx.names))
     heap = [(neg_key(e), e) for e in work]
     heapq.heapify(heap)

@@ -1,15 +1,17 @@
 """Laurent polynomials in one inverted variable with polynomial coefficients.
 
 A LaurentForm models an element of Q[u..][z, w..][x, x^-1].  It is stored in
-one canonical state, an integral form under packed keys over one
-denominator (see `poly._pack`), so equality of forms is equality in that
-ring, which is what makes quotient-algebra equality decidable downstream.
+one canonical state, one integral term dict under packed keys, x's exponent
+the top field of each key, over one denominator (see `poly._pack`), so
+equality of forms is equality in that ring, which is what makes
+quotient-algebra equality decidable downstream.
 Evaluation, arithmetic and the x-adic division of `elements` work on that
 state directly; the coefficient Polynomials are a view for printing.
 
 This module owns evaluation at Laurent images (`_evaluate`) and the image
 entries with their power lists (`image_entry`, `_power`); it imports only
-`poly`.  Packed keys bound every exponent by 2^32 - 1 (ExponentLimit).
+`poly`.  Packed keys bound every exponent but x's by 2^32 - 1
+(ExponentLimit).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .poly import (
     Context,
     ContextMismatch,
     Polynomial,
-    _add_terms,
     _check_packed_exponent,
     _lowest_terms,
+    _merge,
     _pack,
     _packed_mul_into,
     _packed_product,
@@ -41,24 +43,23 @@ from .poly import (
 
 
 def _times(form: dict, m: int) -> dict:
-    """A copy of an integral form with every value multiplied by m; the term
-    dicts are new."""
-    if m == 1:
-        return {n: dict(t) for n, t in form.items()}
-    return {n: {e: c * m for e, c in t.items()} for n, t in form.items()}
+    """A copy of an integral term dict with every value multiplied by m."""
+    return dict(form) if m == 1 else {e: c * m for e, c in form.items()}
 
 
 class LaurentForm:
     """A finitely supported map x-exponent -> coefficient polynomial, stored
     as `num` over `den`.
 
-    `num` maps each x-exponent to the coefficient's integral numerator
-    under packed keys, {packed exponent: int}, with no empty level; `den` is
-    the least positive denominator, so gcd(den, every numerator value) = 1,
-    and the zero form has den 1.  That state is unique for a value, so
-    equality and hashing read it as it is.  The term dicts in `num` are
-    never mutated once the form is built: results share them, and so does
-    the power list of an image entry.
+    `num` is one term dict {packed key: int} of the integral numerators,
+    x's exponent n in the top field of each key (see `poly._pack`): with sh
+    = PACKED_BITS * len(ctx.names), n is key >> sh, and x^k multiplies by
+    adding k << sh to every key.  It has no zero value; `den` is the least
+    positive denominator, so gcd(den, every numerator value) = 1, and the
+    zero form has den 1.  That state is unique for a value, so equality and
+    hashing read it as it is.  `num` is never mutated once the form is
+    built: a result may hold an operand's `num`, and the power list of an
+    image entry holds it.
 
     `coeffs`, the coefficients as Polynomials, is built on first read and
     kept.  Printing and JSON read it, and so does a `transfer` that
@@ -81,8 +82,7 @@ class LaurentForm:
             if not p.is_zero():
                 clean[int(n)] = p
         # the common denominator of reduced fractions is the least one
-        scaled, den = _scaled_int_form({n: p.terms for n, p in clean.items()})
-        num, _ = _pack(scaled, len(ctx.names))
+        num, den = _scaled_int_form(_pack({n: p.terms for n, p in clean.items()}, len(ctx.names))[0])
         self._init(ctx, num, den, MappingProxyType(clean))
 
     def _init(self, ctx: Context, num: dict, den: int, view):
@@ -114,7 +114,7 @@ class LaurentForm:
 
     @classmethod
     def x_power(cls, ctx: Context, exponent: int) -> "LaurentForm":
-        return cls._raw(ctx, {exponent: {0: 1}}, 1)
+        return cls._raw(ctx, {exponent << PACKED_BITS * len(ctx.names): 1}, 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -132,13 +132,13 @@ class LaurentForm:
 
     def min_exp(self) -> int:
         """Smallest x-exponent with nonzero coefficient; 0 for the zero form."""
-        return min(self.num, default=0)
+        return min(self.num) >> PACKED_BITS * len(self.ctx.names) if self.num else 0
 
     def deg_in(self, name: str) -> int:
         """Degree in one coefficient variable; -1 for the zero form."""
         ctx = self.ctx
         shift = PACKED_BITS * (len(ctx.names) - 1 - ctx.index(name))
-        return max(((e >> shift) & MAX_PACKED_EXPONENT for t in self.num.values() for e in t), default=-1)
+        return max(((e >> shift) & MAX_PACKED_EXPONENT for e in self.num), default=-1)
 
     def __eq__(self, other):
         return (
@@ -149,7 +149,7 @@ class LaurentForm:
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.den, frozenset((n, frozenset(t.items())) for n, t in self.num.items())))
+        return hash((self.ctx, self.den, frozenset(self.num.items())))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -162,9 +162,8 @@ class LaurentForm:
         da, db = self.den, other.den
         den = lcm(da, db)
         out = _times(self.num, den // da)
-        for n, t in _times(other.num, den // db).items():
-            _add_terms(out, n, t)
-        return LaurentForm._raw(self.ctx, *_lowest_terms({n: t for n, t in out.items() if t}, den))
+        _merge(out, other.num if den == db else _times(other.num, den // db))
+        return LaurentForm._raw(self.ctx, *_lowest_terms(out, den))
 
     def __neg__(self) -> "LaurentForm":
         return LaurentForm._raw(self.ctx, _times(self.num, -1), self.den)
@@ -190,20 +189,22 @@ class LaurentForm:
 
     def shift(self, k: int) -> "LaurentForm":
         """Multiply by x^k."""
-        return LaurentForm._raw(self.ctx, {n + k: t for n, t in self.num.items()}, self.den)
+        k <<= PACKED_BITS * len(self.ctx.names)
+        return LaurentForm._raw(self.ctx, {e + k: c for e, c in self.num.items()}, self.den)
 
     # -- conversions --------------------------------------------------------
 
     def transfer(self, new_ctx: Context) -> "LaurentForm":
         """The form over new_ctx, which must hold every variable it uses.
         Names appended to the context add low fields to every key, which
-        moves it up by PACKED_BITS per name; other contexts repack."""
+        moves it, x's exponent included, up by PACKED_BITS per name; other
+        contexts repack."""
         if new_ctx == self.ctx:
             return self
         old = self.ctx.names
         if new_ctx.names[:len(old)] == old:
             bits = PACKED_BITS * (len(new_ctx.names) - len(old))
-            num = {n: {e << bits: c for e, c in t.items()} for n, t in self.num.items()}
+            num = {e << bits: c for e, c in self.num.items()}
             return LaurentForm._raw(new_ctx, num, self.den)
         return LaurentForm(new_ctx, {n: p.transfer(new_ctx) for n, p in self.coeffs.items()})
 
@@ -243,8 +244,8 @@ def _evaluate(form: dict, names: tuple, images: Mapping[str, LaurentForm], targe
     product is formed.
     """
     width = len(target.names)
-    one = {0: {0: 1}}
-    monos = []  # (position, x-exponent, packed exponent, coefficient)
+    sh = PACKED_BITS * width
+    monos = []  # (position, packed key, coefficient)
     general = []  # (integral powers of the image, its denominator)
     gpos = []  # the positions of the general images
     bound = 0  # on every exponent of every product formed below
@@ -258,7 +259,7 @@ def _evaluate(form: dict, names: tuple, images: Mapping[str, LaurentForm], targe
         if image is None:
             if names[i] not in target:
                 raise ContextMismatch(f"variable {names[i]} missing from target context")
-            monos.append((i, 0, 1 << PACKED_BITS * (width - 1 - target.index(names[i])), 1))
+            monos.append((i, 1 << PACKED_BITS * (width - 1 - target.index(names[i])), 1))
             bound += k
             continue
         if image.ctx != target:
@@ -275,58 +276,53 @@ def _evaluate(form: dict, names: tuple, images: Mapping[str, LaurentForm], targe
     groups: dict = {}
     for level, terms in form.items():
         for exps, c in terms.items():
-            n = level
-            z = 0
-            for i, xn, ez, ci in monos:
+            e = level << sh
+            for i, ei, ci in monos:
                 k = exps[i]
                 if k:
-                    n += xn * k
-                    z += ez * k
+                    e += ei * k
                     if ci != 1:
                         c = c * ci ** k
             key = tuple([exps[i] for i in gpos])
             cof = groups.get(key)
             if cof is None:
-                cof = groups[key] = {}
-            acc = cof.get(n)
-            if acc is None:
-                acc = cof[n] = {}
-            cur = acc.get(z)
+                groups[key] = {e: c}
+                continue
+            cur = cof.get(e)
             if cur is None:
-                acc[z] = c
+                cof[e] = c
             else:
                 s = cur + c
                 if s:
-                    acc[z] = s
+                    cof[e] = s
                 else:
-                    del acc[z]
+                    del cof[e]
 
     scaled = []
     den = 1
     for key, cof in groups.items():
         cof, dc = _scaled_int_form(cof)
-        factor, dg = one, 1
+        factor, dg = None, 1
         for (powers, d), k in zip(general, key):
             if k:
                 power = _power(powers, k, width)
-                factor = power if factor is one else _packed_product(factor, power, width)
+                factor = power if factor is None else _packed_product(factor, power, width)
                 dg *= d ** k
         scaled.append((cof, factor, dc * dg))
         den = lcm(den, dc * dg)
-    if len(scaled) == 1 and scaled[0][1] is one:  # no general image: the cofactor is the result
+    if len(scaled) == 1 and scaled[0][1] is None:  # no general image: the cofactor is the result
         out = scaled[0][0]
     else:
         out = {}
         for cof, factor, d in scaled:
             m = den // d
             if m != 1:
-                cof = {n: {e: c * m for e, c in t.items()} for n, t in cof.items()}
-            if factor is one:  # cof is this function's own, so out may keep its dicts
-                for n, t in cof.items():
-                    _add_terms(out, n, t)
+                cof = {e: c * m for e, c in cof.items()}
+            if factor is None:
+                _merge(out, cof)
             else:
                 _packed_mul_into(out, cof, factor, width)
-    return LaurentForm._raw(target, *_lowest_terms({n: t for n, t in out.items() if t}, den))
+    return LaurentForm._raw(target, *_lowest_terms(out, den))
 
 
 def eval_poly_at_laurent(
@@ -354,15 +350,14 @@ def eval_in_powers(forms: list[LaurentForm], image: LaurentForm, target: Context
     mono, powers, dv, top = image_entry(image)
     width = len(target.names)
     forms = [f.transfer(target) for f in forms]
-    if len(forms) > 1:
-        keys = reduce(or_, chain.from_iterable(chain.from_iterable(f.num.values() for f in forms)), 0)
-        _check_packed_exponent(_top({0: {keys: 0}}, width) + (len(forms) - 1) * top)
+    if len(forms) > 1:  # `_top` masks x's exponent off the or of the keys
+        keys = reduce(or_, chain.from_iterable(f.num for f in forms), 0)
+        _check_packed_exponent(_top({keys: 0}, width) + (len(forms) - 1) * top)
     den = 1
     for i, f in enumerate(forms):
         den = lcm(den, f.den * dv ** i)
-    if mono is not None:  # the integral power i is one term, {i*xn: {i*ez: cn^i}}
-        ((xn, t1),) = powers[1].items()
-        ((ez, cn),) = t1.items()
+    if mono is not None:  # the integral power i is one term, {i*en: cn^i}
+        ((en, cn),) = powers[1].items()
     out: dict = {}
     for i, f in enumerate(forms):
         if f.is_zero():
@@ -371,27 +366,24 @@ def eval_in_powers(forms: list[LaurentForm], image: LaurentForm, target: Context
         if i and mono is None:
             _packed_mul_into(out, f.num if m == 1 else _times(f.num, m), _power(powers, i, width), width)
             continue
-        # a shift and a scale, into fresh term dicts, which out may keep
-        dn, de, k = (i * xn, i * ez, m * cn ** i) if i else (0, 0, m)
-        for n, t in f.num.items():
-            _add_terms(out, n + dn, {e + de: c * k for e, c in t.items()})
-    return LaurentForm._raw(target, *_lowest_terms({n: t for n, t in out.items() if t}, den))
+        # a shift and a scale
+        de, k = (i * en, m * cn ** i) if i else (0, m)
+        _merge(out, {e + de: c * k for e, c in f.num.items()})
+    return LaurentForm._raw(target, *_lowest_terms(out, den))
 
 
 def image_entry(image: LaurentForm) -> tuple:
     """The image entry of a form (see `LaurentForm`), made on the first call
-    and kept: (x-exponent, packed exponent, coefficient) of a one-term form,
-    else None; the power list, [1, num] at first, which `_power` grows; den;
-    and the largest exponent in the form."""
+    and kept: (packed key, coefficient) of a one-term form, else None; the
+    power list, [1, num] at first, which `_power` grows; den; and the
+    largest exponent in the form, x's aside."""
     if image._powers is None:
         num, den = image.num, image.den
         mono = None
         if len(num) == 1:
-            ((n, t),) = num.items()
-            if len(t) == 1:
-                ((e, c),) = t.items()
-                mono = (n, e, c if den == 1 else Fraction(c, den))
-        entry = (mono, [{0: {0: 1}}, num], den, _top(num, len(image.ctx.names)))
+            ((e, c),) = num.items()
+            mono = (e, c if den == 1 else Fraction(c, den))
+        entry = (mono, [{0: 1}, num], den, _top(num, len(image.ctx.names)))
         object.__setattr__(image, "_powers", entry)
     return image._powers
 

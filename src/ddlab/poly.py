@@ -65,27 +65,22 @@ def coeff_div(a, b):
     return int(q) if q.denominator == 1 else q
 
 
-# A form is a map x-exponent -> term dict: a Laurent polynomial in x, or a
-# polynomial when its only x-exponent is 0.
+# A term dict maps exponent tuples to coefficients, as Polynomial.terms does.
 
 
-def _scaled_int_form(form: dict) -> tuple[dict, int]:
-    """Rewrite a form over one common denominator; all values become int.
+def _scaled_int_form(terms: dict) -> tuple[dict, int]:
+    """Rewrite a term dict over one common denominator, all values int.
 
-    A form whose values are all int is returned as it is; any other value,
+    A dict whose values are all int is returned as it is; any other value,
     Fraction(n, 1) included, makes a rescaled copy.
     """
     den = 0  # 0 while every value seen is int
-    for terms in form.values():
-        for c in terms.values():
-            if type(c) is not int:
-                den = lcm(den, c.denominator) if den else c.denominator
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator) if den else c.denominator
     if not den:
-        return form, 1
-    return {
-        n: {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        for n, terms in form.items()
-    }, den
+        return terms, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _unscale_terms(terms: dict, den: int) -> dict:
@@ -98,66 +93,47 @@ def _unscale_terms(terms: dict, den: int) -> dict:
     }
 
 
-def _unscale(form: dict, den: int) -> dict:
-    """Drop empty term dicts and divide every int value by den."""
-    if den == 1:
-        return {n: t for n, t in form.items() if t}
-    return {n: _unscale_terms(t, den) for n, t in form.items() if t}
-
-
-def _form_mul_into(out: dict, a: dict, b: dict) -> None:
-    """out += a*b on forms, in place; b's terms drive the outer loop.
-
-    Empty term dicts may be left in out.
-    """
-    for n1, t1 in a.items():
-        t1 = list(t1.items())
-        for n2, t2 in b.items():
-            acc = out.get(n1 + n2)
-            if acc is None:
-                acc = out[n1 + n2] = {}
-            get = acc.get
-            for e2, c2 in t2.items():
-                for e1, c1 in t1:
-                    e = tuple(map(_add_op, e1, e2))
-                    prod = c1 * c2
-                    cur = get(e)
-                    if cur is None:
-                        acc[e] = prod
-                    else:
-                        s = cur + prod
-                        if s:
-                            acc[e] = s
-                        else:
-                            del acc[e]
-
-
 def _form_product(a: dict, b: dict) -> dict:
-    """The product of two forms; denominators are cleared first, so the
-    inner loop runs on native ints."""
+    """The product of two term dicts; denominators are cleared first, so the
+    inner loop runs on native ints, and b's terms drive the outer loop."""
     a, da = _scaled_int_form(a)
     b, db = _scaled_int_form(b)
+    a = list(a.items())
     out: dict = {}
-    _form_mul_into(out, a, b)
-    return _unscale(out, da * db)
+    get = out.get
+    for e2, c2 in b.items():
+        for e1, c1 in a:
+            e = tuple(map(_add_op, e1, e2))
+            prod = c1 * c2
+            cur = get(e)
+            if cur is None:
+                out[e] = prod
+            else:
+                s = cur + prod
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return _unscale_terms(out, da * db)
 
 
-# The Laurent layer stores its forms under packed keys: one int per exponent
-# vector, so that multiplying two monomials is one int addition (Monagan and
-# Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-# exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
+# The Laurent layer stores a form, a Laurent polynomial in x with polynomial
+# coefficients, as one term dict under packed keys: one int per monomial, x's
+# exponent included, so that multiplying two monomials is one int addition
+# (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+# packed exponent vectors", CASC 2007).  Polynomials keep their tuple keys.
 #
 # A product of packed forms takes one of two paths (`_packed_mul_into`).
-# Below KRONECKER_PAIRS term pairs, and on forms sparse in z, the top field,
-# a dict loop forms one monomial product per term pair.  From there on, on
-# forms dense in z, Kronecker substitution (Kronecker 1882; Harvey, "Faster
-# polynomial multiplication via multipoint Kronecker substitution", JSC
-# 2009) packs each group of terms of one x-level and one value of the other
-# fields into one int, a slot per z step, and forms each product of two
-# groups as one int product.  Fateman ("Comparing the speed of programs for
-# sparse polynomial multiplication", SIGSAM Bull. 2003) compares the two
-# regimes.  From KRONECKER_PAIRS on, a product with a one-term factor is a
-# shift and a scale, with no pair loop.
+# Below KRONECKER_PAIRS term pairs, and on forms sparse in z, the top field
+# below x, a dict loop forms one monomial product per term pair.  From there
+# on, on forms dense in z, Kronecker substitution (Kronecker 1882; Harvey,
+# "Faster polynomial multiplication via multipoint Kronecker substitution",
+# JSC 2009) packs each group of terms that agree in every field but z into
+# one int, a slot per z step, and forms each product of two groups as one
+# int product.  Fateman ("Comparing the speed of programs for sparse
+# polynomial multiplication", SIGSAM Bull. 2003) compares the two regimes.
+# From KRONECKER_PAIRS on, a product with a one-term factor is a shift and a
+# scale, with no pair loop.
 
 PACKED_BITS = 32
 MAX_PACKED_EXPONENT = 2 ** PACKED_BITS - 1
@@ -183,175 +159,184 @@ def _fields(width: int) -> Struct:
 
 
 def _pack(form: dict, width: int) -> tuple[dict, int]:
-    """A form over `width` variables under packed keys, and the largest
-    exponent in it.
+    """A form {x-exponent: {exponent tuple: value}} over `width` variables
+    as one term dict under packed keys, and the largest exponent in it.
 
-    The key of an exponent vector is its big-endian encoding with
-    PACKED_BITS = 32 bits per exponent, read as one int, so exponent i fills
-    field i from the top.  The sum of two keys packs the sum of their vectors
-    as long as no field exceeds MAX_PACKED_EXPONENT = 2^32 - 1.
+    The key of x^n times the exponent vector e is (n << 32*width) + E, E the
+    big-endian encoding of e with PACKED_BITS = 32 bits per exponent read as
+    one int, so exponent i fills field i from the top of E.  The x-exponent
+    n is the top field of the key, signed and unbounded: >> floors, so n is
+    key >> 32*width and E is key & (2^(32*width) - 1) for a negative n too,
+    and the minimum key has the lowest x-exponent.  The sum of two keys is
+    the key of the product of their monomials as long as no field of E
+    exceeds MAX_PACKED_EXPONENT = 2^32 - 1.
 
     No field does.  Only the Laurent layer and the x-adic division of
     `elements` pack; Polynomials keep tuple keys.  Keys are only ever added,
     and an exponent over the limit raises ExponentLimit where it would enter
     packed form: here, for every exponent packed, and before each product,
-    from bounds on its factors.  Every key that Laurent evaluation
-    (`laurent._evaluate`) forms is the exponent of a product of at most k_v
-    terms of the image of each variable v, k_v the largest exponent of v in
-    the form evaluated, so its fields are at most the sum of k_v times the
-    largest exponent in v's image.  Every key that the x-adic
-    division forms is the exponent of a product of a quotient term, j terms
-    of y's image and l of t's, and its fields are at most the largest
-    exponent of the quotient plus j and l times those of the two images.
-    The fields of a product of two Laurent forms are at most the sum of
-    their largest exponents.  These bounds are checked before the products
-    are formed.  The x-adic division's long division in z forms keys within
-    its input's fields unless the divisor holds other variables than z, and
-    then it checks its own bound first (`elements._divide_in_z`).
+    from bounds on its factors, which mask the x-exponent off first.  Every
+    key that Laurent evaluation (`laurent._evaluate`) forms is the exponent
+    of a product of at most k_v terms of the image of each variable v, k_v
+    the largest exponent of v in the form evaluated, so its fields are at
+    most the sum of k_v times the largest exponent in v's image.  Every key
+    that the x-adic division forms is the exponent of a product of a
+    quotient term, j terms of y's image and l of t's, and its fields are at
+    most the largest exponent of the quotient plus j and l times those of
+    the two images.  The fields of a product of two Laurent forms are at
+    most the sum of their largest exponents.  These bounds are checked
+    before the products are formed.  The x-adic division's long division in
+    z forms keys within its input's fields unless the divisor holds other
+    variables than z, and then it checks its own bound first
+    (`elements._divide_in_z`).
 
     The Kronecker path of `_packed_mul_into` relies on the same bound: it
-    splits a key into its z field, key >> PACKED_BITS*(width-1), and the
-    rest, and forms a product's key as the sum of the z fields shifted back
-    plus the sum of the rests.  That equals the sum of the two keys because
-    no field of the product exceeds MAX_PACKED_EXPONENT, so the rests add
-    without a carry into z.
+    splits a key into its z field, the top field of E, and the rest, the
+    x-exponent included, and forms a product's key as the sum of the z
+    fields shifted back plus the sum of the rests.  That equals the sum of
+    the two keys because no field of the product exceeds
+    MAX_PACKED_EXPONENT, so the rests add without a carry into z.
     """
     top = max(chain.from_iterable(chain.from_iterable(form.values())), default=0)
     _check_packed_exponent(top)
-    pack, from_bytes = _fields(width).pack, int.from_bytes
-    return {n: {from_bytes(pack(*e), "big"): c for e, c in t.items()} for n, t in form.items()}, top
+    pack, from_bytes, sh = _fields(width).pack, int.from_bytes, PACKED_BITS * width
+    return {(n << sh) + from_bytes(pack(*e), "big"): c for n, t in form.items() for e, c in t.items()}, top
+
+
+def _levels(form: dict, width: int) -> dict:
+    """A term dict under packed keys of `width` fields split by x-exponent:
+    {x-exponent: {key with the x-exponent masked off: value}}."""
+    sh = PACKED_BITS * width
+    mask = (1 << sh) - 1
+    levels: dict = {}
+    for k, c in form.items():
+        terms = levels.get(k >> sh)
+        if terms is None:
+            terms = levels[k >> sh] = {}
+        terms[k & mask] = c
+    return levels
+
+
+def _unpack_terms(terms: dict, width: int, den: int = 1) -> dict:
+    """A term dict under packed keys of `width` fields and no x-exponent as
+    one under tuple keys, every value divided by den."""
+    fields = _fields(width)
+    unpack, size = fields.unpack, fields.size
+    return _unscale_terms({unpack(e.to_bytes(size, "big")): c for e, c in terms.items()}, den)
 
 
 def _unpack(form: dict, width: int, den: int = 1) -> dict:
-    """A form under packed keys of `width` fields as one under tuple keys,
-    every value divided by den; empty term dicts are dropped."""
-    fields = _fields(width)
-    unpack, size = fields.unpack, fields.size
-    out = {n: {unpack(e.to_bytes(size, "big")): c for e, c in t.items()} for n, t in form.items() if t}
-    return out if den == 1 else {n: _unscale_terms(t, den) for n, t in out.items()}
+    """A term dict under packed keys of `width` fields as a form under tuple
+    keys, {x-exponent: {exponent tuple: value}}, every value divided by
+    den."""
+    return {n: _unpack_terms(t, width, den) for n, t in _levels(form, width).items()}
 
 
 def _top(form: dict, width: int) -> int:
-    """The largest exponent in a form under packed keys of `width` fields."""
+    """The largest exponent in a term dict under packed keys of `width`
+    fields, the x-exponent aside."""
     fields = _fields(width)
     unpack, size = fields.unpack, fields.size
-    return max(chain.from_iterable(unpack(e.to_bytes(size, "big")) for t in form.values() for e in t), default=0)
+    mask = (1 << PACKED_BITS * width) - 1
+    return max(chain.from_iterable(unpack((e & mask).to_bytes(size, "big")) for e in form), default=0)
 
 
 def _lowest_terms(form: dict, den: int) -> tuple[dict, int]:
-    """An integral form over den, with no empty term dict, divided through
+    """An integral term dict over den, with no zero value, divided through
     by the gcd of den and all its values, so that den is the least
-    denominator; the zero form gets den 1.  The form is returned as it is
+    denominator; the zero form gets den 1.  The dict is returned as it is
     when that gcd is 1."""
-    g = den
-    if g != 1:
-        for t in form.values():
-            g = gcd(g, *t.values())
-            if g == 1:
-                return form, den
-        form = {n: {e: c // g for e, c in t.items()} for n, t in form.items()}
-    return form, den // g
+    if den != 1:
+        g = gcd(den, *form.values())
+        if g != 1:
+            return {e: c // g for e, c in form.items()}, den // g
+    return form, den
 
 
-def _add_terms(out: dict, n: int, terms: dict) -> None:
-    """out[n] += terms, in place, dropping the sums that vanish; terms is
-    kept as out[n] when that level is absent or empty, so it must be fresh."""
-    acc = out.get(n)
-    if not acc:
-        out[n] = terms
+def _merge(out: dict, terms: dict) -> None:
+    """out += terms on term dicts, in place, dropping the sums that vanish."""
+    if not out:
+        out.update(terms)
         return
-    get = acc.get
+    get = out.get
     for e, c in terms.items():
         cur = get(e)
         if cur is None:
-            acc[e] = c
+            out[e] = c
         else:
-            s = cur + c
-            if s:
-                acc[e] = s
+            c += cur
+            if c:
+                out[e] = c
             else:
-                del acc[e]
+                del out[e]
 
 
 def _packed_mul_into(out: dict, a: dict, b: dict, width: int) -> None:
-    """out += a*b on forms under packed keys of `width` fields, in place.
+    """out += a*b on term dicts under packed keys of `width` fields, in
+    place, dropping the sums that vanish.
 
-    Below KRONECKER_PAIRS term pairs, the product is a dict loop,
-    `_form_mul_into` with one int addition per monomial product.  From there
-    on, a one-term factor shifts and scales the other, one dict per level,
-    and other products are formed by Kronecker substitution when the forms
-    are dense in z (`_kronecker_mul_into`), else by the dict loop.  Empty
-    term dicts may be left in out.
+    Below KRONECKER_PAIRS term pairs, the product is a dict loop, one int
+    addition and one dict update per term pair, b's terms driving the outer
+    loop.  From there on, a one-term factor shifts and scales the other, and
+    other products are formed by Kronecker substitution when the forms are
+    dense in z (`_kronecker_mul_into`), else by the dict loop.
     """
-    na = nb = 0  # counted by loops: sum(map(len, ...)) costs more on the many tiny products
-    for t in a.values():
-        na += len(t)
-    for t in b.values():
-        nb += len(t)
+    na, nb = len(a), len(b)
     if na * nb >= KRONECKER_PAIRS:
         if na == 1 or nb == 1:
             if nb != 1:
                 a, b = b, a
-            for n2, t2 in b.items():  # b may have empty levels besides its term
-                for e2, c2 in t2.items():
-                    for n1, t1 in a.items():
-                        _add_terms(out, n1 + n2, {e1 + e2: c1 * c2 for e1, c1 in t1.items()})
+            ((e2, c2),) = b.items()
+            _merge(out, {e1 + e2: c1 * c2 for e1, c1 in a.items()})
             return
         if _kronecker_mul_into(out, a, b, width, na, nb):
             return
-    for n1, t1 in a.items():
-        t1 = list(t1.items())
-        for n2, t2 in b.items():
-            acc = out.get(n1 + n2)
-            if acc is None:
-                acc = out[n1 + n2] = {}
-            get = acc.get
-            for e2, c2 in t2.items():
-                for e1, c1 in t1:
-                    e = e1 + e2
-                    prod = c1 * c2
-                    cur = get(e)
-                    if cur is None:
-                        acc[e] = prod
-                    else:
-                        s = cur + prod
-                        if s:
-                            acc[e] = s
-                        else:
-                            del acc[e]
+    a = list(a.items())
+    get = out.get
+    for e2, c2 in b.items():
+        for e1, c1 in a:
+            e = e1 + e2
+            prod = c1 * c2
+            cur = get(e)
+            if cur is None:
+                out[e] = prod
+            else:
+                s = cur + prod
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
 
 
 def _z_groups(form: dict, shift: int) -> dict:
     """The terms of a form under packed keys, z the field at `shift`, grouped
-    by x-level and by the other fields: {(level, rest): {z: coefficient}}."""
-    mask = (1 << shift) - 1
+    by the rest of the key, the x-exponent included: {rest: {z: value}}."""
+    rest_mask = ~(MAX_PACKED_EXPONENT << shift)
     groups: dict = {}
-    for n, t in form.items():
-        for e, c in t.items():
-            key = (n, e & mask)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = {e >> shift: c}
-            else:
-                group[e >> shift] = c
+    for e, c in form.items():
+        rest = e & rest_mask
+        group = groups.get(rest)
+        if group is None:
+            group = groups[rest] = {}
+        group[(e - rest) >> shift] = c
     return groups
 
 
 def _kronecker_mul_into(out: dict, a: dict, b: dict, width: int, na: int, nb: int) -> bool:
-    """out += a*b by Kronecker substitution in z, the top field of packed
-    keys of `width` fields, and True; or False, with out untouched, when the
-    forms, of na and nb terms, are too sparse in z for it.
+    """out += a*b by Kronecker substitution in z, the top field below x of
+    packed keys of `width` fields, and True; or False, with out untouched,
+    when the forms, of na and nb terms, are too sparse in z for it.
 
     The z-exponents of every group of terms (`_z_groups`) step by a common
     stride g.  A group becomes one int with a slot of B bits per step, B a
     whole number of bytes and at least bits(||a||_1) + bits(max|b|) + 2, so
     that every coefficient of a, of b and of a*b, which is at most
     ||a||_1*max|b|, lies below 2^(B-2) in size.  Each pair of groups is one
-    int product.  The products that land on one level, one value of the
-    other fields and one residue of z mod g are added, each shifted by its
-    lowest z, and the sum is unpacked once: a bias of 2^(B-1) in every slot
-    makes each slot its coefficient plus the bias, with no carries.  Groups
-    are packed with the same bias.
+    int product.  The products that land on one value of the other fields
+    and one residue of z mod g are added, each shifted by its lowest z, and
+    the sum is unpacked once: a bias of 2^(B-1) in every slot makes each
+    slot its coefficient plus the bias, with no carries.  Groups are packed
+    with the same bias.
 
     Too sparse means fewer than 16 term pairs per pair of groups, or more
     than a third as many output slots as term pairs: unpacking a slot costs
@@ -367,65 +352,63 @@ def _kronecker_mul_into(out: dict, a: dict, b: dict, width: int, na: int, nb: in
         lo = min(group)
         stride = gcd(stride, *[z - lo for z in group])
     # (lowest z, slot count) of each group
-    spans_a, spans_b = [{key: (min(group), (max(group) - min(group)) // stride + 1) for key, group in groups.items()}
+    spans_a, spans_b = [{rest: (min(group), (max(group) - min(group)) // stride + 1) for rest, group in groups.items()}
                         for groups in (ga, gb)]
-    spans: dict = {}  # (level, rest, residue) -> the output's lowest and highest slot
-    for (n1, r1), (lo1, k1) in spans_a.items():
-        for (n2, r2), (lo2, k2) in spans_b.items():
+    spans: dict = {}  # (rest, residue) -> the output's lowest and highest slot
+    for r1, (lo1, k1) in spans_a.items():
+        for r2, (lo2, k2) in spans_b.items():
             s0, res = divmod(lo1 + lo2, stride)
-            key = (n1 + n2, r1 + r2, res)
+            key = (r1 + r2, res)
             span = spans.get(key)
             spans[key] = (s0, s0 + k1 + k2 - 2) if span is None else (
                 min(span[0], s0), max(span[1], s0 + k1 + k2 - 2))
     if 3 * sum(s1 - s0 + 1 for s0, s1 in spans.values()) > pairs:
         return False
 
-    norm = sum(map(abs, chain.from_iterable(t.values() for t in a.values())))
-    top = max(map(abs, chain.from_iterable(t.values() for t in b.values())))
+    norm = sum(map(abs, a.values()))
+    top = max(map(abs, b.values()))
     size = (norm.bit_length() + top.bit_length() + 9) // 8  # bytes a slot
     bits, half, bias = 8 * size, 1 << (8 * size - 1), bytes(size - 1) + b"\x80"
     from_bytes = int.from_bytes
 
     def pack(groups: dict, spans: dict) -> list:
         packed = []
-        for key, group in groups.items():
-            lo, k = spans[key]
+        for rest, group in groups.items():
+            lo, k = spans[rest]
             get = group.get
             raw = b"".join([(get(z, 0) + half).to_bytes(size, "little") for z in range(lo, lo + k * stride, stride)])
-            packed.append((key, lo, from_bytes(raw, "little") - from_bytes(bias * k, "little")))
+            packed.append((rest, lo, from_bytes(raw, "little") - from_bytes(bias * k, "little")))
         return packed
 
     sums = dict.fromkeys(spans, 0)
     packed_b = pack(gb, spans_b)
-    for (n1, r1), lo1, v1 in pack(ga, spans_a):
-        for (n2, r2), lo2, v2 in packed_b:
+    for r1, lo1, v1 in pack(ga, spans_a):
+        for r2, lo2, v2 in packed_b:
             s0, res = divmod(lo1 + lo2, stride)
-            key = (n1 + n2, r1 + r2, res)
+            key = (r1 + r2, res)
             sums[key] += (v1 * v2) << (bits * (s0 - spans[key][0]))
-    levels: dict = {}  # the keys differ in rest or residue, so no two of them share a term
+    terms: dict = {}  # the keys differ in rest or residue, so no two of them share a term
     step = stride << shift
-    for (n, rest, res), v in sums.items():
-        s0, s1 = spans[n, rest, res]
+    for (rest, res), v in sums.items():
+        s0, s1 = spans[rest, res]
         k = s1 - s0 + 1
         raw = (v + from_bytes(bias * k, "little")).to_bytes(size * k, "little")
-        terms = levels.setdefault(n, {})
         e = rest + ((res + s0 * stride) << shift)
         for i in range(0, size * k, size):
             c = from_bytes(raw[i:i + size], "little") - half
             if c:
                 terms[e] = c
             e += step
-    for n, terms in levels.items():
-        _add_terms(out, n, terms)
+    _merge(out, terms)
     return True
 
 
 def _packed_product(a: dict, b: dict, width: int) -> dict:
-    """The product of two integral forms under packed keys of `width`
-    fields, with no zero value and no empty level."""
+    """The product of two integral term dicts under packed keys of `width`
+    fields, with no zero value."""
     out: dict = {}
     _packed_mul_into(out, a, b, width)
-    return {n: t for n, t in out.items() if t}
+    return out
 
 
 class Context:
@@ -622,7 +605,7 @@ class Polynomial:
                 v = c * q
                 out[tuple(map(_add_op, e, m))] = v if type(v) is int or v.denominator != 1 else v.numerator
             return Polynomial._raw(self.ctx, out)
-        return Polynomial._raw(self.ctx, _form_product({0: a}, {0: b}).get(0, {}))
+        return Polynomial._raw(self.ctx, _form_product(a, b))
 
     def scale(self, q) -> "Polynomial":
         q = norm_coeff(q)
@@ -760,7 +743,7 @@ class Polynomial:
 # -- parsing ---------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
+    r"(?P<ws>\s+)|(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
 )
 
 

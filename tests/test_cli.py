@@ -105,6 +105,15 @@ class TestMember:
         assert (cert["level"], cert["divisor"]) == (-200, "(Z^2 - 1)^100")
         assert cert["completeness"]["passed"]
 
+    def test_non_member_at_a_level_past_the_32_bit_fields(self, tmp_path, capsys):
+        # x's exponent -(2^32 + 1) is the signed top field of the packed keys;
+        # J = 1610612737 is the least J with 2*J + 2*floor(J/3) >= 2^32 + 1
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"base_vars": [], "d": 2, "e": 2, "P": "Z^4 + 1", "Q": "Y^3 + Z"}))
+        assert main(["member", str(path), "--element", '{"-4294967297": "1"}']) == 1
+        out = capsys.readouterr().out
+        assert "level -4294967297: remainder 1 modulo (Z^4 + 1)^1610612737" in out
+
     def test_incomplete_division_is_an_error_line(self, dd1_file, capsys, monkeypatch):
         # with P(0,Z) dropped from I0 the completeness report fails: one
         # error line and exit 2 instead of an answer
@@ -469,8 +478,13 @@ class TestMalformedJsonArguments:
             # two keys for one exponent would drop one of the coefficients
             ('{"-1": "Z^2 - 1", "-01": "Z"}', "keys '-1' and '-01' name the same exponent -1"),
             ('{"-1": "Z^2 - 1", "-1": "Z"}', "key '-1' is repeated"),
+            # int() alone reads "1_0" as 10 and an Arabic-Indic three as 3
+            ('{"1_0": "Z"}', "key '1_0' is not an integer in ASCII digits"),
+            ('{"\u0663": "Z"}', "key '\u0663' is not an integer in ASCII digits"),
+            ('{"0": "Z^\u0663"}', "unexpected character '\u0663'"),
         ],
-        ids=["list", "int-coefficient", "one-exponent-two-keys", "repeated-key"],
+        ids=["list", "int-coefficient", "one-exponent-two-keys", "repeated-key", "underscore-key",
+             "non-ascii-key", "non-ascii-exponent"],
     )
     def test_member_element(self, dd1_file, capsys, element, message):
         assert main(["member", dd1_file, "--element", element]) == 2

@@ -111,7 +111,7 @@ class TestImageCache:
         cctx = actx.coeff_ctx
         expected = LaurentForm.from_poly(cctx.one())
         for k, power in enumerate(powers):
-            assert all(type(e) is int for t in power.values() for e in t)
+            assert all(type(e) is int for e in power)
             assert unpacked(cctx, power, den ** k) == expected
             expected = expected * images["Y"]
         assert top == max(images["Y"].coeffs[n].deg_in("Z") for n in images["Y"].coeffs) == 3
@@ -416,7 +416,7 @@ class TestDivisionAgainstGroebner:
                 big_j = j + pres.s * l
                 assert form.min_exp() == -(pres.d * big_j + pres.e * l)
                 power, p0_den = actx._p0_power(big_j, budget)
-                lowest = unpacked(cctx, {0: power}, p0_den).scale(b ** l)
+                lowest = unpacked(cctx, power, p0_den).scale(b ** l)
                 assert lowest.coeffs[0] == form.coeffs[form.min_exp()]
 
     def test_divisor_is_charged_once_per_power(self, dd1):
@@ -734,15 +734,14 @@ class TestDivisionInZ:
         ref_rem, (ref_q,) = _normal_form(c, divisors, ref_budget)
 
         divisor, d_den = actx._p0_power(big_j, _Budget(DEFAULT_BUDGET))
-        scaled, den = _scaled_int_form({0: c.terms})
-        terms = _pack(scaled, width)[0][0]
+        terms, den = _scaled_int_form(_pack({0: c.terms}, width)[0])
         kept = (dict(terms), dict(divisor))
         budget = _Budget(DEFAULT_BUDGET)
         q, rem, scale = _divide_in_z(terms, divisor, width, budget)
         assert (terms, divisor) == kept
 
         def poly(t, k):
-            return Polynomial._raw(cctx, _unpack({0: t}, width, k).get(0, {}))
+            return Polynomial._raw(cctx, _unpack(t, width, k).get(0, {}))
 
         assert budget.used == ref_budget.used
         assert poly(rem, scale * den) == ref_rem

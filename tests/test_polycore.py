@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ddlab import poly
+from ddlab import laurent, poly
 from ddlab.laurent import LaurentForm, eval_poly_at_laurent
 from ddlab.poly import (
     KRONECKER_PAIRS,
@@ -19,7 +19,6 @@ from ddlab.poly import (
     ExponentLimit,
     ParseError,
     Polynomial,
-    _form_mul_into,
     _form_product,
     _kronecker_mul_into,
     _pack,
@@ -72,6 +71,12 @@ class TestParsing:
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="denominator"):
             P("1/0")
+
+    @pytest.mark.parametrize("text", ["Z^\u0663", "\u0663*Z", "1/\u0662", "Z^\uff13"])
+    def test_only_ascii_digits_are_numbers(self, text):
+        # Arabic-Indic and fullwidth digits are not read as numbers
+        with pytest.raises(ParseError, match="unexpected character"):
+            P(text)
 
     def test_unary_minus_and_parens(self):
         assert P("-(Z - 1)") == P("1 - Z")
@@ -186,7 +191,7 @@ class TestRingOps:
             (P("3/2*X - 5/2*U"), P("2/3")),
         ]
         for f, m in cases:
-            want = _form_product({0: f.terms}, {0: m.terms})[0]
+            want = _form_product(f.terms, m.terms)
             for got in (f * m, m * f):
                 assert list(got.terms.items()) == list(want.items())
                 assert [type(c) for c in got.terms.values()] == [type(c) for c in want.values()]
@@ -380,17 +385,38 @@ def _tuple_form(form: LaurentForm) -> dict:
 
 
 def _packed(form: LaurentForm) -> tuple[dict, int]:
-    """A LaurentForm as an integral form under packed keys and its denominator."""
-    scaled, den = _scaled_int_form(_tuple_form(form))
-    return _pack(scaled, len(form.ctx.names))[0], den
+    """A LaurentForm as an integral term dict under packed keys and its
+    denominator."""
+    return _scaled_int_form(_pack(_tuple_form(form), len(form.ctx.names))[0])
+
+
+def _tuple_add_product(out: dict, a: dict, b: dict) -> dict:
+    """out += a*b on forms under tuple keys, {x-exponent: terms}, in place,
+    by the tuple kernel (`_form_product`) a pair of levels at a time; out is
+    returned, with no empty level and no zero value."""
+    for n1, t1 in a.items():
+        for n2, t2 in b.items():
+            acc = out.setdefault(n1 + n2, {})
+            for e, c in _form_product(t1, t2).items():
+                acc[e] = acc.get(e, 0) + c
+    for n in list(out):
+        out[n] = {e: c for e, c in out[n].items() if c}
+        if not out[n]:
+            del out[n]
+    return out
+
+
+# x-exponents beyond +-2^32, wider than a field of exponents
+_FAR_LEVELS = st.sampled_from([-2 ** 40, -2 ** 32 - 1, -2 ** 32, -2 ** 31, -1, 0, 1,
+                               2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3, 2 ** 40])
 
 
 @st.composite
-def _forms(draw, ctx: Context):
+def _forms(draw, ctx: Context, levels=st.integers(-2, 2)):
     """A form of up to four levels and three terms a level, exponents up to
     3, and coefficients +-1..3 over 1, 2 or 3, so that sums cancel."""
     coeffs = {}
-    for n in draw(st.lists(st.integers(-2, 2), max_size=4, unique=True)):
+    for n in draw(st.lists(levels, max_size=4, unique=True)):
         exps = st.tuples(*[st.integers(0, 3)] * len(ctx.names))
         coeffs[n] = Polynomial(ctx, {
             e: Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.sampled_from([1, 2, 3])))
@@ -447,15 +473,17 @@ class TestPackedKeys:
 
     def test_pack_round_trip_and_field_layout(self):
         for exps in [(), (0,), (MAX_PACKED_EXPONENT,), (1, 0, 2), (3, MAX_PACKED_EXPONENT, 0, 5)]:
+            # x's exponent is the top field, signed, above the exponents' fields
             packed, top = _pack({-1: {exps: 7}, 2: {}}, len(exps))
-            assert packed == {-1: {sum(k << (PACKED_BITS * i) for i, k in enumerate(reversed(exps))): 7}, 2: {}}
+            fields = sum(k << (PACKED_BITS * i) for i, k in enumerate(reversed(exps)))
+            assert packed == {(-1 << PACKED_BITS * len(exps)) + fields: 7}
             assert top == max(exps, default=0)
             assert _unpack(packed, len(exps)) == {-1: {exps: 7}}
-        # fields that sum to the limit do not carry into the next field
+        # fields that sum to the limit carry into neither the next field nor x's exponent
         half = MAX_PACKED_EXPONENT // 2
         packed, _ = _pack({0: {(half, 1): 1}, 1: {(half + 1, 2): 1}}, 2)
-        ((a,), (b,)) = packed.values()
-        assert _unpack({0: {a + b: 6}}, 2, 4) == {0: {(MAX_PACKED_EXPONENT, 3): Fraction(3, 2)}}
+        a, b = packed
+        assert _unpack({a + b: 6}, 2, 4) == {1: {(MAX_PACKED_EXPONENT, 3): Fraction(3, 2)}}
         with pytest.raises(ExponentLimit, match=f"exponent {MAX_PACKED_EXPONENT + 1} exceeds"):
             _pack({0: {(1, 2): 1}, 1: {(0, MAX_PACKED_EXPONENT + 1): 1}}, 2)
 
@@ -464,12 +492,47 @@ class TestPackedKeys:
     def test_packed_product_equals_the_tuple_product(self, case):
         ctx, a, b = case
         (pa, da), (pb, db) = _packed(a), _packed(b)
-        tuple_product = _form_product(_tuple_form(a), _tuple_form(b))
+        tuple_product = _tuple_add_product({}, _tuple_form(a), _tuple_form(b))
         assert unpacked(ctx, _packed_product(pa, pb, len(ctx.names)), da * db) == LaurentForm(
             ctx, {n: Polynomial._raw(ctx, t) for n, t in tuple_product.items()}) == a * b
         # (a + b)*(a - b) = a*a - b*b: the cross terms cancel exactly in the kernel
         (pp, dp), (pm, dm) = _packed(a + b), _packed(a - b)
         assert unpacked(ctx, _packed_product(pp, pm, len(ctx.names)), dp * dm) == a * a - b * b
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_far_x_exponents_equal_the_tuple_reference(self, data):
+        # products, sums, shifts and sums of powers of forms whose
+        # x-exponents reach past +-2^32, against `_form_product` on their
+        # coefficients, a pair of levels at a time
+        ctx = data.draw(st.sampled_from(WIDE_CTXS))
+        a, b, image = (data.draw(_forms(ctx, _FAR_LEVELS)) for _ in range(3))
+        k = data.draw(_FAR_LEVELS)
+        mono = LaurentForm(ctx, {k: ctx.monomial({ctx.names[-1]: 2}, Fraction(-2, 3))})
+
+        def plus(f: dict, g: dict) -> dict:
+            out = {n: dict(t) for n, t in f.items()}
+            for n, t in g.items():
+                acc = out.setdefault(n, {})
+                for e, c in t.items():
+                    acc[e] = acc.get(e, 0) + c
+            return out
+
+        def assert_is(form: LaurentForm, want: dict):
+            polys = {n: Polynomial(ctx, t) for n, t in want.items()}
+            assert dict(form.coeffs) == {n: p for n, p in polys.items() if not p.is_zero()}
+
+        ta, tb = _tuple_form(a), _tuple_form(b)
+        assert_is(a * b, _tuple_add_product({}, ta, tb))
+        assert_is(a + b, plus(ta, tb))
+        assert_is(a.shift(k), {n + k: t for n, t in ta.items()})
+        assert a.shift(k).min_exp() == (min(ta) + k if ta else 0)
+        for img in (image, mono):
+            ti = _tuple_form(img)
+            # a + b*img + (a*img)*img
+            want = _tuple_add_product({n: dict(t) for n, t in ta.items()}, tb, ti)
+            want = _tuple_add_product(want, _tuple_add_product({}, ta, ti), ti)
+            assert_is(laurent.eval_in_powers([a, b, a], img, ctx), want)
 
     @settings(max_examples=100, deadline=None)
     @given(_evaluations())
@@ -522,24 +585,16 @@ class TestPackedKeys:
 
 
 def _dict_loop(out: dict, a: dict, b: dict, width: int) -> None:
-    """out += a*b on forms under packed keys, by the dict loop on tuple keys
-    (`_form_mul_into`) that the packed product must agree with."""
-    tuple_out = _unpack(out, width)
-    _form_mul_into(tuple_out, _unpack(a, width), _unpack(b, width))
+    """out += a*b on term dicts under packed keys, by the product on tuple
+    keys (`_tuple_add_product`) that the packed product must agree with."""
+    tuple_out = _tuple_add_product(_unpack(out, width), _unpack(a, width), _unpack(b, width))
     out.clear()
     out.update(_pack(tuple_out, width)[0])
 
 
-def _terms(form: dict) -> int:
-    return sum(map(len, form.values()))
-
-
-def _copy(form: dict) -> dict:
-    return {n: dict(t) for n, t in form.items()}
-
-
-def _nonempty(form: dict) -> dict:
-    return {n: t for n, t in form.items() if t}
+def _level(n: int, width: int) -> int:
+    """The part of a packed key of `width` fields that holds x^n."""
+    return n << PACKED_BITS * width
 
 
 def _random_packed(rng: random.Random, width: int, stride: int, levels: list, rests: list,
@@ -551,12 +606,12 @@ def _random_packed(rng: random.Random, width: int, stride: int, levels: list, re
     shift = PACKED_BITS * (width - 1)
     form: dict = {}
     for n in levels:
-        terms = form.setdefault(n, {})
         for rest in rests:
             z0 = rng.randrange(stride)
             for i in range(span):
                 if rng.random() < fill:
-                    terms[rest + ((z0 + stride * i) << shift)] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+                    key = _level(n, width) + rest + ((z0 + stride * i) << shift)
+                    form[key] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
     return form
 
 
@@ -582,18 +637,17 @@ def _kronecker_cases(draw):
 
     a, b = form(), form()
     if mode == "difference":
-        plus, minus = _copy(a), _copy(a)
-        for n, t in b.items():
-            poly._add_terms(plus, n, dict(t))
-            poly._add_terms(minus, n, {e: -c for e, c in t.items()})
-        a, b = _nonempty(plus), _nonempty(minus)
+        plus, minus = dict(a), dict(a)
+        poly._merge(plus, dict(b))
+        poly._merge(minus, {e: -c for e, c in b.items()})
+        a, b = plus, minus
     out_kind = draw(st.sampled_from(["empty", "random", "cancel"]))
     if out_kind == "random":
         out = form()
     elif out_kind == "cancel":
         out = {}
         _dict_loop(out, a, b, width)
-        out = {n: {e: -c for e, c in t.items()} for n, t in out.items()}
+        out = {e: -c for e, c in out.items()}
     else:
         out = {}
     return width, a, b, out
@@ -606,28 +660,27 @@ class TestKroneckerProduct:
     @given(_kronecker_cases())
     def test_kronecker_path_equals_the_dict_loop(self, case):
         width, a, b, out = case
-        na, nb = _terms(a), _terms(b)
+        na, nb = len(a), len(b)
         assume(na > 1 and nb > 1)
-        expected = _copy(out)
+        expected = dict(out)
         _dict_loop(expected, a, b, width)
-        expected = _nonempty(expected)
-        got = _copy(out)
+        got = dict(out)
         took = _kronecker_mul_into(got, a, b, width, na, nb)
         event("kronecker" if took else "dict loop")
         if took:
-            assert _nonempty(got) == expected
-            assert all(c for t in got.values() for c in t.values())
+            assert got == expected
+            assert all(got.values())
         else:
             assert got == out  # untouched
-        # whatever path it takes, the packed product is the dict loop's
-        got = _copy(out)
+        # whatever path it takes, the packed product is the dict loop's, with no zero value
+        got = dict(out)
         _packed_mul_into(got, a, b, width)
-        assert _nonempty(got) == expected
+        assert got == expected and all(got.values())
         product = _packed_product(a, b, width)
         plain: dict = {}
         _dict_loop(plain, a, b, width)
-        assert product == _nonempty(plain)
-        assert all(t and all(t.values()) for t in product.values())
+        assert product == plain
+        assert all(product.values())
 
     def test_dense_forms_take_the_kronecker_path(self):
         # 100 consecutive z-steps times 50 alternating ones at twice the
@@ -635,14 +688,14 @@ class TestKroneckerProduct:
         # coefficients over 2^100 and a second field
         for width, stride, big in ((1, 1, 1), (2, 5, 2 ** 100)):
             shift = PACKED_BITS * (width - 1)
-            a = {-1: {(stride * i) << shift: big + i for i in range(100)}}
-            b = {0: {(stride * 2 * i) << shift: (-1) ** i * big for i in range(50)},
-                 2: {((stride * i) << shift) + (1 if width > 1 else 0): 3 for i in range(40)}}
+            a = {_level(-1, width) + ((stride * i) << shift): big + i for i in range(100)}
+            b = {(stride * 2 * i) << shift: (-1) ** i * big for i in range(50)}
+            b.update({_level(2, width) + ((stride * i) << shift) + (1 if width > 1 else 0): 3 for i in range(40)})
             expected: dict = {}
             _dict_loop(expected, a, b, width)
             got: dict = {}
-            assert _kronecker_mul_into(got, a, b, width, _terms(a), _terms(b))
-            assert got == _nonempty(expected)
+            assert _kronecker_mul_into(got, a, b, width, len(a), len(b))
+            assert got == expected
 
     def test_sparse_forms_keep_the_dict_loop(self, monkeypatch):
         # z-exponents far apart at stride 1, and many one-term groups: both
@@ -650,21 +703,21 @@ class TestKroneckerProduct:
         taken = []
         kronecker = poly._kronecker_mul_into
         monkeypatch.setattr(poly, "_kronecker_mul_into", lambda *args: taken.append(kronecker(*args)) or taken[-1])
-        spread = {0: {1: 7, **{k * 10 ** 6: k + 1 for k in range(40)}}}
-        singletons = {n: {n: 1} for n in range(40)}
+        spread = {1: 7, **{k * 10 ** 6: k + 1 for k in range(40)}}
+        singletons = {_level(n, 1) + n: 1 for n in range(40)}
         for a, b in ((spread, spread), (singletons, singletons)):
-            assert _terms(a) * _terms(b) >= KRONECKER_PAIRS
+            assert len(a) * len(b) >= KRONECKER_PAIRS
             expected: dict = {}
             _dict_loop(expected, a, b, 1)
-            assert _packed_product(a, b, 1) == _nonempty(expected)
+            assert _packed_product(a, b, 1) == expected
         assert taken == [False, False]
 
     def test_each_product_takes_its_path(self, monkeypatch):
         # a one-term factor times 600 terms: the shift and scale; 9 x 56 = 504
         # term pairs, below KRONECKER_PAIRS: the dict loop, even with a
         # one-term factor or dense in z; 40 x 40 dense terms: Kronecker
-        paths = []  # what the product called: a Kronecker attempt and its answer, _add_terms
-        kronecker, add_terms = poly._kronecker_mul_into, poly._add_terms
+        paths = []  # what the product called: a Kronecker attempt and its answer, _merge
+        kronecker, merge = poly._kronecker_mul_into, poly._merge
 
         def attempt(*args):
             took = kronecker(*args)
@@ -672,37 +725,36 @@ class TestKroneckerProduct:
             return took
 
         monkeypatch.setattr(poly, "_kronecker_mul_into", attempt)
-        monkeypatch.setattr(poly, "_add_terms", lambda *args: paths.append("add") or add_terms(*args))
-        big = {0: {k << 32: k + 1 for k in range(600)}}
-        small = {0: {k << 32: 1 for k in range(9)}}
-        mid = {-1: {k << 32: 2 for k in range(50)}, 2: {(k << 32) + 1: -1 for k in range(6)}}
-        dense = {0: {k << 32: k - 20 for k in range(40)}}
-        one = {3: {(5 << 32) + 2: 7}}
+        monkeypatch.setattr(poly, "_merge", lambda *args: paths.append("merge") or merge(*args))
+        big = {k << 32: k + 1 for k in range(600)}
+        small = {k << 32: 1 for k in range(9)}
+        mid = {**{_level(-1, 2) + (k << 32): 2 for k in range(50)}, **{_level(2, 2) + (k << 32) + 1: -1 for k in range(6)}}
+        dense = {k << 32: k - 20 for k in range(40)}
+        one = {_level(3, 2) + (5 << 32) + 2: 7}
         cases = [((one, big), "shift and scale"), ((big, one), "shift and scale"), ((small, mid), "dict loop"),
-                 ((one, {0: {k: 1 for k in range(511)}}), "dict loop"), ((dense, dense), "kronecker")]
+                 ((one, {k: 1 for k in range(511)}), "dict loop"), ((dense, dense), "kronecker")]
         for (a, b), path in cases:
             paths.clear()
             got: dict = {}
             _packed_mul_into(got, a, b, 2)
-            taken = "kronecker" if "kronecker" in paths else "shift and scale" if "add" in paths else "dict loop"
-            assert taken == path, (_terms(a), _terms(b), paths)
+            taken = "kronecker" if "kronecker" in paths else "shift and scale" if "merge" in paths else "dict loop"
+            assert taken == path, (len(a), len(b), paths)
             expected: dict = {}
             _dict_loop(expected, a, b, 2)
-            assert _nonempty(got) == _nonempty(expected)
+            assert got == expected
 
     def test_one_term_factor_is_a_shift_and_a_scale(self):
-        # on either side, into an empty level and into one that cancels, past
-        # an empty level of the one-term factor; 602 term pairs or more, so
-        # that the path is taken
-        a = {-2: {5: -2, **{k: k + 1 for k in range(6, 606)}}, 1: {3: 4}}
-        assert _terms(a) >= KRONECKER_PAIRS
-        one = {0: {0: 1}, 3: {}}
-        shifted = {1: {7 << 32: -3}}
+        # on either side, into an empty form and into one whose term cancels;
+        # 602 term pairs or more, so that the path is taken
+        a = {_level(-2, 2) + 5: -2, **{_level(-2, 2) + k: k + 1 for k in range(6, 606)}, _level(1, 2) + 3: 4}
+        assert len(a) >= KRONECKER_PAIRS
+        one = {0: 1}
+        shifted = {_level(1, 2) + (7 << 32): -3}
         for left, right in ((a, shifted), (shifted, a), (a, one)):
             expected: dict = {}
             _dict_loop(expected, left, right, 2)
-            got = {-1: {(7 << 32) + 5: -6}} if right is shifted else {}
-            _dict_loop(want := _copy(got), left, right, 2)
+            got = {_level(-1, 2) + (7 << 32) + 5: -6} if right is shifted else {}
+            _dict_loop(want := dict(got), left, right, 2)
             _packed_mul_into(got, left, right, 2)
-            assert _nonempty(got) == _nonempty(want)
-            assert _packed_product(left, right, 2) == _nonempty(expected)
+            assert got == want
+            assert _packed_product(left, right, 2) == expected
