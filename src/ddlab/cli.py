@@ -418,10 +418,14 @@ def main(argv=None) -> int:
     if cap < 0:
         print(f"error: --cap must be at least 0, got {cap}", file=sys.stderr)
         return EXIT_INPUT
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return EXIT_INPUT
     paths = args.inputs
     items = [(path, args) for path in paths]
 
-    workers = _pool_size(getattr(args, "jobs", 1), len(items), os.cpu_count())
+    workers = _pool_size(jobs, len(items), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, items))

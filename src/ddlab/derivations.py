@@ -3,10 +3,12 @@
 The canonical locally nilpotent derivation sends x to 0, z to x^(d+e),
 y to dP/dZ(x,z)*x^e, t to dQ/dY*dP/dZ + dQ/dZ*x^d, and every adjoined
 variable to -x.  Derivations act on elements through the Leibniz rule on
-their generator-expression witnesses.  The exponential map exp(D) is an
-R-algebra homomorphism B[w..] -> B[w..][U], built from the U-coefficient
-lists c_i = D^i(gen)/i! and evaluated like any other homomorphism.  Its
-axioms are checked symbolically.  In the cocycle check
+their generator-expression witnesses.  A derivation computes each D(expr)
+once and keeps it for its lifetime, so the chains a, D(a), D^2(a), ... that
+`nilpotency_index` builds are the ones `exp_map` reads.  The exponential
+map exp(D) is an R-algebra homomorphism B[w..] -> B[w..][U], built from the
+U-coefficient lists c_i = D^i(gen)/i! and evaluated like any other
+homomorphism.  Its axioms are checked symbolically.  In the cocycle check
 delta_V(delta_U(g)) = delta_(U+V)(g), the images of delta_V and the right
 side are sums sum_i L(c_i)*v^i, v = V or U + V, built from the Laurent forms
 L(c_i) of the coefficients, as the images of exp(D) are with v = U; the
@@ -37,9 +39,15 @@ class DerivationError(ValueError):
 
 
 class Derivation:
-    """An R-derivation given by its images on the algebra generators."""
+    """An R-derivation given by its images on the algebra generators.
 
-    __slots__ = ("actx", "images")
+    `_applied` maps each expression in `actx.gen_ctx` that the derivation has
+    been applied to, keyed by value, to its image: each D(expr) is computed
+    once and kept for the derivation's lifetime.  It holds results, not
+    verdicts; every check still computes from them.
+    """
+
+    __slots__ = ("actx", "images", "_applied")
 
     def __init__(self, actx: AlgebraContext, images: Mapping[str, BElement]):
         names = actx.generator_names()
@@ -51,21 +59,26 @@ class Derivation:
                 raise DerivationError(f"image of {name} lives in a different algebra")
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "images", {n: images[n] for n in names})
+        object.__setattr__(self, "_applied", {})
 
     def __setattr__(self, *args):
         raise AttributeError("Derivation is immutable")
 
     def apply_expr(self, expr: Polynomial) -> BElement:
-        """Leibniz expansion: sum over generators of d(expr)/dv * D(v)."""
+        """Leibniz expansion: sum over generators of d(expr)/dv * D(v),
+        formed on the first call with an expression of this value only."""
         ctx = self.actx.gen_ctx
         if expr.ctx != ctx:
             expr = expr.transfer(ctx)
-        out = ctx.zero()
-        for name, image in self.images.items():
-            part = expr.partial(name)
-            if not part.is_zero() and not image.gen.is_zero():
-                out = out + part * image.gen
-        return self.actx.element(out)
+        el = self._applied.get(expr)
+        if el is None:
+            out = ctx.zero()
+            for name, image in self.images.items():
+                part = expr.partial(name)
+                if not part.is_zero() and not image.gen.is_zero():
+                    out = out + part * image.gen
+            el = self._applied[expr] = self.actx.element(out)
+        return el
 
     def apply(self, a: BElement) -> BElement:
         if a.actx != self.actx:
@@ -101,21 +114,25 @@ def check_derivation_well_defined(d: Derivation) -> bool:
     return d.apply_expr(rel1).is_zero() and d.apply_expr(rel2).is_zero()
 
 
+def _iterates(d: Derivation, a: BElement, cap: int) -> list[BElement] | None:
+    """[a, D(a), ..., D^n(a)] with D^(n+1)(a) = 0; None if D^(cap+1)(a) != 0."""
+    chain = [a]
+    while len(chain) <= cap + 1:
+        nxt = d.apply(chain[-1])
+        if nxt.is_zero():
+            return chain
+        chain.append(nxt)
+    return None
+
+
 def nilpotency_index(d: Derivation, a: BElement, cap: int = DEFAULT_CAP) -> int | None:
     """Smallest n with D^n(a) != 0 and D^(n+1)(a) = 0; None if none is found
     for n up to the cap.
 
     The zero element has index 0 by convention.
     """
-    if a.is_zero():
-        return 0
-    current = a
-    for n in range(cap + 1):
-        nxt = d.apply(current)
-        if nxt.is_zero():
-            return n
-        current = nxt
-    return None
+    chain = _iterates(d, a, cap)
+    return None if chain is None else len(chain) - 1
 
 
 class ExponentialMap(RHomomorphism):
@@ -173,18 +190,12 @@ def exp_map(d: Derivation, cap: int = DEFAULT_CAP) -> ExponentialMap:
     actx = d.actx
     coeffs = {}
     for name in actx.generator_names():
-        lst = [actx.gen(name)]
-        current = lst[0]
-        for i in range(1, cap + 2):
-            current = d.apply(current)
-            if current.is_zero():
-                break
-            lst.append(current.scale(Fraction(1, math.factorial(i))))
-        else:
+        chain = _iterates(d, actx.gen(name), cap)
+        if chain is None:
             raise DerivationError(
                 f"no nilpotency for generator {name} within cap {cap}; not locally nilpotent?"
             )
-        coeffs[name] = lst
+        coeffs[name] = [el.scale(Fraction(1, math.factorial(i))) for i, el in enumerate(chain)]
     return ExponentialMap(actx, coeffs)
 
 

@@ -347,9 +347,10 @@ class TestOutputModes:
 
 
 class TestLimits:
-    @pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--cap", "-1"]])
+    @pytest.mark.parametrize("flags", [["--budget", "0"], ["--budget", "-3"], ["--cap", "-1"],
+                                       ["--jobs", "0"], ["--jobs", "-2"]])
     def test_out_of_range_rejected_with_one_line(self, dd1_file, flags, capsys):
-        command = {"--budget": "omega3", "--cap": "lnd"}[flags[0]]
+        command = {"--budget": "omega3", "--cap": "lnd", "--jobs": "invariants"}[flags[0]]
         assert main([command, dd1_file, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,9 @@
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddlab import laurent
 from ddlab.derivations import (
@@ -14,7 +18,8 @@ from ddlab.derivations import (
 )
 from ddlab.elements import AlgebraContext
 from ddlab.laurent import LaurentForm, eval_in_powers, eval_poly_at_laurent
-from ddlab.presentations import DDPresentation
+from ddlab.poly import Context, Polynomial, parse_poly
+from ddlab.presentations import DDPresentation, validate_presentation
 
 from conftest import random_valid_presentation
 
@@ -235,6 +240,114 @@ class TestBuiltFromCoefficients:
             assert calls == []
             assert check_exp_axioms(phi).passed
             assert len(calls) == len(actx.generator_names()) + 2
+
+
+def _leibniz_counter(monkeypatch) -> list:
+    """Counts the partial derivatives taken, one per generator in each
+    Leibniz expansion, and the elements built from an expression."""
+    calls = []
+    partial = Polynomial.partial
+    element = AlgebraContext.element
+    monkeypatch.setattr(Polynomial, "partial", lambda self, name: calls.append(name) or partial(self, name))
+    monkeypatch.setattr(AlgebraContext, "element", lambda self, expr: calls.append(expr) or element(self, expr))
+    return calls
+
+
+def _iterates_apart(d: Derivation, a):
+    """a, D(a), ... up to the last nonzero iterate, each step on a new
+    derivation with d's images, so that no step reads a kept result."""
+    chain = [a]
+    while True:
+        nxt = Derivation(d.actx, d.images).apply(chain[-1])
+        if nxt.is_zero():
+            return chain
+        chain.append(nxt)
+
+
+def _assert_shared_equals_fresh(actx: AlgebraContext) -> None:
+    """Indices and exp(D) coefficients from one derivation, applied again and
+    again, equal those from a new canonical derivation per call, and the
+    coefficients are the iterates D^i(g) divided by i!."""
+    names = actx.generator_names()
+    shared = canonical_lnd(actx)
+    indices = {g: nilpotency_index(shared, actx.gen(g)) for g in names}
+    maps = [exp_map(shared), exp_map(shared)]
+    assert indices == {g: nilpotency_index(canonical_lnd(actx), actx.gen(g)) for g in names}
+    fresh = exp_map(canonical_lnd(actx))
+    for phi in maps:
+        assert phi.to_json() == fresh.to_json()
+        for g in names:
+            assert [c.laurent for c in phi.coeffs[g]] == [c.laurent for c in fresh.coeffs[g]], (actx, g)
+    for g in names:
+        chain = _iterates_apart(shared, actx.gen(g))
+        assert len(chain) - 1 == indices[g]
+        assert [c.scale(math.factorial(i)) for i, c in enumerate(maps[1].coeffs[g])] == chain, (actx, g)
+
+
+@st.composite
+def _valid_presentations(draw):
+    """Valid presentations with (d, e) in {1,2,3}^2, deg_Z P up to 4, deg_Y Q
+    up to 3 and up to two lower terms in each, X^a*Z^b in P and X^a*Y^b*Z^c
+    in Q."""
+    d, e, r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    coeff = st.sampled_from(["1", "-1", "2", "-3", "1/2"])
+    p = [f"Z^{r}"] + [f"{draw(coeff)}*X^{draw(st.integers(0, 2))}*Z^{draw(st.integers(0, r - 1))}"
+                      for _ in range(draw(st.integers(0, 2)))]
+    q = [f"{draw(st.sampled_from(['1', '2', '-1']))}*Y^{s}"] + [
+        f"{draw(coeff)}*X^{draw(st.integers(0, 2))}*Y^{draw(st.integers(0, s - 1))}*Z^{draw(st.integers(0, 2))}"
+        for _ in range(draw(st.integers(0, 2)))]
+    pres = DDPresentation.make([], d, e, " + ".join(p), " + ".join(q))
+    assume(validate_presentation(pres).passed)
+    return AlgebraContext(pres, ("W1",) if draw(st.booleans()) else ())
+
+
+class TestAppliedMap:
+    """A derivation computes each D(expr) once: the chains that
+    nilpotency_index builds are the ones exp_map reads."""
+
+    def test_exp_map_after_the_indices_forms_no_leibniz_expansion(self, monkeypatch, dd1, dd3):
+        calls = _leibniz_counter(monkeypatch)
+        rng = random.Random(27)
+        contexts = [AlgebraContext(dd1), AlgebraContext(dd1, ("W1",)), AlgebraContext(dd3),
+                    *_presentations_with_extras(rng, 8)]
+        for actx in contexts:
+            d = canonical_lnd(actx)
+            calls.clear()
+            # each chain starts from an expression parsed apart from
+            # actx.gen's, so only a map keyed by value finds it again
+            indices = {g: nilpotency_index(d, actx.element(g)) for g in actx.generator_names()}
+            assert calls, actx  # the counter sees the expansions
+            calls.clear()
+            phi = exp_map(d)
+            assert calls == [], actx
+            assert {g: len(lst) - 1 for g, lst in phi.coeffs.items()} == indices
+            assert check_exp_axioms(phi).passed, actx  # the kept chains, divided by i!
+
+    def test_shared_derivation_equals_fresh_ones(self, dd1, dd3):
+        for actx in (AlgebraContext(dd1), AlgebraContext(dd1, ("W1",)), AlgebraContext(dd3, ("W1",))):
+            _assert_shared_equals_fresh(actx)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_valid_presentations())
+    def test_shared_derivation_equals_fresh_ones_on_drawn_presentations(self, actx):
+        _assert_shared_equals_fresh(actx)
+
+    def test_keyed_by_value(self, monkeypatch, dd1_ctx):
+        d = canonical_lnd(dd1_ctx)
+        ctx = dd1_ctx.gen_ctx
+        x, y, z = ctx.var("X"), ctx.var("Y"), ctx.var("Z")
+        first = d.apply_expr(parse_poly("Z^2 + X*Y*T - 3*Y", ctx))
+        calls = _leibniz_counter(monkeypatch)
+        again = [d.apply_expr(z * z - y.scale(3) + x * y * ctx.var("T")),
+                 d.apply_expr(parse_poly("X*Y*T + Z^2 - 3*Y", Context(("T", "Z", "Y", "X"))))]
+        assert calls == []
+        assert all(el is first for el in again)
+        # dd1: D(Z) = X^3, D(Y) = 2*X^2*Z, D(T) = 4*Y*Z + X
+        assert str(first) == "2*X^3*Z*T + 2*X^3*Z + 4*X*Y^2*Z + X^2*Y - 6*X^2*Z"
+        # an expression of another value is expanded, and the first is kept
+        other = d.apply_expr(z * z)
+        assert calls and other != first
+        assert d.apply_expr(parse_poly("Z^2 + X*Y*T - 3*Y", ctx)) is first
 
 
 class TestMLReport:
