@@ -17,6 +17,10 @@ ring over the invariant subring, and every old generator acquires an explicit
 polynomial expression in (x, f, g, h, sigma), each verified by Laurent
 equality.  The pairing with the invariant-based non-isomorphism certificate
 yields the final verdict.
+
+`to_json` prints each element once, under the stage that builds it: f, g, h,
+sigma (complement.element) and psi_x .. psi_w, the images of x .. w over the
+smaller ring (old_generators.images); maps and checks name them instead.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .isomorphisms import (
 )
 
 ADJOINED_NAME = "W1"
-SCHEMA = "dd-lab/1"  # of every JSON report, the command line's included
+SCHEMA = "dd-lab/2"  # of every JSON report, the command line's included
 
 # Certificates reduce some large polynomials; the interactive Groebner default
 # is far too small for legitimate runs, so the pipeline uses its own budget.
@@ -117,22 +121,12 @@ def build_phi_extension(
     shifted_z = ext_ctx.var("Z") + ext_ctx.var("X") ** n * ext_ctx.var("U")
     p_shift = p.P.transfer(ext_ctx).substitute({"Z": shifted_z})
     y_elem = divide_by_x_power(ext.to_laurent(p_shift), ext, p.d, budget)
-    items.append(
-        CheckItem(
-            "image of y equals the shifted-P quotient",
-            y_elem == phi.images["Y"],
-            f"witness {y_elem.gen}",
-        )
-    )
+    items.append(CheckItem("image of y equals the shifted-P quotient", y_elem == phi.images["Y"],
+                           "the quotient by x^d is the image of y, exponential_map.Y"))
     q_shift = p.Q.transfer(ext_ctx).substitute({"Y": y_elem.gen, "Z": shifted_z})
     t_elem = divide_by_x_power(ext.to_laurent(q_shift), ext, p.e, budget)
-    items.append(
-        CheckItem(
-            "image of t equals the shifted-Q quotient",
-            t_elem == phi.images["T"],
-            f"witness {t_elem.gen}",
-        )
-    )
+    items.append(CheckItem("image of t equals the shifted-Q quotient", t_elem == phi.images["T"],
+                           "the quotient by x^e is the image of t, exponential_map.T"))
     return phi, Report(tuple(items))
 
 
@@ -170,7 +164,7 @@ def compute_g_h(
     p_at_f = actx.element(p_poly.substitute({"Z": f.gen}))
     g_expr = ctx.var("Y") + _divide_x_monomials(p_at_f.gen - p_poly, p.d)
     g = actx.element(g_expr)
-    items = [CheckItem("x^d * g = P(x, f)", g.laurent.shift(p.d) == p_at_f.laurent, f"g = {g_expr}")]
+    items = [CheckItem("x^d * g = P(x, f)", g.laurent.shift(p.d) == p_at_f.laurent, "g in g.expr")]
     g_div = divide_by_x_power(p_at_f.laurent, actx, p.d, budget)
     items.append(CheckItem("membership route agrees on g",
                            g_div == g and g_div.gen == actx.reduce_witness(g_expr, budget), ""))
@@ -178,8 +172,7 @@ def compute_g_h(
     q_at_gf = actx.element(q_poly.substitute({"Y": g_expr, "Z": f.gen}))
     h_expr = ctx.var("X") * ctx.var("T") + _divide_x_monomials(q_at_gf.gen - q_poly, p.e - 1)
     h = actx.element(h_expr)
-    items.append(CheckItem("x^(e-1) * h = Q(x, g, f)", h.laurent.shift(p.e - 1) == q_at_gf.laurent,
-                           f"h = {h_expr}"))
+    items.append(CheckItem("x^(e-1) * h = Q(x, g, f)", h.laurent.shift(p.e - 1) == q_at_gf.laurent, "h in h.expr"))
     h_div = divide_by_x_power(q_at_gf.laurent, actx, p.e - 1, budget)
     items.append(CheckItem("membership route agrees on h",
                            h_div == h and h_div.gen == actx.reduce_witness(h_expr, budget), ""))
@@ -204,8 +197,7 @@ class SmallAlgebraIso:
 
     def to_json(self):
         return {
-            "presentation": self.presentation.to_json(),
-            "images": self.inclusion.to_json(),
+            "images": "x, f, g, h",
             "checks": self.checks.to_json(),
             "injectivity_note": self.injectivity_note,
         }
@@ -397,28 +389,27 @@ def express_old_generators(
     sigma = complement.element
     x_new = small_w.gen("X")
     w_new = small_w.gen(ADJOINED_NAME)
-    checks = []
-    pw = coord(actx.gen(ADJOINED_NAME) + actx.gen("X") * sigma, "w + x*sigma")
-    psi_w = pw - x_new * w_new
-    checks.append(CheckItem("w + x*sigma lies in the invariant subring", True, f"{pw}"))
-
+    psi_w = coord(actx.gen(ADJOINED_NAME) + actx.gen("X") * sigma, "w + x*sigma") - x_new * w_new
     x_n = x ** (p.d + p.e)
-    pz = coord(actx.gen("Z") - actx.element(x_n) * sigma, "z - x^(d+e)*sigma")
-    psi_z = pz + small_w.element(x_n) * w_new
-    checks.append(CheckItem("z - x^(d+e)*sigma lies in the invariant subring", True, f"{pz}"))
+    psi_z = coord(actx.gen("Z") - actx.element(x_n) * sigma, "z - x^(d+e)*sigma") + small_w.element(x_n) * w_new
 
     at_psi = {"X": x_new.laurent, "Z": psi_z.laurent}
     p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx)
     psi_y = divide_by_x_power(p_small, small_w, p.d, budget)
-    checks.append(CheckItem("image of y divides out x^d", True, f"{psi_y}"))
 
     at_psi["Y"] = psi_y.laurent
     q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx)
     psi_t = divide_by_x_power(q_small, small_w, p.e, budget)
-    checks.append(CheckItem("image of t divides out x^e", True, f"{psi_t}"))
 
+    # each holds once the stage gets here, as coord and the divisions raise
+    checks = Report(tuple(CheckItem(name, True, identity) for name, identity in (
+        ("w + x*sigma lies in the invariant subring", "w + x*sigma = psi_w + x*w'"),
+        ("z - x^(d+e)*sigma lies in the invariant subring", "z - x^(d+e)*sigma = psi_z - x^(d+e)*w'"),
+        ("image of y divides out x^d", "x^d*psi_y = P(x', psi_z)"),
+        ("image of t divides out x^e", "x^e*psi_t = Q(x', psi_y, psi_z)"),
+    )))
     images = {"X": x_new, "Y": psi_y, "Z": psi_z, "T": psi_t, ADJOINED_NAME: psi_w}
-    witnesses = OldGeneratorWitnesses(images, Report(tuple(direct)), Report(tuple(checks)))
+    witnesses = OldGeneratorWitnesses(images, Report(tuple(direct)), checks)
     if not witnesses.direct_identities.passed:
         raise PipelineError("closed-form identity failed")
     return witnesses, small_w
@@ -549,8 +540,8 @@ class CancellationCertificate:
             "complement": self.complement.to_json() if self.complement else None,
             "old_generators": self.old_generators.to_json() if self.old_generators else None,
             "iso_pair": {
-                "to_smaller": self.backward.to_json() if self.backward else None,
-                "from_smaller": self.forward.to_json() if self.forward else None,
+                "to_smaller": "old_generators.images" if self.backward else None,
+                "from_smaller": "x, f, g, h, complement.element" if self.forward else None,
                 "checks": self.pair_checks.to_json() if self.pair_checks is not None else None,
                 "verified": self.pair_checks is not None and self.pair_checks.passed,
             },
@@ -633,7 +624,7 @@ def cancellation_certificate(
         stage = "compute_slice_f"
         f = compute_slice_f(phi)
         cert.f = f
-        steps.append(CheckItem("invariant element f built and fixed by the map", True, str(f)))
+        steps.append(CheckItem("invariant element f built and fixed by the map", True, "f in f.expr"))
 
         stage = "compute_g_h"
         g, h, gh_checks = compute_g_h(f, phi, budget)

@@ -175,10 +175,9 @@ def _run_exp(p, path: str, args):
     d = canonical_lnd(actx)
     phi = exp_map(d, args.cap)
     report = check_exp_axioms(phi)
-    payload = _report_payload(
-        "exp", path, {"coefficients": phi.to_json(), "axioms": report.to_json()}
-    )
-    lines = [f"{name}: {coeffs}" for name, coeffs in phi.to_json().items()]
+    coefficients = phi.to_json()
+    payload = _report_payload("exp", path, {"coefficients": coefficients, "axioms": report.to_json()})
+    lines = [f"{name}: {coeffs}" for name, coeffs in coefficients.items()]
     lines.append(f"axioms: {'PASS' if report.passed else 'FAIL'}")
     return (EXIT_PASS if report.passed else EXIT_FAIL), payload, lines
 
@@ -321,10 +320,8 @@ def _run_cancel_cert(p, path: str, args):
     lines = [f"{'ok' if c.passed else 'FAIL'}: {c.name}" + (f" ({c.detail})" if c.detail and not c.passed else "")
              for c in cert.steps]
     lines.append(f"verdict: {cert.verdict}")
-    if cert.f is not None:
-        lines.insert(0, f"f = {cert.f.gen}")
-        lines.insert(1, f"g = {cert.g.gen}")
-        lines.insert(2, f"h = {cert.h.gen}")
+    # the elements built before a failure, as the report prints them
+    lines[:0] = [f"{name} = {payload[name]['expr']}" for name in ("f", "g", "h") if payload[name]]
     return (EXIT_PASS if cert.certified else EXIT_FAIL), payload, lines
 
 

@@ -302,17 +302,16 @@ class AlgebraContext:
 class BElement:
     """An element of B[w..]: generator expression plus its Laurent form.
 
-    `_text`, the printed generator expression, is made on the first `str`
-    and kept, since certificates print the same element several times.
+    It prints as its expression, only in `to_json`, and a certificate prints
+    it once (see `ddlab.cancellation`), so the text is not kept.
     """
 
-    __slots__ = ("actx", "gen", "laurent", "_text")
+    __slots__ = ("actx", "gen", "laurent")
 
     def __init__(self, actx: AlgebraContext, gen: Polynomial, laurent: LaurentForm):
         object.__setattr__(self, "actx", actx)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "laurent", laurent)
-        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, *args):
         raise AttributeError("BElement is immutable")
@@ -352,9 +351,7 @@ class BElement:
         return BElement(self.actx, self.gen.scale(q), self.laurent.scale(q))
 
     def __str__(self):
-        if self._text is None:
-            object.__setattr__(self, "_text", str(self.gen))
-        return self._text
+        return str(self.gen)
 
     def __repr__(self):
         return f"<element {self} of {self.actx!r}>"
@@ -434,9 +431,10 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     {level: terms} (`poly._levels`), as the levels are cleared in order,
     over a running denominator, changed in place.  A piece's product with
     the powers of y and t is added to the work a term at a time, each term
-    into its level.  q stays packed for its products and is unpacked once,
-    into the expression, the rest of the work at the end, and c and its
-    remainder only on a refusal.
+    into its level, which joins a heap of levels if new: no product reaches
+    below the level it clears, so the loop visits no empty level.  q stays
+    packed for its products and is unpacked once, into the expression, the
+    rest of the work at the end, and c and its remainder only on a refusal.
     Neither f nor the cached powers are mutated.  A piece whose product
     could have an exponent over MAX_PACKED_EXPONENT raises ExponentLimit
     before its powers are read.  The pieces differ in (i, j, l), and the
@@ -453,6 +451,8 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
     images = actx.generator_images()
     y_top, t_top = image_entry(images["Y"])[3], image_entry(images["T"])[3]
     work, den = _levels(f.num, width), f.den
+    heap = list(work)  # the levels made so far, lowest first
+    heapify(heap)
     witness: dict = {}
 
     def subtract(q: dict, ratio: Fraction, i: int, j: int, l: int):
@@ -482,6 +482,7 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
             level = work.get(key >> sh)
             if level is None:
                 level = work[key >> sh] = {}
+                heappush(heap, key >> sh)
             ez = key & mask
             c += level.get(ez, 0)
             if c:
@@ -489,8 +490,9 @@ def _x_adic_witness(f: LaurentForm, actx: AlgebraContext, budget: _Budget) -> tu
             else:
                 del level[ez]
 
-    for m in range(-f.min_exp(), 0, -1):
-        terms = work.get(-m)
+    while heap and heap[0] < 0:
+        m = -heappop(heap)
+        terms = work[-m]
         if not terms:
             continue
         big_j = max(1, m * s // (d * s + e))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddlab import cancellation
+from ddlab import cancellation, presentations
 from ddlab.cancellation import (
     build_complement_variable,
     build_phi_extension,
@@ -141,7 +141,7 @@ class TestCertificateDD1:
         payload = dd1_cert.to_json()
         text = json.dumps(payload)
         back = json.loads(text)
-        assert back["schema"] == "dd-lab/1"
+        assert back["schema"] == "dd-lab/2"
         assert back["verdict"] == "non-cancellation pair certified"
         assert back["f"]["expr"] == "X^2*W1 + Z"
         assert back["iso_pair"]["verified"] is True
@@ -300,6 +300,23 @@ class TestEveryStageCanFail:
 
         monkeypatch.setattr(cancellation, "unit_ideal_generators", repeated)
         self._assert_fails_at(dd1, "build_complement_variable", "(P(0,Z), P'(0,Z)) is not the unit ideal")
+
+    def test_bezout_cofactor(self, dd1, monkeypatch):
+        # Buchberger still finds the basis {1} of (P(0,Z), P'(0,Z)), but one
+        # cofactor of its row is off by one, so the identity fails to hold
+        original = presentations.buchberger
+
+        def corrupted(gens, budget):
+            gb = original(gens, budget=budget)
+            if len(gens) != 2:
+                return gb
+            row = gb.cofactors[0]
+            return dataclasses.replace(gb, cofactors=((row[0] + gb.ctx.one(),) + row[1:],))
+
+        monkeypatch.setattr(presentations, "buchberger", corrupted)
+        name = "(P(0,Z), P'(0,Z)) = R[Z]"
+        cert = self._assert_fails_at(dd1, "unit-ideal conditions", f"{name} (1 = (0)*(Z^2 - 1) + (1/2*Z)*(2*Z))")
+        assert [c.name for c in cert.omega3.failed_items()] == [name]
 
     def test_pair_report(self, dd1, monkeypatch):
         failed = Report((CheckItem("injected round trip", False),))

@@ -15,6 +15,15 @@ import ddlab
 from ddlab.cli import _pool_size, build_parser, main
 
 
+def _cli_env():
+    """The environment for a `python -m ddlab.cli` subprocess: this ddlab first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ddlab.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
+
+
 @pytest.fixture()
 def dd1_file(tmp_path):
     path = tmp_path / "dd1.json"
@@ -254,11 +263,29 @@ class TestCancelCert:
         assert "verdict: non-cancellation pair certified" in out
         assert "f = X^2*W1 + Z" in out
         cert = json.loads(out_file.read_text())
-        assert cert["schema"] == "dd-lab/1"
+        assert cert["schema"] == "dd-lab/2"
         assert cert["verdict"] == "non-cancellation pair certified"
 
     def test_rejected_e_one(self, dd2_file, capsys):
         assert main(["cancel-cert", dd2_file]) == 1
+
+    def test_failure_after_f_prints_f_only(self, dd1_file, capsys, monkeypatch):
+        # f is built, g and h are not: the text shows f and the failed stage
+        from ddlab import cancellation
+
+        def fails(f, phi, budget):
+            raise cancellation.PipelineError("injected")
+
+        monkeypatch.setattr(cancellation, "compute_g_h", fails)
+        assert main(["cancel-cert", dd1_file]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "f = X^2*W1 + Z",
+            "ok: guards and unit-ideal conditions",
+            "ok: exponential map built and checked",
+            "ok: invariant element f built and fixed by the map",
+            "FAIL: compute_g_h (injected)",
+            "verdict: failed at compute_g_h: injected",
+        ]
 
 
 class TestDanielewskiReduce:
@@ -275,7 +302,7 @@ class TestOutputModes:
     def test_json_flag(self, dd1_file, capsys):
         assert main(["invariants", dd1_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "dd-lab/1"
+        assert payload["schema"] == "dd-lab/2"
         assert payload["tuple"] == [1, 2, 2, 2]
 
     def test_multiple_inputs_and_jobs(self, dd1_file, dd2_file, capsys):
@@ -327,17 +354,13 @@ class TestOutputModes:
         second = tmp_path / "second.json"
         second.write_text(json.dumps({**DD1, "P": "Z^3 - 1"}))
         out_file = tmp_path / "report.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(ddlab.__file__).parents[1])] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "ddlab.cli", "cancel-cert", dd1_file, str(second),
                  "--json", "--out", str(out_file)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(), timeout=120,
             )
         finally:
             os.close(write_end)
@@ -365,6 +388,19 @@ class TestLimits:
     def test_cap_zero_accepted(self, dd1_file, capsys):
         assert main(["lnd", dd1_file, "--cap", "0"]) == 1
         assert "cap exceeded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["member", "--element", '{"-1000000000": "Z^2 - 1"}', "--budget", "10"],
+        ["cancel-cert"],
+    ])
+    def test_time_does_not_grow_with_d(self, tmp_path, command):
+        # d = 10^9: the x-adic division visits only the levels that hold
+        # terms, not the 10^9 - 1 empty ones above y's lowest level
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({**DD1, "d": 10 ** 9}))
+        proc = subprocess.run([sys.executable, "-m", "ddlab.cli", command[0], str(path), *command[1:]],
+                              capture_output=True, env=_cli_env(), timeout=5)
+        assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
 
 
 class TestFlags:

@@ -52,7 +52,7 @@ GRID = [
     (1, 2, "Z^2 - 1", "Y^3 + Z"),
     (2, 3, "Z^2 + 1/2", "Y^2 + Z"),
 ]
-DIGEST = "78c52ebcd89e9a117fd91628bac1030c4a1b86c6c824b2e435e52be8a6e2543e"
+DIGEST = "cd4996407d1847189b2a322d71047f5678ebd172ecbdd9501d910d375af772f8"
 
 
 def test_golden_grid_certificates_are_byte_identical():
@@ -70,7 +70,7 @@ REFERENCE_CELLS = [
     (2, 2, "Z^4 - 1", "Y^3 + Z"),
     (2, 2, "Z^4 + 1/2", "Y^3 + Z"),
 ]
-REFERENCE_DIGEST = "115cfb2f09c98bc3ca24eb004ea711b6724b9b28f58ccc31dfdb27587d8e5078"
+REFERENCE_DIGEST = "1d035df92c46baafcac618dffe8cba648c70b1b93b9283f92caf70f49c874dab"
 
 
 def test_golden_reference_cell_certificates_are_byte_identical():
@@ -89,7 +89,7 @@ DENOMINATOR_CELLS = [
     (1, 2, "Z^3 + 2/3", "1/2*Y^2 + Z"),
     (2, 2, "Z^2 - 3/2", "2/3*Y^3 + Z"),
 ]
-DENOMINATOR_DIGEST = "2e482de53e2a5a35b3f604ec275b0b16bb3862976d3df1c5ffc4a0ea5df02f54"
+DENOMINATOR_DIGEST = "c0cc6bccec1829e7fce13d44ec19f6b7dcf27dc6ab0d74184b39fe731bb4ea10"
 
 
 def test_golden_denominator_cell_certificates_are_byte_identical():
@@ -109,7 +109,7 @@ GENERAL_CELLS = [
     (2, 2, "Z^2 + X*Z - 1", "Y^3 + Z + X*Y"),
     (2, 2, "Z^3 + X*Z^2 - 1", "Y^2 + Z + X*Y"),
 ]
-GENERAL_DIGEST = "45fcc33ed7de44c29900067a3fb5a38d988fd271f2dbc72533402b308e518b03"
+GENERAL_DIGEST = "d120590bf311069619fb85eb2235ae4bb344b613717b6204e89afda6f4ed5aaf"
 
 
 def test_golden_general_cell_certificates_are_byte_identical(monkeypatch):
@@ -144,7 +144,7 @@ OMEGA3_GRID = [
     (["u"], 1, 2, "Z^2 - 1", "Y^2 + u*Z"),
     (["u"], 2, 2, "Z^2 - 1 + u*X", "Y^2 + Z + u*X*Y"),
 ]
-OMEGA3_DIGEST = "38e4c9466c38945f6fcc9f0ac183cb172f685a13e22474834f8ca009a18742b4"
+OMEGA3_DIGEST = "c9c12c5a526fec5f2fbdf5631e42fc490192c2ae09c51c950e1b69ca98d4a004"
 
 
 def test_golden_omega3_reports_are_byte_identical():
@@ -500,7 +500,7 @@ CLI_BATTERY = [
     ["danielewski-reduce", "dd1.json"],
     ["cancel-cert", "dd1.json", "dd2.json", "--jobs", "2", "--out", "batch.json"],
 ]
-CLI_DIGEST = "fcb3397cf550ae6cc99ab2061ed41c213d0e7f5ecfec6d8e7140fb814db94390"
+CLI_DIGEST = "4887673c6484e39b12d24f1d7b817fe7a13bc09b77d539be485427de741a334e"
 
 
 def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys):

@@ -57,10 +57,10 @@ def test_ideal_ops_one_task_of_each_kind(workloads):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("CertFamily", "c13a9508516a375e"),
+    ("CertFamily", "d04487279b8205b1"),
     ("DerivationGrid", "f84f4f25fd5ba8f9"),
     # holds the known non-member, so the x-adic division's refusal is pinned too
-    ("IdealOps", "3103bf2544adb23e"),
+    ("IdealOps", "58690057293eb7f5"),
 ])
 def test_first_pass_fingerprints(workloads, name, digest):
     # sha256 of the space-joined fingerprints of the operations of the

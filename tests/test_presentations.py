@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ddlab.poly import Context, parse_poly
 from ddlab.presentations import (
     COND_NONE,
     COND_R1_S2_E2,
@@ -108,6 +109,21 @@ class TestOmega3:
         assert not report.passed
         failed = [c.name for c in report.failed_items()]
         assert any("P'(0,Z)" in name for name in failed)
+
+    @pytest.mark.parametrize("base, d, e, p, q", [
+        ([], 1, 2, "Z^2 - 1", "Y^2 + Z"),
+        ([], 2, 3, "Z^3 - 1", "Y^3 + X*Z + 1/2"),
+        (["u"], 2, 2, "Z^2 - 1 + u*X", "Y^2 + Z + u*X*Y"),
+    ])
+    def test_unit_ideal_details_are_bezout_identities(self, base, d, e, p, q):
+        # each detail reads "1 = (c_1)*(g_1) + ...", and the right side,
+        # parsed back, is 1
+        report = omega3_check(make(base, d, e, p, q))
+        assert report.passed
+        ctx = Context(("Y", "Z") + tuple(base))
+        for item in report.items[-2:]:
+            lhs, rhs = item.detail.split(" = ", 1)
+            assert lhs == "1" and parse_poly(rhs, ctx) == ctx.one()
 
     def test_s_equal_one_fails(self):
         report = omega3_check(make([], 1, 2, "Z^2 - 1", "Y + Z"))
