@@ -54,6 +54,7 @@ from .isomorphisms import (
     NonIsoCertificate,
     RHomomorphism,
     distinguish_by_invariants,
+    round_trip_fixes,
     verify_hom,
 )
 
@@ -87,6 +88,22 @@ def _divide_x_monomials(poly: Polynomial, k: int) -> Polynomial:
     return Polynomial(poly.ctx, out)
 
 
+def _quotients(
+    p: DDPresentation, actx: AlgebraContext, at: dict, budget: int
+) -> tuple[BElement, BElement]:
+    """The elements q_y, q_t of actx with x^d*q_y = P(at) and x^e*q_t = Q(at, y = q_y).
+
+    P and Q are evaluated at the Laurent forms of x and z in `at`, which
+    equals expanding them over the generators first because the Laurent
+    embedding is a ring map; each division carries a membership witness.
+    """
+    ctx, cctx = actx.gen_ctx, actx.coeff_ctx
+    q_y = divide_by_x_power(eval_poly_at_laurent(p.P.transfer(ctx), at, cctx), actx, p.d, budget)
+    q_t = divide_by_x_power(eval_poly_at_laurent(p.Q.transfer(ctx), {**at, "Y": q_y.laurent}, cctx),
+                            actx, p.e, budget)
+    return q_y, q_t
+
+
 def build_phi_extension(
     p: DDPresentation, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET
 ) -> tuple[ExponentialMap, Report]:
@@ -118,13 +135,10 @@ def build_phi_extension(
     # substitution route with membership witnesses, in B[w][U]
     ext = phi.target
     ext_ctx = ext.gen_ctx
-    shifted_z = ext_ctx.var("Z") + ext_ctx.var("X") ** n * ext_ctx.var("U")
-    p_shift = p.P.transfer(ext_ctx).substitute({"Z": shifted_z})
-    y_elem = divide_by_x_power(ext.to_laurent(p_shift), ext, p.d, budget)
+    shifted_z = ext.to_laurent(ext_ctx.var("Z") + ext_ctx.var("X") ** n * ext_ctx.var("U"))
+    y_elem, t_elem = _quotients(p, ext, {"X": ext.gen("X").laurent, "Z": shifted_z}, budget)
     items.append(CheckItem("image of y equals the shifted-P quotient", y_elem == phi.images["Y"],
                            "the quotient by x^d is the image of y, exponential_map.Y"))
-    q_shift = p.Q.transfer(ext_ctx).substitute({"Y": y_elem.gen, "Z": shifted_z})
-    t_elem = divide_by_x_power(ext.to_laurent(q_shift), ext, p.e, budget)
     items.append(CheckItem("image of t equals the shifted-Q quotient", t_elem == phi.images["T"],
                            "the quotient by x^e is the image of t, exponential_map.T"))
     return phi, Report(tuple(items))
@@ -294,10 +308,7 @@ def build_complement_variable(
     u = phi.target.gen("U").laurent
     image_ok = phi.apply(sigma) == sigma.laurent.transfer(u.ctx) + u
     items.append(CheckItem("map sends sigma to sigma + U", image_ok, ""))
-    report = Report(tuple(items))
-    if not report.passed:
-        raise PipelineError("constructed element failed verification")
-    return ComplementVariable(sigma, seed, j - 1, report)
+    return ComplementVariable(sigma, seed, j - 1, Report(tuple(items)))
 
 
 @dataclass(frozen=True)
@@ -334,10 +345,7 @@ def express_old_generators(
     invariant combinations w + x*sigma and z - x^(d+e)*sigma, built by
     element arithmetic on sigma and divided in B_{d,e-1}[w'], whose
     coefficient ring is that of A.  The images of y and t are the quotients
-    of the Laurent forms of P(x, psi_z) and Q(x, psi_y, psi_z) by x^d and
-    x^e; those forms are evaluated at the Laurent forms of psi_z and psi_y,
-    which equals expanding P and Q over the generators first because the
-    Laurent embedding is a ring map.
+    of P(x, psi_z) and Q(x, psi_y, psi_z) by x^d and x^e (`_quotients`).
     """
     inclusion = small_iso.inclusion
     actx = inclusion.target
@@ -366,7 +374,6 @@ def express_old_generators(
     )
 
     small_w = AlgebraContext(small_iso.presentation, (ADJOINED_NAME,))
-    ctx_w = small_w.gen_ctx
     cctx = actx.coeff_ctx
 
     # z -> z - x^(d+e-1)*w; one object, so its powers are cached across calls
@@ -393,13 +400,7 @@ def express_old_generators(
     x_n = x ** (p.d + p.e)
     psi_z = coord(actx.gen("Z") - actx.element(x_n) * sigma, "z - x^(d+e)*sigma") + small_w.element(x_n) * w_new
 
-    at_psi = {"X": x_new.laurent, "Z": psi_z.laurent}
-    p_small = eval_poly_at_laurent(p.P.transfer(ctx_w), at_psi, cctx)
-    psi_y = divide_by_x_power(p_small, small_w, p.d, budget)
-
-    at_psi["Y"] = psi_y.laurent
-    q_small = eval_poly_at_laurent(p.Q.transfer(ctx_w), at_psi, cctx)
-    psi_t = divide_by_x_power(q_small, small_w, p.e, budget)
+    psi_y, psi_t = _quotients(p, small_w, {"X": x_new.laurent, "Z": psi_z.laurent}, budget)
 
     # each holds once the stage gets here, as coord and the divisions raise
     checks = Report(tuple(CheckItem(name, True, identity) for name, identity in (
@@ -409,85 +410,55 @@ def express_old_generators(
         ("image of t divides out x^e", "x^e*psi_t = Q(x', psi_y, psi_z)"),
     )))
     images = {"X": x_new, "Y": psi_y, "Z": psi_z, "T": psi_t, ADJOINED_NAME: psi_w}
-    witnesses = OldGeneratorWitnesses(images, Report(tuple(direct)), checks)
-    if not witnesses.direct_identities.passed:
-        raise PipelineError("closed-form identity failed")
-    return witnesses, small_w
+    return OldGeneratorWitnesses(images, Report(tuple(direct)), checks), small_w
 
 
 def verify_pair_structured(forward: RHomomorphism, backward: RHomomorphism) -> Report:
     """Verify the homomorphism pair is mutually inverse on every generator.
 
-    Both rings, f = image of z' and g = image of y' are read off `forward`,
-    the map from B_{d,e-1}[w'] to A.  Cheap legs are computed symbolically;
-    expensive legs are entailed from already-verified identities.  Each
-    entailed item names its premises: the entailments use only that both
-    maps send the defining relations to zero, that the division identities
-    were verified as Laurent equalities, and that the Laurent model is a
-    domain with x invertible (so an identity may be checked after clearing a
-    power of x).
+    `forward` is the map from B_{d,e-1}[w'] to A.  Cheap legs are computed
+    symbolically; expensive legs are entailed from already-verified
+    identities.  Each entailed item names its premises: the entailments use
+    only that both maps send the defining relations to zero, that the
+    division identities were verified as Laurent equalities, and that the
+    Laurent model is a domain with x invertible (so an identity may be
+    checked after clearing a power of x).
     """
-    small_w, actx = forward.source, forward.target
-    f, g = forward.images["Z"], forward.images["Y"]
-    items = []
-
     ok_fwd = verify_hom(forward)
-    items.append(CheckItem("map from the smaller ring sends its relations to zero", ok_fwd, ""))
     ok_bwd = verify_hom(backward)
-    items.append(CheckItem("map to the smaller ring sends the relations to zero", ok_bwd, ""))
+    items = [
+        CheckItem("map from the smaller ring sends its relations to zero", ok_fwd, ""),
+        CheckItem("map to the smaller ring sends the relations to zero", ok_bwd, ""),
+    ]
     if not (ok_fwd and ok_bwd):
         return Report(tuple(items))
 
     # composite on the smaller ring's generators
-    def back_to(elem: BElement, name: str) -> bool:
-        return backward.apply(elem) == small_w.gen(name).laurent
-
-    def forward_fixes(name: str) -> bool:
-        return forward.apply(backward.images[name]) == actx.gen(name).laurent
-
-    items.append(CheckItem("round trip fixes x'", back_to(forward.images["X"], "X"), ""))
-    items.append(CheckItem("round trip sends f back to z'", back_to(f, "Z"), ""))
-    items.append(CheckItem("round trip sends g back to y'", back_to(g, "Y"), ""))
-    items.append(
-        CheckItem(
-            "round trip sends h back to t'",
-            True,
-            "entailed: x^(e-1)*h = Q(x,g,f) was verified, the backward map kills the "
-            "relations, and f, g return to z', y'; divide the transported identity by x^(e-1)",
-        )
-    )
-    items.append(
-        CheckItem(
-            "round trip sends sigma back to w'",
-            True,
-            "entailed: w + x*sigma returns to its expression over the smaller ring "
-            "(verified round trip), and the image of w is that expression minus x*w'; "
-            "cancel x",
-        )
-    )
+    for name, gen in (("round trip fixes x'", "X"), ("round trip sends f back to z'", "Z"),
+                      ("round trip sends g back to y'", "Y")):
+        items.append(CheckItem(name, round_trip_fixes(forward, backward, gen), ""))
+    items.append(CheckItem(
+        "round trip sends h back to t'", True,
+        "entailed: x^(e-1)*h = Q(x,g,f) was verified, the backward map kills the "
+        "relations, and f, g return to z', y'; divide the transported identity by x^(e-1)"))
+    items.append(CheckItem(
+        "round trip sends sigma back to w'", True,
+        "entailed: w + x*sigma returns to its expression over the smaller ring "
+        "(verified round trip), and the image of w is that expression minus x*w'; cancel x"))
 
     # composite on the generators of B[w]
-    items.append(CheckItem("round trip fixes x", forward_fixes("X"), ""))
-    z_ok = forward_fixes("Z")
+    items.append(CheckItem("round trip fixes x", round_trip_fixes(backward, forward, "X"), ""))
+    z_ok = round_trip_fixes(backward, forward, "Z")
     items.append(CheckItem("round trip fixes z", z_ok, ""))
-    items.append(CheckItem("round trip fixes w", forward_fixes(ADJOINED_NAME), ""))
-    items.append(
-        CheckItem(
-            "round trip fixes y",
-            z_ok,
-            "entailed: x^d * image-of-y = P(x, image-of-z) was verified on the smaller "
-            "side, the forward map kills the relations, and z is fixed; divide by x^d",
-        )
-    )
-    items.append(
-        CheckItem(
-            "round trip fixes t",
-            z_ok,
-            "entailed: x^e * image-of-t = Q(x, image-of-y, image-of-z) was verified on "
-            "the smaller side, the forward map kills the relations, and y, z are fixed; "
-            "divide by x^e",
-        )
-    )
+    items.append(CheckItem("round trip fixes w", round_trip_fixes(backward, forward, ADJOINED_NAME), ""))
+    items.append(CheckItem(
+        "round trip fixes y", z_ok,
+        "entailed: x^d * image-of-y = P(x, image-of-z) was verified on the smaller "
+        "side, the forward map kills the relations, and z is fixed; divide by x^d"))
+    items.append(CheckItem(
+        "round trip fixes t", z_ok,
+        "entailed: x^e * image-of-t = Q(x, image-of-y, image-of-z) was verified on "
+        "the smaller side, the forward map kills the relations, and y, z are fixed; divide by x^e"))
     return Report(tuple(items))
 
 
@@ -577,111 +548,86 @@ def cancellation_certificate(
 ) -> CancellationCertificate:
     """Run the full pipeline and assemble the certificate.
 
-    Any failing sub-check produces a failed certificate naming the stage it
-    failed in; an exception raised inside a stage (a `PipelineError`, an
-    `AlgebraError` such as a membership with no answer, an exceeded
-    budget, ...) is reported under that
-    stage with the exception's message.  The verdict is "non-cancellation
-    pair certified" only when every sub-check passes, including the mutually
-    inverse homomorphism pair and the invariant-based non-isomorphism of the
-    two base algebras.
+    Each stage hands back its product, Report included, and the product is
+    stored before it is judged, so a failed certificate also shows the Report
+    of the stage that failed.  A failed Report, or an exception raised inside
+    a stage (a `PipelineError`, an `AlgebraError` such as a membership with
+    no answer, an exceeded budget, ...), fails the certificate under that
+    stage with its message.  The verdict is "non-cancellation pair certified"
+    only when every sub-check passes, including the mutually inverse
+    homomorphism pair and the invariant-based non-isomorphism of the two base
+    algebras.
     """
     cert = CancellationCertificate(p)
-    steps = cert.steps
 
-    def fail(step: str, message: str) -> CancellationCertificate:
-        steps.append(CheckItem(step, False, message))
-        cert.verdict = f"failed at {step}: {message}"
-        return cert
+    def require(report: Report, message: str) -> None:
+        if not report.passed:
+            raise PipelineError(message)
+
+    def step(name: str, detail: str = "") -> None:
+        cert.steps.append(CheckItem(name, True, detail))
 
     stage = "guards"
     try:
         if not p.base.is_rational():
-            return fail(
-                stage,
-                "certificates require base ring R = Q (membership machinery restriction)",
-            )
+            raise PipelineError(
+                "certificates require base ring R = Q (membership machinery restriction)")
         stage = "unit-ideal conditions"
-        report = omega3_check(p, budget)
-        cert.omega3 = report
+        cert.omega3 = omega3_check(p, budget)
         if p.e <= 1:
-            return fail("guards", f"requires e > 1, got e = {p.e}")
-        if not report.passed:
-            failed = "; ".join(
-                f"{c.name} ({c.detail})" for c in report.failed_items()
-            )
-            return fail(stage, failed)
-        steps.append(CheckItem("guards and unit-ideal conditions", True, ""))
+            stage = "guards"
+            raise PipelineError(f"requires e > 1, got e = {p.e}")
+        require(cert.omega3, "; ".join(f"{c.name} ({c.detail})" for c in cert.omega3.failed_items()))
+        step("guards and unit-ideal conditions")
 
         stage = "build_phi_extension"
-        phi, phi_checks = build_phi_extension(p, cap, budget)
-        cert.phi = phi
-        cert.phi_checks = phi_checks
-        if not phi_checks.passed:
-            return fail(stage, "exponential-map checks failed")
-        steps.append(CheckItem("exponential map built and checked", True, ""))
+        cert.phi, cert.phi_checks = build_phi_extension(p, cap, budget)
+        require(cert.phi_checks, "exponential-map checks failed")
+        step("exponential map built and checked")
 
         stage = "compute_slice_f"
-        f = compute_slice_f(phi)
-        cert.f = f
-        steps.append(CheckItem("invariant element f built and fixed by the map", True, "f in f.expr"))
+        cert.f = compute_slice_f(cert.phi)
+        step("invariant element f built and fixed by the map", "f in f.expr")
 
         stage = "compute_g_h"
-        g, h, gh_checks = compute_g_h(f, phi, budget)
-        cert.g = g
-        cert.h = h
-        cert.gh_checks = gh_checks
-        if not gh_checks.passed:
-            return fail(stage, "division checks failed")
-        steps.append(CheckItem("g and h built with verified divisions", True, ""))
+        cert.g, cert.h, cert.gh_checks = compute_g_h(cert.f, cert.phi, budget)
+        require(cert.gh_checks, "division checks failed")
+        step("g and h built with verified divisions")
 
         stage = "verify_E_iso"
-        small_iso = verify_E_iso(f, g, h)
-        cert.small_iso = small_iso
-        if not small_iso.checks.passed:
-            return fail(stage, "relations of the smaller algebra failed")
-        steps.append(CheckItem("smaller-algebra relations verified at (x, f, g, h)", True, ""))
+        cert.small_iso = verify_E_iso(cert.f, cert.g, cert.h)
+        require(cert.small_iso.checks, "relations of the smaller algebra failed")
+        step("smaller-algebra relations verified at (x, f, g, h)")
 
         stage = "build_complement_variable"
-        complement = build_complement_variable(phi, cap, budget)
-        cert.complement = complement
-        steps.append(
-            CheckItem(
-                "complement variable constructed",
-                True,
-                f"chain length {complement.chain_length}",
-            )
-        )
+        cert.complement = build_complement_variable(cert.phi, cap, budget)
+        require(cert.complement.checks, "constructed element failed verification")
+        step("complement variable constructed", f"chain length {cert.complement.chain_length}")
 
         stage = "express_old_generators"
-        old_gens, small_w = express_old_generators(small_iso, complement, budget)
-        cert.old_generators = old_gens
-        steps.append(CheckItem("old generators expressed over the smaller ring", True, ""))
+        cert.old_generators, small_w = express_old_generators(cert.small_iso, cert.complement, budget)
+        require(cert.old_generators.direct_identities, "closed-form identity failed")
+        step("old generators expressed over the smaller ring")
 
         stage = "verify_iso_pair"
-        forward = RHomomorphism(
-            small_w, phi.source, {**small_iso.inclusion.images, ADJOINED_NAME: complement.element}
+        actx = cert.phi.source
+        cert.forward = RHomomorphism(
+            small_w, actx, {**cert.small_iso.inclusion.images, ADJOINED_NAME: cert.complement.element}
         )
-        backward = RHomomorphism(phi.source, small_w, old_gens.images)
-        cert.forward = forward
-        cert.backward = backward
-        pair_report = verify_pair_structured(forward, backward)
-        cert.pair_checks = pair_report
-        if not pair_report.passed:
-            failed = "; ".join(c.name for c in pair_report.failed_items())
-            return fail(stage, failed)
-        steps.append(CheckItem("mutually inverse homomorphism pair verified", True,
-                               "computed legs plus entailed legs; see pair_checks"))
+        cert.backward = RHomomorphism(actx, small_w, cert.old_generators.images)
+        cert.pair_checks = verify_pair_structured(cert.forward, cert.backward)
+        require(cert.pair_checks, "; ".join(c.name for c in cert.pair_checks.failed_items()))
+        step("mutually inverse homomorphism pair verified",
+             "computed legs plus entailed legs; see pair_checks")
 
         stage = "distinguish_by_invariants"
-        non_iso = distinguish_by_invariants(p, small_iso.presentation)
-        cert.non_iso = non_iso
-        if not non_iso.not_isomorphic:
-            return fail(stage, non_iso.verdict)
-        steps.append(CheckItem("base algebras distinguished by invariants", True,
-                               f"{non_iso.tuple1} vs {non_iso.tuple2}"))
+        cert.non_iso = distinguish_by_invariants(p, cert.small_iso.presentation)
+        require(cert.non_iso.checklist, cert.non_iso.verdict)
+        step("base algebras distinguished by invariants",
+             f"{cert.non_iso.tuple1} vs {cert.non_iso.tuple2}")
 
         cert.verdict = "non-cancellation pair certified"
-        return cert
     except (PipelineError, AlgebraError, BudgetExceeded, DerivationError, AssertionError) as exc:
-        return fail(stage, str(exc))
+        cert.steps.append(CheckItem(stage, False, str(exc)))
+        cert.verdict = f"failed at {stage}: {exc}"
+    return cert

@@ -151,17 +151,18 @@ def _run_lnd(p, path: str, args):
     ok = check_derivation_well_defined(d)
     indices = {name: nilpotency_index(d, actx.gen(name), args.cap) for name in actx.generator_names()}
     ml = ml_report(p)
+    images = d.to_json()
     payload = _report_payload(
         "lnd",
         path,
         {
-            "images": d.to_json(),
+            "images": images,
             "well_defined": ok,
             "nilpotency_indices": indices,
             "ml_report": ml.to_json(),
         },
     )
-    lines = [f"derivation images: {d.to_json()}", f"well defined: {ok}"]
+    lines = [f"derivation images: {images}", f"well defined: {ok}"]
     lines += [f"nilpotency index of {k}: {v if v is not None else 'cap exceeded'}"
               for k, v in indices.items()]
     if ml.conclusion:
@@ -315,13 +316,15 @@ def _run_distinguish(p, path: str, args):
 
 def _run_cancel_cert(p, path: str, args):
     cert = cancellation_certificate(p, budget=args.budget, cap=args.cap)
-    payload = cert.to_json()
-    payload["input"] = path
-    lines = [f"{'ok' if c.passed else 'FAIL'}: {c.name}" + (f" ({c.detail})" if c.detail and not c.passed else "")
-             for c in cert.steps]
+    # the JSON is built only when it is rendered
+    payload = {**cert.to_json(), "input": path} if args.json or args.out else None
+    # the elements built before a failure, formatted once (read off the JSON
+    # when it is built), then the steps
+    lines = [f"{name} = {payload[name]['expr'] if payload else el}"
+             for name, el in zip("fgh", (cert.f, cert.g, cert.h)) if el is not None]
+    lines += [f"{'ok' if c.passed else 'FAIL'}: {c.name}" + (f" ({c.detail})" if c.detail and not c.passed else "")
+              for c in cert.steps]
     lines.append(f"verdict: {cert.verdict}")
-    # the elements built before a failure, as the report prints them
-    lines[:0] = [f"{name} = {payload[name]['expr']}" for name in ("f", "g", "h") if payload[name]]
     return (EXIT_PASS if cert.certified else EXIT_FAIL), payload, lines
 
 

@@ -80,6 +80,11 @@ def verify_hom(h: RHomomorphism) -> bool:
     return h.apply_expr(rel1).is_zero() and h.apply_expr(rel2).is_zero()
 
 
+def round_trip_fixes(first: RHomomorphism, second: RHomomorphism, name: str) -> bool:
+    """True iff second(first(g)) = g for the generator g of first's source named `name`."""
+    return second.apply(first.images[name]) == first.source.gen(name).laurent
+
+
 def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> Report:
     """Three checks: each map sends its source relations to zero (one
     verification per map) and, only when both do, both composites fix every
@@ -88,7 +93,7 @@ def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> Report:
         raise HomomorphismError("maps are not mutually opposite")
     ok_f, ok_b = verify_hom(h), verify_hom(hinv)
     inverse = ok_f and ok_b and all(
-        second.apply(first.images[name]) == first.source.gen(name).laurent
+        round_trip_fixes(first, second, name)
         for first, second in ((h, hinv), (hinv, h))
         for name in first.source.generator_names()
     )

@@ -340,6 +340,7 @@ class TestEveryCheckCanFail:
         assert not cert.certified
         assert cert.steps[-1].name == stage
         assert cert.verdict == f"failed at {stage}: {message}"
+        return cert
 
     def test_chain_over_cap(self, dd1):
         self._assert_fails_at(dd1, "build_complement_variable",
@@ -347,8 +348,13 @@ class TestEveryCheckCanFail:
 
     def test_doubled_corrections(self, dd1, monkeypatch):
         monkeypatch.setattr(cancellation, "Fraction", lambda n, d: Fraction(2 * n, d))
-        self._assert_fails_at(dd1, "build_complement_variable",
-                              "constructed element failed verification")
+        cert = self._assert_fails_at(dd1, "build_complement_variable",
+                                     "constructed element failed verification")
+        # the failed Report reaches the JSON, under the stage that built it
+        checks = cert.to_json()["complement"]["checks"]
+        assert checks["passed"] is False
+        assert [c["name"] for c in checks["checks"] if not c["passed"]] == [
+            "D(sigma) = 1", "map sends sigma to sigma + U"]
 
     @pytest.mark.parametrize("call, message", [
         (1, "initial defect not divisible by x: injected"),
@@ -417,7 +423,11 @@ class TestEveryCheckCanFail:
             return q + q.ctx.one() if len(calls) == 3 else q
 
         monkeypatch.setattr(cancellation, "_divide_x_monomials", third_plus_one)
-        self._assert_fails_at(dd1, "express_old_generators", "closed-form identity failed")
+        cert = self._assert_fails_at(dd1, "express_old_generators", "closed-form identity failed")
+        identities = cert.to_json()["old_generators"]["direct_identities"]
+        assert identities["passed"] is False
+        assert [c["name"] for c in identities["checks"] if not c["passed"]] == [
+            "y = g + (P(x, f - x^(d+e-1)*w) - P(x, f))/x^d"]
 
     def test_exponent_bound(self, dd1):
         poly = parse_poly("X + Z", AlgebraContext(dd1).gen_ctx)

@@ -269,6 +269,23 @@ class TestCancelCert:
     def test_rejected_e_one(self, dd2_file, capsys):
         assert main(["cancel-cert", dd2_file]) == 1
 
+    @pytest.mark.parametrize("flags, renders", [([], 0), (["--json"], 1)])
+    def test_json_is_built_only_when_rendered(self, dd1_file, capsys, monkeypatch, flags, renders):
+        from ddlab.cancellation import CancellationCertificate
+
+        original = CancellationCertificate.to_json
+        calls = []
+
+        def counted(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(CancellationCertificate, "to_json", counted)
+        assert main(["cancel-cert", dd1_file, *flags]) == 0
+        assert len(calls) == renders
+        out = capsys.readouterr().out
+        assert ("f = X^2*W1 + Z" in out) == (not flags)
+
     def test_failure_after_f_prints_f_only(self, dd1_file, capsys, monkeypatch):
         # f is built, g and h are not: the text shows f and the failed stage
         from ddlab import cancellation

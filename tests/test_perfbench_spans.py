@@ -55,3 +55,27 @@ def test_a_traced_certificate_is_the_untraced_one_and_counts_its_layers():
     assert snap["calls"]["laurent.eval"] > 0 and snap["calls"]["elements.membership"] > 0
     assert snap["counts"]["laurent.eval.out_terms"] > 0
     assert snap["counts"]["elements.membership.witness_terms"] > 0
+
+
+def test_every_stage_is_a_direct_child_of_the_certificate():
+    # perfbench/run.py's cert-family isolation check reads each stage's time
+    # as the pair (cancellation.certificate, stage span); a stage called
+    # through a helper would read 0 there, and the check would judge nothing
+    from ddlab import DDPresentation, cancellation
+
+    module = _load_tracer()
+    tracer = module.Tracer()
+    pres = DDPresentation.make([], 1, 2, "Z^2 - 1", "Y^2 + Z")
+    tracer.install()
+    try:
+        tracer.active = True
+        cert = cancellation.cancellation_certificate(pres)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert cert.certified
+    snap = tracer.snapshot()
+    children = {c for p, c, _ in snap["pairs"] if p == "cancellation.certificate"}
+    missing = [span for span in module.STAGES.values() if span not in children]
+    assert not missing, f"stage spans not called directly by the certificate: {missing}"
+    assert all(t > 0 for t in module.stage_times(snap).values())
