@@ -11,8 +11,8 @@ B_{d,e-1}, and produces an explicit mutually inverse homomorphism pair
 between B_{d,e}[w] and B_{d,e-1}[w'].
 
 The complement variable sent to w' is not w itself: w' maps to an element
-sigma with phi(sigma) = sigma + U, constructed from the unit-ideal cofactors
-(this is where those hypotheses enter).  Such a sigma makes A a polynomial
+sigma with phi(sigma) = sigma + U, built from the Bezout cofactors of the
+unit ideals that omega3 solved (this is where those hypotheses enter).  Such a sigma makes A a polynomial
 ring over the invariant subring, and every old generator acquires an explicit
 polynomial expression in (x, f, g, h, sigma), each verified by Laurent
 equality.  The pairing with the invariant-based non-isomorphism certificate
@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .derivations import (
     DEFAULT_CAP,
+    Derivation,
     DerivationError,
     ExponentialMap,
     canonical_lnd,
@@ -46,10 +47,10 @@ from .elements import (
     divide_by_x_power,
     membership_with_witness,
 )
-from .groebner import BudgetExceeded, DEFAULT_BUDGET, buchberger
+from .groebner import BudgetExceeded, DEFAULT_BUDGET
 from .laurent import LaurentForm, eval_poly_at_laurent
 from .poly import Polynomial
-from .presentations import CheckItem, DDPresentation, Report, omega3_check, unit_ideal_generators
+from .presentations import CheckItem, DDPresentation, Report, omega3_check
 from .isomorphisms import (
     NonIsoCertificate,
     RHomomorphism,
@@ -255,29 +256,23 @@ class ComplementVariable:
 
 
 def build_complement_variable(
-    phi: ExponentialMap, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET
+    phi: ExponentialMap, bases: tuple, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET
 ) -> ComplementVariable:
     """Construct sigma with D(sigma) = 1 for the canonical derivation D, so
     the map sends sigma to sigma + U.
 
-    Starting from sigma0 = b(z)*m(y,z)*t, where b and m are the cofactors of
-    dP/dZ and dQ/dY in the unit-ideal certificates, D(sigma0) - 1 is divisible
-    by x; the defect is absorbed into powers of w via the chain
-    c_(j+1) = D(c_j)/x, which terminates by local nilpotency.
+    `bases` are the bases {1} of the two unit ideals that `omega3_check`
+    solved (its Report's `bases`).  Starting from sigma0 = b(z)*m(y,z)*t,
+    where b and m are the cofactors of dP/dZ and dQ/dY in their rows,
+    D(sigma0) - 1 is divisible by x; the defect is absorbed into powers of w
+    via the chain c_(j+1) = D(c_j)/x, which terminates by local nilpotency.
+    D is read off the map: the U^1 coefficient of each generator is D(gen).
     """
     actx = phi.source
-    gens1, gens2 = unit_ideal_generators(actx.presentation)
-    gb1 = buchberger(gens1, budget=budget)
-    if not gb1.is_unit():
-        raise PipelineError("(P(0,Z), P'(0,Z)) is not the unit ideal")
+    gb1, gb2 = bases
     _, b_poly = gb1.reduce_to_gens(gb1.ctx.one(), 1, budget)
-
-    gb2 = buchberger(gens2, budget=budget)
-    if not gb2.is_unit():
-        raise PipelineError("(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal")
     _, m_poly = gb2.reduce_to_gens(gb2.ctx.one(), 2, budget)
-
-    derivation = canonical_lnd(actx)
+    derivation = Derivation(actx, {g: c[1] if len(c) > 1 else actx.zero() for g, c in phi.coeffs.items()})
     ctx = actx.gen_ctx
     seed = b_poly.transfer(ctx) * m_poly.transfer(ctx) * ctx.var("T")
     sigma_expr = seed
@@ -600,7 +595,7 @@ def cancellation_certificate(
         step("smaller-algebra relations verified at (x, f, g, h)")
 
         stage = "build_complement_variable"
-        cert.complement = build_complement_variable(cert.phi, cap, budget)
+        cert.complement = build_complement_variable(cert.phi, cert.omega3.bases, cap, budget)
         require(cert.complement.checks, "constructed element failed verification")
         step("complement variable constructed", f"chain length {cert.complement.chain_length}")
 

@@ -257,14 +257,14 @@ class AlgebraContext:
             budget.tick(len(added))
         return powers[k], den ** k
 
-    def completeness_report(self) -> Report:
+    def completeness_report(self, budget: int = DEFAULT_BUDGET) -> Report:
         """The computed premises of the completeness of the x-adic division (see
-        the module docstring), made once under the default budget and kept."""
+        the module docstring), made once under the first caller's budget and kept."""
         if "completeness" not in self._nf_cache:
             rels = _initial_relations(self.presentation, self.gen_ctx)
             lift = self.to_laurent(rels[1])
-            witness, refusal = _x_adic_witness(lift, self, _Budget(DEFAULT_BUDGET))
-            saturated = _x_is_nonzerodivisor(rels, DEFAULT_BUDGET)
+            witness, refusal = _x_adic_witness(lift, self, _Budget(budget))
+            saturated = _x_is_nonzerodivisor(rels, budget)
             self._nf_cache["completeness"] = Report((
                 CheckItem("I0 : X = I0", saturated, f"I0 = ({rels[0]}, {rels[1]})"),
                 CheckItem("x^e*t - b*y^s divides to 0", refusal is None and self.to_laurent(witness) == lift,
@@ -394,7 +394,7 @@ def membership_with_witness(
         residue = f - actx.to_laurent(witness)
         if residue.min_exp() != -m or residue.coeffs[-m] != coeff:
             raise AssertionError("refused coefficient is not the lowest one of the residue")
-        report = actx.completeness_report()
+        report = actx.completeness_report(budget)
         if not report.passed:
             failed = "; ".join(c.name for c in report.failed_items())
             raise AlgebraError(f"x-adic division not known to be complete ({failed}); no answer")

@@ -46,6 +46,7 @@ class Report:
 
     items: tuple[CheckItem, ...]
     facts: dict = field(default_factory=dict)
+    bases: tuple = field(default=(), compare=False)  # Groebner bases the checks solved, not printed
 
     @property
     def passed(self) -> bool:
@@ -89,6 +90,9 @@ class BaseRingSpec:
 
     def is_rational(self) -> bool:
         return not self.variables
+
+    def __str__(self):
+        return "Q[" + ",".join(self.variables) + "]" if self.variables else "Q"
 
 
 def _looks_adjoined(name: str) -> bool:
@@ -165,10 +169,7 @@ class DDPresentation:
         }
 
     def __str__(self):
-        ring = "Q" if self.base.is_rational() else "Q[" + ",".join(self.base.variables) + "]"
-        return (
-            f"{ring}[X,Y,Z,T]/(X^{self.d}*Y - ({self.P}), X^{self.e}*T - ({self.Q}))"
-        )
+        return f"{self.base}[X,Y,Z,T]/(X^{self.d}*Y - ({self.P}), X^{self.e}*T - ({self.Q}))"
 
 
 def load_presentation(data) -> DDPresentation:
@@ -275,6 +276,7 @@ def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET) -> Report:
     (P(0,Z), Q(0,Y,Z), dQ/dY(0,Y,Z)) = R[Y,Z].  Each of these two holds
     when the cofactor row of the reduced basis {1} gives 1 = sum c_i*g_i by
     multiplication, and prints that identity: it does not rest on Buchberger.
+    The Report keeps the two bases, whose rows seed a certificate's sigma.
     """
     validation = validate_presentation(p)
     items = [validation.as_check("presentation valid")]
@@ -286,13 +288,14 @@ def omega3_check(p: DDPresentation, budget: int = DEFAULT_BUDGET) -> Report:
     items.append(CheckItem("deg_Y Q > 1", s > 1, f"s = {s}"))
 
     names = ("(P(0,Z), P'(0,Z)) = R[Z]", "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) = R[Y,Z]")
-    for name, gens in zip(names, unit_ideal_generators(p)):
-        basis = buchberger(gens, budget=budget)
+    bases = tuple(buchberger(gens, budget=budget) for gens in unit_ideal_generators(p))
+    for name, basis in zip(names, bases):
+        gens = basis.gens
         row = basis.cofactors[0] if basis.is_unit() else ()
         holds = sum((c * g for c, g in zip(row, gens)), gens[0].ctx.zero()) == gens[0].ctx.one()
         detail = " + ".join(f"({c})*({g})" for c, g in zip(row, gens))
         items.append(CheckItem(name, holds, f"1 = {detail}" if row else f"generators ({', '.join(map(str, gens))})"))
-    return Report(tuple(items), {"r": r, "s": s})
+    return Report(tuple(items), {"r": r, "s": s}, bases)
 
 
 def unit_ideal_generators(p: DDPresentation) -> tuple[list[Polynomial], list[Polynomial]]:
@@ -333,8 +336,7 @@ class DanielewskiPresentation:
         return {"base_vars": list(self.base.variables), "n": self.n, "F": str(self.F)}
 
     def __str__(self):
-        ring = "Q" if self.base.is_rational() else "Q[" + ",".join(self.base.variables) + "]"
-        return f"{ring}[X,Z,T]/(X^{self.n}*T - ({self.F}))"
+        return f"{self.base}[X,Z,T]/(X^{self.n}*T - ({self.F}))"
 
 
 @dataclass(frozen=True)

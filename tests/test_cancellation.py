@@ -16,12 +16,16 @@ from ddlab.cancellation import (
     verify_pair_structured,
 )
 from ddlab.cli import main
-from ddlab.derivations import ExponentialMap, canonical_lnd
+from ddlab.derivations import Derivation, ExponentialMap, canonical_lnd
 from ddlab.elements import AlgebraContext, BElement, MembershipResult, NotInAlgebra
 from ddlab.groebner import BudgetExceeded
 from ddlab.isomorphisms import RHomomorphism, verify_iso_pair
 from ddlab.poly import parse_poly
-from ddlab.presentations import CheckItem, DDPresentation, Report
+from ddlab.presentations import CheckItem, DDPresentation, Report, omega3_check
+
+# (d, e, P, Q) of dd1 and of the reference cell (2,2,4,3)
+DD1_CELL = (1, 2, "Z^2 - 1", "Y^2 + Z")
+REFERENCE_CELL = (2, 2, "Z^4 - 1", "Y^3 + Z")
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +95,29 @@ class TestInvariantElements:
         phi, _ = build_phi_extension(dd1)
         actx = phi.source
         d = canonical_lnd(actx)
-        comp = build_complement_variable(phi)
+        comp = build_complement_variable(phi, omega3_check(dd1).bases)
         assert comp.checks.passed
         assert d.apply(comp.element) == actx.const(1)
+
+    @pytest.mark.parametrize("cell", [DD1_CELL, (2, 2, "Z^2 + X*Z - 1", "Y^3 + Z + X*Y")],
+                             ids=["dd1", "x-term"])
+    def test_complement_reads_the_canonical_derivation_off_the_map(self, monkeypatch, cell):
+        built = []
+
+        def capture(actx, images):
+            built.append(Derivation(actx, images))
+            return built[-1]
+
+        monkeypatch.setattr(cancellation, "Derivation", capture)
+        p = DDPresentation.make([], *cell)
+        phi, _ = build_phi_extension(p)
+        assert build_complement_variable(phi, omega3_check(p).bases).checks.passed
+        [read_off] = built
+        canonical = canonical_lnd(phi.source)
+        assert list(read_off.images) == list(canonical.images)
+        for name, image in canonical.images.items():
+            assert read_off.images[name].gen == image.gen, name
+            assert read_off.images[name].laurent == image.laurent, name
 
 
 class TestCertificateDD1:
@@ -215,7 +239,7 @@ class TestIncompleteDivision:
 
     @pytest.fixture()
     def incomplete(self, monkeypatch):
-        def failed_report(actx):
+        def failed_report(actx, budget):
             return Report((CheckItem("I0 : X = I0", False, "injected"),))
 
         def one_too_many(form, actx, n, budget):
@@ -290,16 +314,6 @@ class TestEveryStageCanFail:
     def test_smaller_relations(self, dd1, monkeypatch):
         monkeypatch.setattr(cancellation, "verify_hom", lambda h: False)
         self._assert_fails_at(dd1, "verify_E_iso", "relations of the smaller algebra failed")
-
-    def test_unit_ideal_cofactors(self, dd1, monkeypatch):
-        original = cancellation.unit_ideal_generators
-
-        def repeated(p):
-            gens1, gens2 = original(p)
-            return [gens1[0], gens1[0]], gens2
-
-        monkeypatch.setattr(cancellation, "unit_ideal_generators", repeated)
-        self._assert_fails_at(dd1, "build_complement_variable", "(P(0,Z), P'(0,Z)) is not the unit ideal")
 
     def test_bezout_cofactor(self, dd1, monkeypatch):
         # Buchberger still finds the basis {1} of (P(0,Z), P'(0,Z)), but one
@@ -383,23 +397,31 @@ class TestEveryCheckCanFail:
         monkeypatch.setattr(cancellation, "divide_by_x_power", divide)
         self._assert_fails_at(dd1, "build_complement_variable", message)
 
-    def test_second_unit_ideal(self, dd1, monkeypatch):
-        # omega3_check reads the generators through presentations, so it passes
-        original = cancellation.unit_ideal_generators
+    @pytest.mark.parametrize("cell", [DD1_CELL, REFERENCE_CELL], ids=["dd1", "2-2-4-3"])
+    @pytest.mark.parametrize("basis, column", [(0, 1), (1, 2)], ids=["b", "m"])
+    def test_cofactor_plus_one(self, monkeypatch, cell, basis, column):
+        # omega3 passes on its own bases; the complement stage is handed them
+        # with b (column 1 of the first row) or m (column 2 of the second)
+        # one larger, so D(sigma0) - 1 is no longer divisible by x
+        original = cancellation.build_complement_variable
 
-        def repeated(p):
-            gens1, _ = original(p)
-            return gens1, [gens1[0], gens1[0]]
+        def corrupted(phi, bases, cap, budget):
+            gb = bases[basis]
+            row = list(gb.cofactors[0])
+            row[column] = row[column] + gb.ctx.one()
+            bases = list(bases)
+            bases[basis] = dataclasses.replace(gb, cofactors=(tuple(row),))
+            return original(phi, tuple(bases), cap, budget)
 
-        monkeypatch.setattr(cancellation, "unit_ideal_generators", repeated)
-        self._assert_fails_at(dd1, "build_complement_variable",
-                              "(P(0,Z), Q(0,Y,Z), Q'(0,Y,Z)) is not the unit ideal")
+        monkeypatch.setattr(cancellation, "build_complement_variable", corrupted)
+        self._assert_fails_at(DDPresentation.make([], *cell), "build_complement_variable",
+                              "initial defect not divisible by x: element is not divisible by X^1 in the algebra")
 
     def test_complement_plus_w(self, dd1, monkeypatch):
         original = cancellation.build_complement_variable
 
-        def plus_w(phi, cap, budget):
-            c = original(phi, cap, budget)
+        def plus_w(phi, bases, cap, budget):
+            c = original(phi, bases, cap, budget)
             return dataclasses.replace(c, element=c.element + c.element.actx.gen("W1"))
 
         monkeypatch.setattr(cancellation, "build_complement_variable", plus_w)

@@ -402,6 +402,14 @@ class TestLimits:
         assert "budget of 1 steps exceeded" in capsys.readouterr().out
         assert main(["cancel-cert", dd1_file]) == 0
 
+    def test_member_budget_pays_for_the_completeness_premises(self, tmp_path, capsys):
+        # Z*x^-1 is refused at once; the premises that make the refusal an
+        # answer are computed under the call's budget, which runs out
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({**DD1, "d": 129}))
+        assert main(["member", str(path), "--element", '{"-1": "Z"}', "--budget", "1000"]) == 2
+        assert capsys.readouterr().out == "error: Groebner step budget of 1000 steps exceeded\n"
+
     def test_cap_zero_accepted(self, dd1_file, capsys):
         assert main(["lnd", dd1_file, "--cap", "0"]) == 1
         assert "cap exceeded" in capsys.readouterr().out

@@ -11,6 +11,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -79,3 +81,28 @@ def test_every_stage_is_a_direct_child_of_the_certificate():
     missing = [span for span in module.STAGES.values() if span not in children]
     assert not missing, f"stage spans not called directly by the certificate: {missing}"
     assert all(t > 0 for t in module.stage_times(snap).values())
+
+
+@pytest.mark.parametrize("cell", [(1, 2, "Z^2 - 1", "Y^2 + Z"), (2, 2, "Z^4 - 1", "Y^3 + Z")],
+                         ids=["dd1", "2-2-4-3"])
+def test_the_complement_stage_reuses_omega3_bases_and_the_map(cell):
+    # omega3 solves the two unit ideals and the complement stage reads the
+    # Bezout rows of those bases through reduce_to_gens, the call that
+    # perfbench/tests/test_tracer.py::test_layers_on_cert_family requires;
+    # the derivation is read off the map, not built a second time
+    from ddlab import DDPresentation, cancellation
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        cert = cancellation.cancellation_certificate(DDPresentation.make([], *cell))
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert cert.certified
+    snap = tracer.snapshot()
+    assert snap["calls"]["groebner.buchberger"] == 4
+    assert snap["calls"]["derivations.canonical_lnd"] == 1
+    pairs = {(p, c) for p, c, _ in snap["pairs"]}
+    assert ("cancellation.build_complement_variable", "groebner.reduce_to_gens") in pairs
