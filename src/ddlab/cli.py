@@ -410,22 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget < 1:
-        print(f"error: --budget must be at least 1, got {budget}", file=sys.stderr)
-        return EXIT_INPUT
-    cap = getattr(args, "cap", 0)
-    if cap < 0:
-        print(f"error: --cap must be at least 0, got {cap}", file=sys.stderr)
-        return EXIT_INPUT
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return EXIT_INPUT
+    # a subcommand without one of these flags reads as its least value
+    for flag, least in (("budget", 1), ("cap", 0), ("jobs", 1)):
+        value = getattr(args, flag, least)
+        if value < least:
+            print(f"error: --{flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     paths = args.inputs
     items = [(path, args) for path in paths]
 
-    workers = _pool_size(jobs, len(items), os.cpu_count())
+    workers = _pool_size(getattr(args, "jobs", 1), len(items), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, items))

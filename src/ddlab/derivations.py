@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .elements import AlgebraContext, BElement
-from .isomorphisms import RHomomorphism, verify_hom
+from .isomorphisms import RHomomorphism, image_table, verify_hom
 from .laurent import LaurentForm, eval_in_powers, eval_poly_at_laurent
 from .poly import Polynomial
 from .presentations import CheckItem, DDPresentation, Report, validate_presentation
@@ -50,15 +50,8 @@ class Derivation:
     __slots__ = ("actx", "images", "_applied")
 
     def __init__(self, actx: AlgebraContext, images: Mapping[str, BElement]):
-        names = actx.generator_names()
-        missing = [n for n in names if n not in images]
-        if missing:
-            raise DerivationError(f"missing derivation images for {missing}")
-        for name, el in images.items():
-            if el.actx != actx:
-                raise DerivationError(f"image of {name} lives in a different algebra")
         object.__setattr__(self, "actx", actx)
-        object.__setattr__(self, "images", {n: images[n] for n in names})
+        object.__setattr__(self, "images", image_table(actx, actx, images, DerivationError))
         object.__setattr__(self, "_applied", {})
 
     def __setattr__(self, *args):
@@ -155,6 +148,9 @@ class ExponentialMap(RHomomorphism):
         missing = [n for n in names if n not in coeffs]
         if missing:
             raise DerivationError(f"missing exponential-map coefficients for {missing}")
+        extra = [n for n in coeffs if n not in names]
+        if extra:
+            raise DerivationError(f"exponential-map coefficients for names that are not generators: {extra}")
         target = actx.extend("U")
         cctx = target.coeff_ctx
         u = LaurentForm.from_poly(cctx.var("U"))
@@ -165,8 +161,8 @@ class ExponentialMap(RHomomorphism):
             if not lst:
                 raise DerivationError(f"empty coefficient list for {name}")
             for el in lst:
-                if el.actx != actx:
-                    raise DerivationError("coefficient in a different algebra")
+                if not isinstance(el, BElement) or el.actx != actx:
+                    raise DerivationError(f"coefficient of {name} is not an element of the algebra")
             while len(lst) > 1 and lst[-1].is_zero():
                 lst.pop()
             store[name] = lst

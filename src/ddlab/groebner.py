@@ -310,8 +310,8 @@ class GroebnerBasis:
     """A reduced Groebner basis, with each element expressed in the input generators.
 
     The elements are sorted largest lead first, and every division tries them
-    in that order, so the cofactors of `normal_form` and `reduce_to_gens` are
-    fixed by it.  `remainder` reads no cofactors; the remainder of a division
+    in that order, so the cofactors that `reduce_to_gens` reads are fixed by
+    it.  `remainder` reads no cofactors; the remainder of a division
     by a Groebner basis is the same whichever divisor is tried first (Cox,
     Little and O'Shea, Ideals, Varieties, and Algorithms, 2.6).
     """
@@ -329,12 +329,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant() and not self.polys[0].is_zero()
 
-    def normal_form(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, list[Polynomial]]:
-        """Remainder of f modulo the basis plus cofactors on the basis elements."""
-        if f.ctx != self.ctx:
-            raise ContextMismatch("polynomial context differs from basis context")
-        return _normal_form(f, self._divisors, _Budget(budget))
-
     def remainder(self, f: Polynomial, budget: int = DEFAULT_BUDGET) -> Polynomial:
         """Remainder of f modulo the basis, without cofactors."""
         if f.ctx != self.ctx:
@@ -343,7 +337,9 @@ class GroebnerBasis:
 
     def reduce_to_gens(self, f: Polynomial, j: int, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, Polynomial]:
         """Remainder of f plus its cofactor on the input generator gens[j]."""
-        rem, cofs = self.normal_form(f, budget)
+        if f.ctx != self.ctx:
+            raise ContextMismatch("polynomial context differs from basis context")
+        rem, cofs = _normal_form(f, self._divisors, _Budget(budget))
         out = self.ctx.zero()
         for c, row in zip(cofs, self.cofactors):
             if not c.is_zero() and not row[j].is_zero():

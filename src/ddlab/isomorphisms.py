@@ -34,6 +34,24 @@ class HomomorphismError(ValueError):
     pass
 
 
+def image_table(source: AlgebraContext, target: AlgebraContext, images, error) -> dict[str, BElement]:
+    """The images in the order of `source`'s generators, once every generator
+    has one, no other name has one, and each is a `BElement` of `target`;
+    else `error` is raised, naming the first rule broken."""
+    names = source.generator_names()
+    missing = [n for n in names if n not in images]
+    if missing:
+        raise error(f"missing images for generators {missing}")
+    extra = [n for n in images if n not in names]
+    if extra:
+        raise error(f"images for names that are not generators: {extra}")
+    for name in names:
+        el = images[name]
+        if not isinstance(el, BElement) or el.actx != target:
+            raise error(f"image of {name} is not a target element")
+    return {n: images[n] for n in names}
+
+
 class RHomomorphism:
     """Generator images of an R-algebra map between two algebra contexts."""
 
@@ -42,20 +60,9 @@ class RHomomorphism:
     def __init__(self, source: AlgebraContext, target: AlgebraContext, images):
         if source.presentation.base != target.presentation.base:
             raise HomomorphismError("source and target have different base rings")
-        names = source.generator_names()
-        missing = [n for n in names if n not in images]
-        if missing:
-            raise HomomorphismError(f"missing images for generators {missing}")
-        extra = [n for n in images if n not in names]
-        if extra:
-            raise HomomorphismError(f"images for names that are not generators: {extra}")
-        for name in names:
-            el = images[name]
-            if not isinstance(el, BElement) or el.actx != target:
-                raise HomomorphismError(f"image of {name} is not a target element")
         self.source = source
         self.target = target
-        self.images = {n: images[n] for n in names}
+        self.images = image_table(source, target, images, HomomorphismError)
 
     def apply_expr(self, expr: Polynomial) -> LaurentForm:
         """Laurent form of the image of a source generator expression (base

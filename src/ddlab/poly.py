@@ -577,20 +577,7 @@ class Polynomial:
         return Polynomial._raw(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for exps, coeff in other.terms.items():
-            cur = get(exps)
-            if cur is None:
-                out[exps] = -coeff
-            else:
-                s = cur - coeff
-                if s:
-                    out[exps] = s if type(s) is int or s.denominator != 1 else s.numerator
-                else:
-                    del out[exps]
-        return Polynomial._raw(self.ctx, out)
+        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

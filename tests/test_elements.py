@@ -779,7 +779,7 @@ class TestReduceWitness:
         assert sum(1 for e in witness.terms if e[t]) == 3
         basis = small._nf_cache["rel"]
         reduced = basis.remainder(witness, 3)
-        assert reduced == basis.normal_form(witness, 3)[0] == psi_t.gen
+        assert reduced == _normal_form(witness, basis._divisors, _Budget(3))[0] == psi_t.gen
         with pytest.raises(BudgetExceeded):
             basis.remainder(witness, 2)
 

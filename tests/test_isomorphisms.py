@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ddlab.derivations import Derivation, DerivationError, ExponentialMap
 from ddlab.elements import AlgebraContext
 from ddlab.isomorphisms import (
     HomomorphismError,
@@ -75,6 +76,48 @@ def _sigma(actx):
     """X -> -X, Y -> -Y, Z -> Z, T -> T: an automorphism of dd1 other than the identity."""
     return RHomomorphism(actx, actx, {"X": actx.element("-X"), "Y": actx.element("-Y"),
                                       "Z": actx.gen("Z"), "T": actx.gen("T")})
+
+
+# each class of generator-image table: how it is built from a table of
+# elements, its error, and its message for a missing name, an extra name, and
+# an image that is not an element of the algebra (the last two cases)
+_TABLES = {
+    "RHomomorphism": (
+        lambda actx, table: RHomomorphism(actx, actx, table), HomomorphismError,
+        ("missing images for generators ['T']", "images for names that are not generators: ['W1']",
+         "image of Y is not a target element")),
+    "Derivation": (
+        Derivation, DerivationError,
+        ("missing images for generators ['T']", "images for names that are not generators: ['W1']",
+         "image of Y is not a target element")),
+    "ExponentialMap": (
+        lambda actx, table: ExponentialMap(actx, {n: [el] for n, el in table.items()}), DerivationError,
+        ("missing exponential-map coefficients for ['T']",
+         "exponential-map coefficients for names that are not generators: ['W1']",
+         "coefficient of Y is not an element of the algebra")),
+}
+
+
+class TestImageTables:
+    @pytest.mark.parametrize("kind", list(_TABLES))
+    @pytest.mark.parametrize("case", ["missing", "extra", "non-element", "other-algebra"])
+    def test_construction_errors(self, dd1_ctx, kind, case):
+        build, error, (missing, extra, not_element) = _TABLES[kind]
+        table = {n: dd1_ctx.gen(n) for n in dd1_ctx.generator_names()}
+        build(dd1_ctx, table)  # the whole table is accepted
+        if case == "missing":
+            del table["T"]
+            message = missing
+        elif case == "extra":
+            table["W1"] = dd1_ctx.gen("X")
+            message = extra
+        else:
+            y = dd1_ctx.gen("Y")
+            table["Y"] = y.gen if case == "non-element" else dd1_ctx.extend("U").gen("Y")
+            message = not_element
+        with pytest.raises(error) as excinfo:
+            build(dd1_ctx, table)
+        assert str(excinfo.value) == message
 
 
 class TestIsoPair:

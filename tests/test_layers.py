@@ -48,3 +48,43 @@ def test_every_import_form_is_read():
         "import ddlab",
     ])
     assert _ddlab_imports(source) == {"poly", "laurent", "groebner", "cli", "elements", "ddlab"}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module binds by import and never reads, `__future__`
+    features aside; a name read only inside a quoted annotation counts as
+    read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+    annotations = [n.annotation for n in ast.walk(tree)
+                   if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.returns]
+    quoted = [ast.parse(c.value, mode="eval") for a in annotations for c in ast.walk(a)
+              if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    read = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_no_unused_imports(module):
+    assert _unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def test_unused_import_is_found():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os",
+        "import os.path as osp",
+        "import json.decoder",
+        "from math import gcd, lcm",
+        "def f(a: 'list[Fraction]', b='Decimal') -> int:",
+        "    return gcd(a, json.decoder.x)",
+        "from fractions import Fraction",
+        "from decimal import Decimal",
+    ])
+    assert _unused_imports(source) == ["Decimal (line 9)", "lcm (line 5)", "os (line 2)", "osp (line 3)"]
