@@ -50,7 +50,7 @@ from .elements import (
 from .groebner import BudgetExceeded, DEFAULT_BUDGET
 from .laurent import LaurentForm, eval_poly_at_laurent
 from .poly import Polynomial
-from .presentations import CheckItem, DDPresentation, Report, omega3_check
+from .presentations import CheckItem, DDPresentation, Record, Report, json_value, omega3_check
 from .isomorphisms import (
     NonIsoCertificate,
     RHomomorphism,
@@ -98,10 +98,9 @@ def _quotients(
     equals expanding them over the generators first because the Laurent
     embedding is a ring map; each division carries a membership witness.
     """
-    ctx, cctx = actx.gen_ctx, actx.coeff_ctx
-    q_y = divide_by_x_power(eval_poly_at_laurent(p.P.transfer(ctx), at, cctx), actx, p.d, budget)
-    q_t = divide_by_x_power(eval_poly_at_laurent(p.Q.transfer(ctx), {**at, "Y": q_y.laurent}, cctx),
-                            actx, p.e, budget)
+    cctx = actx.coeff_ctx
+    q_y = divide_by_x_power(eval_poly_at_laurent(p.P, at, cctx), actx, p.d, budget)
+    q_t = divide_by_x_power(eval_poly_at_laurent(p.Q, {**at, "Y": q_y.laurent}, cctx), actx, p.e, budget)
     return q_y, q_t
 
 
@@ -238,21 +237,13 @@ def verify_E_iso(f: BElement, g: BElement, h: BElement) -> SmallAlgebraIso:
 
 
 @dataclass(frozen=True)
-class ComplementVariable:
+class ComplementVariable(Record):
     """An element sigma with D(sigma) = 1, built from the unit-ideal cofactors."""
 
     element: BElement
     seed: Polynomial  # b(Z)*m(Y,Z)*T, the starting lift
     chain_length: int
     checks: Report
-
-    def to_json(self):
-        return {
-            "element": str(self.element),
-            "seed": str(self.seed),
-            "chain_length": self.chain_length,
-            "checks": self.checks.to_json(),
-        }
 
 
 def build_complement_variable(
@@ -307,7 +298,7 @@ def build_complement_variable(
 
 
 @dataclass(frozen=True)
-class OldGeneratorWitnesses:
+class OldGeneratorWitnesses(Record):
     """The images of x, z, y, t, w as elements of B_{d,e-1}[w'].
 
     Each image is the element its stage built, so its Laurent form is the one
@@ -317,13 +308,6 @@ class OldGeneratorWitnesses:
     images: dict  # source generator name -> BElement of B_{d,e-1}[w']
     direct_identities: Report  # the two closed-form identities in E[w]
     checks: Report
-
-    def to_json(self):
-        return {
-            "images": {k: str(v) for k, v in self.images.items()},
-            "direct_identities": self.direct_identities.to_json(),
-            "checks": self.checks.to_json(),
-        }
 
 
 def express_old_generators(
@@ -492,27 +476,25 @@ class CancellationCertificate:
             "schema": SCHEMA,
             "kind": "cancellation-certificate",
             "presentation": self.presentation.to_json(),
-            "small_presentation": self.small_presentation.to_json()
-            if self.small_presentation
-            else None,
-            "omega3": self.omega3.to_json() if self.omega3 is not None else None,
-            "exponential_map": self.phi.to_json() if self.phi else None,
-            "exponential_map_checks": self.phi_checks.to_json() if self.phi_checks is not None else None,
+            "small_presentation": json_value(self.small_presentation),
+            "omega3": json_value(self.omega3),
+            "exponential_map": json_value(self.phi),
+            "exponential_map_checks": json_value(self.phi_checks),
             "f": _element_json(self.f),
             "g": _element_json(self.g),
             "h": _element_json(self.h),
-            "gh_checks": self.gh_checks.to_json() if self.gh_checks is not None else None,
-            "small_algebra": self.small_iso.to_json() if self.small_iso else None,
-            "complement": self.complement.to_json() if self.complement else None,
-            "old_generators": self.old_generators.to_json() if self.old_generators else None,
+            "gh_checks": json_value(self.gh_checks),
+            "small_algebra": json_value(self.small_iso),
+            "complement": json_value(self.complement),
+            "old_generators": json_value(self.old_generators),
             "iso_pair": {
                 "to_smaller": "old_generators.images" if self.backward else None,
                 "from_smaller": "x, f, g, h, complement.element" if self.forward else None,
-                "checks": self.pair_checks.to_json() if self.pair_checks is not None else None,
+                "checks": json_value(self.pair_checks),
                 "verified": self.pair_checks is not None and self.pair_checks.passed,
             },
-            "non_isomorphism": self.non_iso.to_json() if self.non_iso else None,
-            "steps": [item.to_json() for item in self.steps],
+            "non_isomorphism": json_value(self.non_iso),
+            "steps": json_value(self.steps),
             "verdict": self.verdict,
             "notes": list(NORMALIZATION_NOTES),
         }
@@ -617,7 +599,7 @@ def cancellation_certificate(
 
         stage = "distinguish_by_invariants"
         cert.non_iso = distinguish_by_invariants(p, cert.small_iso.presentation)
-        require(cert.non_iso.checklist, cert.non_iso.verdict)
+        require(cert.non_iso.checks, cert.non_iso.verdict)
         step("base algebras distinguished by invariants",
              f"{cert.non_iso.tuple1} vs {cert.non_iso.tuple2}")
 

@@ -29,7 +29,7 @@ from .elements import AlgebraContext, BElement
 from .isomorphisms import RHomomorphism, image_table, verify_hom
 from .laurent import LaurentForm, eval_in_powers, eval_poly_at_laurent
 from .poly import Polynomial
-from .presentations import CheckItem, DDPresentation, Report, validate_presentation
+from .presentations import CheckItem, DDPresentation, Record, Report, validate_presentation
 
 DEFAULT_CAP = 64
 
@@ -230,21 +230,13 @@ def check_exp_axioms(delta: ExponentialMap) -> Report:
 
 
 @dataclass(frozen=True)
-class MLReport:
+class MLReport(Record):
     """Hypothesis-checked report on the invariant subring over R."""
 
     presentation: DDPresentation
-    checklist: Report
+    checks: Report
     direct_facts: tuple[str, ...]
     conclusion: str | None
-
-    def to_json(self):
-        return {
-            "presentation": self.presentation.to_json(),
-            "checks": self.checklist.to_json(),
-            "direct_facts": list(self.direct_facts),
-            "conclusion": self.conclusion,
-        }
 
 
 def ml_report(p: DDPresentation) -> MLReport:
@@ -269,8 +261,8 @@ def ml_report(p: DDPresentation) -> MLReport:
         facts.append("D(x) = 0 verified; base variables map to 0 by construction")
         facts.append("hence R[x] lies in the kernel of D, so R[x] is contained in an invariant subring")
         facts.append(f"r > 1: {p.r > 1}")
-    checklist = Report(tuple(items), dict(validation.facts))
+    checks = Report(tuple(items), dict(validation.facts))
     conclusion = None
-    if checklist.passed:
+    if checks.passed:
         conclusion = "ML_R(B) = R[x] (theorem-backed conclusion after hypothesis checks)"
-    return MLReport(p, checklist, tuple(facts), conclusion)
+    return MLReport(p, checks, tuple(facts), conclusion)

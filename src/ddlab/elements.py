@@ -150,10 +150,8 @@ class AlgebraContext:
             p = self.presentation
             cctx = self.coeff_ctx
             images = {"X": LaurentForm.x_power(cctx, 1)}
-            p_poly = p.P.transfer(self.gen_ctx)
-            q_poly = p.Q.transfer(self.gen_ctx)
-            images["Y"] = eval_poly_at_laurent(p_poly, images, cctx).shift(-p.d)
-            images["T"] = eval_poly_at_laurent(q_poly, images, cctx).shift(-p.e)
+            images["Y"] = eval_poly_at_laurent(p.P, images, cctx).shift(-p.d)
+            images["T"] = eval_poly_at_laurent(p.Q, images, cctx).shift(-p.e)
             object.__setattr__(self, "_images", images)
         return self._images
 
@@ -191,12 +189,7 @@ class AlgebraContext:
         return GENERATOR_NAMES + self.adjoined
 
     def relations(self) -> tuple[Polynomial, Polynomial]:
-        p = self.presentation
-        ctx = self.gen_ctx
-        x = ctx.var("X")
-        rel1 = x ** p.d * ctx.var("Y") - p.P.transfer(ctx)
-        rel2 = x ** p.e * ctx.var("T") - p.Q.transfer(ctx)
-        return rel1, rel2
+        return tuple(r.transfer(self.gen_ctx) for r in self.presentation.relations())
 
     # -- membership ---------------------------------------------------------------
 
@@ -289,8 +282,8 @@ class AlgebraContext:
 
             shared, ctx = self._relations, self.gen_ctx
             if "basis" not in shared:
-                small = Context(GENERATOR_NAMES + self.presentation.base.variables)
-                shared["basis"] = buchberger([r.transfer(small) for r in self.relations()], order(small), budget)
+                rels = self.presentation.relations()
+                shared["basis"] = buchberger(list(rels), order(rels[0].ctx), budget)
             gb = shared["basis"]
             self._nf_cache["rel"] = gb if gb.ctx == ctx else GroebnerBasis(
                 ctx, order(ctx), tuple(p.transfer(ctx) for p in gb.polys), tuple(g.transfer(ctx) for g in gb.gens),

@@ -24,6 +24,7 @@ from .presentations import (
     CheckItem,
     DDPresentation,
     InvariantTuple,
+    Record,
     Report,
     invariant_tuple,
     validate_presentation,
@@ -112,7 +113,7 @@ def verify_iso_pair(h: RHomomorphism, hinv: RHomomorphism) -> Report:
 
 
 @dataclass(frozen=True)
-class IsoData:
+class IsoData(Record):
     """Unit and translation data for the canonical isomorphism shape.
 
     lambda1, mu1, beta1_tilde, g2_prime are units of R (nonzero rationals for
@@ -134,34 +135,14 @@ class IsoData:
             if not isinstance(value, Fraction) or value == 0:
                 raise ValueError(f"{name} must be a nonzero rational, got {value!r}")
 
-    def to_json(self):
-        return {
-            "lambda1": str(self.lambda1),
-            "mu1": str(self.mu1),
-            "beta1_tilde": str(self.beta1_tilde),
-            "g2_prime": str(self.g2_prime),
-            "delta1": str(self.delta1),
-            "alpha1_tilde": str(self.alpha1_tilde),
-            "g1_prime": str(self.g1_prime),
-        }
-
 
 @dataclass(frozen=True)
-class TransportResult:
+class TransportResult(Record):
     source: DDPresentation
     target: DDPresentation
     data: IsoData
     forward: RHomomorphism  # source -> target
     backward: RHomomorphism  # target -> source
-
-    def to_json(self):
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "data": self.data.to_json(),
-            "forward": self.forward.to_json(),
-            "backward": self.backward.to_json(),
-        }
 
 
 class TransportError(ValueError):
@@ -257,29 +238,19 @@ def transport_presentation(src: DDPresentation, data: IsoData) -> TransportResul
 
 
 @dataclass(frozen=True)
-class NonIsoCertificate:
+class NonIsoCertificate(Record):
     """Verdict on R-isomorphism obtained from the invariant tuples."""
 
     p1: DDPresentation
     p2: DDPresentation
     tuple1: InvariantTuple | None
     tuple2: InvariantTuple | None
-    checklist: Report
+    checks: Report
     verdict: str
 
     @property
     def not_isomorphic(self) -> bool:
         return self.verdict.startswith("not R-isomorphic")
-
-    def to_json(self):
-        return {
-            "p1": self.p1.to_json(),
-            "p2": self.p2.to_json(),
-            "tuple1": str(self.tuple1) if self.tuple1 else None,
-            "tuple2": str(self.tuple2) if self.tuple2 else None,
-            "checks": self.checklist.to_json(),
-            "verdict": self.verdict,
-        }
 
 
 def distinguish_by_invariants(p1: DDPresentation, p2: DDPresentation) -> NonIsoCertificate:
@@ -299,12 +270,12 @@ def distinguish_by_invariants(p1: DDPresentation, p2: DDPresentation) -> NonIsoC
         items.append(CheckItem("r > 1 on both sides", t1.r > 1 and t2.r > 1,
                                f"r1 = {t1.r}, r2 = {t2.r}"))
         items.append(CheckItem("invariant tuples differ", t1 != t2, f"{t1} vs {t2}"))
-    checklist = Report(tuple(items))
-    if checklist.passed:
+    checks = Report(tuple(items))
+    if checks.passed:
         verdict = (
             f"not R-isomorphic: invariant tuples {t1} and {t2} differ, and a tuple "
             "equality is necessary for any R-isomorphism under these hypotheses"
         )
     else:
         verdict = "inconclusive"
-    return NonIsoCertificate(p1, p2, t1, t2, checklist, verdict)
+    return NonIsoCertificate(p1, p2, t1, t2, checks, verdict)

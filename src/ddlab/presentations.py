@@ -13,7 +13,7 @@ single-relation family R[X,Z,T]/(X^n*T - F(X,Z)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 
@@ -28,16 +28,36 @@ class InvalidPresentation(ValueError):
     """A presentation failed a structural invariant."""
 
 
+def json_value(value):
+    """How a result prints a value: None, bools, ints and strings as they are,
+    anything with a `to_json` by it, a tuple or list as a list, a dict value
+    by value, and anything else (a polynomial, an element, a rational) as
+    its text."""
+    if value is None or isinstance(value, (str, bool, int)):
+        return value
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    return str(value)
+
+
+class Record:
+    """A dataclass result that prints its fields in order, each by `json_value`."""
+
+    def to_json(self):
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     """One named check with outcome and human-readable detail."""
 
     name: str
     passed: bool
     detail: str = ""
-
-    def to_json(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -66,7 +86,7 @@ class Report:
     def to_json(self):
         return {
             "passed": self.passed,
-            "checks": [item.to_json() for item in self.items],
+            "checks": json_value(self.items),
             "facts": {k: str(v) for k, v in self.facts.items()},
         }
 
@@ -149,6 +169,12 @@ class DDPresentation:
     def p_at_x0(self) -> Polynomial:
         return self.P.coefficient_of("X", 0)
 
+    def relations(self) -> tuple[Polynomial, Polynomial]:
+        """X^d*Y - P and X^e*T - Q, in the context of P and Q."""
+        ctx = self.P.ctx
+        x = ctx.var("X")
+        return x ** self.d * ctx.var("Y") - self.P, x ** self.e * ctx.var("T") - self.Q
+
     @cached_property
     def _invalid_reasons(self) -> str:
         """The failed checks of `validate_presentation`, "" when valid."""
@@ -199,8 +225,8 @@ def load_presentation(data) -> DDPresentation:
 def validate_presentation(p: DDPresentation) -> Report:
     """Check every structural invariant; failures become report entries."""
     items = []
-    items.append(CheckItem("d >= 1", p.d >= 1, f"d = {p.d}"))
-    items.append(CheckItem("e >= 1", p.e >= 1, f"e = {p.e}"))
+    items.append(CheckItem("d >= 1", type(p.d) is int and p.d >= 1, f"d = {p.d}"))
+    items.append(CheckItem("e >= 1", type(p.e) is int and p.e >= 1, f"e = {p.e}"))
 
     base = set(p.base.variables)
     p_extra = p.P.support_vars() - {"X", "Z"} - base
@@ -340,21 +366,13 @@ class DanielewskiPresentation:
 
 
 @dataclass(frozen=True)
-class DanielewskiReduction:
+class DanielewskiReduction(Record):
     """Result of eliminating Y from an s = 1 presentation, with generator maps."""
 
     source: DDPresentation
     target: DanielewskiPresentation
     forward_images: dict  # images of x, y, z, t in the target
     backward_images: dict  # images of the target's x, z, t in the source
-
-    def to_json(self):
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "forward_images": {k: str(v) for k, v in self.forward_images.items()},
-            "backward_images": {k: str(v) for k, v in self.backward_images.items()},
-        }
 
 
 def reduce_to_danielewski(p: DDPresentation) -> DanielewskiReduction:
@@ -399,8 +417,7 @@ def reduce_to_danielewski(p: DDPresentation) -> DanielewskiReduction:
         raise AssertionError("second relation does not vanish under the generator map")
     # X^n*(T/b) - F = (X^d/b)*(X^e*T - Q) + (X^d*Y - P), an exact identity
     lhs = x ** n * backward["T"] - f_poly
-    rel1 = x ** p.d * ctx.var("Y") - p.P
-    rel2 = x ** p.e * t_var - p.Q
+    rel1, rel2 = p.relations()
     if lhs != (x ** p.d).scale(Fraction(1) / b) * rel2 + rel1:
         raise AssertionError("backward relation identity failed")
 

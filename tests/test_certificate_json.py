@@ -1,4 +1,10 @@
-"""A certificate's JSON prints each element once.
+"""The printing rule of result records, and a certificate's JSON prints
+each element once.
+
+`json_value` is the one rule: None, bools, ints and strings stay, a value
+with a `to_json` prints by it, tuples and lists print as lists, dicts value
+by value, and anything else as its text; a `Record` prints its fields, in
+order, under that rule.
 
 Over the twelve golden cells of test_golden.py: no string of 40 or more
 characters occurs twice in a certificate's JSON, whether as a whole value or
@@ -8,16 +14,60 @@ cell (2,2,6,4) stays within a fixed size.
 """
 
 import json
+from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from ddlab.cancellation import cancellation_certificate
+from ddlab.derivations import ml_report
 from ddlab.elements import BElement
-from ddlab.presentations import DDPresentation
+from ddlab.isomorphisms import IsoData, transport_presentation
+from ddlab.poly import parse_poly
+from ddlab.presentations import CheckItem, DDPresentation, Record, json_value, reduce_to_danielewski
 
 from test_golden import DENOMINATOR_CELLS, GENERAL_CELLS, GRID, REFERENCE_CELLS
 
 CELLS = GRID + REFERENCE_CELLS + DENOMINATOR_CELLS + GENERAL_CELLS
+
+
+@pytest.mark.parametrize("value", [None, True, False, 0, -7, "", "x^2"])
+def test_plain_values_print_as_they_are(value):
+    printed = json_value(value)
+    assert printed == value and type(printed) is type(value)
+
+
+def test_other_values_print_as_text(dd1):
+    assert json_value(Fraction(-3, 4)) == "-3/4"
+    assert json_value(dd1.P) == "Z^2 - 1"
+    assert json_value(parse_poly("1/2*X*Y - Z", dd1.P.ctx)) == "1/2*X*Y - Z"
+
+
+def test_containers_print_element_by_element(dd1):
+    assert json_value((1, Fraction(1, 2), [None, dd1.Q])) == [1, "1/2", [None, "Y^2 + Z"]]
+    assert json_value({"a": Fraction(2), "b": (True,)}) == {"a": "2", "b": [True]}
+
+
+def test_a_nested_record_prints_by_its_own_to_json(dd1):
+    item = CheckItem("c", False, "why")
+    assert json_value(item) == {"name": "c", "passed": False, "detail": "why"}
+    assert json_value([item, {"p": dd1}]) == [item.to_json(), {"p": dd1.to_json()}]
+    assert json_value(dd1)["base_vars"] == []
+
+
+def test_every_record_prints_its_fields_in_order(dd1):
+    cert = cancellation_certificate(dd1)
+    ctx = dd1.P.ctx
+    zero = parse_poly("0", ctx)
+    transport = transport_presentation(dd1, IsoData(*[Fraction(1)] * 4, zero, parse_poly("1", ctx), zero))
+    reduction = reduce_to_danielewski(DDPresentation.make([], 1, 2, "Z^2 - 1", "Y + X*Z"))
+    records = [cert.steps[0], cert.complement, cert.old_generators, cert.non_iso, ml_report(dd1),
+               transport, transport.data, reduction]
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    for record in records:
+        printed = record.to_json()
+        assert list(printed) == [f.name for f in fields(record)]
+        assert printed == {f.name: json_value(getattr(record, f.name)) for f in fields(record)}
 
 
 @pytest.fixture(scope="module")

@@ -361,7 +361,7 @@ class TestMLReport:
         bad = DDPresentation.make([], 1, 1, "X", "Y^2 + Z")
         report = ml_report(bad)
         assert report.conclusion is None
-        assert not report.checklist.passed
+        assert not report.checks.passed
 
     def test_dd3_conclusion(self, dd3):
         assert ml_report(dd3).conclusion is not None

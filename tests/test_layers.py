@@ -1,7 +1,10 @@
 """The layering of the core modules, read from their import statements: the
 polynomial core imports no other ddlab module, and the Laurent layer only
 the core, so a checker can trust Polynomial arithmetic and Laurent
-evaluation without the rest of the package."""
+evaluation without the rest of the package.  `presentations`, which holds
+the printing rule of result records, imports only the core and `groebner`,
+so it stays below every module that prints a result; and no `Record`
+writes its own `to_json`."""
 
 import ast
 from pathlib import Path
@@ -31,7 +34,9 @@ def _ddlab_imports(source: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("module, allowed", [("poly", set()), ("laurent", {"poly"})])
+@pytest.mark.parametrize("module, allowed", [
+    ("poly", set()), ("laurent", {"poly"}), ("presentations", {"groebner", "poly"}),
+])
 def test_core_imports(module, allowed):
     assert _ddlab_imports((SRC / f"{module}.py").read_text()) == allowed
 
@@ -70,7 +75,10 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / f"{module}.py").read_text()) == []
 
@@ -88,3 +96,36 @@ def test_unused_import_is_found():
         "from decimal import Decimal",
     ])
     assert _unused_imports(source) == ["Decimal (line 9)", "lcm (line 5)", "os (line 2)", "osp (line 3)"]
+
+
+def _records_with_own_to_json(source: str) -> list[str]:
+    """The classes that name `Record` among their bases and still define a
+    `to_json` of their own."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(b, "id", None) == "Record" or getattr(b, "attr", None) == "Record" for b in node.bases)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_json" for f in node.body)
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_records_print_by_the_rule(module):
+    assert _records_with_own_to_json((SRC / f"{module}.py").read_text()) == []
+
+
+def test_record_with_own_to_json_is_found():
+    source = "\n".join([
+        "class Plain(Record):",
+        "    name: str",
+        "class Own(Record):",
+        "    def to_json(self):",
+        "        return {}",
+        "class Qualified(presentations.Record):",
+        "    def to_json(self):",
+        "        return {}",
+        "class NotARecord:",
+        "    def to_json(self):",
+        "        return {}",
+    ])
+    assert _records_with_own_to_json(source) == ["Own", "Qualified"]

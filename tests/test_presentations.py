@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ddlab.cancellation import cancellation_certificate
 from ddlab.poly import Context, parse_poly
 from ddlab.presentations import (
     COND_NONE,
@@ -43,6 +44,13 @@ class TestValidation:
     def test_bad_exponents(self):
         assert not validate_presentation(make([], 0, 1, "Z", "Y")).passed
 
+    @pytest.mark.parametrize("d, e, name", [(2.0, 2, "d >= 1"), (2, 2.5, "e >= 1"), (True, 2, "d >= 1")])
+    def test_exponents_must_be_integers(self, d, e, name):
+        p = make([], d, e, "Z^2 - 1", "Y^2 + Z")
+        assert [c.name for c in validate_presentation(p).failed_items()] == [name]
+        cert = cancellation_certificate(p)
+        assert cert.verdict == f"failed at unit-ideal conditions: presentation valid ({name})"
+
     def test_p_must_avoid_y_and_t(self):
         report = validate_presentation(make([], 1, 1, "Z + Y", "Y"))
         assert any(c.name == "P in R[X,Z]" for c in report.failed_items())
@@ -79,6 +87,13 @@ class TestValidation:
             bool(report)
         with pytest.raises(TypeError):
             assert report
+
+
+def test_relations_live_in_the_context_of_p_and_q():
+    p = make(["a"], 1, 2, "Z^2 - a", "Y^2 + Z")
+    rels = p.relations()
+    assert [str(r) for r in rels] == ["X*Y - Z^2 + a", "X^2*T - Y^2 - Z"]
+    assert all(r.ctx == p.P.ctx for r in rels)
 
 
 class TestInvariants:
