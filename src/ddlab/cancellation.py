@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .derivations import (
     DEFAULT_CAP,
@@ -74,8 +75,6 @@ class PipelineError(RuntimeError):
 
 def _divide_x_monomials(poly: Polynomial, k: int) -> Polynomial:
     """Exact division of every monomial by X^k; asserts the exponent bound per term."""
-    if k == 0:
-        return poly
     i = poly.ctx.index("X")
     out = {}
     for exps, coeff in poly.terms.items():
@@ -202,7 +201,10 @@ class SmallAlgebraIso:
 
     inclusion: RHomomorphism  # B_{d,e-1} -> A sending x,z,y,t to x,f,g,h
     checks: Report
-    injectivity_note: str
+    injectivity_note: ClassVar[str] = (
+        "injective structurally: z -> z + x^(d+e-1)*w is a triangular substitution, "
+        "invertible over R[x, 1/x][z, w], so the induced map of Laurent models is injective"
+    )
 
     @property
     def presentation(self) -> DDPresentation:
@@ -229,11 +231,7 @@ def verify_E_iso(f: BElement, g: BElement, h: BElement) -> SmallAlgebraIso:
     small = AlgebraContext(DDPresentation(p.base, p.d, p.e - 1, p.P, p.Q))
     iota = RHomomorphism(small, actx, {"X": actx.gen("X"), "Z": f, "Y": g, "T": h})
     items = [CheckItem("relations of the smaller algebra hold at (x, f, g, h)", verify_hom(iota), "")]
-    note = (
-        "injective structurally: z -> z + x^(d+e-1)*w is a triangular substitution, "
-        "invertible over R[x, 1/x][z, w], so the induced map of Laurent models is injective"
-    )
-    return SmallAlgebraIso(iota, Report(tuple(items)), note)
+    return SmallAlgebraIso(iota, Report(tuple(items)))
 
 
 @dataclass(frozen=True)
@@ -268,24 +266,22 @@ def build_complement_variable(
     seed = b_poly.transfer(ctx) * m_poly.transfer(ctx) * ctx.var("T")
     sigma_expr = seed
     one = actx.const(1)
-    defect = derivation.apply_expr(seed) - one
-    try:
-        c = divide_by_x_power(defect.laurent, actx, 1, budget)
-    except NotInAlgebra as exc:
-        raise PipelineError(f"initial defect not divisible by x: {exc}") from exc
     w = ctx.var(ADJOINED_NAME)
-    j = 1
-    while not c.is_zero():
+    defect = derivation.apply_expr(seed) - one  # D(sigma0) - 1, then D(c_j)
+    j = 0
+    while True:
+        try:
+            c = divide_by_x_power(defect.laurent, actx, 1, budget)
+        except NotInAlgebra as exc:
+            where = f"correction chain defect at step {j}" if j else "initial defect"
+            raise PipelineError(f"{where} not divisible by x: {exc}") from exc
+        if c.is_zero():
+            break
+        j += 1
         if j > cap:
             raise PipelineError(f"correction chain did not terminate within {cap} steps")
         sigma_expr = sigma_expr + w ** j * c.gen.scale(Fraction(1, math.factorial(j)))
-        try:
-            c = divide_by_x_power(derivation.apply(c).laurent, actx, 1, budget)
-        except NotInAlgebra as exc:
-            raise PipelineError(
-                f"correction chain defect at step {j} not divisible by x: {exc}"
-            ) from exc
-        j += 1
+        defect = derivation.apply(c)
 
     sigma = actx.element(sigma_expr)
     items = [
@@ -294,7 +290,7 @@ def build_complement_variable(
     u = phi.target.gen("U").laurent
     image_ok = phi.apply(sigma) == sigma.laurent.transfer(u.ctx) + u
     items.append(CheckItem("map sends sigma to sigma + U", image_ok, ""))
-    return ComplementVariable(sigma, seed, j - 1, Report(tuple(items)))
+    return ComplementVariable(sigma, seed, j, Report(tuple(items)))
 
 
 @dataclass(frozen=True)

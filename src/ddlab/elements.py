@@ -156,8 +156,6 @@ class AlgebraContext:
         return self._images
 
     def to_laurent(self, expr: Polynomial) -> LaurentForm:
-        if expr.ctx != self.gen_ctx:
-            expr = expr.transfer(self.gen_ctx)
         return eval_poly_at_laurent(expr, self.generator_images(), self.coeff_ctx)
 
     # -- element builders -------------------------------------------------------

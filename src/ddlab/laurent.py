@@ -6,7 +6,8 @@ the top field of each key, over one denominator (see `poly._pack`), so
 equality of forms is equality in that ring, which is what makes
 quotient-algebra equality decidable downstream.
 Evaluation, arithmetic and the x-adic division of `elements` work on that
-state directly; the coefficient Polynomials are a view for printing.
+state directly; printing uses the coefficient Polynomials, a view built
+on each read.
 
 This module owns evaluation at Laurent images (`_evaluate`) and the image
 entries with their power lists (`image_entry`, `_power`); it imports only
@@ -61,8 +62,8 @@ class LaurentForm:
     built: a result may hold an operand's `num`, and the power list of an
     image entry holds it.
 
-    `coeffs`, the coefficients as Polynomials, is built on first read and
-    kept.  Printing and JSON read it, and so does a `transfer` that
+    `coeffs`, the coefficients as Polynomials, is a view built on each
+    read.  Printing and JSON read it, and so does a `transfer` that
     repacks; evaluation, substitution, arithmetic and equality do not.
 
     `_powers` is None until the form is first used as a variable image.  It
@@ -71,32 +72,28 @@ class LaurentForm:
     the image object.
     """
 
-    __slots__ = ("ctx", "num", "den", "_coeffs", "_powers")
+    __slots__ = ("ctx", "num", "den", "_powers")
 
     def __init__(self, ctx: Context, coeffs: Mapping[int, Polynomial]):
         """Raises ExponentLimit for an exponent over MAX_PACKED_EXPONENT."""
-        clean = {}
-        for n, p in coeffs.items():
+        for p in coeffs.values():
             if p.ctx != ctx:
                 raise ContextMismatch("coefficient context differs from Laurent context")
-            if not p.is_zero():
-                clean[int(n)] = p
         # the common denominator of reduced fractions is the least one
-        num, den = _scaled_int_form(_pack({n: p.terms for n, p in clean.items()}, len(ctx.names))[0])
-        self._init(ctx, num, den, MappingProxyType(clean))
+        num, den = _scaled_int_form(_pack({int(n): p.terms for n, p in coeffs.items()}, len(ctx.names))[0])
+        self._init(ctx, num, den)
 
-    def _init(self, ctx: Context, num: dict, den: int, view):
+    def _init(self, ctx: Context, num: dict, den: int):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", view)
         object.__setattr__(self, "_powers", None)
 
     @classmethod
     def _raw(cls, ctx: Context, num: dict, den: int) -> "LaurentForm":
         """Trusted constructor: (num, den) must be canonical."""
         self = object.__new__(cls)
-        self._init(ctx, num, den, None)
+        self._init(ctx, num, den)
         return self
 
     def __setattr__(self, *args):
@@ -120,12 +117,10 @@ class LaurentForm:
 
     @property
     def coeffs(self) -> Mapping[int, Polynomial]:
-        """x-exponent -> nonzero coefficient Polynomial, read-only."""
-        if self._coeffs is None:
-            ctx = self.ctx
-            view = {n: Polynomial._raw(ctx, t) for n, t in _unpack(self.num, len(ctx.names), self.den).items()}
-            object.__setattr__(self, "_coeffs", MappingProxyType(view))
-        return self._coeffs
+        """x-exponent -> nonzero coefficient Polynomial, read-only, built on each read."""
+        ctx = self.ctx
+        view = {n: Polynomial._raw(ctx, t) for n, t in _unpack(self.num, len(ctx.names), self.den).items()}
+        return MappingProxyType(view)
 
     def is_zero(self) -> bool:
         return not self.num

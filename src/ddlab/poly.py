@@ -50,8 +50,6 @@ def norm_coeff(value):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
     return norm_coeff(Fraction(value))
 
 

@@ -91,6 +91,13 @@ class TestInvariantElements:
         assert small.presentation.e == 1
         assert "injective" in small.injectivity_note
 
+    def test_injectivity_note_is_one_constant(self, dd1_cert):
+        # the note is the same text in every certificate, so no certificate stores it
+        assert [f.name for f in dataclasses.fields(cancellation.SmallAlgebraIso)] == ["inclusion", "checks"]
+        assert dd1_cert.to_json()["small_algebra"]["injectivity_note"] == (
+            "injective structurally: z -> z + x^(d+e-1)*w is a triangular substitution, "
+            "invertible over R[x, 1/x][z, w], so the induced map of Laurent models is injective")
+
     def test_complement_variable(self, dd1):
         phi, _ = build_phi_extension(dd1)
         actx = phi.source

@@ -269,6 +269,14 @@ class TestCancelCert:
     def test_rejected_e_one(self, dd2_file, capsys):
         assert main(["cancel-cert", dd2_file]) == 1
 
+    def test_rejected_e_one_json(self, dd2_file, capsys):
+        # the guards refuse e = 1 before f is built: f, g and h print as null
+        assert main(["cancel-cert", dd2_file, "--json"]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["f"], cert["g"], cert["h"]) == (None, None, None)
+        assert cert["steps"] == [{"name": "guards", "passed": False, "detail": "requires e > 1, got e = 1"}]
+        assert cert["verdict"] == "failed at guards: requires e > 1, got e = 1"
+
     @pytest.mark.parametrize("flags, renders", [([], 0), (["--json"], 1)])
     def test_json_is_built_only_when_rendered(self, dd1_file, capsys, monkeypatch, flags, renders):
         from ddlab.cancellation import CancellationCertificate
@@ -519,6 +527,24 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("{", "error: bad.json: invalid JSON "
+                  "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+            ("", "error: bad.json: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+            ("7", "error: bad.json: malformed presentation record: expected an object, got int"),
+        ],
+        ids=["broken", "empty", "int"],
+    )
+    def test_file_that_is_not_a_json_object(self, tmp_path, monkeypatch, capsys, text, line):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(text)
+        assert main(["validate", "bad.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [line]
+        assert "Traceback" not in captured.err
+
 
 ISO_UNITS = {"lambda1": "1", "mu1": "1", "beta1_tilde": "1", "g2_prime": "1"}
 
@@ -639,6 +665,8 @@ _BASE_VARS = (st.sampled_from([_MISSING, [], ["u"]]),
               st.sampled_from(["u", [5], ["X"], ["1a"], ["u", "u"]]))
 _ELEMENTS = st.sampled_from(
     [None, '{"-1": "Z^2 - 1"}', '{"-1": "Z"}', '{"-2": "Z + W1"}', '{"0": "Z"}', '{"0": "Y"}', "[1]"])
+# file contents that are not a JSON object: broken, another value, empty
+_MALFORMED = st.sampled_from(["{", "[1]", "7", ""])
 
 
 def _mostly_valid(draw, field):
@@ -653,13 +681,16 @@ def _cli_runs(draw):
     base_vars = _mostly_valid(draw, _BASE_VARS)
     if base_vars is not _MISSING:
         record["base_vars"] = base_vars
+    text = draw(_MALFORMED) if draw(st.integers(0, 7)) == 0 else json.dumps(record)
     command = draw(st.sampled_from(
-        ["validate", "invariants", "danielewski-reduce", "omega3", "fiber", "lnd", "exp", "member"]))
+        ["validate", "invariants", "danielewski-reduce", "omega3", "fiber", "lnd", "exp", "member", "cancel-cert"]))
     flags = []
     if command in ("omega3", "fiber"):
         flags = ["--budget", "2000"]
     elif command in ("lnd", "exp"):
         flags = ["--cap", str(draw(st.integers(0, 6)))]
+    elif command == "cancel-cert":
+        flags = ["--budget", "2000", "--cap", str(draw(st.integers(0, 6)))]
     elif command == "member":
         flags = ["--budget", "2000", "--adjoin", draw(st.sampled_from(["", "W1", "X", "1a", "W1,W1"]))]
         element = draw(_ELEMENTS)
@@ -667,17 +698,18 @@ def _cli_runs(draw):
             flags += ["--element", element]
     if draw(st.booleans()):
         flags.append("--json")
-    return record, command, flags
+    return text, command, flags
 
 
 @settings(max_examples=80, deadline=None)
 @given(run=_cli_runs())
 def test_fuzzed_records_exit_cleanly(tmp_path_factory, run):
-    """Any record and any of these commands exits 0, 1 or 2 without a
-    traceback; without --json, exit 2 prints exactly one `error:` line."""
-    record, command, flags = run
+    """Any record, or malformed file, and any of these commands exits 0, 1
+    or 2 without a traceback; without --json, exit 2 prints exactly one
+    `error:` line."""
+    text, command, flags = run
     path = tmp_path_factory.mktemp("fuzz") / "record.json"
-    path.write_text(json.dumps(record))
+    path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path), *flags])

@@ -88,6 +88,13 @@ class TestLaurentEmbedding:
                 assert el.laurent == actx.to_laurent(el.gen), (actx, str(el))
         assert [str(el) for el in built[-5:]] == ["0", "0", "3", "-2/3", "5/7"]
 
+    def test_to_laurent_reads_variables_by_name(self, dd1_ctx):
+        # a polynomial over another context evaluates as its transfer does
+        expr = parse_poly("Y^2*T - X*Z + 3", Context(("T", "Z", "Y", "X", "V")))
+        assert dd1_ctx.to_laurent(expr) == dd1_ctx.to_laurent(expr.transfer(dd1_ctx.gen_ctx))
+        with pytest.raises(ContextMismatch, match="variable V missing from target context"):
+            dd1_ctx.to_laurent(expr + expr.ctx.var("V"))
+
     def test_homomorphism_property_500(self, dd1_ctx):
         rng = random.Random(500)
         ctx = dd1_ctx.gen_ctx

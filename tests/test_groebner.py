@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from ddlab.groebner import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    GroebnerBasis,
     MonomialOrder,
+    _assert_basis_sound,
     _Budget,
     _Divisors,
     _normal_form,
@@ -23,6 +26,7 @@ from conftest import random_polynomial
 
 ZCTX = Context(("Z",))
 YZCTX = Context(("Y", "Z"))
+XYCTX = Context(("X", "Y"))
 
 
 def zp(text):
@@ -463,3 +467,30 @@ class TestPostCheck:
                     s = qi * gi - qj * gj
                     assert gb.remainder(s).is_zero()
             ran += 1
+
+    # the post-check on a basis that is not sound: each check fires on its own
+    def _gens(self):
+        return [parse_poly("X^2 - Y", XYCTX), parse_poly("X*Y - 1", XYCTX)]
+
+    def _assert_unsound(self, gb, message):
+        with pytest.raises(AssertionError) as info:
+            _assert_basis_sound(gb, _Budget(DEFAULT_BUDGET))
+        assert str(info.value) == message
+
+    def test_real_basis_is_sound(self):
+        _assert_basis_sound(buchberger(self._gens()), _Budget(DEFAULT_BUDGET))
+
+    def test_s_polynomial_not_reducing_to_zero(self):
+        # the generators themselves, which are not a Groebner basis: the
+        # S-polynomial of their leads X^2 and X*Y is X - Y^2
+        gens = tuple(self._gens())
+        one, zero = XYCTX.one(), XYCTX.zero()
+        gb = GroebnerBasis(XYCTX, MonomialOrder(), gens, gens, ((one, zero), (zero, one)))
+        self._assert_unsound(gb, "S-polynomial of returned basis does not reduce to zero")
+
+    def test_cofactor_row_plus_one(self):
+        gb = buchberger(self._gens())
+        rows = list(gb.cofactors)
+        rows[0] = (rows[0][0] + XYCTX.one(), *rows[0][1:])
+        self._assert_unsound(dataclasses.replace(gb, cofactors=tuple(rows)),
+                             "cofactor row does not reproduce basis element")

@@ -191,6 +191,15 @@ class TestAgainstTheReference:
         assert zero == LaurentForm.zero(ctx) and hash(zero) == hash(LaurentForm.zero(ctx))
         assert zero.min_exp() == 0 and not zero.coeffs
 
+    def test_a_form_holds_only_its_packed_state(self):
+        # the coefficient view is built on each read and not kept
+        assert LaurentForm.__slots__ == ("ctx", "num", "den", "_powers")
+        ctx = Context(("Z", "W1"))
+        form = from_polys(ctx, {-1: {(1, 0): Fraction(1, 2)}, 2: {(0, 3): Fraction(3)}})
+        first, second = form.coeffs, form.coeffs
+        assert first is not second and first == second
+        assert {n: str(p) for n, p in first.items()} == {-1: "1/2*Z", 2: "3*W1^3"}
+
     def test_a_transfer_missing_a_used_variable_is_refused(self):
         ctx = Context(("Z", "W1"))
         form = from_polys(ctx, {0: {(0, 1): Fraction(1)}})

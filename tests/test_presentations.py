@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from ddlab.cancellation import cancellation_certificate
-from ddlab.poly import Context, parse_poly
+from ddlab.poly import Context, Polynomial, parse_poly
 from ddlab.presentations import (
     COND_NONE,
     COND_R1_S2_E2,
@@ -198,6 +199,59 @@ class TestDanielewskiReduction:
         p = make(["u1"], 1, 1, "Z^2", "u1*Y")
         with pytest.raises(InvalidPresentation, match="unit"):
             reduce_to_danielewski(p)
+
+
+class TestDanielewskiReductionChecks:
+    """Each identity that `reduce_to_danielewski` checks fails on its own
+    under one injected fault.  Q = 2*Y + X*Z has b = 2 and c = X*Z, so a
+    wrong 1/b or c shows."""
+
+    @pytest.fixture()
+    def pres(self):
+        p = make([], 1, 2, "Z^2 - 1", "2*Y + X*Z")
+        p.require_valid()  # validation is cached before any fault is injected
+        assert str(reduce_to_danielewski(p).target.F) == "1/2*X^2*Z + Z^2 - 1"
+        return p
+
+    @staticmethod
+    def _assert_fails(p, message):
+        with pytest.raises(AssertionError) as info:
+            reduce_to_danielewski(p)
+        assert str(info.value) == message
+
+    def test_backward_identity(self, pres, monkeypatch):
+        original = DDPresentation.relations
+
+        def perturbed(self):
+            rel1, rel2 = original(self)
+            return rel1 + rel1.ctx.one(), rel2
+
+        monkeypatch.setattr(DDPresentation, "relations", perturbed)
+        self._assert_fails(pres, "backward relation identity failed")
+
+    def test_second_relation(self, pres, monkeypatch):
+        original = Polynomial.substitute
+        monkeypatch.setattr(Polynomial, "substitute", lambda self, images: original(self, images) + self.ctx.one())
+        self._assert_fails(pres, "second relation does not vanish under the generator map")
+
+    @pytest.mark.parametrize("use", [0, 1], ids=["in-F", "in-y-image"])
+    def test_first_relation(self, pres, monkeypatch, use):
+        # c/b is formed twice, for F and for the image of y; one of them
+        # uses 2/b in place of 1/b
+        c = pres.Q.coefficient_of("Y", 0)
+        original = Polynomial.scale
+        uses = []
+
+        def scale(self, q):
+            if self == c:
+                uses.append(q)
+                if len(uses) - 1 == use:
+                    q = 2 * q
+            return original(self, q)
+
+        monkeypatch.setattr(Polynomial, "scale", scale)
+        self._assert_fails(pres, "first relation does not map onto the target relation")
+        assert uses[use] == Fraction(1, 2)
 
 
 class TestSerialization:
